@@ -1,21 +1,11 @@
 """Anytime-feasible distributed resource allocation: simulator, oracles, metrics."""
 
 from .engine import (
-    AgentMessages,
-    AgentState,
-    RoundMessages,
     SwarmState,
-    exchange_primary,
     init_state,
     iterate,
     lyapunov_metric,
-    project_affine,
-    project_decision,
     state_difference,
-    step_auxiliary,
-    step_dual,
-    step_virtual_decision,
-    step_virtual_queue,
 )
 from .errors import (
     ConfigError,

@@ -2,8 +2,6 @@
 
 Configs are single UTF-8 JSON documents; command-line flags override file
 keys, which override preset keys.  One experiment per process invocation.
-The ``DANYRA_THREADS`` environment variable caps engine parallelism
-(0 = sequential reference semantics).
 """
 
 from __future__ import annotations
@@ -11,7 +9,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -108,7 +105,6 @@ _TOP_KEYS = {
     "disturbances",
     "init",
     "out",
-    "threads",
 }
 _HP_KEYS = {"alpha", "beta", "eta", "gamma", "buffer"}
 _BUFFER_KEYS = {"kind", "omega", "coefficient", "values"}
@@ -130,7 +126,6 @@ class RunConfig:
     disturbances: tuple[dict, ...] = ()
     init: dict = field(default_factory=lambda: {"mode": "at_demand"})
     sweep: tuple[dict, ...] | None = None
-    threads: int = 0
     preset: str | None = None
 
     def to_dict(self) -> dict:
@@ -145,7 +140,6 @@ class RunConfig:
             "disturbances": list(self.disturbances),
             "init": self.init,
             "out": self.out,
-            "threads": self.threads,
         }
 
 
@@ -220,7 +214,6 @@ def _validate_config(cfg: dict) -> RunConfig:
         disturbances=tuple(disturbances),
         init=dict(init),
         sweep=sweep,
-        threads=int(cfg.get("threads", 0)),
         preset=cfg.get("preset"),
     )
 
@@ -263,15 +256,13 @@ def parse_config(
             cfg["instance"] = {"generate": {**source["generate"], "seed": int(value)}}
         elif key == "mode":
             cfg["mode"] = {"ineq": INEQUALITY, "eq": EQUALITY}.get(value, value)
-        elif key in ("iters", "threads"):
+        elif key == "iters":
             cfg[key] = int(value)
         elif key == "out":
             cfg[key] = str(value)
         else:
             raise ConfigError(f"unknown override {key!r}")
 
-    if "threads" not in cfg:
-        cfg["threads"] = int(os.environ.get("DANYRA_THREADS", "0"))
     return _validate_config(cfg)
 
 
@@ -315,7 +306,6 @@ def _build_plan(config: RunConfig, instance, buffer: dict) -> ExperimentPlan:
         init_mode=init.get("mode", "at_demand"),
         x0=None if init.get("x0") is None else np.array(init["x0"], dtype=float),
         x0_offset=None if init.get("offset") is None else np.array(init["offset"], dtype=float),
-        threads=config.threads,
         seed=config.instance.get("generate", {}).get("seed"),
     )
 

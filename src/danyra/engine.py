@@ -10,66 +10,19 @@ iterative QP solve.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor, wait
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DivergenceError, InvalidInstanceError, ModeError
+from .errors import DivergenceError, InvalidInstanceError
 from .problem import (
     EQUALITY,
     INEQUALITY,
-    AgentSpec,
     HyperParams,
     ProblemInstance,
     SpectralConstants,
     cost_gradient,
 )
-
-PROJECTOR_TOL = 1e-10
-
-
-@dataclass
-class AgentState:
-    """Per-agent view of the swarm state (delta is None in equality mode)."""
-
-    x: np.ndarray
-    x_prime: np.ndarray
-    y: np.ndarray
-    lam: np.ndarray
-    delta: np.ndarray | None
-    projector: np.ndarray
-
-
-@dataclass
-class AgentMessages:
-    """Per-agent slice of one round's exchanged quantities."""
-
-    lambda_bar: np.ndarray
-    y_bar: np.ndarray
-    z: np.ndarray
-    z_bar: np.ndarray
-    y_bar_next: np.ndarray | None = None
-
-
-@dataclass
-class RoundMessages:
-    """Neighbor-mixed quantities of one iteration, for all agents (rows)."""
-
-    lambda_bar: np.ndarray
-    y_bar: np.ndarray
-    z: np.ndarray
-    z_bar: np.ndarray
-    y_bar_next: np.ndarray | None = None
-
-    def agent(self, i: int) -> AgentMessages:
-        return AgentMessages(
-            lambda_bar=self.lambda_bar[i],
-            y_bar=self.y_bar[i],
-            z=self.z[i],
-            z_bar=self.z_bar[i],
-            y_bar_next=None if self.y_bar_next is None else self.y_bar_next[i],
-        )
 
 
 @dataclass
@@ -83,21 +36,10 @@ class SwarmState:
     y: np.ndarray        # (n, m)
     lam: np.ndarray      # (n, m)
     delta: np.ndarray | None  # (n, m) in inequality mode
-    projector: np.ndarray     # (n, p, m), cached A'(AA')^{-1} per agent
 
     @property
     def n(self) -> int:
         return self.x.shape[0]
-
-    def agent(self, i: int) -> AgentState:
-        return AgentState(
-            x=self.x[i],
-            x_prime=self.x_prime[i],
-            y=self.y[i],
-            lam=self.lam[i],
-            delta=None if self.delta is None else self.delta[i],
-            projector=self.projector[i],
-        )
 
     def copy(self) -> "SwarmState":
         return SwarmState(
@@ -108,7 +50,6 @@ class SwarmState:
             y=self.y.copy(),
             lam=self.lam.copy(),
             delta=None if self.delta is None else self.delta.copy(),
-            projector=self.projector,
         )
 
     def to_dict(self) -> dict:
@@ -123,7 +64,7 @@ class SwarmState:
         }
 
     @classmethod
-    def from_dict(cls, data: dict, instance: ProblemInstance) -> "SwarmState":
+    def from_dict(cls, data: dict) -> "SwarmState":
         delta = data.get("delta")
         return cls(
             k=int(data["k"]),
@@ -133,7 +74,6 @@ class SwarmState:
             y=np.array(data["y"], dtype=float),
             lam=np.array(data["lam"], dtype=float),
             delta=None if delta is None else np.array(delta, dtype=float),
-            projector=instance.projector_stack,
         )
 
 
@@ -159,13 +99,12 @@ def init_state(
     if mode not in (INEQUALITY, EQUALITY):
         raise InvalidInstanceError(f"unknown mode {mode!r}")
     n, p, m = instance.n, instance.p, instance.m
-    projectors = instance.projector_stack
 
     if init_mode == "at_demand":
         if p == m:
             x = instance.d_stack.copy()
         else:
-            x = np.einsum("npm,nm->np", projectors, instance.d_stack)
+            x = np.einsum("npm,nm->np", instance.projector_stack, instance.d_stack)
     elif init_mode == "zero":
         x = np.zeros((n, p))
     elif init_mode == "custom":
@@ -202,235 +141,61 @@ def init_state(
         y=np.zeros((n, m)),
         lam=lam,
         delta=delta,
-        projector=projectors,
     )
 
 
-def exchange_primary(state: SwarmState, instance: ProblemInstance) -> RoundMessages:
-    """First two communication sub-rounds: mix {lambda, y}, form z, mix z.
-
-    All reads are from the iteration-k snapshot; row sums of the mixed
-    quantities vanish because the Laplacian columns sum to zero.
-    """
-    L = instance.topology.L
-    lambda_bar = L @ state.lam
-    y_bar = L @ state.y
-    z = np.einsum("nmp,np->nm", instance.A_stack, state.x_prime) + y_bar
-    if state.mode == INEQUALITY:
-        z = z + state.delta
-    z_bar = L @ z
-    return RoundMessages(lambda_bar=lambda_bar, y_bar=y_bar, z=z, z_bar=z_bar)
-
-
-def step_virtual_decision(
-    spec: AgentSpec, agent: AgentState, msgs: AgentMessages, hp: HyperParams
-) -> np.ndarray:
-    """``x' <- x' - alpha * (grad f(x') + A'(z - d + lambda))``."""
-    out = agent.x_prime - hp.alpha * (
-        cost_gradient(spec, agent.x_prime) + spec.A.T @ (msgs.z - spec.d + agent.lam)
-    )
-    if not np.all(np.isfinite(out)):
-        raise DivergenceError("virtual decision update produced non-finite values")
-    return out
-
-
-def step_auxiliary(agent: AgentState, msgs: AgentMessages, hp: HyperParams) -> np.ndarray:
-    """``y <- y - alpha * (z_bar + lambda_bar)``; the swarm-wide sum of y is conserved."""
-    out = agent.y - hp.alpha * (msgs.z_bar + msgs.lambda_bar)
-    if not np.all(np.isfinite(out)):
-        raise DivergenceError("auxiliary update produced non-finite values")
-    return out
-
-
-def step_virtual_queue(
-    spec: AgentSpec,
-    agent: AgentState,
-    msgs: AgentMessages,
-    hp: HyperParams,
-    omega_k: float,
-) -> np.ndarray:
-    """``delta <- max(delta - alpha * (z - d + lambda), omega_k)`` elementwise."""
-    if agent.delta is None:
-        raise ModeError("virtual queue update is undefined in equality mode")
-    return np.maximum(agent.delta - hp.alpha * (msgs.z - spec.d + agent.lam), omega_k)
-
-
-def step_dual(
-    spec: AgentSpec,
-    agent: AgentState,
-    z_next: np.ndarray,
-    hp: HyperParams,
-    grad_at_old_xprime: np.ndarray,
-) -> np.ndarray:
-    """``lambda <- lambda + beta * (z_next - d - eta * A (A'lambda + grad_old))``.
-
-    ``z_next`` must already contain the third sub-round's mixed y, and the
-    gradient is the one evaluated at the pre-update virtual decision.
-    """
-    out = agent.lam + hp.beta * (
-        z_next - spec.d - hp.eta * (spec.A @ (spec.A.T @ agent.lam + grad_at_old_xprime))
-    )
-    if not np.all(np.isfinite(out)):
-        raise DivergenceError("dual update produced non-finite values")
-    return out
-
-
-def project_affine(x_prime: np.ndarray, A: np.ndarray, b: np.ndarray, projector: np.ndarray | None = None) -> np.ndarray:
-    """Euclidean projection of ``x_prime`` onto ``{x : Ax = b}`` in closed form."""
-    if projector is None:
-        from .problem import compute_projector
-
-        projector = compute_projector(A)
-    return x_prime + projector @ (b - A @ x_prime)
-
-
-def projection_target(
-    spec: AgentSpec,
-    agent: AgentState,
-    y_bar_next: np.ndarray,
-    hp: HyperParams,
-    delta_old: np.ndarray | None,
-    delta_new: np.ndarray | None,
-    mode: str,
-) -> np.ndarray:
-    """Right-hand side ``b`` of the decision update's affine constraint."""
-    Ax = spec.A @ agent.x
-    if mode == INEQUALITY:
-        return (
-            Ax
-            - hp.gamma * (Ax + y_bar_next + delta_new - spec.d)
-            + (1.0 - hp.gamma) * (delta_old - delta_new)
-        )
-    return Ax - hp.gamma * (Ax + y_bar_next - spec.d)
-
-
-def project_decision(
-    spec: AgentSpec,
-    agent: AgentState,
-    msgs_next: AgentMessages,
-    hp: HyperParams,
-    delta_old: np.ndarray | None,
-    delta_new: np.ndarray | None,
-    x_prime_next: np.ndarray,
-    mode: str = INEQUALITY,
-) -> np.ndarray:
-    """Project the new virtual decision onto the compensated affine target set."""
-    b = projection_target(spec, agent, msgs_next.y_bar_next, hp, delta_old, delta_new, mode)
-    return project_affine(x_prime_next, spec.A, b, agent.projector)
-
-
-def _blocks(n: int, parts: int) -> list[tuple[int, int]]:
-    parts = max(1, min(parts, n))
-    bounds = np.linspace(0, n, parts + 1, dtype=int)
-    return [(int(bounds[i]), int(bounds[i + 1])) for i in range(parts) if bounds[i] < bounds[i + 1]]
-
-
-def _run_blocks(executor: ThreadPoolExecutor | None, blocks, fn) -> None:
-    if executor is None:
-        for lo, hi in blocks:
-            fn(lo, hi)
-    else:
-        wait([executor.submit(fn, lo, hi) for lo, hi in blocks])
-
-
-def _batched_gradient(instance: ProblemInstance, x_prime: np.ndarray, lo: int, hi: int) -> np.ndarray:
+def _batched_gradient(instance: ProblemInstance, x_prime: np.ndarray) -> np.ndarray:
     if instance.all_quadratic:
-        P, Q = instance.P_stack, instance.Q_stack
-        return 2.0 * np.einsum("nij,nj->ni", P[lo:hi], x_prime[lo:hi]) - Q[lo:hi]
-    return np.stack(
-        [cost_gradient(instance.agents[i], x_prime[i]) for i in range(lo, hi)]
-    )
+        return 2.0 * np.einsum("nij,nj->ni", instance.P_stack, x_prime) - instance.Q_stack
+    return np.stack([cost_gradient(spec, xp) for spec, xp in zip(instance.agents, x_prime)])
 
 
-def iterate(
-    state: SwarmState,
-    instance: ProblemInstance,
-    hp: HyperParams,
-    *,
-    threads: int = 0,
-    executor: ThreadPoolExecutor | None = None,
-) -> SwarmState:
+def iterate(state: SwarmState, instance: ProblemInstance, hp: HyperParams) -> SwarmState:
     """Advance the swarm by one full synchronous iteration.
 
     Neighbor reductions are computed centrally from sub-round snapshots (the
-    simulated network); local updates are row-independent and may be split
-    across ``threads`` worker threads without changing any bit of the result.
-    Sequential execution (``threads=0``) is the reference semantics.
+    simulated network).  Each local update is one array operation over all
+    agents' rows, and row ``i`` reads only agent ``i``'s iterates and mixed
+    messages, as in the distributed algorithm.
     """
-    n, mode = state.n, state.mode
-    A, d, proj = instance.A_stack, instance.d_stack, instance.projector_stack
-    L = instance.topology.L
+    A, d, L = instance.A_stack, instance.d_stack, instance.topology.L
     alpha, beta, eta, gamma = hp.alpha, hp.beta, hp.eta, hp.gamma
-    inequality = mode == INEQUALITY
-    omega_k = hp.buffer.value(state.k) if inequality else 0.0
+    inequality = state.mode == INEQUALITY
+    x, x_prime, y, lam, delta = state.x, state.x_prime, state.y, state.lam, state.delta
 
-    if executor is not None:
-        parts = getattr(executor, "_max_workers", max(threads, 1))
-    else:
-        parts = max(threads, 1)
-    blocks = _blocks(n, parts)
+    # sub-round 1: mix duals and auxiliaries from the k-snapshot, then form z
+    lambda_bar = L @ lam
+    y_bar = L @ y
+    z = np.einsum("nmp,np->nm", A, x_prime) + y_bar
+    if inequality:
+        z = z + delta
+    grad = _batched_gradient(instance, x_prime)
 
-    # sub-round 1: mix duals and auxiliaries from the k-snapshot
-    lambda_bar = L @ state.lam
-    y_bar = L @ state.y
-
-    z = np.empty_like(y_bar)
-    grad = np.empty_like(state.x_prime)
-
-    def local_z(lo: int, hi: int) -> None:
-        zz = np.einsum("nmp,np->nm", A[lo:hi], state.x_prime[lo:hi]) + y_bar[lo:hi]
-        if inequality:
-            zz = zz + state.delta[lo:hi]
-        z[lo:hi] = zz
-        grad[lo:hi] = _batched_gradient(instance, state.x_prime, lo, hi)
-
-    _run_blocks(executor, blocks, local_z)
-
-    # sub-round 2: mix z
+    # sub-round 2: mix z; primal, auxiliary and queue updates
     z_bar = L @ z
+    v = z - d + lam
+    x_prime_next = x_prime - alpha * (grad + np.einsum("nmp,nm->np", A, v))
+    y_next = y - alpha * (z_bar + lambda_bar)
+    delta_next = np.maximum(delta - alpha * v, hp.buffer.value(state.k)) if inequality else None
 
-    x_prime_next = np.empty_like(state.x_prime)
-    y_next = np.empty_like(state.y)
-    delta_next = np.empty_like(state.delta) if inequality else None
-
-    def local_primal(lo: int, hi: int) -> None:
-        v = z[lo:hi] - d[lo:hi] + state.lam[lo:hi]
-        x_prime_next[lo:hi] = state.x_prime[lo:hi] - alpha * (
-            grad[lo:hi] + np.einsum("nmp,nm->np", A[lo:hi], v)
-        )
-        y_next[lo:hi] = state.y[lo:hi] - alpha * (z_bar[lo:hi] + lambda_bar[lo:hi])
-        if inequality:
-            delta_next[lo:hi] = np.maximum(state.delta[lo:hi] - alpha * v, omega_k)
-
-    _run_blocks(executor, blocks, local_primal)
-
-    # sub-round 3: mix the new auxiliaries
+    # sub-round 3: mix the new auxiliaries; dual update and projection
     y_bar_next = L @ y_next
-
-    lam_next = np.empty_like(state.lam)
-    x_next = np.empty_like(state.x)
-
-    def local_dual_and_project(lo: int, hi: int) -> None:
-        z_next = np.einsum("nmp,np->nm", A[lo:hi], x_prime_next[lo:hi]) + y_bar_next[lo:hi]
-        if inequality:
-            z_next = z_next + delta_next[lo:hi]
-        At_lam = np.einsum("nmp,nm->np", A[lo:hi], state.lam[lo:hi])
-        lam_next[lo:hi] = state.lam[lo:hi] + beta * (
-            z_next - d[lo:hi] - eta * np.einsum("nmp,np->nm", A[lo:hi], At_lam + grad[lo:hi])
+    Ax_prime_next = np.einsum("nmp,np->nm", A, x_prime_next)
+    z_next = Ax_prime_next + y_bar_next
+    if inequality:
+        z_next = z_next + delta_next
+    At_lam = np.einsum("nmp,nm->np", A, lam)
+    lam_next = lam + beta * (z_next - d - eta * np.einsum("nmp,np->nm", A, At_lam + grad))
+    Ax = np.einsum("nmp,np->nm", A, x)
+    if inequality:
+        b = (
+            Ax
+            - gamma * (Ax + y_bar_next + delta_next - d)
+            + (1.0 - gamma) * (delta - delta_next)
         )
-        Ax = np.einsum("nmp,np->nm", A[lo:hi], state.x[lo:hi])
-        if inequality:
-            b = (
-                Ax
-                - gamma * (Ax + y_bar_next[lo:hi] + delta_next[lo:hi] - d[lo:hi])
-                + (1.0 - gamma) * (state.delta[lo:hi] - delta_next[lo:hi])
-            )
-        else:
-            b = Ax - gamma * (Ax + y_bar_next[lo:hi] - d[lo:hi])
-        residual = b - np.einsum("nmp,np->nm", A[lo:hi], x_prime_next[lo:hi])
-        x_next[lo:hi] = x_prime_next[lo:hi] + np.einsum("npm,nm->np", proj[lo:hi], residual)
-
-    _run_blocks(executor, blocks, local_dual_and_project)
+    else:
+        b = Ax - gamma * (Ax + y_bar_next - d)
+    x_next = x_prime_next + np.einsum("npm,nm->np", instance.projector_stack, b - Ax_prime_next)
 
     fields = {"x": x_next, "x_prime": x_prime_next, "y": y_next, "lambda": lam_next}
     if inequality:
@@ -446,13 +211,12 @@ def iterate(
 
     return SwarmState(
         k=state.k + 1,
-        mode=mode,
+        mode=state.mode,
         x=x_next,
         x_prime=x_prime_next,
         y=y_next,
         lam=lam_next,
         delta=delta_next,
-        projector=state.projector,
     )
 
 

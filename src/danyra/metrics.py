@@ -38,15 +38,10 @@ def slack_sum(instance: ProblemInstance, x: np.ndarray, delta: np.ndarray | None
 def recovery_iteration(trace, from_k: int = 0, zero_tol: float = ZERO_VIOLATION_TOL) -> int | None:
     """First recorded k >= from_k whose violation is zero and stays zero afterwards."""
     ks = np.asarray(trace.ks)
-    viol = np.asarray(trace.violation_l1)
-    eligible = np.flatnonzero(ks >= from_k)
-    if eligible.size == 0:
-        return None
-    zero = viol <= zero_tol
-    for idx in eligible:
-        if zero[idx:].all():
-            return int(ks[idx])
-    return None
+    violated = np.flatnonzero(np.asarray(trace.violation_l1) > zero_tol)
+    after = violated[-1] + 1 if violated.size else 0
+    eligible = np.flatnonzero(ks[after:] >= from_k)
+    return int(ks[after + eligible[0]]) if eligible.size else None
 
 
 @dataclass(frozen=True)

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import io
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -76,7 +75,6 @@ class ExperimentPlan:
     init_mode: str = "at_demand"
     x0: np.ndarray | None = None
     x0_offset: np.ndarray | None = None
-    threads: int = 0
     seed: int | None = None  # metadata only
 
     def __post_init__(self):
@@ -159,22 +157,17 @@ def run_experiment(plan: ExperimentPlan, oracle_solution: OracleSolution | None 
     slacks: list[np.ndarray] = []
     gaps: list[float] | None = [] if oracle_solution is not None else None
 
-    executor = ThreadPoolExecutor(max_workers=plan.threads) if plan.threads > 0 else None
     start = time.perf_counter()
-    try:
-        for _ in range(plan.iters):
-            for ev in events.get(state.k, ()):
-                apply_disturbance(state, ev)
-            state = iterate(state, instance, hp, threads=plan.threads, executor=executor)
-            if state.k % plan.record_every == 0 or state.k == plan.iters:
-                ks.append(state.k)
-                viols.append(violation_l1(instance, state.x))
-                slacks.append(slack_sum(instance, state.x, state.delta))
-                if gaps is not None:
-                    gaps.append(optimality_gap(state.x, oracle_solution))
-    finally:
-        if executor is not None:
-            executor.shutdown(wait=True)
+    for _ in range(plan.iters):
+        for ev in events.get(state.k, ()):
+            apply_disturbance(state, ev)
+        state = iterate(state, instance, hp)
+        if state.k % plan.record_every == 0 or state.k == plan.iters:
+            ks.append(state.k)
+            viols.append(violation_l1(instance, state.x))
+            slacks.append(slack_sum(instance, state.x, state.delta))
+            if gaps is not None:
+                gaps.append(optimality_gap(state.x, oracle_solution))
     elapsed = time.perf_counter() - start
 
     meta = {
@@ -183,7 +176,6 @@ def run_experiment(plan: ExperimentPlan, oracle_solution: OracleSolution | None 
         "mode": plan.mode,
         "iters": plan.iters,
         "record_every": plan.record_every,
-        "threads": plan.threads,
         "wallclock_per_iteration": elapsed / plan.iters,
     }
     return Trace(

@@ -446,8 +446,9 @@ class BufferSchedule:
     """Queue buffer floor per iteration: constant ``w``, decaying ``c/(k+1)``, or explicit.
 
     The built-in decaying family is square-summable for every coefficient
-    (``sum_k (c/(k+1))^2 = c^2 pi^2 / 6``).  Explicit sequences hold their last
-    value past the end and are expected to be nonnegative and nonincreasing.
+    (``sum_k (c/(k+1))^2 = c^2 pi^2 / 6``).  Explicit sequences must be
+    nonnegative and nonincreasing (the queue floor carried from one step to the
+    next relies on it), and hold their last value past the end.
     """
 
     kind: str
@@ -465,6 +466,8 @@ class BufferSchedule:
         elif self.kind == "sequence":
             if not self.values or any(v < 0 for v in self.values):
                 raise InvalidInstanceError("sequence buffer needs nonnegative values")
+            if any(b > a for a, b in zip(self.values, self.values[1:])):
+                raise InvalidInstanceError("sequence buffer must be nonincreasing")
             object.__setattr__(self, "values", tuple(float(v) for v in self.values))
         else:
             raise InvalidInstanceError(f"unknown buffer kind {self.kind!r}")

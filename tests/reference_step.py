@@ -1,0 +1,194 @@
+"""Per-agent composition of one iteration: the reference ``iterate`` is diffed against.
+
+Each function is one agent's local update, written from the paper's update
+rules with that agent's own vectors and matrices; ``exchange_primary`` is the
+first two communication sub-rounds over the whole swarm.  ``danyra.iterate``
+computes the same step batched over all agents, and the tests require the two
+to agree to rounding.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+
+import numpy as np
+
+from danyra import (
+    INEQUALITY,
+    AgentSpec,
+    DivergenceError,
+    HyperParams,
+    ModeError,
+    ProblemInstance,
+    SwarmState,
+    compute_projector,
+    cost_gradient,
+)
+
+
+@dataclass
+class AgentState:
+    """Per-agent view of the swarm state (delta is None in equality mode)."""
+
+    x: np.ndarray
+    x_prime: np.ndarray
+    y: np.ndarray
+    lam: np.ndarray
+    delta: np.ndarray | None
+    projector: np.ndarray
+
+
+@dataclass
+class AgentMessages:
+    """Per-agent slice of one round's exchanged quantities."""
+
+    lambda_bar: np.ndarray
+    y_bar: np.ndarray
+    z: np.ndarray
+    z_bar: np.ndarray
+    y_bar_next: np.ndarray | None = None
+
+
+@dataclass
+class RoundMessages:
+    """Neighbor-mixed quantities of one iteration, for all agents (rows)."""
+
+    lambda_bar: np.ndarray
+    y_bar: np.ndarray
+    z: np.ndarray
+    z_bar: np.ndarray
+    y_bar_next: np.ndarray | None = None
+
+    def agent(self, i: int) -> AgentMessages:
+        return AgentMessages(
+            lambda_bar=self.lambda_bar[i],
+            y_bar=self.y_bar[i],
+            z=self.z[i],
+            z_bar=self.z_bar[i],
+            y_bar_next=None if self.y_bar_next is None else self.y_bar_next[i],
+        )
+
+
+def agent_state(state: SwarmState, instance: ProblemInstance, i: int) -> AgentState:
+    """Agent ``i``'s row of the swarm state, with its cached projector."""
+    return AgentState(
+        x=state.x[i],
+        x_prime=state.x_prime[i],
+        y=state.y[i],
+        lam=state.lam[i],
+        delta=None if state.delta is None else state.delta[i],
+        projector=instance.projector_stack[i],
+    )
+
+
+def exchange_primary(state: SwarmState, instance: ProblemInstance) -> RoundMessages:
+    """First two communication sub-rounds: mix {lambda, y}, form z, mix z.
+
+    All reads are from the iteration-k snapshot; row sums of the mixed
+    quantities vanish because the Laplacian columns sum to zero.
+    """
+    L = instance.topology.L
+    lambda_bar = L @ state.lam
+    y_bar = L @ state.y
+    z = np.einsum("nmp,np->nm", instance.A_stack, state.x_prime) + y_bar
+    if state.mode == INEQUALITY:
+        z = z + state.delta
+    z_bar = L @ z
+    return RoundMessages(lambda_bar=lambda_bar, y_bar=y_bar, z=z, z_bar=z_bar)
+
+
+def step_virtual_decision(
+    spec: AgentSpec, agent: AgentState, msgs: AgentMessages, hp: HyperParams
+) -> np.ndarray:
+    """``x' <- x' - alpha * (grad f(x') + A'(z - d + lambda))``."""
+    out = agent.x_prime - hp.alpha * (
+        cost_gradient(spec, agent.x_prime) + spec.A.T @ (msgs.z - spec.d + agent.lam)
+    )
+    if not np.all(np.isfinite(out)):
+        raise DivergenceError("virtual decision update produced non-finite values")
+    return out
+
+
+def step_auxiliary(agent: AgentState, msgs: AgentMessages, hp: HyperParams) -> np.ndarray:
+    """``y <- y - alpha * (z_bar + lambda_bar)``; the swarm-wide sum of y is conserved."""
+    out = agent.y - hp.alpha * (msgs.z_bar + msgs.lambda_bar)
+    if not np.all(np.isfinite(out)):
+        raise DivergenceError("auxiliary update produced non-finite values")
+    return out
+
+
+def step_virtual_queue(
+    spec: AgentSpec,
+    agent: AgentState,
+    msgs: AgentMessages,
+    hp: HyperParams,
+    omega_k: float,
+) -> np.ndarray:
+    """``delta <- max(delta - alpha * (z - d + lambda), omega_k)`` elementwise."""
+    if agent.delta is None:
+        raise ModeError("virtual queue update is undefined in equality mode")
+    return np.maximum(agent.delta - hp.alpha * (msgs.z - spec.d + agent.lam), omega_k)
+
+
+def step_dual(
+    spec: AgentSpec,
+    agent: AgentState,
+    z_next: np.ndarray,
+    hp: HyperParams,
+    grad_at_old_xprime: np.ndarray,
+) -> np.ndarray:
+    """``lambda <- lambda + beta * (z_next - d - eta * A (A'lambda + grad_old))``.
+
+    ``z_next`` must already contain the third sub-round's mixed y, and the
+    gradient is the one evaluated at the pre-update virtual decision.
+    """
+    out = agent.lam + hp.beta * (
+        z_next - spec.d - hp.eta * (spec.A @ (spec.A.T @ agent.lam + grad_at_old_xprime))
+    )
+    if not np.all(np.isfinite(out)):
+        raise DivergenceError("dual update produced non-finite values")
+    return out
+
+
+def project_affine(
+    x_prime: np.ndarray, A: np.ndarray, b: np.ndarray, projector: np.ndarray | None = None
+) -> np.ndarray:
+    """Euclidean projection of ``x_prime`` onto ``{x : Ax = b}`` in closed form."""
+    if projector is None:
+        projector = compute_projector(A)
+    return x_prime + projector @ (b - A @ x_prime)
+
+
+def projection_target(
+    spec: AgentSpec,
+    agent: AgentState,
+    y_bar_next: np.ndarray,
+    hp: HyperParams,
+    delta_old: np.ndarray | None,
+    delta_new: np.ndarray | None,
+    mode: str,
+) -> np.ndarray:
+    """Right-hand side ``b`` of the decision update's affine constraint."""
+    Ax = spec.A @ agent.x
+    if mode == INEQUALITY:
+        return (
+            Ax
+            - hp.gamma * (Ax + y_bar_next + delta_new - spec.d)
+            + (1.0 - hp.gamma) * (delta_old - delta_new)
+        )
+    return Ax - hp.gamma * (Ax + y_bar_next - spec.d)
+
+
+def project_decision(
+    spec: AgentSpec,
+    agent: AgentState,
+    msgs_next: AgentMessages,
+    hp: HyperParams,
+    delta_old: np.ndarray | None,
+    delta_new: np.ndarray | None,
+    x_prime_next: np.ndarray,
+    mode: str = INEQUALITY,
+) -> np.ndarray:
+    """Project the new virtual decision onto the compensated affine target set."""
+    b = projection_target(spec, agent, msgs_next.y_bar_next, hp, delta_old, delta_new, mode)
+    return project_affine(x_prime_next, spec.A, b, agent.projector)

@@ -26,7 +26,6 @@ FIG2_EXPANDED = {
     ],
     "init": {"mode": "at_demand"},
     "out": "runs/fig2",
-    "threads": 0,
 }
 
 BUFFER_SWEEP_EXPANDED = {
@@ -51,7 +50,6 @@ BUFFER_SWEEP_EXPANDED = {
     "disturbances": [],
     "init": {"mode": "at_demand", "offset": [50.0, 50.0]},
     "out": "runs/buffer-sweep",
-    "threads": 0,
 }
 
 EQUALITY_EXPANDED = {
@@ -71,7 +69,6 @@ EQUALITY_EXPANDED = {
     "disturbances": [],
     "init": {"mode": "zero"},
     "out": "runs/equality",
-    "threads": 0,
 }
 
 
@@ -153,11 +150,6 @@ class TestParseConfig:
         with pytest.raises(ConfigError):
             parse_config(self.write(tmp_path, cfg))
 
-    def test_threads_env_default(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("DANYRA_THREADS", "2")
-        config = parse_config(self.write(tmp_path, self.minimal()))
-        assert config.threads == 2
-
     def test_missing_file(self):
         with pytest.raises(ConfigError):
             parse_config("/nonexistent/config.json")
@@ -220,7 +212,7 @@ class TestRun:
         path.write_text(json.dumps(cfg), encoding="utf-8")
         assert main(["run", "--config", str(path)]) == 0
 
-    def test_deterministic_csv_including_threads(self, tmp_path, monkeypatch):
+    def test_deterministic_csv(self, tmp_path):
         cfg = self.small_cfg(tmp_path, out=str(tmp_path / "a"))
         patha = tmp_path / "a.json"
         patha.write_text(json.dumps(cfg), encoding="utf-8")
@@ -229,15 +221,16 @@ class TestRun:
         pathb = tmp_path / "b.json"
         pathb.write_text(json.dumps(cfg), encoding="utf-8")
         main(["run", "--config", str(pathb)])
-        monkeypatch.setenv("DANYRA_THREADS", "2")
-        cfg["out"] = str(tmp_path / "c")
-        pathc = tmp_path / "c.json"
-        pathc.write_text(json.dumps(cfg), encoding="utf-8")
-        main(["run", "--config", str(pathc)])
         a = (tmp_path / "a" / "trace.csv").read_bytes()
         b = (tmp_path / "b" / "trace.csv").read_bytes()
-        c = (tmp_path / "c" / "trace.csv").read_bytes()
-        assert a == b == c
+        assert a == b
+
+    def test_threads_key_rejected(self, tmp_path, capsys):
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(self.small_cfg(tmp_path, threads=2)), encoding="utf-8")
+        assert main(["run", "--config", str(path)]) == 2
+        assert "unknown key(s) ['threads'] in config" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_sweep_outputs(self, tmp_path):
         config = parse_config(

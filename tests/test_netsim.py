@@ -136,17 +136,6 @@ class TestRunExperiment:
         b = run_experiment(plan, oracle).csv_text()
         assert a == b
 
-    def test_threaded_run_matches_sequential(self, small_instance, base_hp):
-        oracle = solve_active_set(small_instance)
-        base = ExperimentPlan(
-            instance=small_instance, hp=base_hp(omega=0.05), iters=40, init_mode="at_demand"
-        )
-        threaded = ExperimentPlan(
-            instance=small_instance, hp=base_hp(omega=0.05), iters=40, init_mode="at_demand",
-            threads=3,
-        )
-        assert run_experiment(base, oracle).csv_text() == run_experiment(threaded, oracle).csv_text()
-
     def test_csv_floats_use_17_significant_digits(self, small_instance, base_hp):
         trace = run_experiment(
             ExperimentPlan(

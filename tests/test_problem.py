@@ -356,6 +356,8 @@ class TestBufferSchedule:
         with pytest.raises(InvalidInstanceError):
             BufferSchedule.sequence([0.1, -0.2])
         with pytest.raises(InvalidInstanceError):
+            BufferSchedule.sequence([0.1, 1.0, 5.0])
+        with pytest.raises(InvalidInstanceError):
             BufferSchedule(kind="mystery")
 
     def test_hyperparams_validation(self):
