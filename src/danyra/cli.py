@@ -17,7 +17,7 @@ import numpy as np
 
 from .engine import init_state
 from .errors import ConfigError, DanyraError, DivergenceError, OracleFailureError
-from .metrics import bounds_report, recovery_iteration, violation_l1
+from .metrics import ZERO_VIOLATION_TOL, bounds_report, recovery_iteration, violation_l1
 from .netsim import DisturbanceEvent, ExperimentPlan, Trace, run_experiment
 from .oracle import solve_active_set, solve_equality
 from .problem import (
@@ -328,6 +328,19 @@ def _write_json(path: Path, payload: dict) -> None:
     path.write_text(json.dumps(payload, indent=2, default=_json_default) + "\n", encoding="utf-8")
 
 
+def _largest_violation(initial_violation: float, trace: Trace) -> tuple[float, int]:
+    """The largest violation a run faced and its iteration (0 for the initial state).
+
+    A recorded row counts only when it exceeds the initial violation (so a tie
+    goes to k = 0) and the rounding level that ``recovery_iteration`` treats as
+    zero.
+    """
+    peak = int(np.argmax(trace.violation_l1))
+    if trace.violation_l1[peak] > max(initial_violation, ZERO_VIOLATION_TOL):
+        return float(trace.violation_l1[peak]), int(trace.ks[peak])
+    return initial_violation, 0
+
+
 def _run_single(config, instance, oracle, sc, report, buffer, out_dir: Path) -> dict:
     plan = _build_plan(config, instance, buffer)
     initial = init_state(
@@ -343,8 +356,9 @@ def _run_single(config, instance, oracle, sc, report, buffer, out_dir: Path) -> 
 
     out_dir.mkdir(parents=True, exist_ok=True)
     trace.to_csv(out_dir / "trace.csv")
-    bounds = bounds_report(sc, plan.hp, instance.n, initial_violation)
-    _write_json(out_dir / "bounds.json", {**bounds.to_dict(), "C_vio": initial_violation})
+    C_vio, C_vio_k = _largest_violation(initial_violation, trace)
+    bounds = bounds_report(sc, plan.hp, instance.n, C_vio)
+    _write_json(out_dir / "bounds.json", {**bounds.to_dict(), "C_vio": C_vio, "C_vio_k": C_vio_k})
 
     recovery = recovery_iteration(trace)
     summary = {

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DivergenceError, InvalidInstanceError
+from .errors import DivergenceError, InvalidInstanceError, ModeError
 from .problem import (
     EQUALITY,
     INEQUALITY,
@@ -65,10 +65,17 @@ class SwarmState:
 
     @classmethod
     def from_dict(cls, data: dict) -> "SwarmState":
-        delta = data.get("delta")
+        """Rebuild a state; the mode must be known and carry a queue exactly in inequality mode."""
+        mode, delta = data["mode"], data.get("delta")
+        if mode not in (INEQUALITY, EQUALITY):
+            raise ModeError(f"unknown mode {mode!r}")
+        if mode == INEQUALITY and delta is None:
+            raise ModeError("inequality mode needs a queue delta")
+        if mode == EQUALITY and delta is not None:
+            raise ModeError("equality mode has no queue delta")
         return cls(
             k=int(data["k"]),
-            mode=data["mode"],
+            mode=mode,
             x=np.array(data["x"], dtype=float),
             x_prime=np.array(data["x_prime"], dtype=float),
             y=np.array(data["y"], dtype=float),
@@ -154,32 +161,34 @@ def iterate(state: SwarmState, instance: ProblemInstance, hp: HyperParams) -> Sw
     """Advance the swarm by one full synchronous iteration.
 
     Neighbor reductions are computed centrally from sub-round snapshots (the
-    simulated network).  Each local update is one array operation over all
-    agents' rows, and row ``i`` reads only agent ``i``'s iterates and mixed
-    messages, as in the distributed algorithm.
+    simulated network) by ``Topology.mix``, which is ``L @ v``: the dense
+    product for small swarms, and above ``DENSE_MIX_MAX_N`` agents a sum over
+    each agent's neighbors only, O(|E|) per sub-round.  Each local update is
+    one array operation over all agents' rows, and row ``i`` reads only agent
+    ``i``'s iterates and mixed messages, as in the distributed algorithm.
     """
-    A, d, L = instance.A_stack, instance.d_stack, instance.topology.L
+    A, d, mix = instance.A_stack, instance.d_stack, instance.topology.mix
     alpha, beta, eta, gamma = hp.alpha, hp.beta, hp.eta, hp.gamma
     inequality = state.mode == INEQUALITY
     x, x_prime, y, lam, delta = state.x, state.x_prime, state.y, state.lam, state.delta
 
     # sub-round 1: mix duals and auxiliaries from the k-snapshot, then form z
-    lambda_bar = L @ lam
-    y_bar = L @ y
+    lambda_bar = mix(lam)
+    y_bar = mix(y)
     z = np.einsum("nmp,np->nm", A, x_prime) + y_bar
     if inequality:
         z = z + delta
     grad = _batched_gradient(instance, x_prime)
 
     # sub-round 2: mix z; primal, auxiliary and queue updates
-    z_bar = L @ z
+    z_bar = mix(z)
     v = z - d + lam
     x_prime_next = x_prime - alpha * (grad + np.einsum("nmp,nm->np", A, v))
     y_next = y - alpha * (z_bar + lambda_bar)
     delta_next = np.maximum(delta - alpha * v, hp.buffer.value(state.k)) if inequality else None
 
     # sub-round 3: mix the new auxiliaries; dual update and projection
-    y_bar_next = L @ y_next
+    y_bar_next = mix(y_next)
     Ax_prime_next = np.einsum("nmp,np->nm", A, x_prime_next)
     z_next = Ax_prime_next + y_bar_next
     if inequality:
@@ -240,13 +249,13 @@ def lyapunov_metric(
     This is only a monitoring aid: the anchor must come from a long converged
     run, and no monotonicity of the value is asserted anywhere.
     """
-    L = instance.topology.L
+    mix = instance.topology.mix
     A = instance.A_stack
 
     def net_z(s: SwarmState) -> np.ndarray:
         if state.mode == INEQUALITY:
-            return np.einsum("nmp,np->nm", A, s.x) + L @ s.y + s.delta
-        return np.einsum("nmp,np->nm", A, s.x_prime) + L @ s.y
+            return np.einsum("nmp,np->nm", A, s.x) + mix(s.y) + s.delta
+        return np.einsum("nmp,np->nm", A, s.x_prime) + mix(s.y)
 
     sq = lambda v: float(np.sum(v * v))
     value = (

@@ -1,0 +1,52 @@
+"""Dense O(n^2) construction of the generated topology: what ``generate_instance`` is diffed against.
+
+``ring_with_chords`` lists every non-ring pair and draws chords from that
+list; ``metropolis_dense`` fills the dense weight matrix pair by pair and
+derives the Laplacian from it.  ``danyra`` builds the same graph from edge
+arrays in O(|E|), and the tests require edges, ``W`` and ``L`` to be
+bit-identical for the same random generator.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from danyra import InvalidInstanceError
+
+
+def ring_with_chords(n: int, extra_edges: int, rng: np.random.Generator) -> np.ndarray:
+    """0/1 adjacency of a ring on ``n`` nodes plus ``extra_edges`` random chords."""
+    adj = np.zeros((n, n), dtype=bool)
+    ring = {(min(i, (i + 1) % n), max(i, (i + 1) % n)) for i in range(n)}
+    for i, j in ring:
+        adj[i, j] = adj[j, i] = True
+    candidates = [(i, j) for i in range(n) for j in range(i + 1, n) if not adj[i, j]]
+    if extra_edges > len(candidates):
+        raise InvalidInstanceError(
+            f"cannot add {extra_edges} chords to a ring of {n} (only {len(candidates)} available)"
+        )
+    if extra_edges > 0:
+        picks = rng.choice(len(candidates), size=extra_edges, replace=False)
+        for idx in picks:
+            i, j = candidates[idx]
+            adj[i, j] = adj[j, i] = True
+    return adj
+
+
+def metropolis_dense(adj: np.ndarray) -> tuple[tuple[tuple[int, int], ...], np.ndarray, np.ndarray]:
+    """Edges, dense Metropolis-Hastings ``W`` and Laplacian ``L`` of an adjacency matrix."""
+    n = adj.shape[0]
+    deg = adj.sum(axis=1)
+    W = np.zeros((n, n))
+    edges = []
+    for i in range(n):
+        for j in range(i + 1, n):
+            if adj[i, j]:
+                w = 1.0 / (1.0 + max(deg[i], deg[j]))
+                W[i, j] = W[j, i] = w
+                edges.append((i, j))
+    np.fill_diagonal(W, 1.0 - W.sum(axis=1))
+    L = -W.copy()
+    np.fill_diagonal(L, 0.0)
+    np.fill_diagonal(L, -L.sum(axis=1))
+    return tuple(edges), W, L

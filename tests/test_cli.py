@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from danyra import ConfigError, generate_instance, instance_to_json
-from danyra.cli import PRESETS, main, parse_config, run
+from danyra.cli import PRESETS, _largest_violation, main, parse_config, run
+from danyra.netsim import Trace
 
 FIG2_EXPANDED = {
     "preset": "fig2",
@@ -224,6 +225,37 @@ class TestRun:
         a = (tmp_path / "a" / "trace.csv").read_bytes()
         b = (tmp_path / "b" / "trace.csv").read_bytes()
         assert a == b
+
+    def test_bounds_at_the_largest_violation(self, tmp_path):
+        dist = {"at_iteration": 10, "additive": [5.0, 5.0]}
+        cfg = self.small_cfg(tmp_path, disturbances=[dist])
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(cfg), encoding="utf-8")
+        assert main(["run", "--config", str(path)]) == 0
+        header, *rows = (tmp_path / "out" / "trace.csv").read_text().splitlines()
+        column = header.split(",").index("violation_l1")
+        ks = [int(row.split(",")[0]) for row in rows]
+        violations = [float(row.split(",")[column]) for row in rows]
+        peak = max(range(len(rows)), key=violations.__getitem__)
+        bounds = json.loads((tmp_path / "out" / "bounds.json").read_text())
+        assert bounds["C_vio"] > 0
+        assert bounds["C_vio"] == violations[peak]
+        assert bounds["C_vio_k"] == ks[peak] == 11
+
+    @pytest.mark.parametrize(
+        "initial, violations, expected",
+        [
+            (0.0, [0.0, 5e-15, 3.0, 1.0], (3.0, 3)),
+            (3.0, [0.0, 5e-15, 3.0, 1.0], (3.0, 0)),
+            (0.0, [0.0, 7e-15, 0.0, 0.0], (0.0, 0)),
+        ],
+    )
+    def test_largest_violation(self, initial, violations, expected):
+        rows = len(violations)
+        trace = Trace(
+            ks=np.arange(1, rows + 1), violation_l1=np.array(violations), slack=np.zeros((rows, 1)), gap=None
+        )
+        assert _largest_violation(initial, trace) == expected
 
     def test_threads_key_rejected(self, tmp_path, capsys):
         path = tmp_path / "c.json"

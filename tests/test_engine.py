@@ -457,6 +457,23 @@ class TestIterate:
         back = SwarmState.from_dict(st.to_dict())
         assert state_difference(back, st) == 0.0
 
+    @pytest.mark.parametrize(
+        "mode, has_delta, message",
+        [
+            ("mystery", True, "unknown mode 'mystery'"),
+            ("mystery", False, "unknown mode 'mystery'"),
+            (INEQUALITY, False, "needs a queue delta"),
+            (EQUALITY, True, "has no queue delta"),
+        ],
+    )
+    def test_state_from_dict_rejects_mode_mismatch(self, small_instance, base_hp, mode, has_delta, message):
+        data = init_state(small_instance, base_hp(omega=0.2), "at_demand").to_dict()
+        data["mode"] = mode
+        if not has_delta:
+            data["delta"] = None
+        with pytest.raises(ModeError, match=message):
+            SwarmState.from_dict(data)
+
 
 class TestLyapunovDiagnostic:
     def test_self_energy_is_tracking_term_and_nonnegative(self, small_instance, base_hp):

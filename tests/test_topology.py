@@ -1,0 +1,111 @@
+"""The edge-form topology: generator bit-identity, neighbor-only mixing, O(|E|) validation."""
+
+import numpy as np
+import pytest
+
+from danyra import (
+    HyperParams,
+    InvalidInstanceError,
+    Topology,
+    TopologyError,
+    generate_instance,
+    init_state,
+    iterate,
+    metropolis_weights,
+    topology_from_weights,
+)
+from danyra.problem import DENSE_MIX_MAX_N
+
+from reference_topology import metropolis_dense, ring_with_chords
+
+
+def _bits(a: np.ndarray) -> bytes:
+    return np.ascontiguousarray(a).tobytes()
+
+
+def _available_chords(n: int) -> int:
+    return n * (n - 3) // 2 if n > 3 else 0
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 14, 80, 300])
+def test_generated_topology_bit_identical_to_dense_reference(n):
+    available = _available_chords(n)
+    for seed in (0, 1, 1534):
+        for extra in sorted({0, min(2 * n, available), available // 2, available}):
+            rng = np.random.default_rng(seed)
+            adj = ring_with_chords(n, extra, rng)
+            edges, W, L = metropolis_dense(adj)
+            inst = generate_instance(seed, n, 10.0, extra)
+            top = inst.topology
+            assert top.edges == edges, (seed, n, extra)
+            assert _bits(top.W) == _bits(W), (seed, n, extra)
+            assert _bits(top.L) == _bits(L), (seed, n, extra)
+            # the agents draw from where the chord picks left the generator
+            assert inst.agents[0].C == float(rng.uniform(0.5, 2.0))
+            from_adjacency = metropolis_weights(adj)
+            assert from_adjacency.edges == edges
+            assert _bits(from_adjacency.L) == _bits(L)
+        with pytest.raises(InvalidInstanceError, match=f"only {available} available"):
+            ring_with_chords(n, available + 1, np.random.default_rng(seed))
+        with pytest.raises(InvalidInstanceError, match=f"only {available} available"):
+            generate_instance(seed, n, 10.0, available + 1)
+
+
+@pytest.mark.parametrize(
+    "n, extra",
+    [(14, 16), (DENSE_MIX_MAX_N, 20), (DENSE_MIX_MAX_N + 1, 20), (2000, 4000)],
+)
+def test_mix_matches_dense_laplacian(n, extra):
+    top = generate_instance(5, n, 10.0, extra).topology
+    rng = np.random.default_rng(n)
+    for shape in [(n,), (n, 1), (n, 2), (n, 3)]:
+        v = rng.standard_normal(shape)
+        mixed = top.mix(v)
+        assert mixed.shape == shape
+        assert np.max(np.abs(mixed - top.L @ v)) <= 1e-12
+
+
+def test_large_instance_iterates_without_dense_matrices():
+    inst = generate_instance(1534, 2000, 70.0, 4000)
+    hp = HyperParams(alpha=0.01, beta=0.02, eta=0.1, gamma=0.2)
+    iterate(init_state(inst, hp), inst, hp)
+    assert "W" not in vars(inst.topology) and "L" not in vars(inst.topology)
+
+
+@pytest.mark.parametrize(
+    "n, edges, weights, message",
+    [
+        (3, [(0, 1), (0, 1), (1, 2)], [0.2, 0.2, 0.3], "unique"),
+        (3, [(1, 2), (0, 1)], [0.2, 0.3], "lexicographic"),
+        (3, [(0, 1), (1, 1), (1, 2)], [0.2, 0.2, 0.3], "self-loops"),
+        (3, [(0, 1), (2, 1)], [0.2, 0.3], "i < j"),
+        (3, [(0, 1), (1, 3)], [0.2, 0.3], "out of range"),
+        (3, [(-1, 1), (1, 2)], [0.2, 0.3], "out of range"),
+        (3, [(0, 1), (1, 2)], [0.2, 0.0], "positive"),
+        (3, [(0, 1), (1, 2)], [0.2, -0.1], "positive"),
+        (3, [(0, 1), (1, 2)], [0.2, np.inf], "positive"),
+        (3, [(0, 1), (1, 2)], [0.2], "one weight per edge"),
+        (4, [(0, 1), (2, 3)], [0.3, 0.3], "disconnected"),
+        (3, [(0, 1)], [0.5], "disconnected"),
+        (0, [], [], "at least one node"),
+    ],
+)
+def test_edge_validation_rejects(n, edges, weights, message):
+    with pytest.raises(TopologyError, match=message):
+        Topology(n=n, edges=edges, weights=weights)
+
+
+def test_from_weights_checks_the_dense_matrix_against_the_edges():
+    top = generate_instance(2, 6, 10.0, 3).topology
+    shuffled = [(j, i) for i, j in reversed(top.edges)]
+    back = topology_from_weights(top.W, shuffled)
+    assert back.edges == top.edges and _bits(back.L) == _bits(top.L)
+    W = np.array(top.W)
+    i, j = next((i, j) for i in range(6) for j in range(i + 1, 6) if W[i, j] == 0.0)
+    W[i, j] = W[j, i] = -1e-3  # rows still sum to 1, but (i, j) is not an edge
+    W[i, i] += 1e-3
+    W[j, j] += 1e-3
+    with pytest.raises(TopologyError, match="inconsistent"):
+        topology_from_weights(W, top.edges)
+    with pytest.raises(TopologyError, match="inconsistent"):
+        topology_from_weights(top.W, top.edges[1:])
