@@ -37,19 +37,15 @@ from .oracle import (
 from .problem import (
     EQUALITY,
     INEQUALITY,
-    AgentSpec,
     BufferSchedule,
     CallableCost,
     ConditionCheck,
     ConditionReport,
     HyperParams,
     ProblemInstance,
-    QuadraticCost,
     SpectralConstants,
     Topology,
     compute_projector,
-    cost_gradient,
-    cost_value,
     generate_instance,
     instance_from_json,
     instance_to_json,

@@ -275,7 +275,12 @@ def _build_instance(config: RunConfig):
             r_max=float(gen["r_max"]),
             extra_edges=int(gen.get("extra_edges", 0)),
         )
-    return instance_from_json(Path(config.instance["file"]).read_text(encoding="utf-8"))
+    path = config.instance["file"]
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except OSError as exc:
+        raise ConfigError(f"cannot read instance file {path}: {exc}") from exc
+    return instance_from_json(text)
 
 
 def _build_plan(config: RunConfig, instance, buffer: dict) -> ExperimentPlan:
@@ -318,14 +323,21 @@ def _buffer_label(buffer: dict) -> str:
     return "omega-sequence"
 
 
-def _json_default(value):
+def _strict(value):
+    """``value`` with infinite floats, at any depth, written as the strings "inf" and "-inf"."""
     if isinstance(value, float) and math.isinf(value):
-        return "inf"
-    raise TypeError(f"not JSON serializable: {value!r}")
+        return "inf" if value > 0 else "-inf"
+    if isinstance(value, dict):
+        return {key: _strict(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_strict(item) for item in value]
+    return value
 
 
 def _write_json(path: Path, payload: dict) -> None:
-    path.write_text(json.dumps(payload, indent=2, default=_json_default) + "\n", encoding="utf-8")
+    """Write strict JSON: infinities become strings, and a NaN raises instead of writing ``NaN``."""
+    text = json.dumps(_strict(payload), indent=2, allow_nan=False)
+    path.write_text(text + "\n", encoding="utf-8")
 
 
 def _largest_violation(initial_violation: float, trace: Trace) -> tuple[float, int]:

@@ -21,7 +21,6 @@ from .problem import (
     HyperParams,
     ProblemInstance,
     SpectralConstants,
-    cost_gradient,
 )
 
 
@@ -109,9 +108,9 @@ def init_state(
 
     if init_mode == "at_demand":
         if p == m:
-            x = instance.d_stack.copy()
+            x = instance.d.copy()
         else:
-            x = np.einsum("npm,nm->np", instance.projector_stack, instance.d_stack)
+            x = np.einsum("npm,nm->np", instance.projector_stack, instance.d)
     elif init_mode == "zero":
         x = np.zeros((n, p))
     elif init_mode == "custom":
@@ -151,12 +150,6 @@ def init_state(
     )
 
 
-def _batched_gradient(instance: ProblemInstance, x_prime: np.ndarray) -> np.ndarray:
-    if instance.all_quadratic:
-        return 2.0 * np.einsum("nij,nj->ni", instance.P_stack, x_prime) - instance.Q_stack
-    return np.stack([cost_gradient(spec, xp) for spec, xp in zip(instance.agents, x_prime)])
-
-
 def iterate(state: SwarmState, instance: ProblemInstance, hp: HyperParams) -> SwarmState:
     """Advance the swarm by one full synchronous iteration.
 
@@ -167,7 +160,7 @@ def iterate(state: SwarmState, instance: ProblemInstance, hp: HyperParams) -> Sw
     one array operation over all agents' rows, and row ``i`` reads only agent
     ``i``'s iterates and mixed messages, as in the distributed algorithm.
     """
-    A, d, mix = instance.A_stack, instance.d_stack, instance.topology.mix
+    A, d, mix = instance.A, instance.d, instance.topology.mix
     alpha, beta, eta, gamma = hp.alpha, hp.beta, hp.eta, hp.gamma
     inequality = state.mode == INEQUALITY
     x, x_prime, y, lam, delta = state.x, state.x_prime, state.y, state.lam, state.delta
@@ -178,7 +171,7 @@ def iterate(state: SwarmState, instance: ProblemInstance, hp: HyperParams) -> Sw
     z = np.einsum("nmp,np->nm", A, x_prime) + y_bar
     if inequality:
         z = z + delta
-    grad = _batched_gradient(instance, x_prime)
+    grad = instance.gradient(x_prime)
 
     # sub-round 2: mix z; primal, auxiliary and queue updates
     z_bar = mix(z)
@@ -250,7 +243,7 @@ def lyapunov_metric(
     run, and no monotonicity of the value is asserted anywhere.
     """
     mix = instance.topology.mix
-    A = instance.A_stack
+    A = instance.A
 
     def net_z(s: SwarmState) -> np.ndarray:
         if state.mode == INEQUALITY:

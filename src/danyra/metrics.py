@@ -16,7 +16,7 @@ ZERO_VIOLATION_TOL = 1e-12
 def violation_l1(instance: ProblemInstance, x: np.ndarray) -> float:
     """1-norm of the positive part of ``sum_i (A_i x_i - d_i)``."""
     x = np.asarray(x, dtype=float).reshape(instance.n, instance.p)
-    total = np.einsum("nmp,np->nm", instance.A_stack, x).sum(axis=0) - instance.demand_total
+    total = np.einsum("nmp,np->nm", instance.A, x).sum(axis=0) - instance.demand_total
     return float(np.sum(np.maximum(total, 0.0)))
 
 
@@ -29,7 +29,7 @@ def optimality_gap(x: np.ndarray, oracle: OracleSolution) -> float:
 def slack_sum(instance: ProblemInstance, x: np.ndarray, delta: np.ndarray | None) -> np.ndarray:
     """``sum_i (A_i x_i + delta_i - d_i)``; contracts by (1 - gamma) each iteration."""
     x = np.asarray(x, dtype=float).reshape(instance.n, instance.p)
-    total = np.einsum("nmp,np->nm", instance.A_stack, x).sum(axis=0) - instance.demand_total
+    total = np.einsum("nmp,np->nm", instance.A, x).sum(axis=0) - instance.demand_total
     if delta is not None:
         total = total + np.asarray(delta, dtype=float).reshape(instance.n, instance.m).sum(axis=0)
     return total

@@ -18,7 +18,7 @@ from .errors import (
     OracleFailureError,
     UnsupportedProblemError,
 )
-from .problem import ProblemInstance, cost_value
+from .problem import ProblemInstance
 
 ACTIVE_SET_TOL = 1e-9
 MAX_ENUMERATION_ROWS = 10
@@ -62,28 +62,24 @@ def _quadratic_aggregates(instance: ProblemInstance):
     the constraint slack is ``sum d - sum A_i x_i = G lambda - h`` where
     ``G = sum A_i H_i A_i'`` and ``h = sum A_i H_i Q_i - sum d_i``.
     """
-    if not instance.all_quadratic:
+    if not instance.quadratic:
         raise InvalidInstanceError("ground-truth solvers require quadratic costs")
-    m = instance.m
-    H = []
-    G = np.zeros((m, m))
-    h = -instance.demand_total.copy()
-    for spec in instance.agents:
-        Hi = np.linalg.solve(2.0 * spec.cost.P, np.eye(instance.p))
-        H.append(Hi)
-        G += spec.A @ Hi @ spec.A.T
-        h += spec.A @ (Hi @ spec.cost.Q)
+    H = np.linalg.solve(2.0 * instance.P, np.eye(instance.p))
+    G = np.zeros((instance.m, instance.m))
+    h = -instance.demand_total
+    # agent by agent: the order of these sums fixes the bits of x_star
+    for Ai, Hi, Qi in zip(instance.A, H, instance.Q):
+        G += Ai @ Hi @ Ai.T
+        h += Ai @ (Hi @ Qi)
     return H, G, h
 
 
-def _recover_primal(instance: ProblemInstance, H, lam: np.ndarray) -> np.ndarray:
-    return np.stack(
-        [Hi @ (spec.cost.Q - spec.A.T @ lam) for spec, Hi in zip(instance.agents, H)]
-    )
+def _recover_primal(instance: ProblemInstance, H: np.ndarray, lam: np.ndarray) -> np.ndarray:
+    return np.stack([Hi @ (Qi - Ai.T @ lam) for Ai, Hi, Qi in zip(instance.A, H, instance.Q)])
 
 
 def _total_cost(instance: ProblemInstance, x: np.ndarray) -> float:
-    return float(sum(cost_value(spec, xi) for spec, xi in zip(instance.agents, x)))
+    return float(instance.cost(x).sum())
 
 
 def solve_active_set(instance: ProblemInstance, enumeration_order=None) -> OracleSolution:
@@ -162,7 +158,7 @@ def reference_projected_gradient(
     lam = np.zeros(instance.m)
     for _ in range(iters):
         x = _recover_primal(instance, H, lam)
-        g = np.einsum("nmp,np->nm", instance.A_stack, x).sum(axis=0) - instance.demand_total
+        g = np.einsum("nmp,np->nm", instance.A, x).sum(axis=0) - instance.demand_total
         if mode == "inequality":
             residual = max(float(np.max(np.maximum(g, 0.0), initial=0.0)), abs(float(lam @ g)))
         else:
@@ -183,15 +179,9 @@ def reference_projected_gradient(
 
 def kkt_residuals(instance: ProblemInstance, sol: OracleSolution, mode: str = "inequality") -> dict:
     """Stationarity / feasibility / dual-sign / complementarity residuals of a solution."""
-    from .problem import cost_gradient
-
-    stationarity = max(
-        float(np.linalg.norm(cost_gradient(spec, xi) + spec.A.T @ sol.lambda_star))
-        for spec, xi in zip(instance.agents, sol.x_star)
-    )
-    slack = instance.demand_total - np.einsum(
-        "nmp,np->nm", instance.A_stack, sol.x_star
-    ).sum(axis=0)
+    residual = instance.gradient(sol.x_star) + np.einsum("nmp,m->np", instance.A, sol.lambda_star)
+    stationarity = float(np.linalg.norm(residual, axis=1).max())
+    slack = instance.demand_total - np.einsum("nmp,np->nm", instance.A, sol.x_star).sum(axis=0)
     if mode == "inequality":
         primal = float(np.max(np.maximum(-slack, 0.0), initial=0.0))
         dual = float(np.max(np.maximum(-sol.lambda_star, 0.0), initial=0.0))

@@ -5,6 +5,12 @@ coupled constraint ``sum_i A_i x_i <= sum_i d_i`` (or ``=`` in equality mode),
 with each ``f_i`` convex, ``A_i`` full row rank, and agents exchanging data over
 a connected undirected graph with doubly stochastic weights.
 
+A ``ProblemInstance`` holds each kind of agent data as one stack with a row
+per agent (``A`` (n, m, p), ``d`` (n, m), quadratic ``P`` (n, p, p) and
+``Q`` (n, p)), so building, validating and using an instance are array
+operations over the whole swarm; only generic ``CallableCost`` agents are
+called one at a time.
+
 The graph is stored by edge (``Topology``): generating, validating and mixing
 over it cost O(|E|), so swarms of thousands of agents never allocate an n x n
 array unless a caller asks for the dense ``W`` or ``L`` (the instance JSON and
@@ -38,40 +44,6 @@ def _as_float_array(value, name: str) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class QuadraticCost:
-    """Cost ``f(x) = x'Px - Q'x`` with symmetric positive-definite ``P``."""
-
-    P: np.ndarray
-    Q: np.ndarray
-
-    def __post_init__(self):
-        P = _as_float_array(self.P, "P")
-        Q = _as_float_array(self.Q, "Q")
-        if P.ndim != 2 or P.shape[0] != P.shape[1]:
-            raise InvalidInstanceError(f"P must be square, got shape {P.shape}")
-        if Q.shape != (P.shape[0],):
-            raise InvalidInstanceError(f"Q must have shape ({P.shape[0]},), got {Q.shape}")
-        if np.max(np.abs(P - P.T), initial=0.0) > SYMMETRY_TOL:
-            raise InvalidInstanceError("P is not symmetric within 1e-12")
-        if np.linalg.eigvalsh(P).min() <= 0.0:
-            raise InvalidInstanceError("P is not positive definite")
-        P.setflags(write=False)
-        Q.setflags(write=False)
-        object.__setattr__(self, "P", P)
-        object.__setattr__(self, "Q", Q)
-
-    @property
-    def p(self) -> int:
-        return self.P.shape[0]
-
-    def value(self, x: np.ndarray) -> float:
-        return float(x @ self.P @ x - self.Q @ x)
-
-    def gradient(self, x: np.ndarray) -> np.ndarray:
-        return 2.0 * (self.P @ x) - self.Q
-
-
-@dataclass(frozen=True)
 class CallableCost:
     """Generic convex cost given as a value/gradient oracle pair.
 
@@ -88,62 +60,6 @@ class CallableCost:
 
     def gradient(self, x: np.ndarray) -> np.ndarray:
         return np.asarray(self.gradient_fn(x), dtype=float)
-
-
-Cost = QuadraticCost | CallableCost
-
-
-@dataclass(frozen=True)
-class AgentSpec:
-    """One agent: its cost, coupling matrix ``A`` (m x p, full row rank), and demand ``d``."""
-
-    cost: Cost
-    A: np.ndarray
-    d: np.ndarray
-    C: float | None = None  # scalar when A = blkdiag(1, C)
-
-    def __post_init__(self):
-        A = _as_float_array(self.A, "A")
-        d = _as_float_array(self.d, "d")
-        if A.ndim != 2:
-            raise InvalidInstanceError(f"A must be a matrix, got shape {A.shape}")
-        m, p = A.shape
-        if p < m:
-            raise InvalidInstanceError(f"A must have p >= m, got shape {A.shape}")
-        if d.shape != (m,):
-            raise InvalidInstanceError(f"d must have shape ({m},), got {d.shape}")
-        if self.cost.p != p:
-            raise InvalidInstanceError(f"cost dimension {self.cost.p} != coupling columns {p}")
-        if np.linalg.svd(A, compute_uv=False).min() <= RANK_TOL:
-            raise InvalidInstanceError("A is not full row rank (smallest singular value <= 1e-10)")
-        A.setflags(write=False)
-        d.setflags(write=False)
-        object.__setattr__(self, "A", A)
-        object.__setattr__(self, "d", d)
-
-    @property
-    def m(self) -> int:
-        return self.A.shape[0]
-
-    @property
-    def p(self) -> int:
-        return self.A.shape[1]
-
-
-def cost_value(spec: AgentSpec, x: np.ndarray) -> float:
-    """Evaluate agent cost at ``x``."""
-    x = np.asarray(x, dtype=float)
-    if x.shape != (spec.p,):
-        raise ValueError(f"x must have shape ({spec.p},), got {x.shape}")
-    return spec.cost.value(x)
-
-
-def cost_gradient(spec: AgentSpec, x: np.ndarray) -> np.ndarray:
-    """Evaluate the agent cost gradient at ``x`` (``2Px - Q`` for quadratics)."""
-    x = np.asarray(x, dtype=float)
-    if x.shape != (spec.p,):
-        raise ValueError(f"x must have shape ({spec.p},), got {x.shape}")
-    return spec.cost.gradient(x)
 
 
 # At or below this many agents ``Topology.mix`` is the dense ``L @ v``; above
@@ -340,79 +256,133 @@ def topology_from_weights(W, edges) -> Topology:
     return Topology(n=n, edges=pairs, weights=W[pairs[:, 0], pairs[:, 1]])
 
 
+def _check_agents(bad: np.ndarray, message: str) -> None:
+    """Raise naming the first agent whose row of the (n, ...) mask ``bad`` has a True entry."""
+    rows = bad.reshape(len(bad), -1).any(axis=1)
+    if rows.any():
+        raise InvalidInstanceError(f"agent {int(np.argmax(rows))}: {message}")
+
+
 @dataclass(frozen=True)
 class ProblemInstance:
-    """A full resource allocation instance: agents plus communication topology."""
+    """A full resource allocation instance: every agent's data stacked by row, plus the topology.
 
-    agents: tuple[AgentSpec, ...]
+    Agent ``i`` owns row ``i`` of each stack: its coupling ``A[i]`` (m x p, full
+    row rank, ``p >= m``), its demand ``d[i]``, and either the quadratic cost
+    ``f_i(x) = x'P[i]x - Q[i]'x`` with ``P[i]`` symmetric positive definite, or
+    the generic ``costs[i]``.  Exactly one of ``P``/``Q`` and ``costs`` is
+    given.  The constructor checks every invariant with one array operation
+    over the whole stack and names the first agent that breaks it; the stored
+    stacks are read-only.
+    """
+
+    A: np.ndarray  # (n, m, p)
+    d: np.ndarray  # (n, m)
     topology: Topology
-    p: int
-    m: int
+    P: np.ndarray | None = None  # (n, p, p)
+    Q: np.ndarray | None = None  # (n, p)
+    costs: tuple[CallableCost, ...] | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "agents", tuple(self.agents))
-        if len(self.agents) != self.topology.n:
-            raise InvalidInstanceError(
-                f"{len(self.agents)} agents but topology has {self.topology.n} nodes"
-            )
-        for idx, spec in enumerate(self.agents):
-            if spec.p != self.p or spec.m != self.m:
-                raise InvalidInstanceError(
-                    f"agent {idx} has (p, m) = ({spec.p}, {spec.m}), expected ({self.p}, {self.m})"
-                )
+        n = self.topology.n
+        A = np.array(self.A, dtype=float)
+        if A.ndim != 3 or 0 in A.shape:
+            raise InvalidInstanceError(f"A must be a nonempty (n, m, p) stack, got shape {A.shape}")
+        if len(A) != n:
+            raise InvalidInstanceError(f"{len(A)} agents but topology has {n} nodes")
+        _, m, p = A.shape
+        if p < m:
+            raise InvalidInstanceError(f"A must have p >= m, got (m, p) = ({m}, {p})")
+        given = (self.P is not None, self.Q is not None, self.costs is not None)
+        if given not in ((True, True, False), (False, False, True)):
+            raise InvalidInstanceError("give either quadratic P and Q, or generic costs")
+        shapes = {"d": (n, m)}
+        if self.costs is None:
+            shapes.update(P=(n, p, p), Q=(n, p))
+        stacks = {"A": A}
+        for name, shape in shapes.items():
+            stacks[name] = np.array(getattr(self, name), dtype=float)
+            if stacks[name].shape != shape:
+                raise InvalidInstanceError(f"{name} must have shape {shape}, got {stacks[name].shape}")
+        for name, value in stacks.items():
+            _check_agents(~np.isfinite(value), f"{name} contains non-finite entries")
+            value.setflags(write=False)
+            object.__setattr__(self, name, value)
+        eigenvalues = None
+        if self.costs is None:
+            P = stacks["P"]
+            _check_agents(np.abs(P - P.swapaxes(1, 2)) > SYMMETRY_TOL, "P is not symmetric within 1e-12")
+            eigenvalues = np.linalg.eigvalsh(P)
+            _check_agents(eigenvalues[:, 0] <= 0.0, "P is not positive definite")
+        else:
+            object.__setattr__(self, "costs", tuple(self.costs))
+            if len(self.costs) != n:
+                raise InvalidInstanceError(f"{len(self.costs)} costs for {n} agents")
+            dims = np.array([cost.p for cost in self.costs])
+            _check_agents(dims != p, f"cost dimension differs from the {p} coupling columns")
+        singular_values = np.linalg.svd(A, compute_uv=False)
+        _check_agents(
+            singular_values[:, -1] <= RANK_TOL, "A is not full row rank (smallest singular value <= 1e-10)"
+        )
+        # the extremes spectral_constants reads
+        object.__setattr__(self, "_P_eigenvalues", eigenvalues)
+        object.__setattr__(self, "_A_singular_values", singular_values)
 
     @property
     def n(self) -> int:
-        return len(self.agents)
+        return self.A.shape[0]
 
-    @cached_property
-    def all_quadratic(self) -> bool:
-        return all(isinstance(spec.cost, QuadraticCost) for spec in self.agents)
+    @property
+    def m(self) -> int:
+        return self.A.shape[1]
 
-    @cached_property
-    def A_stack(self) -> np.ndarray:
-        out = np.stack([spec.A for spec in self.agents])
-        out.setflags(write=False)
-        return out
+    @property
+    def p(self) -> int:
+        return self.A.shape[2]
 
-    @cached_property
-    def d_stack(self) -> np.ndarray:
-        out = np.stack([spec.d for spec in self.agents])
-        out.setflags(write=False)
-        return out
-
-    @cached_property
-    def P_stack(self) -> np.ndarray | None:
-        if not self.all_quadratic:
-            return None
-        out = np.stack([spec.cost.P for spec in self.agents])
-        out.setflags(write=False)
-        return out
-
-    @cached_property
-    def Q_stack(self) -> np.ndarray | None:
-        if not self.all_quadratic:
-            return None
-        out = np.stack([spec.cost.Q for spec in self.agents])
-        out.setflags(write=False)
-        return out
+    @property
+    def quadratic(self) -> bool:
+        return self.costs is None
 
     @cached_property
     def projector_stack(self) -> np.ndarray:
-        """Per-agent ``A'(AA')^{-1}``, the closed-form affine projection kernels."""
-        out = np.stack([compute_projector(spec.A) for spec in self.agents])
+        """Per-agent ``A'(AA')^{-1}``, the closed-form affine projection kernels, as (n, p, m)."""
+        out = np.ascontiguousarray(compute_projector(self.A))
         out.setflags(write=False)
         return out
 
-    @property
+    @cached_property
     def demand_total(self) -> np.ndarray:
-        return self.d_stack.sum(axis=0)
+        """``sum_i d_i``, the right-hand side of the coupled constraint."""
+        out = self.d.sum(axis=0)
+        out.setflags(write=False)
+        return out
+
+    def _rows(self, x) -> np.ndarray:
+        x = np.asarray(x, dtype=float)
+        if x.shape != (self.n, self.p):
+            raise ValueError(f"x must have shape ({self.n}, {self.p}), got {x.shape}")
+        return x
+
+    def cost(self, x) -> np.ndarray:
+        """Every agent's cost ``f_i(x_i)`` at the rows of ``x`` (n, p), as an (n,) array."""
+        x = self._rows(x)
+        if self.costs is None:
+            return np.einsum("ni,nij,nj->n", x, self.P, x) - np.einsum("ni,ni->n", self.Q, x)
+        return np.array([f.value(xi) for f, xi in zip(self.costs, x)])
+
+    def gradient(self, x) -> np.ndarray:
+        """Every agent's cost gradient at the rows of ``x`` (``2 P_i x_i - Q_i`` for quadratics)."""
+        x = self._rows(x)
+        if self.costs is None:
+            return 2.0 * np.einsum("nij,nj->ni", self.P, x) - self.Q
+        return np.stack([f.gradient(xi) for f, xi in zip(self.costs, x)])
 
 
 def compute_projector(A: np.ndarray) -> np.ndarray:
-    """Return ``A'(AA')^{-1}`` for a full-row-rank ``A`` (m x p) as a (p, m) array."""
-    gram = A @ A.T
-    return np.linalg.solve(gram, A).T
+    """Return ``A'(AA')^{-1}`` (p, m) for a full-row-rank ``A`` (m, p), or for each matrix of a stack."""
+    At = np.swapaxes(A, -1, -2)
+    return np.swapaxes(np.linalg.solve(A @ At, A), -1, -2)
 
 
 def _ring_with_chords(n: int, extra_edges: int, rng: np.random.Generator) -> np.ndarray:
@@ -463,21 +433,24 @@ def generate_instance(seed: int, n: int, r_max: float, extra_edges: int = 0) -> 
 
     rng = np.random.default_rng(seed)
     topology = _metropolis_topology(n, _ring_with_chords(n, extra_edges, rng))
-    d = np.array([r_max / n, 1.0 / n])
-
-    agents = []
-    for _ in range(n):
-        C = float(rng.uniform(0.5, 2.0))
-        eigs = rng.uniform(0.5, 2.0, size=2)
-        basis, r = np.linalg.qr(rng.standard_normal((2, 2)))
-        basis = basis * np.sign(np.diag(r))
-        P = (basis * eigs) @ basis.T
-        P = 0.5 * (P + P.T)
-        Q = 1.0 - rng.random(2)  # entrywise in (0, 1]
-        agents.append(
-            AgentSpec(cost=QuadraticCost(P=P, Q=Q), A=np.diag([1.0, C]), d=d.copy(), C=C)
-        )
-    return ProblemInstance(agents=tuple(agents), topology=topology, p=2, m=2)
+    C = np.empty(n)
+    eigs = np.empty((n, 2))
+    normals = np.empty((n, 2, 2))
+    Q = np.empty((n, 2))
+    for i in range(n):  # each agent's draws, in the generator's order
+        C[i] = rng.uniform(0.5, 2.0)
+        eigs[i] = rng.uniform(0.5, 2.0, size=2)
+        normals[i] = rng.standard_normal((2, 2))
+        Q[i] = 1.0 - rng.random(2)  # entrywise in (0, 1]
+    basis, r = np.linalg.qr(normals)
+    basis = basis * np.sign(np.diagonal(r, axis1=1, axis2=2))[:, None, :]
+    P = (basis * eigs[:, None, :]) @ basis.transpose(0, 2, 1)
+    P = 0.5 * (P + P.transpose(0, 2, 1))
+    A = np.zeros((n, 2, 2))
+    A[:, 0, 0] = 1.0
+    A[:, 1, 1] = C
+    d = np.tile([r_max / n, 1.0 / n], (n, 1))
+    return ProblemInstance(A=A, d=d, P=P, Q=Q, topology=topology)
 
 
 @dataclass(frozen=True)
@@ -521,23 +494,21 @@ def spectral_constants(
     For quadratic costs ``ell = 2 max_i lambda_max(P_i)`` and
     ``mu = 2 min_i lambda_min(P_i)``; generic costs require both supplied.
     """
-    if instance.all_quadratic:
-        lams = [np.linalg.eigvalsh(spec.cost.P) for spec in instance.agents]
-        ell_c = 2.0 * max(l.max() for l in lams)
-        mu_c = 2.0 * min(l.min() for l in lams)
-        ell = ell_c if ell is None else ell
-        mu = mu_c if mu is None else mu
+    if instance.quadratic:
+        eigenvalues = instance._P_eigenvalues
+        ell = 2.0 * eigenvalues.max() if ell is None else ell
+        mu = 2.0 * eigenvalues.min() if mu is None else mu
     elif ell is None or mu is None:
         raise InvalidInstanceError("generic costs require user-supplied ell and mu")
 
-    svals = [np.linalg.svd(spec.A, compute_uv=False) for spec in instance.agents]
+    singular_values = instance._A_singular_values
     eig_L = np.linalg.eigvalsh(instance.topology.L)
     nonzero = eig_L[eig_L > SYMMETRY_TOL]
     return SpectralConstants(
         ell=float(ell),
         mu=float(mu),
-        sigma_A_max=float(max(s.max() for s in svals)),
-        sigma_A_min=float(min(s.min() for s in svals)),
+        sigma_A_max=float(singular_values.max()),
+        sigma_A_min=float(singular_values.min()),
         sigma_L_max=float(eig_L[-1]),
         sigma_L_min=float(nonzero[0]),
     )
@@ -757,21 +728,14 @@ def validate_hyperparams(
 
 def instance_to_json(instance: ProblemInstance) -> str:
     """Serialize an instance (quadratic costs only) to a UTF-8 JSON document."""
-    if not instance.all_quadratic:
+    if not instance.quadratic:
         raise InvalidInstanceError("only quadratic-cost instances are serializable")
+    stacks = (instance.P.tolist(), instance.Q.tolist(), instance.A.tolist(), instance.d.tolist())
     doc = {
         "n": instance.n,
         "p": instance.p,
         "m": instance.m,
-        "agents": [
-            {
-                "P": spec.cost.P.tolist(),
-                "Q": spec.cost.Q.tolist(),
-                "A": spec.A.tolist(),
-                "d": spec.d.tolist(),
-            }
-            for spec in instance.agents
-        ],
+        "agents": [{"P": P, "Q": Q, "A": A, "d": d} for P, Q, A, d in zip(*stacks)],
         "topology": {
             "edges": [list(e) for e in instance.topology.edges],
             "weights": instance.topology.W.tolist(),
@@ -781,18 +745,28 @@ def instance_to_json(instance: ProblemInstance) -> str:
 
 
 def instance_from_json(text: str) -> ProblemInstance:
-    """Load an instance from its JSON document, re-validating all invariants."""
-    doc = json.loads(text)
+    """Load an instance from its JSON document, re-validating all invariants.
+
+    Invalid JSON, a wrong structure, agents of different shapes, and ``n``,
+    ``p`` or ``m`` that disagree with the agents all raise
+    ``InvalidInstanceError``.
+    """
     try:
-        agents = tuple(
-            AgentSpec(
-                cost=QuadraticCost(P=np.array(a["P"]), Q=np.array(a["Q"])),
-                A=np.array(a["A"]),
-                d=np.array(a["d"]),
-            )
-            for a in doc["agents"]
-        )
-        topology = topology_from_weights(np.array(doc["topology"]["weights"]), doc["topology"]["edges"])
-        return ProblemInstance(agents=agents, topology=topology, p=int(doc["p"]), m=int(doc["m"]))
+        doc = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise InvalidInstanceError(f"instance document is not valid JSON: {exc}") from exc
+    try:
+        agents = doc["agents"]
+        P, Q, A, d = (np.array([agent[key] for agent in agents], dtype=float) for key in "PQAd")
+        topology = topology_from_weights(doc["topology"]["weights"], doc["topology"]["edges"])
+        sizes = int(doc["n"]), int(doc["p"]), int(doc["m"])
     except KeyError as exc:
         raise InvalidInstanceError(f"instance document is missing key {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise InvalidInstanceError(f"malformed instance document: {exc}") from exc
+    instance = ProblemInstance(A=A, d=d, P=P, Q=Q, topology=topology)
+    if sizes != (instance.n, instance.p, instance.m):
+        raise InvalidInstanceError(
+            f"document says (n, p, m) = {sizes}, but its agents have {(instance.n, instance.p, instance.m)}"
+        )
+    return instance

@@ -1,7 +1,8 @@
 """Per-agent composition of one iteration: the reference ``iterate`` is diffed against.
 
 Each function is one agent's local update, written from the paper's update
-rules with that agent's own vectors and matrices; ``exchange_primary`` is the
+rules with that agent's own vectors and matrices (``AgentData``, one row of the
+instance's stacks); ``exchange_primary`` is the
 first two communication sub-rounds over the whole swarm.  ``danyra.iterate``
 computes the same step batched over all agents, and the tests require the two
 to agree to rounding.
@@ -15,15 +16,31 @@ import numpy as np
 
 from danyra import (
     INEQUALITY,
-    AgentSpec,
     DivergenceError,
     HyperParams,
     ModeError,
     ProblemInstance,
     SwarmState,
     compute_projector,
-    cost_gradient,
 )
+
+
+@dataclass
+class AgentData:
+    """One agent's private data: quadratic cost ``x'Px - Q'x``, coupling ``A`` and demand ``d``."""
+
+    A: np.ndarray
+    d: np.ndarray
+    P: np.ndarray
+    Q: np.ndarray
+
+    def gradient(self, x: np.ndarray) -> np.ndarray:
+        return 2.0 * (self.P @ x) - self.Q
+
+
+def agent_data(instance: ProblemInstance, i: int) -> AgentData:
+    """Agent ``i``'s rows of a quadratic instance's stacks."""
+    return AgentData(A=instance.A[i], d=instance.d[i], P=instance.P[i], Q=instance.Q[i])
 
 
 @dataclass
@@ -90,7 +107,7 @@ def exchange_primary(state: SwarmState, instance: ProblemInstance) -> RoundMessa
     L = instance.topology.L
     lambda_bar = L @ state.lam
     y_bar = L @ state.y
-    z = np.einsum("nmp,np->nm", instance.A_stack, state.x_prime) + y_bar
+    z = np.einsum("nmp,np->nm", instance.A, state.x_prime) + y_bar
     if state.mode == INEQUALITY:
         z = z + state.delta
     z_bar = L @ z
@@ -98,11 +115,11 @@ def exchange_primary(state: SwarmState, instance: ProblemInstance) -> RoundMessa
 
 
 def step_virtual_decision(
-    spec: AgentSpec, agent: AgentState, msgs: AgentMessages, hp: HyperParams
+    spec: AgentData, agent: AgentState, msgs: AgentMessages, hp: HyperParams
 ) -> np.ndarray:
     """``x' <- x' - alpha * (grad f(x') + A'(z - d + lambda))``."""
     out = agent.x_prime - hp.alpha * (
-        cost_gradient(spec, agent.x_prime) + spec.A.T @ (msgs.z - spec.d + agent.lam)
+        spec.gradient(agent.x_prime) + spec.A.T @ (msgs.z - spec.d + agent.lam)
     )
     if not np.all(np.isfinite(out)):
         raise DivergenceError("virtual decision update produced non-finite values")
@@ -118,7 +135,7 @@ def step_auxiliary(agent: AgentState, msgs: AgentMessages, hp: HyperParams) -> n
 
 
 def step_virtual_queue(
-    spec: AgentSpec,
+    spec: AgentData,
     agent: AgentState,
     msgs: AgentMessages,
     hp: HyperParams,
@@ -131,7 +148,7 @@ def step_virtual_queue(
 
 
 def step_dual(
-    spec: AgentSpec,
+    spec: AgentData,
     agent: AgentState,
     z_next: np.ndarray,
     hp: HyperParams,
@@ -160,7 +177,7 @@ def project_affine(
 
 
 def projection_target(
-    spec: AgentSpec,
+    spec: AgentData,
     agent: AgentState,
     y_bar_next: np.ndarray,
     hp: HyperParams,
@@ -180,7 +197,7 @@ def projection_target(
 
 
 def project_decision(
-    spec: AgentSpec,
+    spec: AgentData,
     agent: AgentState,
     msgs_next: AgentMessages,
     hp: HyperParams,

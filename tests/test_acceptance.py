@@ -195,7 +195,7 @@ def test_c05_one_step_absorption(bench):
     hp = hp_with(BufferSchedule.constant(omega))
     state = init_state(bench, hp, "at_demand")
     target = 0.9 * bench.n * omega / (1 - GAMMA)
-    bump = np.linalg.solve(bench.agents[0].A, target - slack_sum(bench, state.x, state.delta))
+    bump = np.linalg.solve(bench.A[0], target - slack_sum(bench, state.x, state.delta))
     state.x[0] += bump
     state.x_prime[0] += bump
     assert np.allclose(slack_sum(bench, state.x, state.delta), target)

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 
 import numpy as np
 import pytest
@@ -256,6 +257,56 @@ class TestRun:
             ks=np.arange(1, rows + 1), violation_l1=np.array(violations), slack=np.zeros((rows, 1)), gap=None
         )
         assert _largest_violation(initial, trace) == expected
+
+    def test_bounds_json_is_strict(self, tmp_path):
+        # without a buffer floor a violation takes forever to clear: recovery_bound_t is infinite
+        dist = {"at_iteration": 10, "additive": [5.0, 5.0]}
+        hp = {"alpha": 0.01, "beta": 0.02, "eta": 0.1, "gamma": 0.2, "buffer": {"kind": "constant", "omega": 0.0}}
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(self.small_cfg(tmp_path, hp=hp, disturbances=[dist])), encoding="utf-8")
+        assert main(["run", "--config", str(path)]) == 0
+
+        def reject(token):
+            raise ValueError(f"non-standard JSON token {token}")
+
+        docs = {
+            name: json.loads((tmp_path / "out" / name).read_text(), parse_constant=reject)
+            for name in ("bounds.json", "report.json")
+        }
+        assert docs["bounds.json"]["recovery_bound_t"] == "inf"
+        assert docs["bounds.json"]["C_vio"] > 0
+
+    ONE_BY_ONE_AGENT = {"P": [[1.0]], "Q": [0.0], "A": [[1.0]], "d": [0.0]}
+
+    @pytest.mark.parametrize(
+        "edit, code, message",
+        [
+            pytest.param(None, 2, "cannot read instance file", id="missing-file"),
+            pytest.param(lambda doc: "{not json", 1, "not valid JSON", id="invalid-json"),
+            pytest.param(lambda doc: [1, 2], 1, "malformed", id="not-an-object"),
+            pytest.param(lambda doc: {**doc, "agents": "x"}, 1, "malformed", id="agents-not-a-list"),
+            pytest.param(
+                lambda doc: {**doc, "agents": doc["agents"][:-1] + [TestRun.ONE_BY_ONE_AGENT]},
+                1,
+                "malformed",
+                id="ragged-agents",
+            ),
+            pytest.param(lambda doc: {**doc, "topology": None}, 1, "malformed", id="topology-null"),
+            pytest.param(lambda doc: {**doc, "n": None}, 1, "malformed", id="n-null"),
+            pytest.param(lambda doc: {**doc, "p": 3}, 1, r"\(n, p, m\) = \(4, 3, 2\)", id="wrong-p"),
+            pytest.param(lambda doc: {**doc, "m": 1}, 1, r"\(n, p, m\) = \(4, 2, 1\)", id="wrong-m"),
+        ],
+    )
+    def test_instance_file_errors(self, tmp_path, capsys, edit, code, message):
+        inst_path = tmp_path / "instance.json"
+        if edit is not None:
+            doc = edit(json.loads(instance_to_json(generate_instance(5, 4, 8.0, 1))))
+            inst_path.write_text(doc if isinstance(doc, str) else json.dumps(doc), encoding="utf-8")
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(self.small_cfg(tmp_path, instance={"file": str(inst_path)})), encoding="utf-8")
+        assert main(["run", "--config", str(path)]) == code
+        assert re.search(message, capsys.readouterr().err)
+        assert not (tmp_path / "out").exists()
 
     def test_threads_key_rejected(self, tmp_path, capsys):
         path = tmp_path / "c.json"

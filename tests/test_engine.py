@@ -4,14 +4,12 @@ import pytest
 from danyra import (
     EQUALITY,
     INEQUALITY,
-    AgentSpec,
     BufferSchedule,
+    CallableCost,
     DivergenceError,
     HyperParams,
     ModeError,
     ProblemInstance,
-    QuadraticCost,
-    cost_gradient,
     generate_instance,
     init_state,
     iterate,
@@ -25,8 +23,10 @@ from danyra.engine import SwarmState
 
 from conftest import randomize_state
 from reference_step import (
+    AgentData,
     AgentMessages,
     AgentState,
+    agent_data,
     agent_state,
     exchange_primary,
     project_affine,
@@ -38,14 +38,16 @@ from reference_step import (
 )
 
 
-def pair_instance():
-    """Two agents, identity couplings, unit quadratic costs."""
-    agents = tuple(
-        AgentSpec(cost=QuadraticCost(P=np.eye(2), Q=np.zeros(2)), A=np.eye(2), d=np.array([1.0, 2.0]))
-        for _ in range(2)
-    )
+def pair_instance(A=np.eye(2), d=(1.0, 2.0)):
+    """Two identical agents with unit quadratic costs; identity couplings by default."""
     top = metropolis_weights(np.array([[0, 1], [1, 0]], dtype=bool))
-    return ProblemInstance(agents=agents, topology=top, p=2, m=2)
+    return ProblemInstance(
+        A=np.tile(A, (2, 1, 1)),
+        d=np.tile(d, (2, 1)),
+        P=np.tile(np.eye(2), (2, 1, 1)),
+        Q=np.zeros((2, 2)),
+        topology=top,
+    )
 
 
 def agent_view(x=None, x_prime=None, y=None, lam=None, delta=None, projector=None):
@@ -89,16 +91,7 @@ class TestInitState:
         assert np.allclose(st.x, [[1.0, 2.0], [1.0, 2.0]])
 
     def test_at_demand_wide_coupling_satisfies_demand(self, base_hp):
-        agents = tuple(
-            AgentSpec(
-                cost=QuadraticCost(P=np.eye(2), Q=np.zeros(2)),
-                A=np.array([[1.0, 1.0]]),
-                d=np.array([4.0]),
-            )
-            for _ in range(2)
-        )
-        top = metropolis_weights(np.array([[0, 1], [1, 0]], dtype=bool))
-        inst = ProblemInstance(agents=agents, topology=top, p=2, m=1)
+        inst = pair_instance(A=np.array([[1.0, 1.0]]), d=(4.0,))
         st = init_state(inst, base_hp(), "at_demand")
         assert np.allclose(st.x @ np.array([1.0, 1.0]), 4.0)
 
@@ -113,7 +106,7 @@ class TestInitState:
         st = init_state(
             small_instance, base_hp(), "at_demand", x0_offset=np.array([50.0, 50.0]), lam0=lam0
         )
-        assert np.allclose(st.x - small_instance.d_stack, 50.0)
+        assert np.allclose(st.x - small_instance.d, 50.0)
         assert np.array_equal(st.lam, lam0)
 
     def test_equality_mode_has_no_queue(self, small_instance, base_hp):
@@ -145,7 +138,7 @@ class TestExchange:
         msgs = exchange_primary(st, small_instance)
         L = small_instance.topology.L
         z_dense = np.stack(
-            [spec.A @ st.x_prime[i] for i, spec in enumerate(small_instance.agents)]
+            [A_i @ st.x_prime[i] for i, A_i in enumerate(small_instance.A)]
         ) + L @ st.y + st.delta
         assert np.max(np.abs(msgs.z - z_dense)) <= 1e-12
         assert np.max(np.abs(msgs.z_bar - L @ z_dense)) <= 1e-12
@@ -157,17 +150,18 @@ class TestExchange:
         st = init_state(small_instance, base_hp(), "at_demand", mode=EQUALITY)
         msgs = exchange_primary(st, small_instance)
         expected = np.stack(
-            [spec.A @ st.x_prime[i] for i, spec in enumerate(small_instance.agents)]
+            [A_i @ st.x_prime[i] for i, A_i in enumerate(small_instance.A)]
         )
         assert np.allclose(msgs.z, expected)
 
 
 class TestLocalSteps:
     def spec(self, Q=None):
-        return AgentSpec(
-            cost=QuadraticCost(P=np.eye(2), Q=np.zeros(2) if Q is None else np.asarray(Q)),
+        return AgentData(
             A=np.eye(2),
             d=np.array([1.0, 2.0]),
+            P=np.eye(2),
+            Q=np.zeros(2) if Q is None else np.asarray(Q),
         )
 
     def test_virtual_decision_stationary(self, base_hp):
@@ -189,14 +183,14 @@ class TestLocalSteps:
         st = init_state(benchmark_instance, hp, "at_demand")
         msgs = exchange_primary(st, benchmark_instance)
         for i in (0, 7, 13):
-            spec = benchmark_instance.agents[i]
+            spec = agent_data(benchmark_instance, i)
             out = step_virtual_decision(
                 spec, agent_state(st, benchmark_instance, i), msgs.agent(i), hp
             )
             # straight-line recomputation with explicit scalar loops
             expect = []
             for r in range(2):
-                grad = 2.0 * sum(spec.cost.P[r][c] * st.x_prime[i][c] for c in range(2)) - spec.cost.Q[r]
+                grad = 2.0 * sum(spec.P[r][c] * st.x_prime[i][c] for c in range(2)) - spec.Q[r]
                 pull = sum(
                     spec.A[c][r] * (msgs.z[i][c] - spec.d[c] + st.lam[i][c]) for c in range(2)
                 )
@@ -281,9 +275,7 @@ class TestProjection:
 
     def test_project_decision_inequality_target(self, base_hp):
         hp = base_hp(gamma=0.25)
-        spec = AgentSpec(
-            cost=QuadraticCost(P=np.eye(2), Q=np.zeros(2)), A=np.diag([1.0, 2.0]), d=np.array([1.0, 1.0])
-        )
+        spec = AgentData(A=np.diag([1.0, 2.0]), d=np.array([1.0, 1.0]), P=np.eye(2), Q=np.zeros(2))
         ag = agent_view(x=[2.0, 3.0], projector=np.linalg.inv(np.diag([1.0, 2.0])))
         delta_old = np.array([0.4, 0.4])
         delta_new = np.array([0.1, 0.2])
@@ -297,9 +289,7 @@ class TestProjection:
 
     def test_project_decision_equality_target(self, base_hp):
         hp = base_hp(gamma=0.25)
-        spec = AgentSpec(
-            cost=QuadraticCost(P=np.eye(2), Q=np.zeros(2)), A=np.eye(2), d=np.array([1.0, 1.0])
-        )
+        spec = AgentData(A=np.eye(2), d=np.array([1.0, 1.0]), P=np.eye(2), Q=np.zeros(2))
         ag = agent_view(x=[2.0, 3.0])
         y_bar_next = np.array([0.05, -0.05])
         out = project_decision(
@@ -318,18 +308,18 @@ class TestIterate:
         msgs = exchange_primary(st, small_instance)
         omega0 = hp.buffer.value(st.k)
         xp, yn, dn = [], [], []
-        for i, spec in enumerate(small_instance.agents):
-            ag, ms = agent_state(st, small_instance, i), msgs.agent(i)
+        for i in range(small_instance.n):
+            spec, ag, ms = agent_data(small_instance, i), agent_state(st, small_instance, i), msgs.agent(i)
             xp.append(step_virtual_decision(spec, ag, ms, hp))
             yn.append(step_auxiliary(ag, ms, hp))
             dn.append(step_virtual_queue(spec, ag, ms, hp, omega0))
         xp, yn, dn = map(np.stack, (xp, yn, dn))
         msgs.y_bar_next = small_instance.topology.L @ yn
         lamn, xn = [], []
-        for i, spec in enumerate(small_instance.agents):
-            ag, ms = agent_state(st, small_instance, i), msgs.agent(i)
+        for i in range(small_instance.n):
+            spec, ag, ms = agent_data(small_instance, i), agent_state(st, small_instance, i), msgs.agent(i)
             z_next = spec.A @ xp[i] + msgs.y_bar_next[i] + dn[i]
-            lamn.append(step_dual(spec, ag, z_next, hp, cost_gradient(spec, st.x_prime[i])))
+            lamn.append(step_dual(spec, ag, z_next, hp, spec.gradient(st.x_prime[i])))
             xn.append(project_decision(spec, ag, ms, hp, st.delta[i], dn[i], xp[i]))
         nxt = iterate(st, small_instance, hp)
         assert np.max(np.abs(nxt.x_prime - xp)) <= 1e-12
@@ -393,7 +383,8 @@ class TestIterate:
             st = iterate(prev, small_instance, hp)
             # recompute this iteration's target from its own ingredients
             y_bar_next = small_instance.topology.L @ st.y
-            for i, spec in enumerate(small_instance.agents):
+            for i in range(small_instance.n):
+                spec = agent_data(small_instance, i)
                 Ax = spec.A @ prev.x[i]
                 b = (
                     Ax
@@ -430,19 +421,17 @@ class TestIterate:
         assert err.value.k is not None
 
     def test_generic_cost_oracles_match_quadratic_path(self, small_instance, base_hp):
-        from danyra import CallableCost
-
         hp = base_hp(omega=0.05)
         wrapped = tuple(
-            AgentSpec(
-                cost=CallableCost(value_fn=spec.cost.value, gradient_fn=spec.cost.gradient, p=2),
-                A=spec.A,
-                d=spec.d,
+            CallableCost(
+                value_fn=lambda x, P=P, Q=Q: x @ P @ x - Q @ x,
+                gradient_fn=lambda x, P=P, Q=Q: 2.0 * (P @ x) - Q,
+                p=2,
             )
-            for spec in small_instance.agents
+            for P, Q in zip(small_instance.P, small_instance.Q)
         )
         generic = ProblemInstance(
-            agents=wrapped, topology=small_instance.topology, p=2, m=2
+            A=small_instance.A, d=small_instance.d, topology=small_instance.topology, costs=wrapped
         )
         a = randomize_state(init_state(small_instance, hp, "at_demand"), seed=13)
         b = randomize_state(init_state(generic, hp, "at_demand"), seed=13)

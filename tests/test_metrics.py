@@ -4,11 +4,9 @@ import numpy as np
 import pytest
 
 from danyra import (
-    AgentSpec,
     BufferSchedule,
     HyperParams,
     ProblemInstance,
-    QuadraticCost,
     SpectralConstants,
     bounds_report,
     generate_instance,
@@ -24,14 +22,13 @@ from danyra.netsim import Trace
 
 def free_instance(n=2):
     """Identity couplings with zero demand: violation equals positive part of sums."""
-    agents = tuple(
-        AgentSpec(cost=QuadraticCost(P=np.eye(2), Q=np.zeros(2)), A=np.eye(2), d=np.zeros(2))
-        for _ in range(n)
-    )
+    eye = np.tile(np.eye(2), (n, 1, 1))
     adj = np.zeros((n, n), dtype=bool)
     for i in range(n - 1):
         adj[i, i + 1] = adj[i + 1, i] = True
-    return ProblemInstance(agents=agents, topology=metropolis_weights(adj), p=2, m=2)
+    return ProblemInstance(
+        A=eye, d=np.zeros((n, 2)), P=eye, Q=np.zeros((n, 2)), topology=metropolis_weights(adj)
+    )
 
 
 def trace_with(violations, ks=None):
@@ -54,7 +51,7 @@ class TestPointMetrics:
     def test_violation_matches_dense_recomputation(self, benchmark_instance):
         rng = np.random.default_rng(0)
         x = rng.normal(size=(14, 2)) * 10
-        total = sum(spec.A @ xi for spec, xi in zip(benchmark_instance.agents, x))
+        total = sum(A_i @ xi for A_i, xi in zip(benchmark_instance.A, x))
         expected = float(np.sum(np.maximum(total - benchmark_instance.demand_total, 0)))
         assert violation_l1(benchmark_instance, x) == pytest.approx(expected, rel=1e-12)
 
@@ -76,7 +73,7 @@ class TestPointMetrics:
         x = rng.normal(size=(14, 2))
         delta = rng.uniform(size=(14, 2))
         expected = (
-            sum(spec.A @ xi for spec, xi in zip(benchmark_instance.agents, x))
+            sum(A_i @ xi for A_i, xi in zip(benchmark_instance.A, x))
             + delta.sum(axis=0)
             - benchmark_instance.demand_total
         )

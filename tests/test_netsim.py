@@ -45,7 +45,7 @@ class TestDisturbance:
         bump = np.array([50.0, 50.0])
         apply_disturbance(st, DisturbanceEvent(at_iteration=1, additive=bump))
         s_after = slack_sum(benchmark_instance, st.x, st.delta)
-        expected_jump = sum(spec.A @ bump for spec in benchmark_instance.agents)
+        expected_jump = sum(A_i @ bump for A_i in benchmark_instance.A)
         assert np.max(np.abs((s_after - s_before) - expected_jump)) <= 1e-9
 
     def test_x_only_flag(self, small_instance, base_hp):

@@ -2,12 +2,10 @@ import numpy as np
 import pytest
 
 from danyra import (
-    AgentSpec,
     CallableCost,
     InvalidInstanceError,
     OracleFailureError,
     ProblemInstance,
-    QuadraticCost,
     UnsupportedProblemError,
     generate_instance,
     kkt_residuals,
@@ -20,18 +18,16 @@ from danyra import (
 
 def scalar_instance(d_value: float, n: int = 1):
     """Agents with f_i = x^2 and scalar coupling sum(x) <= d (p = m = 1)."""
-    agents = tuple(
-        AgentSpec(
-            cost=QuadraticCost(P=np.array([[1.0]]), Q=np.array([0.0])),
-            A=np.array([[1.0]]),
-            d=np.array([d_value / n]),
-        )
-        for _ in range(n)
-    )
     adj = np.zeros((n, n), dtype=bool)
     for i in range(n - 1):
         adj[i, i + 1] = adj[i + 1, i] = True
-    return ProblemInstance(agents=agents, topology=metropolis_weights(adj), p=1, m=1)
+    return ProblemInstance(
+        A=np.ones((n, 1, 1)),
+        d=np.full((n, 1), d_value / n),
+        P=np.ones((n, 1, 1)),
+        Q=np.zeros((n, 1)),
+        topology=metropolis_weights(adj),
+    )
 
 
 def random_small_instance(seed: int):
@@ -73,21 +69,23 @@ class TestActiveSet:
         assert np.max(np.abs(a.x_star - b.x_star)) <= 1e-9
 
     def test_large_m_guarded(self):
-        spec = AgentSpec(
-            cost=QuadraticCost(P=np.eye(11), Q=np.zeros(11)), A=np.eye(11), d=np.zeros(11)
-        )
+        eye = np.tile(np.eye(11), (2, 1, 1))
         adj = np.array([[0, 1], [1, 0]], dtype=bool)
         inst = ProblemInstance(
-            agents=(spec, spec), topology=metropolis_weights(adj), p=11, m=11
+            A=eye, d=np.zeros((2, 11)), P=eye, Q=np.zeros((2, 11)), topology=metropolis_weights(adj)
         )
         with pytest.raises(UnsupportedProblemError):
             solve_active_set(inst)
 
     def test_generic_costs_rejected(self):
         cost = CallableCost(value_fn=lambda x: float(x @ x), gradient_fn=lambda x: 2 * x, p=2)
-        spec = AgentSpec(cost=cost, A=np.eye(2), d=np.zeros(2))
         adj = np.array([[0, 1], [1, 0]], dtype=bool)
-        inst = ProblemInstance(agents=(spec, spec), topology=metropolis_weights(adj), p=2, m=2)
+        inst = ProblemInstance(
+            A=np.tile(np.eye(2), (2, 1, 1)),
+            d=np.zeros((2, 2)),
+            costs=(cost, cost),
+            topology=metropolis_weights(adj),
+        )
         with pytest.raises(InvalidInstanceError):
             solve_active_set(inst)
 

@@ -5,16 +5,14 @@ import pytest
 
 from danyra import (
     EQUALITY,
-    AgentSpec,
     BufferSchedule,
     CallableCost,
     HyperParams,
     InvalidInstanceError,
-    QuadraticCost,
+    ProblemInstance,
+    Topology,
     TopologyError,
     compute_projector,
-    cost_gradient,
-    cost_value,
     generate_instance,
     instance_from_json,
     instance_to_json,
@@ -24,86 +22,181 @@ from danyra import (
 )
 
 
-def make_spec(P, Q, A=None, d=None):
+def path_topology(n):
+    return Topology(n=n, edges=[(i, i + 1) for i in range(n - 1)], weights=np.full(n - 1, 1 / 3))
+
+
+def single_agent(P, Q, A=None, d=None):
+    """A one-agent instance with the quadratic cost ``x'Px - Q'x``."""
     P = np.asarray(P, dtype=float)
     p = P.shape[0]
     A = np.eye(p) if A is None else np.asarray(A, dtype=float)
     d = np.zeros(A.shape[0]) if d is None else np.asarray(d, dtype=float)
-    return AgentSpec(cost=QuadraticCost(P=P, Q=np.asarray(Q, dtype=float)), A=A, d=d)
+    Q = np.asarray(Q, dtype=float)
+    return ProblemInstance(A=A[None], d=d[None], P=P[None], Q=Q[None], topology=path_topology(1))
 
 
-def random_spec(rng, p=2):
-    basis, r = np.linalg.qr(rng.standard_normal((p, p)))
-    basis = basis * np.sign(np.diag(r))
-    P = (basis * rng.uniform(0.5, 2.0, size=p)) @ basis.T
-    return make_spec(0.5 * (P + P.T), rng.uniform(-1, 1, size=p))
+def square_norm_costs(dims):
+    return tuple(
+        CallableCost(value_fn=lambda x: float(x @ x), gradient_fn=lambda x: 2 * x, p=p) for p in dims
+    )
 
 
 class TestCosts:
     def test_value_identity(self):
-        spec = make_spec(np.eye(2), [0.0, 0.0])
-        assert cost_value(spec, np.array([1.0, 1.0])) == 2.0
+        inst = single_agent(np.eye(2), [0.0, 0.0])
+        assert inst.cost([[1.0, 1.0]])[0] == 2.0
 
     def test_value_with_linear_term(self):
-        spec = make_spec(np.eye(2), [2.0, 0.0])
-        assert cost_value(spec, np.array([1.0, 0.0])) == -1.0
+        inst = single_agent(np.eye(2), [2.0, 0.0])
+        assert inst.cost([[1.0, 0.0]])[0] == -1.0
 
     def test_gradient_identity(self):
-        spec = make_spec(np.eye(2), [0.0, 0.0])
-        assert np.array_equal(cost_gradient(spec, np.array([1.0, 2.0])), [2.0, 4.0])
+        inst = single_agent(np.eye(2), [0.0, 0.0])
+        assert np.array_equal(inst.gradient([[1.0, 2.0]]), [[2.0, 4.0]])
 
     def test_gradient_at_origin_is_minus_q(self):
-        spec = make_spec([[2.0, 0.3], [0.3, 1.0]], [0.7, -0.2])
-        assert np.array_equal(cost_gradient(spec, np.zeros(2)), [-0.7, 0.2])
+        inst = single_agent([[2.0, 0.3], [0.3, 1.0]], [0.7, -0.2])
+        assert np.array_equal(inst.gradient(np.zeros((1, 2))), [[-0.7, 0.2]])
 
     def test_gradient_matches_central_differences(self):
         rng = np.random.default_rng(42)
         h = 1e-6
+        Ps, Qs, xs = [], [], []
         for _ in range(100):
-            spec = random_spec(rng)
-            x = rng.uniform(-3, 3, size=2)
-            grad = cost_gradient(spec, x)
-            fd = np.zeros(2)
-            for j in range(2):
-                e = np.zeros(2)
-                e[j] = h
-                fd[j] = (cost_value(spec, x + e) - cost_value(spec, x - e)) / (2 * h)
-            assert np.linalg.norm(grad - fd) <= 1e-5 * (1 + np.linalg.norm(grad))
+            basis, r = np.linalg.qr(rng.standard_normal((2, 2)))
+            basis = basis * np.sign(np.diag(r))
+            P = (basis * rng.uniform(0.5, 2.0, size=2)) @ basis.T
+            Ps.append(0.5 * (P + P.T))
+            Qs.append(rng.uniform(-1, 1, size=2))
+            xs.append(rng.uniform(-3, 3, size=2))
+        inst = ProblemInstance(
+            A=np.tile(np.eye(2), (100, 1, 1)), d=np.zeros((100, 2)), P=Ps, Q=Qs, topology=path_topology(100)
+        )
+        x = np.array(xs)
+        grad = inst.gradient(x)
+        fd = np.zeros_like(x)
+        for j in range(2):
+            e = np.zeros(2)
+            e[j] = h
+            fd[:, j] = (inst.cost(x + e) - inst.cost(x - e)) / (2 * h)
+        for g, f in zip(grad, fd):
+            assert np.linalg.norm(g - f) <= 1e-5 * (1 + np.linalg.norm(g))
 
     def test_dimension_mismatch(self):
-        spec = make_spec(np.eye(2), [0.0, 0.0])
+        inst = single_agent(np.eye(2), [0.0, 0.0])
         with pytest.raises(ValueError):
-            cost_value(spec, np.zeros(3))
+            inst.cost(np.zeros((1, 3)))
         with pytest.raises(ValueError):
-            cost_gradient(spec, np.zeros(1))
+            inst.gradient(np.zeros((1, 1)))
+        with pytest.raises(ValueError):
+            inst.gradient(np.zeros(2))
 
     def test_callable_cost(self):
-        cost = CallableCost(value_fn=lambda x: float(x @ x), gradient_fn=lambda x: 2 * x, p=2)
-        spec = AgentSpec(cost=cost, A=np.eye(2), d=np.zeros(2))
-        assert cost_value(spec, np.array([1.0, 2.0])) == 5.0
-        assert np.array_equal(cost_gradient(spec, np.array([1.0, 2.0])), [2.0, 4.0])
+        inst = ProblemInstance(
+            A=np.eye(2)[None], d=np.zeros((1, 2)), costs=square_norm_costs([2]), topology=path_topology(1)
+        )
+        assert inst.cost([[1.0, 2.0]])[0] == 5.0
+        assert np.array_equal(inst.gradient([[1.0, 2.0]]), [[2.0, 4.0]])
 
     def test_asymmetric_p_rejected(self):
         with pytest.raises(InvalidInstanceError):
-            QuadraticCost(P=np.array([[1.0, 0.5], [0.0, 1.0]]), Q=np.zeros(2))
+            single_agent([[1.0, 0.5], [0.0, 1.0]], np.zeros(2))
 
     def test_indefinite_p_rejected(self):
         with pytest.raises(InvalidInstanceError):
-            QuadraticCost(P=np.diag([1.0, -0.1]), Q=np.zeros(2))
+            single_agent(np.diag([1.0, -0.1]), np.zeros(2))
 
 
 class TestAgentSpec:
+    """Each agent's coupling ``A_i``, checked on the stacked ``A``."""
+
     def test_rank_deficient_coupling_rejected(self):
         with pytest.raises(InvalidInstanceError):
-            make_spec(np.eye(2), np.zeros(2), A=np.array([[1.0, 1.0], [1.0, 1.0]]), d=np.zeros(2))
+            single_agent(np.eye(2), np.zeros(2), A=np.array([[1.0, 1.0], [1.0, 1.0]]), d=np.zeros(2))
 
     def test_wide_coupling_allowed(self):
-        spec = make_spec(np.eye(2), np.zeros(2), A=np.array([[1.0, 1.0]]), d=np.zeros(1))
-        assert spec.m == 1 and spec.p == 2
+        inst = single_agent(np.eye(2), np.zeros(2), A=np.array([[1.0, 1.0]]), d=np.zeros(1))
+        assert inst.m == 1 and inst.p == 2
 
     def test_tall_coupling_rejected(self):
         with pytest.raises(InvalidInstanceError):
-            make_spec(np.eye(1), np.zeros(1), A=np.array([[1.0], [2.0]]), d=np.zeros(2))
+            single_agent(np.eye(1), np.zeros(1), A=np.array([[1.0], [2.0]]), d=np.zeros(2))
+
+
+PER_AGENT_DEFECTS = [
+    "asymmetric P",
+    "indefinite P",
+    "rank-deficient A",
+    "non-finite A",
+    "non-finite d",
+    "non-finite P",
+    "non-finite Q",
+    "cost dimension",
+]
+STACK_DEFECTS = [
+    "tall A",
+    "wrong d shape",
+    "wrong P shape",
+    "wrong Q shape",
+    "agent count",
+    "P, Q and costs",
+    "no cost",
+    "P without Q",
+]
+
+
+def defective_stacks(defect, i):
+    """Keyword arguments of a valid four-agent instance, with ``defect`` put into agent ``i``."""
+    inst = generate_instance(3, 4, 8.0, 0)
+    s = {"A": np.array(inst.A), "d": np.array(inst.d), "P": np.array(inst.P), "Q": np.array(inst.Q)}
+    if defect == "asymmetric P":
+        s["P"][i, 0, 1] += 1e-9
+    elif defect == "indefinite P":
+        s["P"][i] = np.diag([1.0, -0.1])
+    elif defect == "rank-deficient A":
+        s["A"][i] = [[1.0, 2.0], [0.5, 1.0]]
+    elif defect.startswith("non-finite"):
+        name = defect[-1]
+        s[name][i].flat[-1] = np.nan if name in "AP" else np.inf
+    elif defect == "cost dimension":
+        dims = [2] * 4
+        dims[i] = 3
+        del s["P"], s["Q"]
+        s["costs"] = square_norm_costs(dims)
+    elif defect == "tall A":
+        s.update(A=s["A"][:, :, :1], P=s["P"][:, :1, :1], Q=s["Q"][:, :1])
+    elif defect == "wrong d shape":
+        s["d"] = s["d"][:, :1]
+    elif defect == "wrong P shape":
+        s["P"] = s["P"][:, :1]
+    elif defect == "wrong Q shape":
+        s["Q"] = s["Q"][:, :1]
+    elif defect == "agent count":
+        s = {name: value[:-1] for name, value in s.items()}
+    elif defect == "P, Q and costs":
+        s["costs"] = square_norm_costs([2] * 4)
+    elif defect == "no cost":
+        del s["P"], s["Q"]
+    elif defect == "P without Q":
+        del s["Q"]
+    return {**s, "topology": inst.topology}
+
+
+@pytest.mark.parametrize(
+    "defect, agent",
+    [(defect, i) for defect in PER_AGENT_DEFECTS for i in (0, 3)] + [(defect, None) for defect in STACK_DEFECTS],
+)
+def test_invalid_stack_rejected(defect, agent):
+    with pytest.raises(InvalidInstanceError, match=None if agent is None else f"agent {agent}: "):
+        ProblemInstance(**defective_stacks(defect, agent))
+
+
+def test_stacks_are_read_only():
+    inst = generate_instance(3, 4, 8.0, 0)
+    for stack in (inst.A, inst.d, inst.P, inst.Q, inst.projector_stack, inst.demand_total):
+        with pytest.raises(ValueError):
+            stack[0] = 0.0
 
 
 class TestTopology:
@@ -148,8 +241,7 @@ class TestGenerateInstance:
     def test_benchmark_demands(self):
         inst = generate_instance(1, 14, 70.0, 5)
         assert np.allclose(inst.demand_total, [70.0, 1.0])
-        for spec in inst.agents:
-            assert np.allclose(spec.d, [5.0, 1.0 / 14.0])
+        assert np.allclose(inst.d, [5.0, 1.0 / 14.0])
 
     def test_two_agent_ring_is_single_edge(self):
         inst = generate_instance(1, 2, 2.0, 0)
@@ -160,10 +252,8 @@ class TestGenerateInstance:
         a = generate_instance(9, 6, 12.0, 3)
         b = generate_instance(9, 6, 12.0, 3)
         assert np.array_equal(a.topology.W, b.topology.W)
-        for sa, sb in zip(a.agents, b.agents):
-            assert np.array_equal(sa.cost.P, sb.cost.P)
-            assert np.array_equal(sa.cost.Q, sb.cost.Q)
-            assert np.array_equal(sa.A, sb.A)
+        for name in ("A", "d", "P", "Q"):
+            assert np.array_equal(getattr(a, name), getattr(b, name))
 
     def test_invalid_arguments(self):
         with pytest.raises(InvalidInstanceError):
@@ -175,17 +265,17 @@ class TestGenerateInstance:
 
     def test_ranges(self):
         inst = generate_instance(4, 10, 30.0, 2)
-        for spec in inst.agents:
-            assert 0.5 <= spec.C <= 2.0
-            assert np.all(spec.cost.Q > 0) and np.all(spec.cost.Q <= 1)
-            eigs = np.linalg.eigvalsh(spec.cost.P)
+        for A, P, Q in zip(inst.A, inst.P, inst.Q):
+            assert np.array_equal(A, np.diag([1.0, A[1, 1]])) and 0.5 <= A[1, 1] <= 2.0
+            assert np.all(Q > 0) and np.all(Q <= 1)
+            eigs = np.linalg.eigvalsh(P)
             assert eigs.min() >= 0.5 - 1e-12 and eigs.max() <= 2.0 + 1e-12
-            assert np.linalg.svd(spec.A, compute_uv=False).min() > 0
+            assert np.linalg.svd(A, compute_uv=False).min() > 0
 
     def test_projector_cache(self):
         inst = generate_instance(4, 6, 12.0, 2)
-        for spec, proj in zip(inst.agents, inst.projector_stack):
-            assert np.max(np.abs(spec.A @ proj - np.eye(inst.m))) <= 1e-10
+        for A, proj in zip(inst.A, inst.projector_stack):
+            assert np.max(np.abs(A @ proj - np.eye(inst.m))) <= 1e-10
         wide = np.array([[1.0, 2.0, 0.5]])
         proj = compute_projector(wide)
         assert np.max(np.abs(wide @ proj - np.eye(1))) <= 1e-10
@@ -193,13 +283,9 @@ class TestGenerateInstance:
 
 class TestSpectralConstants:
     def test_identity_costs(self):
-        agents = tuple(
-            make_spec(np.eye(2), np.zeros(2), d=np.zeros(2)) for _ in range(3)
-        )
+        eye = np.tile(np.eye(2), (3, 1, 1))
         top = metropolis_weights(~np.eye(3, dtype=bool))
-        from danyra import ProblemInstance
-
-        inst = ProblemInstance(agents=agents, topology=top, p=2, m=2)
+        inst = ProblemInstance(A=eye, d=np.zeros((3, 2)), P=eye, Q=np.zeros((3, 2)), topology=top)
         sc = spectral_constants(inst)
         assert sc.ell == sc.mu == 2.0
         assert sc.sigma_A_max == sc.sigma_A_min == sc.kappa_A == 1.0
@@ -209,13 +295,13 @@ class TestSpectralConstants:
         sc = spectral_constants(inst)
         n, m, p = inst.n, inst.m, inst.p
         blk = np.zeros((n * m, n * p))
-        for i, spec in enumerate(inst.agents):
-            blk[i * m : (i + 1) * m, i * p : (i + 1) * p] = spec.A
+        for i, A in enumerate(inst.A):
+            blk[i * m : (i + 1) * m, i * p : (i + 1) * p] = A
         svals = np.linalg.svd(blk, compute_uv=False)
         nonzero = svals[svals > 1e-10]
         assert sc.sigma_A_max == pytest.approx(nonzero.max(), rel=1e-12)
         assert sc.sigma_A_min == pytest.approx(nonzero.min(), rel=1e-12)
-        lams = np.concatenate([np.linalg.eigvalsh(s.cost.P) for s in inst.agents])
+        lams = np.concatenate([np.linalg.eigvalsh(P) for P in inst.P])
         assert sc.ell == pytest.approx(2 * lams.max(), rel=1e-12)
         assert sc.mu == pytest.approx(2 * lams.min(), rel=1e-12)
         # Kronecker expansion of the mixing matrix has the same extreme spectrum
@@ -232,15 +318,12 @@ class TestSpectralConstants:
             assert sc.kappa_A >= 1.0
 
     def test_generic_costs_need_constants(self):
-        cost = CallableCost(value_fn=lambda x: float(x @ x), gradient_fn=lambda x: 2 * x, p=2)
-        agents = (
-            AgentSpec(cost=cost, A=np.eye(2), d=np.zeros(2)),
-            AgentSpec(cost=cost, A=np.eye(2), d=np.zeros(2)),
+        inst = ProblemInstance(
+            A=np.tile(np.eye(2), (2, 1, 1)),
+            d=np.zeros((2, 2)),
+            costs=square_norm_costs([2, 2]),
+            topology=path_topology(2),
         )
-        adj = np.array([[0, 1], [1, 0]], dtype=bool)
-        from danyra import ProblemInstance
-
-        inst = ProblemInstance(agents=agents, topology=metropolis_weights(adj), p=2, m=2)
         with pytest.raises(InvalidInstanceError):
             spectral_constants(inst)
         sc = spectral_constants(inst, ell=2.0, mu=2.0)
@@ -375,11 +458,8 @@ class TestSerialization:
         assert back.n == inst.n and back.p == inst.p and back.m == inst.m
         assert np.array_equal(back.topology.W, inst.topology.W)
         assert back.topology.edges == inst.topology.edges
-        for sa, sb in zip(inst.agents, back.agents):
-            assert np.array_equal(sa.cost.P, sb.cost.P)
-            assert np.array_equal(sa.cost.Q, sb.cost.Q)
-            assert np.array_equal(sa.A, sb.A)
-            assert np.array_equal(sa.d, sb.d)
+        for name in ("A", "d", "P", "Q"):
+            assert np.array_equal(getattr(back, name), getattr(inst, name))
 
     def test_schema_fields(self):
         doc = json.loads(instance_to_json(generate_instance(11, 4, 9.0, 1)))

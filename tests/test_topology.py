@@ -1,4 +1,4 @@
-"""The edge-form topology: generator bit-identity, neighbor-only mixing, O(|E|) validation."""
+"""The edge-form topology and the batched agent build: generator bit-identity, mixing, O(|E|) validation."""
 
 import numpy as np
 import pytest
@@ -16,6 +16,7 @@ from danyra import (
 )
 from danyra.problem import DENSE_MIX_MAX_N
 
+from reference_agents import agent_stacks
 from reference_topology import metropolis_dense, ring_with_chords
 
 
@@ -41,7 +42,8 @@ def test_generated_topology_bit_identical_to_dense_reference(n):
             assert _bits(top.W) == _bits(W), (seed, n, extra)
             assert _bits(top.L) == _bits(L), (seed, n, extra)
             # the agents draw from where the chord picks left the generator
-            assert inst.agents[0].C == float(rng.uniform(0.5, 2.0))
+            for name, stack in zip("AdPQ", agent_stacks(n, 10.0, rng)):
+                assert _bits(getattr(inst, name)) == _bits(stack), (seed, n, extra, name)
             from_adjacency = metropolis_weights(adj)
             assert from_adjacency.edges == edges
             assert _bits(from_adjacency.L) == _bits(L)
