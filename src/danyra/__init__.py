@@ -51,7 +51,6 @@ from .problem import (
     instance_to_json,
     metropolis_weights,
     spectral_constants,
-    topology_from_weights,
     validate_hyperparams,
 )
 

@@ -91,8 +91,6 @@ PRESETS: dict[str, dict] = {
         "out": "runs/equality",
     },
 }
-# fig3 is the violation view of the fig2 run: same experiment, same trace.
-PRESETS["fig3"] = {**PRESETS["fig2"], "out": "runs/fig3"}
 
 _TOP_KEYS = {
     "preset",
@@ -155,6 +153,43 @@ def _require(section: dict, key: str, where: str):
     return section[key]
 
 
+def _number(value, where: str, kind: type = float):
+    """``kind(value)`` for a JSON number; anything else (or inf/NaN as an integer) is a ConfigError."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"{where} must be a number, got {value!r}")
+    try:
+        return kind(value)
+    except (OverflowError, ValueError) as exc:
+        raise ConfigError(f"{where} must be a finite number, got {value!r}") from exc
+
+
+def _numbers(value, where: str, ndim: int, kinds: str = "iuf") -> None:
+    """Reject anything but an ``ndim``-deep rectangular list of numbers (of integers for ``kinds="iu"``)."""
+    try:
+        arr = np.array(value)
+    except ValueError:  # a ragged list
+        arr = None
+    if arr is None or arr.ndim != ndim or (arr.size and arr.dtype.kind not in kinds):
+        raise ConfigError(f"{where} must be a rectangular {ndim}-dimensional list of numbers, got {value!r}")
+
+
+def _validate_buffer(buffer: dict, where: str) -> None:
+    _reject_unknown(buffer, _BUFFER_KEYS, where)
+    kind = buffer.get("kind")
+    if kind == "sequence":
+        _numbers(_require(buffer, "values", where), f"{where}.values", 1)
+    elif kind in ("constant", "decaying"):
+        key = "omega" if kind == "constant" else "coefficient"
+        _number(_require(buffer, key, where), f"{where}.{key}")
+    BufferSchedule.from_dict(buffer)  # the range checks, and an unknown kind
+
+
+def _hyperparams(hp: dict, buffer: dict) -> HyperParams:
+    """The step parameters of a validated config with the queue floor ``buffer``."""
+    steps = {key: float(hp[key]) for key in ("alpha", "beta", "eta", "gamma")}
+    return HyperParams(**steps, buffer=BufferSchedule.from_dict(buffer))
+
+
 def _validate_config(cfg: dict) -> RunConfig:
     _reject_unknown(cfg, _TOP_KEYS, "config")
     instance = _require(cfg, "instance", "config")
@@ -167,21 +202,23 @@ def _validate_config(cfg: dict) -> RunConfig:
         _reject_unknown(instance["generate"], _GENERATE_KEYS, "instance.generate")
         for key in ("seed", "n", "r_max"):
             _require(instance["generate"], key, "instance.generate")
+        for key, value in instance["generate"].items():
+            _number(value, f"instance.generate.{key}", float if key == "r_max" else int)
 
     hp = _require(cfg, "hp", "config")
     _reject_unknown(hp, _HP_KEYS, "hp")
     for key in ("alpha", "beta", "eta", "gamma"):
-        _require(hp, key, "hp")
+        _number(_require(hp, key, "hp"), f"hp.{key}")
     buffer = hp.get("buffer", {"kind": "constant", "omega": 0.0})
-    _reject_unknown(buffer, _BUFFER_KEYS, "hp.buffer")
-    BufferSchedule.from_dict(buffer)  # validates early
+    _validate_buffer(buffer, "hp.buffer")
     hp = {**hp, "buffer": buffer}
+    _hyperparams(hp, buffer)  # the step parameters' range checks
 
     mode = _require(cfg, "mode", "config")
     if mode not in (INEQUALITY, EQUALITY):
         raise ConfigError(f"mode must be {INEQUALITY!r} or {EQUALITY!r}, got {mode!r}")
 
-    iters = int(_require(cfg, "iters", "config"))
+    iters = _number(_require(cfg, "iters", "config"), "iters", int)
     if iters < 1:
         raise ConfigError(f"iters must be >= 1, got {iters}")
 
@@ -189,19 +226,24 @@ def _validate_config(cfg: dict) -> RunConfig:
     _reject_unknown(init, _INIT_KEYS, "init")
     if init.get("mode", "at_demand") not in ("at_demand", "zero", "custom"):
         raise ConfigError(f"unknown init mode {init.get('mode')!r}")
+    for key, ndim in (("offset", 1), ("x0", 2)):
+        if init.get(key) is not None:
+            _numbers(init[key], f"init.{key}", ndim)
 
     disturbances = []
     for idx, dist in enumerate(cfg.get("disturbances", [])):
-        _reject_unknown(dist, _DISTURBANCE_KEYS, f"disturbances[{idx}]")
-        _require(dist, "at_iteration", f"disturbances[{idx}]")
-        _require(dist, "additive", f"disturbances[{idx}]")
+        where = f"disturbances[{idx}]"
+        _reject_unknown(dist, _DISTURBANCE_KEYS, where)
+        _number(_require(dist, "at_iteration", where), f"{where}.at_iteration", int)
+        _numbers(_require(dist, "additive", where), f"{where}.additive", 1)
+        if dist.get("agent_ids") is not None:
+            _numbers(dist["agent_ids"], f"{where}.agent_ids", 1, "iu")
         disturbances.append(dict(dist))
 
     sweep = cfg.get("sweep")
     if sweep is not None:
         for idx, member in enumerate(sweep):
-            _reject_unknown(member, _BUFFER_KEYS, f"sweep[{idx}]")
-            BufferSchedule.from_dict(member)
+            _validate_buffer(member, f"sweep[{idx}]")
         sweep = tuple(dict(member) for member in sweep)
 
     return RunConfig(
@@ -210,7 +252,7 @@ def _validate_config(cfg: dict) -> RunConfig:
         mode=mode,
         iters=iters,
         out=str(_require(cfg, "out", "config")),
-        record_every=int(cfg.get("record_every", 1)),
+        record_every=_number(cfg.get("record_every", 1), "record_every", int),
         disturbances=tuple(disturbances),
         init=dict(init),
         sweep=sweep,
@@ -284,13 +326,7 @@ def _build_instance(config: RunConfig):
 
 
 def _build_plan(config: RunConfig, instance, buffer: dict) -> ExperimentPlan:
-    hp = HyperParams(
-        alpha=float(config.hp["alpha"]),
-        beta=float(config.hp["beta"]),
-        eta=float(config.hp["eta"]),
-        gamma=float(config.hp["gamma"]),
-        buffer=BufferSchedule.from_dict(buffer),
-    )
+    hp = _hyperparams(config.hp, buffer)
     disturbances = tuple(
         DisturbanceEvent(
             at_iteration=int(d["at_iteration"]),
@@ -396,16 +432,7 @@ def run(config: RunConfig) -> int:
     instance = _build_instance(config)
     oracle = solve_equality(instance) if config.mode == EQUALITY else solve_active_set(instance)
     sc = spectral_constants(instance)
-    report = validate_hyperparams(
-        HyperParams(
-            alpha=float(config.hp["alpha"]),
-            beta=float(config.hp["beta"]),
-            eta=float(config.hp["eta"]),
-            gamma=float(config.hp["gamma"]),
-        ),
-        sc,
-        config.mode,
-    )
+    report = validate_hyperparams(_hyperparams(config.hp, config.hp["buffer"]), sc, config.mode)
 
     out_root = Path(config.out)
     if config.sweep is None:

@@ -156,7 +156,7 @@ def iterate(state: SwarmState, instance: ProblemInstance, hp: HyperParams) -> Sw
     Neighbor reductions are computed centrally from sub-round snapshots (the
     simulated network) by ``Topology.mix``, which is ``L @ v``: the dense
     product for small swarms, and above ``DENSE_MIX_MAX_N`` agents a sum over
-    each agent's neighbors only, O(|E|) per sub-round.  Each local update is
+    the edges at each agent only, O(|E|) per sub-round.  Each local update is
     one array operation over all agents' rows, and row ``i`` reads only agent
     ``i``'s iterates and mixed messages, as in the distributed algorithm.
     """

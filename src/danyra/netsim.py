@@ -64,7 +64,7 @@ def apply_disturbance(state: SwarmState, event: DisturbanceEvent) -> SwarmState:
 
 @dataclass(frozen=True)
 class ExperimentPlan:
-    """Everything needed for one deterministic run."""
+    """Everything needed for one deterministic run, checked against the instance before it starts."""
 
     instance: ProblemInstance
     hp: HyperParams
@@ -82,6 +82,12 @@ class ExperimentPlan:
             raise ConfigError(f"iters must be >= 1, got {self.iters}")
         if self.record_every < 1:
             raise ConfigError(f"record_every must be >= 1, got {self.record_every}")
+        n, p = self.instance.n, self.instance.p
+        if self.init_mode == "custom" and self.x0 is None:
+            raise ConfigError("init mode 'custom' needs x0")
+        for name, value, shape in (("x0", self.x0, (n, p)), ("x0_offset", self.x0_offset, (p,))):
+            if value is not None and (np.shape(value) != shape or not np.all(np.isfinite(value))):
+                raise ConfigError(f"{name} must be finite with shape {shape}, got shape {np.shape(value)}")
         object.__setattr__(self, "disturbances", tuple(self.disturbances))
         for ev in self.disturbances:
             if ev.at_iteration >= self.iters:
@@ -89,6 +95,10 @@ class ExperimentPlan:
                     f"disturbance at iteration {ev.at_iteration} never fires in a "
                     f"{self.iters}-iteration run"
                 )
+            if ev.additive.shape != (p,):
+                raise ConfigError(f"disturbance at iteration {ev.at_iteration}: additive must have shape ({p},)")
+            if ev.agent_ids is not None and not all(0 <= i < n for i in ev.agent_ids):
+                raise ConfigError(f"disturbance at iteration {ev.at_iteration}: agent ids outside 0..{n - 1}")
 
 
 @dataclass

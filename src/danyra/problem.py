@@ -11,10 +11,10 @@ per agent (``A`` (n, m, p), ``d`` (n, m), quadratic ``P`` (n, p, p) and
 operations over the whole swarm; only generic ``CallableCost`` agents are
 called one at a time.
 
-The graph is stored by edge (``Topology``): generating, validating and mixing
-over it cost O(|E|), so swarms of thousands of agents never allocate an n x n
-array unless a caller asks for the dense ``W`` or ``L`` (the instance JSON and
-``spectral_constants`` do).
+The graph is stored by edge (``Topology``), in memory and in instance files:
+generating, loading, validating and mixing over it cost O(|E|), so swarms of
+thousands of agents never allocate an n x n array unless a caller asks for the
+dense Laplacian ``L`` (``spectral_constants`` does).
 """
 
 from __future__ import annotations
@@ -34,13 +34,6 @@ RANK_TOL = 1e-10
 
 INEQUALITY = "inequality"
 EQUALITY = "equality"
-
-
-def _as_float_array(value, name: str) -> np.ndarray:
-    arr = np.array(value, dtype=float)
-    if not np.all(np.isfinite(arr)):
-        raise InvalidInstanceError(f"{name} contains non-finite entries")
-    return arr
 
 
 @dataclass(frozen=True)
@@ -76,11 +69,11 @@ class Topology:
 
     ``edges`` lists the ``(i, j)`` pairs with ``i < j`` in lexicographic order,
     and ``weights[e] = w_ij > 0`` is the weight of edge ``e``; the self-weight is
-    ``w_ii = 1 - sum_j w_ij``.  The dense ``W`` and the Laplacian ``L``
-    (``l_ij = -w_ij``, ``l_ii = sum_{j != i} w_ij``) are built on first
-    access.  The iteration only needs :meth:`mix`, which reads neither above
-    ``DENSE_MIX_MAX_N`` agents, so there construction, validation and mixing
-    take O(n + |E|) time and memory.
+    ``w_ii = 1 - sum_j w_ij``, so each node's edge weights may sum to at most
+    1.  The dense Laplacian ``L`` (``l_ij = -w_ij``, ``l_ii = sum_{j != i}
+    w_ij``) is built on first access.  The iteration only needs :meth:`mix`,
+    which does not read it above ``DENSE_MIX_MAX_N`` agents, so there
+    construction, validation and mixing take O(n + |E|) time and memory.
     """
 
     n: int
@@ -112,13 +105,17 @@ class Topology:
             ("_laplacian_diag", np.bincount(rows, weights=csr_weights, minlength=n)[:, None]),
         ):
             object.__setattr__(self, name, value)
+        heavy = np.flatnonzero(self._laplacian_diag[:, 0] > 1.0 + SYMMETRY_TOL)
+        if heavy.size:
+            i, total = int(heavy[0]), float(self._laplacian_diag[heavy[0], 0])
+            raise TopologyError(f"node {i}: edge weights sum to {total} > 1 (negative self-weight)")
         if not _connected(indptr, cols):
             raise TopologyError("graph is disconnected")
         if np.max(np.abs(self.mix(np.ones((n, 1))))) > SYMMETRY_TOL:
             raise TopologyError("Laplacian rows do not sum to zero within 1e-12")
 
     def mix(self, v: np.ndarray) -> np.ndarray:
-        """Return ``L @ v``: row ``i`` is ``sum_j w_ij (v_i - v_j)`` over ``i``'s neighbors.
+        """Return ``L @ v``: row ``i`` is ``sum_j w_ij (v_i - v_j)`` over the edges ``(i, j)``.
 
         Up to ``DENSE_MIX_MAX_N`` agents this is the dense product itself;
         above, a segment sum over the neighbor arrays in O(|E|) time, equal to
@@ -130,41 +127,26 @@ class Topology:
         neighbor_sum = np.add.reduceat(self._csr_weights * flat[self._cols], self._indptr[:-1], axis=0)
         return (self._laplacian_diag * flat - neighbor_sum).reshape(v.shape)
 
-    def _dense_off_diagonal(self, values: np.ndarray) -> np.ndarray:
-        out = np.zeros((self.n, self.n))
-        i, j = self._pairs[:, 0], self._pairs[:, 1]
-        out[i, j] = values
-        out[j, i] = values
-        return out
-
-    @cached_property
-    def W(self) -> np.ndarray:
-        """Dense (n, n) weight matrix, built on first access."""
-        W = self._dense_off_diagonal(self.weights)
-        np.fill_diagonal(W, 1.0 - W.sum(axis=1))
-        W.setflags(write=False)
-        return W
-
     @cached_property
     def L(self) -> np.ndarray:
-        """Dense (n, n) Laplacian ``I - W``, built on first access without ``W``."""
-        L = -self._dense_off_diagonal(self.weights)
+        """Dense (n, n) Laplacian ``I - W``, built on first access."""
+        L = np.zeros((self.n, self.n))
+        i, j = self._pairs[:, 0], self._pairs[:, 1]
+        L[i, j] = L[j, i] = self.weights
+        L = -L  # -0.0 off the edges, bit for bit the negated dense weight matrix
         np.fill_diagonal(L, 0.0)
         np.fill_diagonal(L, -L.sum(axis=1))
         L.setflags(write=False)
         return L
 
-    @cached_property
-    def neighbors(self) -> tuple[tuple[int, ...], ...]:
-        cols, indptr = self._cols.tolist(), self._indptr.tolist()
-        return tuple(tuple(cols[indptr[i] : indptr[i + 1]]) for i in range(self.n))
-
 
 def _edge_pairs(edges, n: int) -> np.ndarray:
     """Edges as an (E, 2) integer array, every endpoint in ``range(n)``."""
-    pairs = np.array(edges, dtype=np.int64)
+    pairs = np.array(edges)
     if pairs.size == 0:
-        pairs = pairs.reshape(0, 2)
+        pairs = pairs.reshape(0, 2).astype(np.int64)
+    if pairs.dtype.kind not in "iu":
+        raise TopologyError(f"edge endpoints must be integers, got {pairs.dtype}")
     if pairs.ndim != 2 or pairs.shape[1] != 2:
         raise TopologyError(f"edges must be (i, j) pairs, got shape {pairs.shape}")
     if pairs.size and (pairs.min() < 0 or pairs.max() >= n):
@@ -221,39 +203,6 @@ def metropolis_weights(adjacency) -> Topology:
     if np.any(np.diag(adj)):
         raise TopologyError("adjacency must have an empty diagonal")
     return _metropolis_topology(adj.shape[0], np.argwhere(np.triu(adj, 1)))
-
-
-def topology_from_weights(W, edges) -> Topology:
-    """Rebuild a validated topology from a stored dense weight matrix and edge list.
-
-    ``W`` comes from outside the program, so it is checked whole: square,
-    exactly symmetric, rows and columns summing to 1 within 1e-12, and nonzero
-    off the diagonal exactly on the listed edges (given in either orientation,
-    in any order).  The topology keeps the edge weights; its ``W`` rebuilds the
-    diagonal from them.
-    """
-    W = _as_float_array(W, "W")
-    if W.ndim != 2 or W.shape[0] != W.shape[1]:
-        raise TopologyError(f"weight matrix must be square, got shape {W.shape}")
-    n = W.shape[0]
-    pairs = _edge_pairs(edges, n)
-    if not np.array_equal(W, W.T):
-        raise TopologyError("W is not exactly symmetric")
-    ones = np.ones(n)
-    if np.max(np.abs(W @ ones - ones), initial=0.0) > SYMMETRY_TOL:
-        raise TopologyError("row sums of W differ from 1 beyond 1e-12")
-    if np.max(np.abs(ones @ W - ones), initial=0.0) > SYMMETRY_TOL:
-        raise TopologyError("column sums of W differ from 1 beyond 1e-12")
-    listed = np.zeros((n, n), dtype=bool)
-    listed[pairs[:, 0], pairs[:, 1]] = listed[pairs[:, 1], pairs[:, 0]] = True
-    support = W != 0.0
-    np.fill_diagonal(support, False)
-    mismatch = np.argwhere(np.triu(support != listed))
-    if mismatch.size:
-        i, j = mismatch[0]
-        raise TopologyError(f"w[{i},{j}] inconsistent with the edge set")
-    pairs = np.argwhere(np.triu(listed, 1))
-    return Topology(n=n, edges=pairs, weights=W[pairs[:, 0], pairs[:, 1]])
 
 
 def _check_agents(bad: np.ndarray, message: str) -> None:
@@ -518,10 +467,11 @@ def spectral_constants(
 class BufferSchedule:
     """Queue buffer floor per iteration: constant ``w``, decaying ``c/(k+1)``, or explicit.
 
-    The built-in decaying family is square-summable for every coefficient
-    (``sum_k (c/(k+1))^2 = c^2 pi^2 / 6``).  Explicit sequences must be
-    nonnegative and nonincreasing (the queue floor carried from one step to the
-    next relies on it), and hold their last value past the end.
+    Every level is finite.  The built-in decaying family is square-summable
+    for every coefficient (``sum_k (c/(k+1))^2 = c^2 pi^2 / 6``).  Explicit
+    sequences must be nonnegative and nonincreasing (the queue floor carried
+    from one step to the next relies on it), and hold their last value past
+    the end.
     """
 
     kind: str
@@ -531,14 +481,14 @@ class BufferSchedule:
 
     def __post_init__(self):
         if self.kind == "constant":
-            if self.omega < 0:
-                raise InvalidInstanceError(f"buffer level must be >= 0, got {self.omega}")
+            if not (math.isfinite(self.omega) and self.omega >= 0):
+                raise InvalidInstanceError(f"buffer level must be finite and >= 0, got {self.omega}")
         elif self.kind == "decaying":
-            if self.coefficient <= 0:
-                raise InvalidInstanceError("decaying buffer needs a positive coefficient")
+            if not (math.isfinite(self.coefficient) and self.coefficient > 0):
+                raise InvalidInstanceError("decaying buffer needs a finite positive coefficient")
         elif self.kind == "sequence":
-            if not self.values or any(v < 0 for v in self.values):
-                raise InvalidInstanceError("sequence buffer needs nonnegative values")
+            if not self.values or not all(math.isfinite(v) and v >= 0 for v in self.values):
+                raise InvalidInstanceError("sequence buffer needs finite nonnegative values")
             if any(b > a for a, b in zip(self.values, self.values[1:])):
                 raise InvalidInstanceError("sequence buffer must be nonincreasing")
             object.__setattr__(self, "values", tuple(float(v) for v in self.values))
@@ -604,8 +554,9 @@ class HyperParams:
 
     def __post_init__(self):
         for name in ("alpha", "beta", "eta", "gamma"):
-            if getattr(self, name) <= 0:
-                raise InvalidInstanceError(f"{name} must be strictly positive")
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise InvalidInstanceError(f"{name} must be finite and strictly positive, got {value}")
         if self.gamma >= 1:
             raise InvalidInstanceError(f"gamma must be < 1, got {self.gamma}")
 
@@ -727,7 +678,15 @@ def validate_hyperparams(
 
 
 def instance_to_json(instance: ProblemInstance) -> str:
-    """Serialize an instance (quadratic costs only) to a UTF-8 JSON document."""
+    """Serialize an instance (quadratic costs only) to a UTF-8 JSON document.
+
+    The document is ``{"n", "p", "m", "agents", "topology"}``: ``agents`` holds
+    one ``{"P", "Q", "A", "d"}`` object per agent, and ``topology`` is
+    ``{"edges": [[i, j], ...], "weights": [w_e, ...]}``, the edges with
+    ``i < j`` in lexicographic order and one weight per edge.  The node count
+    is the top-level ``n``, and the self-weights ``w_ii = 1 - sum_j w_ij`` are
+    implied.  Floats are written at full precision, so a reload is bit-exact.
+    """
     if not instance.quadratic:
         raise InvalidInstanceError("only quadratic-cost instances are serializable")
     stacks = (instance.P.tolist(), instance.Q.tolist(), instance.A.tolist(), instance.d.tolist())
@@ -738,7 +697,7 @@ def instance_to_json(instance: ProblemInstance) -> str:
         "agents": [{"P": P, "Q": Q, "A": A, "d": d} for P, Q, A, d in zip(*stacks)],
         "topology": {
             "edges": [list(e) for e in instance.topology.edges],
-            "weights": instance.topology.W.tolist(),
+            "weights": instance.topology.weights.tolist(),
         },
     }
     return json.dumps(doc)
@@ -749,7 +708,10 @@ def instance_from_json(text: str) -> ProblemInstance:
 
     Invalid JSON, a wrong structure, agents of different shapes, and ``n``,
     ``p`` or ``m`` that disagree with the agents all raise
-    ``InvalidInstanceError``.
+    ``InvalidInstanceError``.  The topology goes to the ``Topology``
+    constructor as stored, so edges not sorted with ``i < j``, a weight count
+    other than one per edge (a dense weight matrix included), and any other
+    invalid graph raise its ``TopologyError``.
     """
     try:
         doc = json.loads(text)
@@ -758,8 +720,8 @@ def instance_from_json(text: str) -> ProblemInstance:
     try:
         agents = doc["agents"]
         P, Q, A, d = (np.array([agent[key] for agent in agents], dtype=float) for key in "PQAd")
-        topology = topology_from_weights(doc["topology"]["weights"], doc["topology"]["edges"])
         sizes = int(doc["n"]), int(doc["p"]), int(doc["m"])
+        topology = Topology(n=sizes[0], edges=doc["topology"]["edges"], weights=doc["topology"]["weights"])
     except KeyError as exc:
         raise InvalidInstanceError(f"instance document is missing key {exc}") from exc
     except (TypeError, ValueError) as exc:

@@ -3,8 +3,9 @@
 ``ring_with_chords`` lists every non-ring pair and draws chords from that
 list; ``metropolis_dense`` fills the dense weight matrix pair by pair and
 derives the Laplacian from it.  ``danyra`` builds the same graph from edge
-arrays in O(|E|), and the tests require edges, ``W`` and ``L`` to be
-bit-identical for the same random generator.
+arrays in O(|E|), and the tests require the edges, the edge weights (the
+entries of ``W`` on the edges) and ``L`` to be bit-identical for the same
+random generator.
 """
 
 from __future__ import annotations

@@ -84,11 +84,6 @@ class TestPresets:
     def test_equality_expansion_frozen(self):
         assert parse_config(preset="equality").to_dict() == EQUALITY_EXPANDED
 
-    def test_fig3_is_fig2_view(self):
-        fig3 = parse_config(preset="fig3").to_dict()
-        fig2 = dict(FIG2_EXPANDED, preset="fig3", out="runs/fig3")
-        assert fig3 == fig2
-
     def test_unknown_preset(self):
         with pytest.raises(ConfigError):
             parse_config(preset="fig99")
@@ -295,6 +290,12 @@ class TestRun:
             pytest.param(lambda doc: {**doc, "n": None}, 1, "malformed", id="n-null"),
             pytest.param(lambda doc: {**doc, "p": 3}, 1, r"\(n, p, m\) = \(4, 3, 2\)", id="wrong-p"),
             pytest.param(lambda doc: {**doc, "m": 1}, 1, r"\(n, p, m\) = \(4, 2, 1\)", id="wrong-m"),
+            pytest.param(
+                lambda doc: {**doc, "topology": {**doc["topology"], "weights": np.eye(4).tolist()}},
+                1,
+                r"need one weight per edge, got shape \(4, 4\)",
+                id="dense-weight-matrix",
+            ),
         ],
     )
     def test_instance_file_errors(self, tmp_path, capsys, edit, code, message):
@@ -306,6 +307,34 @@ class TestRun:
         path.write_text(json.dumps(self.small_cfg(tmp_path, instance={"file": str(inst_path)})), encoding="utf-8")
         assert main(["run", "--config", str(path)]) == code
         assert re.search(message, capsys.readouterr().err)
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            pytest.param({"init": {"mode": "custom"}}, id="custom-without-x0"),
+            pytest.param({"init": {"mode": "custom", "x0": [[0.0, 0.0]] * 3}}, id="x0-shape"),
+            pytest.param({"init": {"mode": "custom", "x0": [[0.0, 0.0], [1.0]] * 2}}, id="x0-ragged"),
+            pytest.param({"init": {"offset": [1.0, 2.0, 3.0]}}, id="offset-length"),
+            pytest.param({"init": {"offset": [float("nan"), 0.0]}}, id="offset-nan"),
+            pytest.param({"disturbances": [{"at_iteration": 20, "additive": [5.0]}]}, id="additive-length"),
+            pytest.param({"disturbances": [{"at_iteration": 20, "additive": [1.0, "x"]}]}, id="additive-text"),
+            pytest.param({"iters": "ten"}, id="iters-text"),
+            pytest.param({"iters": None}, id="iters-null"),
+            pytest.param({"record_every": "every"}, id="record-every-text"),
+            pytest.param({"hp": {"alpha": "fast", "beta": 0.02, "eta": 0.1, "gamma": 0.2}}, id="hp-text"),
+            pytest.param(
+                {"hp": {"alpha": 0.01, "beta": 0.02, "eta": 0.1, "gamma": 0.2, "buffer": {"kind": "constant"}}},
+                id="buffer-without-omega",
+            ),
+            pytest.param({"instance": {"generate": {"seed": 3, "n": "four", "r_max": 8.0}}}, id="generate-text"),
+        ],
+    )
+    def test_config_shape_errors(self, tmp_path, capsys, edit):
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(self.small_cfg(tmp_path, **edit)), encoding="utf-8")
+        assert main(["run", "--config", str(path)]) == 2
+        assert capsys.readouterr().err.startswith("config error:")
         assert not (tmp_path / "out").exists()
 
     def test_threads_key_rejected(self, tmp_path, capsys):

@@ -167,6 +167,10 @@ class TestRunExperiment:
             ExperimentPlan(instance=small_instance, hp=base_hp(), iters=0)
         with pytest.raises(ConfigError):
             ExperimentPlan(instance=small_instance, hp=base_hp(), iters=5, record_every=0)
+        # an agent the instance lacks is rejected before the run, not when the disturbance fires
+        far = DisturbanceEvent(at_iteration=3, additive=np.ones(2), agent_ids=(small_instance.n,))
+        with pytest.raises(ConfigError, match="agent ids outside"):
+            ExperimentPlan(instance=small_instance, hp=base_hp(), iters=5, disturbances=(far,))
 
     def test_equality_mode_residual_contracts(self, base_hp):
         inst = generate_instance(101, 10, 20.0, 6)

@@ -20,6 +20,7 @@ from danyra import (
     spectral_constants,
     validate_hyperparams,
 )
+from danyra.problem import DENSE_MIX_MAX_N
 
 
 def path_topology(n):
@@ -203,16 +204,16 @@ class TestTopology:
     def test_path_weights(self):
         adj = np.array([[0, 1, 0], [1, 0, 1], [0, 1, 0]], dtype=bool)
         top = metropolis_weights(adj)
-        assert top.W[0, 1] == pytest.approx(1 / 3)
-        assert top.W[1, 2] == pytest.approx(1 / 3)
-        assert np.allclose(np.diag(top.W), [2 / 3, 1 / 3, 2 / 3])
+        assert top.edges == ((0, 1), (1, 2))
+        assert np.allclose(top.weights, [1 / 3, 1 / 3])
+        assert np.allclose(np.diag(top.L), [1 / 3, 2 / 3, 1 / 3])  # 1 - w_ii
 
     def test_complete_graph(self):
         adj = ~np.eye(3, dtype=bool)
         top = metropolis_weights(adj)
-        off = top.W[~np.eye(3, dtype=bool)]
-        assert np.allclose(off, 1 / 3)
-        assert np.allclose(top.W.sum(axis=0), 1.0)
+        assert top.edges == ((0, 1), (0, 2), (1, 2))
+        assert np.allclose(top.weights, 1 / 3)
+        assert np.allclose(top.L, np.eye(3) - 1 / 3)
 
     def test_disconnected_rejected(self):
         adj = np.zeros((4, 4), dtype=bool)
@@ -224,17 +225,21 @@ class TestTopology:
         for seed in (1, 2, 3):
             top = generate_instance(seed, 14, 70.0, 5).topology
             ones = np.ones(top.n)
-            assert np.max(np.abs(top.W @ ones - ones)) <= 1e-12
-            assert np.max(np.abs(ones @ top.W - ones)) <= 1e-12
-            assert np.array_equal(top.W, top.W.T)
+            assert np.max(np.abs(top.L @ ones)) <= 1e-12
+            assert np.max(np.abs(ones @ top.L)) <= 1e-12
+            assert np.array_equal(top.L, top.L.T)
+            assert np.all(np.diag(top.L) < 1.0)  # positive self-weights
             assert np.linalg.eigvalsh(top.L)[1] > 0
 
-    def test_neighbors_sorted(self):
+    def test_laplacian_support_is_the_edge_set(self):
         top = generate_instance(3, 8, 10.0, 4).topology
-        for i, nbrs in enumerate(top.neighbors):
-            assert list(nbrs) == sorted(nbrs)
-            for j in nbrs:
-                assert top.W[i, j] > 0
+        i, j = np.array(top.edges).T
+        assert np.all(i < j) and np.array_equal(np.argsort(i * top.n + j), np.arange(len(i)))
+        assert np.array_equal(top.L[i, j], -top.weights) and np.all(top.weights > 0)
+        off_edges = np.ones((top.n, top.n), dtype=bool)
+        off_edges[i, j] = off_edges[j, i] = False
+        np.fill_diagonal(off_edges, False)
+        assert not np.any(top.L[off_edges])
 
 
 class TestGenerateInstance:
@@ -246,12 +251,13 @@ class TestGenerateInstance:
     def test_two_agent_ring_is_single_edge(self):
         inst = generate_instance(1, 2, 2.0, 0)
         assert inst.topology.edges == ((0, 1),)
-        assert np.allclose(inst.topology.W, [[0.5, 0.5], [0.5, 0.5]])
+        assert np.array_equal(inst.topology.weights, [0.5])
 
     def test_deterministic(self):
         a = generate_instance(9, 6, 12.0, 3)
         b = generate_instance(9, 6, 12.0, 3)
-        assert np.array_equal(a.topology.W, b.topology.W)
+        assert a.topology.edges == b.topology.edges
+        assert np.array_equal(a.topology.weights, b.topology.weights)
         for name in ("A", "d", "P", "Q"):
             assert np.array_equal(getattr(a, name), getattr(b, name))
 
@@ -442,12 +448,26 @@ class TestBufferSchedule:
             BufferSchedule.sequence([0.1, 1.0, 5.0])
         with pytest.raises(InvalidInstanceError):
             BufferSchedule(kind="mystery")
+        for bad in (np.nan, np.inf):
+            with pytest.raises(InvalidInstanceError, match="finite"):
+                BufferSchedule.constant(bad)
+            with pytest.raises(InvalidInstanceError, match="finite"):
+                BufferSchedule.decaying(bad)
+            with pytest.raises(InvalidInstanceError, match="finite"):
+                BufferSchedule.sequence([bad, 0.1])
+            with pytest.raises(InvalidInstanceError, match="finite"):
+                BufferSchedule.sequence([0.2, bad])
 
     def test_hyperparams_validation(self):
         with pytest.raises(InvalidInstanceError):
             HyperParams(alpha=0.01, beta=0.02, eta=0.1, gamma=1.0)
         with pytest.raises(InvalidInstanceError):
             HyperParams(alpha=-0.01, beta=0.02, eta=0.1, gamma=0.2)
+        steps = {"alpha": 0.01, "beta": 0.02, "eta": 0.1, "gamma": 0.2}
+        for name in steps:
+            for bad in (np.nan, np.inf):
+                with pytest.raises(InvalidInstanceError, match=f"{name} must be finite"):
+                    HyperParams(**{**steps, name: bad})
 
 
 class TestSerialization:
@@ -456,16 +476,32 @@ class TestSerialization:
         text = instance_to_json(inst)
         back = instance_from_json(text)
         assert back.n == inst.n and back.p == inst.p and back.m == inst.m
-        assert np.array_equal(back.topology.W, inst.topology.W)
         assert back.topology.edges == inst.topology.edges
+        assert np.array_equal(back.topology.weights, inst.topology.weights)
+        assert np.array_equal(back.topology.L, inst.topology.L)
         for name in ("A", "d", "P", "Q"):
             assert np.array_equal(getattr(back, name), getattr(inst, name))
 
+    def test_round_trip_bit_exact_above_dense_mixing(self):
+        inst = generate_instance(11, DENSE_MIX_MAX_N + 1, 70.0, 2 * (DENSE_MIX_MAX_N + 1))
+        back = instance_from_json(instance_to_json(inst))
+        assert back.topology.edges == inst.topology.edges
+        assert back.topology.weights.tobytes() == inst.topology.weights.tobytes()
+        for name in ("A", "d", "P", "Q"):
+            assert getattr(back, name).tobytes() == getattr(inst, name).tobytes(), name
+        v = np.random.default_rng(0).standard_normal((inst.n, 2))
+        assert back.topology.mix(v).tobytes() == inst.topology.mix(v).tobytes()
+        assert "L" not in vars(back.topology)
+
     def test_schema_fields(self):
-        doc = json.loads(instance_to_json(generate_instance(11, 4, 9.0, 1)))
+        inst = generate_instance(11, 4, 9.0, 1)
+        doc = json.loads(instance_to_json(inst))
         assert set(doc) == {"n", "p", "m", "agents", "topology"}
         assert set(doc["agents"][0]) == {"P", "Q", "A", "d"}
         assert set(doc["topology"]) == {"edges", "weights"}
+        assert doc["topology"]["edges"] == [list(e) for e in inst.topology.edges]
+        assert len(doc["topology"]["weights"]) == len(doc["topology"]["edges"])
+        assert all(isinstance(w, float) for w in doc["topology"]["weights"])
 
     def test_missing_key_rejected(self):
         doc = json.loads(instance_to_json(generate_instance(11, 4, 9.0, 1)))

@@ -1,5 +1,7 @@
 """The edge-form topology and the batched agent build: generator bit-identity, mixing, O(|E|) validation."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -10,9 +12,10 @@ from danyra import (
     TopologyError,
     generate_instance,
     init_state,
+    instance_from_json,
+    instance_to_json,
     iterate,
     metropolis_weights,
-    topology_from_weights,
 )
 from danyra.problem import DENSE_MIX_MAX_N
 
@@ -39,7 +42,7 @@ def test_generated_topology_bit_identical_to_dense_reference(n):
             inst = generate_instance(seed, n, 10.0, extra)
             top = inst.topology
             assert top.edges == edges, (seed, n, extra)
-            assert _bits(top.W) == _bits(W), (seed, n, extra)
+            assert _bits(top.weights) == _bits(W[tuple(np.array(edges).T)]), (seed, n, extra)
             assert _bits(top.L) == _bits(L), (seed, n, extra)
             # the agents draw from where the chord picks left the generator
             for name, stack in zip("AdPQ", agent_stacks(n, 10.0, rng)):
@@ -71,7 +74,7 @@ def test_large_instance_iterates_without_dense_matrices():
     inst = generate_instance(1534, 2000, 70.0, 4000)
     hp = HyperParams(alpha=0.01, beta=0.02, eta=0.1, gamma=0.2)
     iterate(init_state(inst, hp), inst, hp)
-    assert "W" not in vars(inst.topology) and "L" not in vars(inst.topology)
+    assert "L" not in vars(inst.topology)
 
 
 @pytest.mark.parametrize(
@@ -90,6 +93,9 @@ def test_large_instance_iterates_without_dense_matrices():
         (4, [(0, 1), (2, 3)], [0.3, 0.3], "disconnected"),
         (3, [(0, 1)], [0.5], "disconnected"),
         (0, [], [], "at least one node"),
+        (2, [(0, 1)], [1.5], "node 0: edge weights sum to 1.5 > 1"),
+        (3, [(0, 1), (1, 2)], [0.5, 0.75], "node 1: edge weights sum to 1.25 > 1"),
+        (3, [(0, 1), (1, 2.5)], [0.2, 0.3], "integers"),
     ],
 )
 def test_edge_validation_rejects(n, edges, weights, message):
@@ -97,17 +103,15 @@ def test_edge_validation_rejects(n, edges, weights, message):
         Topology(n=n, edges=edges, weights=weights)
 
 
-def test_from_weights_checks_the_dense_matrix_against_the_edges():
-    top = generate_instance(2, 6, 10.0, 3).topology
-    shuffled = [(j, i) for i, j in reversed(top.edges)]
-    back = topology_from_weights(top.W, shuffled)
-    assert back.edges == top.edges and _bits(back.L) == _bits(top.L)
-    W = np.array(top.W)
-    i, j = next((i, j) for i in range(6) for j in range(i + 1, 6) if W[i, j] == 0.0)
-    W[i, j] = W[j, i] = -1e-3  # rows still sum to 1, but (i, j) is not an edge
-    W[i, i] += 1e-3
-    W[j, j] += 1e-3
-    with pytest.raises(TopologyError, match="inconsistent"):
-        topology_from_weights(W, top.edges)
-    with pytest.raises(TopologyError, match="inconsistent"):
-        topology_from_weights(top.W, top.edges[1:])
+@pytest.mark.parametrize(
+    "reorder, message",
+    [
+        (lambda edges: edges[::-1], "lexicographic"),
+        (lambda edges: [[j, i] for i, j in edges], "i < j"),
+    ],
+)
+def test_instance_file_rejects_unsorted_edges(reorder, message):
+    doc = json.loads(instance_to_json(generate_instance(2, 6, 10.0, 3)))
+    doc["topology"]["edges"] = reorder(doc["topology"]["edges"])
+    with pytest.raises(TopologyError, match=message):
+        instance_from_json(json.dumps(doc))
