@@ -1,12 +1,6 @@
 """Anytime-feasible distributed resource allocation: simulator, oracles, metrics."""
 
-from .engine import (
-    SwarmState,
-    init_state,
-    iterate,
-    lyapunov_metric,
-    state_difference,
-)
+from .engine import SwarmState, init_state, iterate
 from .errors import (
     ConfigError,
     DanyraError,
@@ -27,13 +21,7 @@ from .metrics import (
     violation_l1,
 )
 from .netsim import DisturbanceEvent, ExperimentPlan, Trace, apply_disturbance, run_experiment
-from .oracle import (
-    OracleSolution,
-    kkt_residuals,
-    reference_projected_gradient,
-    solve_active_set,
-    solve_equality,
-)
+from .oracle import OracleSolution, solve_active_set, solve_equality
 from .problem import (
     EQUALITY,
     INEQUALITY,

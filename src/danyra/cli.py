@@ -10,7 +10,6 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -111,36 +110,6 @@ _DISTURBANCE_KEYS = {"at_iteration", "additive", "agent_ids", "perturb_x_prime"}
 _GENERATE_KEYS = {"seed", "n", "r_max", "extra_edges"}
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """A fully expanded, validated run description."""
-
-    instance: dict
-    hp: dict
-    mode: str
-    iters: int
-    out: str
-    record_every: int = 1
-    disturbances: tuple[dict, ...] = ()
-    init: dict = field(default_factory=lambda: {"mode": "at_demand"})
-    sweep: tuple[dict, ...] | None = None
-    preset: str | None = None
-
-    def to_dict(self) -> dict:
-        return {
-            "preset": self.preset,
-            "instance": self.instance,
-            "hp": self.hp,
-            "sweep": None if self.sweep is None else list(self.sweep),
-            "mode": self.mode,
-            "iters": self.iters,
-            "record_every": self.record_every,
-            "disturbances": list(self.disturbances),
-            "init": self.init,
-            "out": self.out,
-        }
-
-
 def _reject_unknown(section: dict, allowed: set[str], where: str) -> None:
     unknown = sorted(set(section) - allowed)
     if unknown:
@@ -154,9 +123,11 @@ def _require(section: dict, key: str, where: str):
 
 
 def _number(value, where: str, kind: type = float):
-    """``kind(value)`` for a JSON number; anything else (or inf/NaN as an integer) is a ConfigError."""
+    """``kind(value)`` for a JSON number; anything else, or a fraction as an integer, is a ConfigError."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{where} must be a number, got {value!r}")
+    if kind is int and isinstance(value, float) and not value.is_integer():
+        raise ConfigError(f"{where} must be an integer, got {value!r}")
     try:
         return kind(value)
     except (OverflowError, ValueError) as exc:
@@ -190,7 +161,8 @@ def _hyperparams(hp: dict, buffer: dict) -> HyperParams:
     return HyperParams(**steps, buffer=BufferSchedule.from_dict(buffer))
 
 
-def _validate_config(cfg: dict) -> RunConfig:
+def _validate_config(cfg: dict) -> dict:
+    """Check a merged config and return it expanded: every top-level key present, defaults filled in."""
     _reject_unknown(cfg, _TOP_KEYS, "config")
     instance = _require(cfg, "instance", "config")
     if not isinstance(instance, dict) or len(instance) != 1 or next(iter(instance)) not in (
@@ -244,28 +216,28 @@ def _validate_config(cfg: dict) -> RunConfig:
     if sweep is not None:
         for idx, member in enumerate(sweep):
             _validate_buffer(member, f"sweep[{idx}]")
-        sweep = tuple(dict(member) for member in sweep)
+        sweep = [dict(member) for member in sweep]
 
-    return RunConfig(
-        instance=instance,
-        hp=hp,
-        mode=mode,
-        iters=iters,
-        out=str(_require(cfg, "out", "config")),
-        record_every=_number(cfg.get("record_every", 1), "record_every", int),
-        disturbances=tuple(disturbances),
-        init=dict(init),
-        sweep=sweep,
-        preset=cfg.get("preset"),
-    )
+    return {
+        "preset": cfg.get("preset"),
+        "instance": instance,
+        "hp": hp,
+        "sweep": sweep,
+        "mode": mode,
+        "iters": iters,
+        "record_every": _number(cfg.get("record_every", 1), "record_every", int),
+        "disturbances": disturbances,
+        "init": dict(init),
+        "out": str(_require(cfg, "out", "config")),
+    }
 
 
 def parse_config(
     config_path: str | None = None,
     preset: str | None = None,
     overrides: dict | None = None,
-) -> RunConfig:
-    """Merge preset defaults, a JSON config file, and flag overrides into a RunConfig."""
+) -> dict:
+    """Merge preset defaults, a JSON config file, and flag overrides into one checked config."""
     cfg: dict = {}
     if config_path is not None:
         try:
@@ -308,16 +280,16 @@ def parse_config(
     return _validate_config(cfg)
 
 
-def _build_instance(config: RunConfig):
-    if "generate" in config.instance:
-        gen = config.instance["generate"]
+def _build_instance(config: dict):
+    if "generate" in config["instance"]:
+        gen = config["instance"]["generate"]
         return generate_instance(
             seed=int(gen["seed"]),
             n=int(gen["n"]),
             r_max=float(gen["r_max"]),
             extra_edges=int(gen.get("extra_edges", 0)),
         )
-    path = config.instance["file"]
+    path = config["instance"]["file"]
     try:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
@@ -325,8 +297,8 @@ def _build_instance(config: RunConfig):
     return instance_from_json(text)
 
 
-def _build_plan(config: RunConfig, instance, buffer: dict) -> ExperimentPlan:
-    hp = _hyperparams(config.hp, buffer)
+def _build_plan(config: dict, instance, buffer: dict) -> ExperimentPlan:
+    hp = _hyperparams(config["hp"], buffer)
     disturbances = tuple(
         DisturbanceEvent(
             at_iteration=int(d["at_iteration"]),
@@ -334,20 +306,19 @@ def _build_plan(config: RunConfig, instance, buffer: dict) -> ExperimentPlan:
             agent_ids=None if d.get("agent_ids") is None else tuple(d["agent_ids"]),
             perturb_x_prime=bool(d.get("perturb_x_prime", True)),
         )
-        for d in config.disturbances
+        for d in config["disturbances"]
     )
-    init = config.init
+    init = config["init"]
     return ExperimentPlan(
         instance=instance,
         hp=hp,
-        iters=config.iters,
-        mode=config.mode,
+        iters=config["iters"],
+        mode=config["mode"],
         disturbances=disturbances,
-        record_every=config.record_every,
+        record_every=config["record_every"],
         init_mode=init.get("mode", "at_demand"),
         x0=None if init.get("x0") is None else np.array(init["x0"], dtype=float),
         x0_offset=None if init.get("offset") is None else np.array(init["offset"], dtype=float),
-        seed=config.instance.get("generate", {}).get("seed"),
     )
 
 
@@ -410,36 +381,36 @@ def _run_single(config, instance, oracle, sc, report, buffer, out_dir: Path) -> 
 
     recovery = recovery_iteration(trace)
     summary = {
-        "preset": config.preset,
+        "preset": config["preset"],
         "mode": plan.mode,
         "buffer": buffer,
         "iters": plan.iters,
-        "seed": plan.seed,
+        "seed": config["instance"].get("generate", {}).get("seed"),
         "n": instance.n,
         "initial_violation": initial_violation,
         "final_gap": trace.final_gap,
         "final_violation": trace.final_violation,
         "recovery_iteration": recovery,
         "conditions": report.to_dict(),
-        "wallclock_per_iteration": trace.meta["wallclock_per_iteration"],
+        "wallclock_per_iteration": trace.wallclock_per_iteration,
     }
     _write_json(out_dir / "report.json", summary)
     return summary
 
 
-def run(config: RunConfig) -> int:
+def run(config: dict) -> int:
     """Build the instance, solve the oracle, run the experiment(s), emit files."""
     instance = _build_instance(config)
-    oracle = solve_equality(instance) if config.mode == EQUALITY else solve_active_set(instance)
+    oracle = solve_equality(instance) if config["mode"] == EQUALITY else solve_active_set(instance)
     sc = spectral_constants(instance)
-    report = validate_hyperparams(_hyperparams(config.hp, config.hp["buffer"]), sc, config.mode)
+    report = validate_hyperparams(_hyperparams(config["hp"], config["hp"]["buffer"]), sc, config["mode"])
 
-    out_root = Path(config.out)
-    if config.sweep is None:
-        _run_single(config, instance, oracle, sc, report, config.hp["buffer"], out_root)
+    out_root = Path(config["out"])
+    if config["sweep"] is None:
+        _run_single(config, instance, oracle, sc, report, config["hp"]["buffer"], out_root)
     else:
         summaries = {}
-        for buffer in config.sweep:
+        for buffer in config["sweep"]:
             label = _buffer_label(buffer)
             summaries[label] = _run_single(
                 config, instance, oracle, sc, report, buffer, out_root / label
@@ -448,7 +419,7 @@ def run(config: RunConfig) -> int:
         _write_json(
             out_root / "report.json",
             {
-                "preset": config.preset,
+                "preset": config["preset"],
                 "members": {
                     label: {
                         "final_gap": s["final_gap"],

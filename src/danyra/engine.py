@@ -15,13 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DivergenceError, InvalidInstanceError, ModeError
-from .problem import (
-    EQUALITY,
-    INEQUALITY,
-    HyperParams,
-    ProblemInstance,
-    SpectralConstants,
-)
+from .problem import EQUALITY, INEQUALITY, HyperParams, ProblemInstance
 
 
 @dataclass
@@ -39,17 +33,6 @@ class SwarmState:
     @property
     def n(self) -> int:
         return self.x.shape[0]
-
-    def copy(self) -> "SwarmState":
-        return SwarmState(
-            k=self.k,
-            mode=self.mode,
-            x=self.x.copy(),
-            x_prime=self.x_prime.copy(),
-            y=self.y.copy(),
-            lam=self.lam.copy(),
-            delta=None if self.delta is None else self.delta.copy(),
-        )
 
     def to_dict(self) -> dict:
         return {
@@ -91,16 +74,14 @@ def init_state(
     mode: str = INEQUALITY,
     x0: np.ndarray | None = None,
     x0_offset: np.ndarray | None = None,
-    lam0: np.ndarray | None = None,
 ) -> SwarmState:
     """Build the iteration-0 state.
 
-    ``y = 0``; ``delta = max(0, omega_0) * 1`` in inequality mode so the queue
-    floor holds from the start; ``lam = 0`` unless ``lam0`` is given (the slack
-    recursion is initialization-free, so arbitrary duals are allowed).
-    ``at_demand`` places each decision at its demand vector when p == m and at
-    the least-norm preimage ``projector @ d`` otherwise; ``zero`` starts at the
-    origin; ``custom`` takes ``x0`` with shape (n, p).
+    ``y = 0`` and ``lam = 0``; ``delta = max(0, omega_0) * 1`` in inequality
+    mode so the queue floor holds from the start.  ``at_demand`` places each
+    decision at its demand vector when p == m and at the least-norm preimage
+    ``projector @ d`` otherwise; ``zero`` starts at the origin; ``custom``
+    takes ``x0`` with shape (n, p).
     """
     if mode not in (INEQUALITY, EQUALITY):
         raise InvalidInstanceError(f"unknown mode {mode!r}")
@@ -128,13 +109,6 @@ def init_state(
             raise ValueError(f"x0_offset must have shape ({p},), got {offset.shape}")
         x = x + offset
 
-    if lam0 is None:
-        lam = np.zeros((n, m))
-    else:
-        lam = np.array(lam0, dtype=float)
-        if lam.shape != (n, m):
-            raise ValueError(f"lam0 must have shape ({n}, {m}), got {lam.shape}")
-
     delta = None
     if mode == INEQUALITY:
         delta = np.full((n, m), max(0.0, hp.buffer.value(0)))
@@ -145,7 +119,7 @@ def init_state(
         x=x,
         x_prime=x.copy(),
         y=np.zeros((n, m)),
-        lam=lam,
+        lam=np.zeros((n, m)),
         delta=delta,
     )
 
@@ -221,44 +195,3 @@ def iterate(state: SwarmState, instance: ProblemInstance, hp: HyperParams) -> Sw
         delta=delta_next,
     )
 
-
-def state_difference(a: SwarmState, b: SwarmState) -> float:
-    """Max-norm distance between two states over every algorithm field."""
-    parts = [a.x - b.x, a.x_prime - b.x_prime, a.y - b.y, a.lam - b.lam]
-    if a.delta is not None and b.delta is not None:
-        parts.append(a.delta - b.delta)
-    return max(float(np.max(np.abs(p), initial=0.0)) for p in parts)
-
-
-def lyapunov_metric(
-    state: SwarmState,
-    anchor: SwarmState,
-    instance: ProblemInstance,
-    hp: HyperParams,
-    sc: SpectralConstants,
-) -> float:
-    """Diagnostic energy of the state relative to a captured fixed point.
-
-    This is only a monitoring aid: the anchor must come from a long converged
-    run, and no monotonicity of the value is asserted anywhere.
-    """
-    mix = instance.topology.mix
-    A = instance.A
-
-    def net_z(s: SwarmState) -> np.ndarray:
-        if state.mode == INEQUALITY:
-            return np.einsum("nmp,np->nm", A, s.x) + mix(s.y) + s.delta
-        return np.einsum("nmp,np->nm", A, s.x_prime) + mix(s.y)
-
-    sq = lambda v: float(np.sum(v * v))
-    value = (
-        sq(state.x_prime - anchor.x_prime)
-        + sq(state.y - anchor.y)
-        + hp.alpha / hp.beta * sq(state.lam - anchor.lam)
-        + hp.alpha * (1 - 3 * hp.beta) / 2 * sq(net_z(state) - net_z(anchor))
-        + sc.sigma_A_min**2 * hp.alpha * (1 - 3 * hp.beta) / (8 * hp.gamma**2)
-        * sq(state.x - state.x_prime)
-    )
-    if state.mode == INEQUALITY:
-        value += sq(state.delta - anchor.delta)
-    return value

@@ -35,10 +35,10 @@ def slack_sum(instance: ProblemInstance, x: np.ndarray, delta: np.ndarray | None
     return total
 
 
-def recovery_iteration(trace, from_k: int = 0, zero_tol: float = ZERO_VIOLATION_TOL) -> int | None:
-    """First recorded k >= from_k whose violation is zero and stays zero afterwards."""
+def recovery_iteration(trace, from_k: int = 0) -> int | None:
+    """First recorded k >= from_k whose violation is zero (at most 1e-12) and stays zero afterwards."""
     ks = np.asarray(trace.ks)
-    violated = np.flatnonzero(np.asarray(trace.violation_l1) > zero_tol)
+    violated = np.flatnonzero(np.asarray(trace.violation_l1) > ZERO_VIOLATION_TOL)
     after = violated[-1] + 1 if violated.size else 0
     eligible = np.flatnonzero(ks[after:] >= from_k)
     return int(ks[after + eligible[0]]) if eligible.size else None
@@ -72,8 +72,6 @@ class BoundsReport:
 
 def bounds_report(sc: SpectralConstants, hp: HyperParams, n: int, C_vio: float) -> BoundsReport:
     """Evaluate the guarantee formulas for a buffer level and measured violation."""
-    if not 0.0 < hp.gamma < 1.0:
-        raise ValueError(f"gamma must lie in (0, 1), got {hp.gamma}")
     if C_vio < 0:
         raise ValueError(f"C_vio must be nonnegative, got {C_vio}")
     omega = hp.buffer.limit

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import io
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -41,14 +41,6 @@ class DisturbanceEvent:
         if self.agent_ids is not None:
             object.__setattr__(self, "agent_ids", tuple(int(i) for i in self.agent_ids))
 
-    def to_dict(self) -> dict:
-        return {
-            "at_iteration": self.at_iteration,
-            "additive": self.additive.tolist(),
-            "agent_ids": None if self.agent_ids is None else list(self.agent_ids),
-            "perturb_x_prime": self.perturb_x_prime,
-        }
-
 
 def apply_disturbance(state: SwarmState, event: DisturbanceEvent) -> SwarmState:
     """Shift targeted agents' decisions in place; all other fields untouched."""
@@ -75,7 +67,6 @@ class ExperimentPlan:
     init_mode: str = "at_demand"
     x0: np.ndarray | None = None
     x0_offset: np.ndarray | None = None
-    seed: int | None = None  # metadata only
 
     def __post_init__(self):
         if self.iters < 1:
@@ -85,6 +76,8 @@ class ExperimentPlan:
         n, p = self.instance.n, self.instance.p
         if self.init_mode == "custom" and self.x0 is None:
             raise ConfigError("init mode 'custom' needs x0")
+        if self.init_mode != "custom" and self.x0 is not None:
+            raise ConfigError(f"x0 is only read by init mode 'custom', not {self.init_mode!r}")
         for name, value, shape in (("x0", self.x0, (n, p)), ("x0_offset", self.x0_offset, (p,))):
             if value is not None and (np.shape(value) != shape or not np.all(np.isfinite(value))):
                 raise ConfigError(f"{name} must be finite with shape {shape}, got shape {np.shape(value)}")
@@ -103,13 +96,18 @@ class ExperimentPlan:
 
 @dataclass
 class Trace:
-    """Recorded per-iteration metrics; rows are strictly increasing in k."""
+    """Recorded per-iteration metrics, plus the run's timing and last state.
+
+    Rows are strictly increasing in k.  ``wallclock_per_iteration`` is the
+    loop's wall-clock time over the iteration count, in seconds; it is
+    informational and never written to the CSV.
+    """
 
     ks: np.ndarray
     violation_l1: np.ndarray
     slack: np.ndarray  # (rows, m)
     gap: np.ndarray | None
-    meta: dict = field(default_factory=dict)
+    wallclock_per_iteration: float = 0.0
     final_state: SwarmState | None = None
 
     @property
@@ -180,19 +178,11 @@ def run_experiment(plan: ExperimentPlan, oracle_solution: OracleSolution | None 
                 gaps.append(optimality_gap(state.x, oracle_solution))
     elapsed = time.perf_counter() - start
 
-    meta = {
-        "seed": plan.seed,
-        "hp": hp.to_dict(),
-        "mode": plan.mode,
-        "iters": plan.iters,
-        "record_every": plan.record_every,
-        "wallclock_per_iteration": elapsed / plan.iters,
-    }
     return Trace(
         ks=np.array(ks, dtype=int),
         violation_l1=np.array(viols),
         slack=np.stack(slacks),
         gap=None if gaps is None else np.array(gaps),
-        meta=meta,
+        wallclock_per_iteration=elapsed / plan.iters,
         final_state=state,
     )

@@ -1,9 +1,9 @@
-"""Ground-truth solvers for the coupled allocation problem.
+"""Ground-truth solvers for the coupled allocation problem (quadratic costs).
 
-Two independent routes are provided for cross-checking: an exact active-set
-enumeration (quadratic costs, small m) and an iterative centralized dual
-ascent.  Both emit a consensus multiplier since the optimal duals agree across
-agents on a connected graph.
+``solve_active_set`` solves the inequality variant by exact active-set
+enumeration (small m), and ``solve_equality`` the equality variant by one
+linear solve in the dual.  Both emit a consensus multiplier, since the optimal
+duals agree across agents on a connected graph.
 """
 
 from __future__ import annotations
@@ -37,23 +37,6 @@ class OracleSolution:
     def stacked(self) -> np.ndarray:
         return self.x_star.reshape(-1)
 
-    def to_dict(self) -> dict:
-        return {
-            "x_star": self.x_star.tolist(),
-            "lambda_star": self.lambda_star.tolist(),
-            "f_star": self.f_star,
-            "active_set": list(self.active_set),
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "OracleSolution":
-        return cls(
-            x_star=np.array(data["x_star"], dtype=float),
-            lambda_star=np.array(data["lambda_star"], dtype=float),
-            f_star=float(data["f_star"]),
-            active_set=tuple(data["active_set"]),
-        )
-
 
 def _quadratic_aggregates(instance: ProblemInstance):
     """Per-agent inverse Hessians plus the dual-space aggregates G, h.
@@ -82,7 +65,7 @@ def _total_cost(instance: ProblemInstance, x: np.ndarray) -> float:
     return float(instance.cost(x).sum())
 
 
-def solve_active_set(instance: ProblemInstance, enumeration_order=None) -> OracleSolution:
+def solve_active_set(instance: ProblemInstance) -> OracleSolution:
     """Exact solution of the inequality-constrained problem by active-set enumeration.
 
     Tries every subset S of constraint rows: rows in S are forced to equality,
@@ -95,8 +78,7 @@ def solve_active_set(instance: ProblemInstance, enumeration_order=None) -> Oracl
         raise UnsupportedProblemError(f"active-set enumeration supports m <= 10, got m={m}")
     H, G, h = _quadratic_aggregates(instance)
 
-    masks = range(2**m) if enumeration_order is None else enumeration_order
-    for mask in masks:
+    for mask in range(2**m):
         rows = [j for j in range(m) if mask >> j & 1]
         lam = np.zeros(m)
         if rows:
@@ -136,63 +118,3 @@ def solve_equality(instance: ProblemInstance) -> OracleSolution:
         active_set=tuple(range(instance.m)),
     )
 
-
-def reference_projected_gradient(
-    instance: ProblemInstance,
-    iters: int = 200_000,
-    step: float | None = None,
-    mode: str = "inequality",
-    tol: float = 1e-9,
-) -> OracleSolution:
-    """Centralized dual ascent used as an independent cross-check in tests.
-
-    Ascends the dual of the single coupled constraint, recovering the primal
-    from the dual at every step; the multiplier is clamped to the nonnegative
-    orthant in inequality mode.  Fails loudly if the KKT residual does not
-    reach ``tol`` within the iteration cap.
-    """
-    H, G, h = _quadratic_aggregates(instance)
-    if step is None:
-        step = 1.0 / float(np.linalg.eigvalsh(G)[-1])
-
-    lam = np.zeros(instance.m)
-    for _ in range(iters):
-        x = _recover_primal(instance, H, lam)
-        g = np.einsum("nmp,np->nm", instance.A, x).sum(axis=0) - instance.demand_total
-        if mode == "inequality":
-            residual = max(float(np.max(np.maximum(g, 0.0), initial=0.0)), abs(float(lam @ g)))
-        else:
-            residual = float(np.max(np.abs(g)))
-        if residual <= tol:
-            active = tuple(j for j in range(instance.m) if lam[j] > tol)
-            return OracleSolution(
-                x_star=x,
-                lambda_star=lam.copy(),
-                f_star=_total_cost(instance, x),
-                active_set=active if mode == "inequality" else tuple(range(instance.m)),
-            )
-        lam = lam + step * g
-        if mode == "inequality":
-            lam = np.maximum(lam, 0.0)
-    raise OracleFailureError(f"dual ascent did not reach tol={tol} within {iters} iterations")
-
-
-def kkt_residuals(instance: ProblemInstance, sol: OracleSolution, mode: str = "inequality") -> dict:
-    """Stationarity / feasibility / dual-sign / complementarity residuals of a solution."""
-    residual = instance.gradient(sol.x_star) + np.einsum("nmp,m->np", instance.A, sol.lambda_star)
-    stationarity = float(np.linalg.norm(residual, axis=1).max())
-    slack = instance.demand_total - np.einsum("nmp,np->nm", instance.A, sol.x_star).sum(axis=0)
-    if mode == "inequality":
-        primal = float(np.max(np.maximum(-slack, 0.0), initial=0.0))
-        dual = float(np.max(np.maximum(-sol.lambda_star, 0.0), initial=0.0))
-        complementarity = abs(float(sol.lambda_star @ slack))
-    else:
-        primal = float(np.max(np.abs(slack)))
-        dual = 0.0
-        complementarity = 0.0
-    return {
-        "stationarity": stationarity,
-        "primal": primal,
-        "dual": dual,
-        "complementarity": complementarity,
-    }

@@ -67,38 +67,39 @@ DENSE_MIX_MAX_N = 600
 class Topology:
     """Connected undirected graph with symmetric doubly stochastic weights, stored by edge.
 
-    ``edges`` lists the ``(i, j)`` pairs with ``i < j`` in lexicographic order,
-    and ``weights[e] = w_ij > 0`` is the weight of edge ``e``; the self-weight is
-    ``w_ii = 1 - sum_j w_ij``, so each node's edge weights may sum to at most
-    1.  The dense Laplacian ``L`` (``l_ij = -w_ij``, ``l_ii = sum_{j != i}
-    w_ij``) is built on first access.  The iteration only needs :meth:`mix`,
-    which does not read it above ``DENSE_MIX_MAX_N`` agents, so there
-    construction, validation and mixing take O(n + |E|) time and memory.
+    ``edges`` is the read-only (E, 2) int64 array of the ``(i, j)`` pairs with
+    ``i < j`` in lexicographic order, and ``weights[e] = w_ij > 0`` is the
+    weight of edge ``e``; the self-weight is ``w_ii = 1 - sum_j w_ij``, so
+    each node's edge weights may sum to at most 1.  The dense Laplacian ``L``
+    (``l_ij = -w_ij``, ``l_ii = sum_{j != i} w_ij``) is built on first access.
+    The iteration only needs :meth:`mix`, which does not read it above
+    ``DENSE_MIX_MAX_N`` agents, so there construction, validation and mixing
+    take O(n + |E|) time and memory.
     """
 
     n: int
-    edges: tuple[tuple[int, int], ...]
+    edges: np.ndarray  # (E, 2)
     weights: np.ndarray
 
     def __post_init__(self):
         n = int(self.n)
         if n < 1:
             raise TopologyError(f"a topology needs at least one node, got n={n}")
-        pairs = _edge_pairs(self.edges, n)
+        edges = _edge_array(self.edges, n)
         weights = np.array(self.weights, dtype=float)
-        _validate_edges(n, pairs, weights)
-        rows = np.concatenate([pairs[:, 0], pairs[:, 1]])
-        cols = np.concatenate([pairs[:, 1], pairs[:, 0]])
+        _validate_edges(n, edges, weights)
+        rows = np.concatenate([edges[:, 0], edges[:, 1]])
+        cols = np.concatenate([edges[:, 1], edges[:, 0]])
         order = np.argsort(rows * n + cols)
         rows, cols, csr_weights = rows[order], cols[order], np.concatenate([weights, weights])[order]
         indptr = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
+        edges.setflags(write=False)
         weights.setflags(write=False)
         for name, value in (
             ("n", n),
-            ("edges", tuple(map(tuple, pairs.tolist()))),
+            ("edges", edges),
             ("weights", weights),
-            ("_pairs", pairs),
             ("_indptr", indptr),
             ("_cols", cols),
             ("_csr_weights", csr_weights[:, None]),
@@ -131,7 +132,7 @@ class Topology:
     def L(self) -> np.ndarray:
         """Dense (n, n) Laplacian ``I - W``, built on first access."""
         L = np.zeros((self.n, self.n))
-        i, j = self._pairs[:, 0], self._pairs[:, 1]
+        i, j = self.edges[:, 0], self.edges[:, 1]
         L[i, j] = L[j, i] = self.weights
         L = -L  # -0.0 off the edges, bit for bit the negated dense weight matrix
         np.fill_diagonal(L, 0.0)
@@ -140,8 +141,8 @@ class Topology:
         return L
 
 
-def _edge_pairs(edges, n: int) -> np.ndarray:
-    """Edges as an (E, 2) integer array, every endpoint in ``range(n)``."""
+def _edge_array(edges, n: int) -> np.ndarray:
+    """Edges as a new (E, 2) int64 array, every endpoint in ``range(n)``."""
     pairs = np.array(edges)
     if pairs.size == 0:
         pairs = pairs.reshape(0, 2).astype(np.int64)
@@ -151,7 +152,7 @@ def _edge_pairs(edges, n: int) -> np.ndarray:
         raise TopologyError(f"edges must be (i, j) pairs, got shape {pairs.shape}")
     if pairs.size and (pairs.min() < 0 or pairs.max() >= n):
         raise TopologyError(f"edge endpoint out of range for n={n}")
-    return pairs
+    return pairs.astype(np.int64, copy=False)
 
 
 def _validate_edges(n: int, pairs: np.ndarray, weights: np.ndarray) -> None:
@@ -423,17 +424,6 @@ class SpectralConstants:
     def kappa_A(self) -> float:
         return self.sigma_A_max / self.sigma_A_min
 
-    def to_dict(self) -> dict:
-        return {
-            "ell": self.ell,
-            "mu": self.mu,
-            "sigma_A_max": self.sigma_A_max,
-            "sigma_A_min": self.sigma_A_min,
-            "kappa_A": self.kappa_A,
-            "sigma_L_max": self.sigma_L_max,
-            "sigma_L_min": self.sigma_L_min,
-        }
-
 
 def spectral_constants(
     instance: ProblemInstance, ell: float | None = None, mu: float | None = None
@@ -523,13 +513,6 @@ class BufferSchedule:
             return 0.0
         return self.values[-1]
 
-    def to_dict(self) -> dict:
-        if self.kind == "constant":
-            return {"kind": "constant", "omega": self.omega}
-        if self.kind == "decaying":
-            return {"kind": "decaying", "coefficient": self.coefficient}
-        return {"kind": "sequence", "values": list(self.values)}
-
     @classmethod
     def from_dict(cls, data: dict) -> "BufferSchedule":
         kind = data.get("kind")
@@ -559,15 +542,6 @@ class HyperParams:
                 raise InvalidInstanceError(f"{name} must be finite and strictly positive, got {value}")
         if self.gamma >= 1:
             raise InvalidInstanceError(f"gamma must be < 1, got {self.gamma}")
-
-    def to_dict(self) -> dict:
-        return {
-            "alpha": self.alpha,
-            "beta": self.beta,
-            "eta": self.eta,
-            "gamma": self.gamma,
-            "buffer": self.buffer.to_dict(),
-        }
 
 
 @dataclass(frozen=True)
@@ -603,12 +577,6 @@ class ConditionReport:
     @property
     def all_passed(self) -> bool:
         return all(ch.passed for ch in self.checks)
-
-    def check(self, name: str) -> ConditionCheck:
-        for ch in self.checks:
-            if ch.name == name:
-                return ch
-        raise KeyError(name)
 
     def to_dict(self) -> dict:
         return {
@@ -696,18 +664,33 @@ def instance_to_json(instance: ProblemInstance) -> str:
         "m": instance.m,
         "agents": [{"P": P, "Q": Q, "A": A, "d": d} for P, Q, A, d in zip(*stacks)],
         "topology": {
-            "edges": [list(e) for e in instance.topology.edges],
+            "edges": instance.topology.edges.tolist(),
             "weights": instance.topology.weights.tolist(),
         },
     }
     return json.dumps(doc)
 
 
+def _json_floats(value, where: str) -> np.ndarray:
+    """A rectangular list of JSON numbers as a float array; anything else is a ValueError."""
+    arr = np.array(value)
+    if arr.dtype.kind not in "iuf":
+        raise ValueError(f"{where} must be numbers, got {arr.dtype} entries")
+    return arr.astype(float)
+
+
+def _json_int(value, where: str) -> int:
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not float(value).is_integer():
+        raise ValueError(f"{where} must be an integer, got {value!r}")
+    return int(value)
+
+
 def instance_from_json(text: str) -> ProblemInstance:
     """Load an instance from its JSON document, re-validating all invariants.
 
-    Invalid JSON, a wrong structure, agents of different shapes, and ``n``,
-    ``p`` or ``m`` that disagree with the agents all raise
+    Invalid JSON, a wrong structure, agents of different shapes, a number
+    written as a string (or as a boolean or null), an ``n``, ``p`` or ``m``
+    that is not an integer or disagrees with the agents all raise
     ``InvalidInstanceError``.  The topology goes to the ``Topology``
     constructor as stored, so edges not sorted with ``i < j``, a weight count
     other than one per edge (a dense weight matrix included), and any other
@@ -719,9 +702,10 @@ def instance_from_json(text: str) -> ProblemInstance:
         raise InvalidInstanceError(f"instance document is not valid JSON: {exc}") from exc
     try:
         agents = doc["agents"]
-        P, Q, A, d = (np.array([agent[key] for agent in agents], dtype=float) for key in "PQAd")
-        sizes = int(doc["n"]), int(doc["p"]), int(doc["m"])
-        topology = Topology(n=sizes[0], edges=doc["topology"]["edges"], weights=doc["topology"]["weights"])
+        P, Q, A, d = (_json_floats([agent[key] for agent in agents], f"agents' {key}") for key in "PQAd")
+        sizes = tuple(_json_int(doc[key], key) for key in ("n", "p", "m"))
+        weights = _json_floats(doc["topology"]["weights"], "topology weights")
+        topology = Topology(n=sizes[0], edges=doc["topology"]["edges"], weights=weights)
     except KeyError as exc:
         raise InvalidInstanceError(f"instance document is missing key {exc}") from exc
     except (TypeError, ValueError) as exc:

@@ -5,7 +5,8 @@ rules with that agent's own vectors and matrices (``AgentData``, one row of the
 instance's stacks); ``exchange_primary`` is the
 first two communication sub-rounds over the whole swarm.  ``danyra.iterate``
 computes the same step batched over all agents, and the tests require the two
-to agree to rounding.
+to agree to rounding; ``state_difference`` measures how far apart two states
+are.
 """
 
 from __future__ import annotations
@@ -209,3 +210,11 @@ def project_decision(
     """Project the new virtual decision onto the compensated affine target set."""
     b = projection_target(spec, agent, msgs_next.y_bar_next, hp, delta_old, delta_new, mode)
     return project_affine(x_prime_next, spec.A, b, agent.projector)
+
+
+def state_difference(a: SwarmState, b: SwarmState) -> float:
+    """Max-norm distance between two states over every algorithm field."""
+    parts = [a.x - b.x, a.x_prime - b.x_prime, a.y - b.y, a.lam - b.lam]
+    if a.delta is not None and b.delta is not None:
+        parts.append(a.delta - b.delta)
+    return max(float(np.max(np.abs(p), initial=0.0)) for p in parts)

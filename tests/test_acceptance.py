@@ -21,19 +21,19 @@ from danyra import (
     generate_instance,
     init_state,
     iterate,
-    kkt_residuals,
     recovery_iteration,
-    reference_projected_gradient,
     run_experiment,
     slack_sum,
     solve_active_set,
     solve_equality,
     spectral_constants,
-    state_difference,
     validate_hyperparams,
     violation_l1,
 )
 from danyra.cli import PRESETS, main, parse_config
+
+from reference_oracle import kkt_residuals, reference_projected_gradient
+from reference_step import state_difference
 
 BENCH = PRESETS["fig2"]["instance"]["generate"]
 GAMMA = 0.2
@@ -305,6 +305,6 @@ def test_c12_determinism(tmp_path, fig2_trace):
         assert main(["run", "--preset", "fig2", "--iters", "700", "--out", str(out)]) == 0
         outs.append((out / "trace.csv").read_bytes())
     assert outs[0] == outs[1]
-    wallclock = fig2_trace.meta["wallclock_per_iteration"]
+    wallclock = fig2_trace.wallclock_per_iteration
     print(f"criterion 12 PASS: byte-identical traces across reruns; "
           f"informational wall-clock {wallclock * 1e6:.1f}us/iteration")

@@ -76,13 +76,13 @@ EQUALITY_EXPANDED = {
 
 class TestPresets:
     def test_fig2_expansion_frozen(self):
-        assert parse_config(preset="fig2").to_dict() == FIG2_EXPANDED
+        assert parse_config(preset="fig2") == FIG2_EXPANDED
 
     def test_buffer_sweep_expansion_frozen(self):
-        assert parse_config(preset="buffer-sweep").to_dict() == BUFFER_SWEEP_EXPANDED
+        assert parse_config(preset="buffer-sweep") == BUFFER_SWEEP_EXPANDED
 
     def test_equality_expansion_frozen(self):
-        assert parse_config(preset="equality").to_dict() == EQUALITY_EXPANDED
+        assert parse_config(preset="equality") == EQUALITY_EXPANDED
 
     def test_unknown_preset(self):
         with pytest.raises(ConfigError):
@@ -106,8 +106,8 @@ class TestParseConfig:
 
     def test_minimal_file(self, tmp_path):
         config = parse_config(self.write(tmp_path, self.minimal()))
-        assert config.iters == 10
-        assert config.hp["buffer"] == {"kind": "constant", "omega": 0.0}
+        assert config["iters"] == 10
+        assert config["hp"]["buffer"] == {"kind": "constant", "omega": 0.0}
 
     def test_missing_mode_named(self, tmp_path):
         cfg = self.minimal()
@@ -130,16 +130,16 @@ class TestParseConfig:
     def test_flags_override_file(self, tmp_path):
         path = self.write(tmp_path, self.minimal())
         config = parse_config(path, overrides={"seed": 99, "iters": 7, "mode": "eq", "out": "o2"})
-        assert config.instance["generate"]["seed"] == 99
-        assert config.iters == 7
-        assert config.mode == "equality"
-        assert config.out == "o2"
+        assert config["instance"]["generate"]["seed"] == 99
+        assert config["iters"] == 7
+        assert config["mode"] == "equality"
+        assert config["out"] == "o2"
 
     def test_file_overrides_preset(self, tmp_path):
         cfg = {"preset": "fig2", "iters": 777}
         config = parse_config(self.write(tmp_path, cfg))
-        assert config.iters == 777
-        assert config.instance == FIG2_EXPANDED["instance"]
+        assert config["iters"] == 777
+        assert config["instance"] == FIG2_EXPANDED["instance"]
 
     def test_bad_instance_source(self, tmp_path):
         cfg = self.minimal()
@@ -288,6 +288,20 @@ class TestRun:
             ),
             pytest.param(lambda doc: {**doc, "topology": None}, 1, "malformed", id="topology-null"),
             pytest.param(lambda doc: {**doc, "n": None}, 1, "malformed", id="n-null"),
+            pytest.param(lambda doc: {**doc, "n": "4"}, 1, "n must be an integer", id="n-text"),
+            pytest.param(lambda doc: {**doc, "n": 4.9}, 1, "n must be an integer", id="n-fraction"),
+            pytest.param(
+                lambda doc: {**doc, "agents": [{**agent, "d": [str(v) for v in agent["d"]]} for agent in doc["agents"]]},
+                1,
+                "agents' d must be numbers",
+                id="d-text",
+            ),
+            pytest.param(
+                lambda doc: {**doc, "topology": {**doc["topology"], "weights": ["0.25"] * len(doc["topology"]["weights"])}},
+                1,
+                "topology weights must be numbers",
+                id="weights-text",
+            ),
             pytest.param(lambda doc: {**doc, "p": 3}, 1, r"\(n, p, m\) = \(4, 3, 2\)", id="wrong-p"),
             pytest.param(lambda doc: {**doc, "m": 1}, 1, r"\(n, p, m\) = \(4, 2, 1\)", id="wrong-m"),
             pytest.param(
@@ -328,6 +342,16 @@ class TestRun:
                 id="buffer-without-omega",
             ),
             pytest.param({"instance": {"generate": {"seed": 3, "n": "four", "r_max": 8.0}}}, id="generate-text"),
+            pytest.param({"init": {"mode": "at_demand", "x0": [[1e3, 1e3]] * 4}}, id="x0-without-custom"),
+            pytest.param({"iters": 30.7}, id="iters-fraction"),
+            pytest.param({"record_every": 1.5}, id="record-every-fraction"),
+            pytest.param({"instance": {"generate": {"seed": 3.5, "n": 4, "r_max": 8.0}}}, id="seed-fraction"),
+            pytest.param({"instance": {"generate": {"seed": 3, "n": 4.9, "r_max": 8.0}}}, id="n-fraction"),
+            pytest.param(
+                {"instance": {"generate": {"seed": 3, "n": 4, "r_max": 8.0, "extra_edges": 1.2}}},
+                id="extra-edges-fraction",
+            ),
+            pytest.param({"disturbances": [{"at_iteration": 10.5, "additive": [5.0, 5.0]}]}, id="at-iteration-fraction"),
         ],
     )
     def test_config_shape_errors(self, tmp_path, capsys, edit):

@@ -6,6 +6,7 @@ import pytest
 from danyra import (
     BufferSchedule,
     HyperParams,
+    InvalidInstanceError,
     ProblemInstance,
     SpectralConstants,
     bounds_report,
@@ -97,7 +98,8 @@ class TestRecoveryIteration:
     def test_respects_zero_tolerance(self):
         tr = trace_with([1.0, 5e-13, 5e-13])
         assert recovery_iteration(tr) == 2
-        assert recovery_iteration(tr, zero_tol=0.0) is None
+        # above the 1e-12 rounding level a violation still counts
+        assert recovery_iteration(trace_with([1.0, 2e-12, 5e-13])) == 3
 
     def test_zero_buffer_decays_geometrically_without_recovering(
         self, benchmark_instance, benchmark_oracle, base_hp
@@ -111,8 +113,8 @@ class TestRecoveryIteration:
             init_mode="at_demand", x0_offset=np.array([50.0, 50.0]),
         )
         trace = run_experiment(plan, benchmark_oracle)
-        assert recovery_iteration(trace, zero_tol=0.0) is None
         v = trace.violation_l1
+        assert v[-1] > 0.0
         ratios = v[1:] / v[:-1]
         clean = v[:-1] > 1e-3  # queues re-engage once the violation is tiny
         assert clean.sum() > 50
@@ -153,12 +155,12 @@ class TestBoundsReport:
         assert report.recovery_bound_t == 0
 
     def test_gamma_domain(self):
-        # HyperParams already rejects gamma >= 1, so exercise the guard directly
-        from types import SimpleNamespace
-
-        stub = SimpleNamespace(gamma=1.0, buffer=BufferSchedule.constant(0.1))
-        with pytest.raises(ValueError):
-            bounds_report(self.sc(), stub, n=14, C_vio=1.0)
+        # the bounds divide by 1 - gamma and take log(1 - gamma); HyperParams is
+        # what keeps every gamma that reaches bounds_report inside (0, 1)
+        for gamma in (0.0, -0.2, 1.0, 1.5):
+            with pytest.raises(InvalidInstanceError, match="gamma"):
+                self.hp(0.1, gamma=gamma)
+        assert bounds_report(self.sc(), self.hp(0.1, gamma=0.999), n=14, C_vio=1e3).recovery_bound_t > 0
 
     def test_negative_violation_rejected(self):
         with pytest.raises(ValueError):

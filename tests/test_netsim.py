@@ -1,3 +1,5 @@
+import copy
+
 import numpy as np
 import pytest
 
@@ -24,13 +26,13 @@ from conftest import randomize_state
 class TestDisturbance:
     def test_zero_additive_leaves_state(self, small_instance, base_hp):
         st = randomize_state(init_state(small_instance, base_hp(), "at_demand"), seed=1)
-        before = st.copy()
+        before = copy.deepcopy(st)
         apply_disturbance(st, DisturbanceEvent(at_iteration=1, additive=np.zeros(2)))
         assert np.array_equal(st.x, before.x) and np.array_equal(st.x_prime, before.x_prime)
 
     def test_single_agent_only(self, small_instance, base_hp):
         st = init_state(small_instance, base_hp(), "at_demand")
-        before = st.copy()
+        before = copy.deepcopy(st)
         apply_disturbance(
             st, DisturbanceEvent(at_iteration=1, additive=np.array([1.0, -2.0]), agent_ids=(2,))
         )
@@ -50,7 +52,7 @@ class TestDisturbance:
 
     def test_x_only_flag(self, small_instance, base_hp):
         st = init_state(small_instance, base_hp(), "at_demand")
-        before = st.copy()
+        before = copy.deepcopy(st)
         apply_disturbance(
             st,
             DisturbanceEvent(at_iteration=1, additive=np.ones(2), perturb_x_prime=False),
@@ -171,6 +173,12 @@ class TestRunExperiment:
         far = DisturbanceEvent(at_iteration=3, additive=np.ones(2), agent_ids=(small_instance.n,))
         with pytest.raises(ConfigError, match="agent ids outside"):
             ExperimentPlan(instance=small_instance, hp=base_hp(), iters=5, disturbances=(far,))
+        # x0 is read only by the custom init, so elsewhere it is an error rather than ignored
+        x0 = np.full((small_instance.n, small_instance.p), 1e3)
+        with pytest.raises(ConfigError, match="only read by init mode 'custom', not 'at_demand'"):
+            ExperimentPlan(instance=small_instance, hp=base_hp(), iters=5, x0=x0)
+        with pytest.raises(ConfigError, match="needs x0"):
+            ExperimentPlan(instance=small_instance, hp=base_hp(), iters=5, init_mode="custom")
 
     def test_equality_mode_residual_contracts(self, base_hp):
         inst = generate_instance(101, 10, 20.0, 6)
@@ -192,4 +200,4 @@ class TestRunExperiment:
         trace = run_experiment(
             ExperimentPlan(instance=small_instance, hp=base_hp(), iters=5, init_mode="at_demand")
         )
-        assert trace.meta["wallclock_per_iteration"] > 0
+        assert trace.wallclock_per_iteration > 0

@@ -204,14 +204,15 @@ class TestTopology:
     def test_path_weights(self):
         adj = np.array([[0, 1, 0], [1, 0, 1], [0, 1, 0]], dtype=bool)
         top = metropolis_weights(adj)
-        assert top.edges == ((0, 1), (1, 2))
+        assert np.array_equal(top.edges, [[0, 1], [1, 2]])
+        assert top.edges.dtype == np.int64 and not top.edges.flags.writeable
         assert np.allclose(top.weights, [1 / 3, 1 / 3])
         assert np.allclose(np.diag(top.L), [1 / 3, 2 / 3, 1 / 3])  # 1 - w_ii
 
     def test_complete_graph(self):
         adj = ~np.eye(3, dtype=bool)
         top = metropolis_weights(adj)
-        assert top.edges == ((0, 1), (0, 2), (1, 2))
+        assert np.array_equal(top.edges, [[0, 1], [0, 2], [1, 2]])
         assert np.allclose(top.weights, 1 / 3)
         assert np.allclose(top.L, np.eye(3) - 1 / 3)
 
@@ -233,7 +234,7 @@ class TestTopology:
 
     def test_laplacian_support_is_the_edge_set(self):
         top = generate_instance(3, 8, 10.0, 4).topology
-        i, j = np.array(top.edges).T
+        i, j = top.edges.T
         assert np.all(i < j) and np.array_equal(np.argsort(i * top.n + j), np.arange(len(i)))
         assert np.array_equal(top.L[i, j], -top.weights) and np.all(top.weights > 0)
         off_edges = np.ones((top.n, top.n), dtype=bool)
@@ -250,13 +251,13 @@ class TestGenerateInstance:
 
     def test_two_agent_ring_is_single_edge(self):
         inst = generate_instance(1, 2, 2.0, 0)
-        assert inst.topology.edges == ((0, 1),)
+        assert np.array_equal(inst.topology.edges, [[0, 1]])
         assert np.array_equal(inst.topology.weights, [0.5])
 
     def test_deterministic(self):
         a = generate_instance(9, 6, 12.0, 3)
         b = generate_instance(9, 6, 12.0, 3)
-        assert a.topology.edges == b.topology.edges
+        assert np.array_equal(a.topology.edges, b.topology.edges)
         assert np.array_equal(a.topology.weights, b.topology.weights)
         for name in ("A", "d", "P", "Q"):
             assert np.array_equal(getattr(a, name), getattr(b, name))
@@ -336,6 +337,11 @@ class TestSpectralConstants:
         assert sc.ell == 2.0
 
 
+def check(report, name: str):
+    """The condition called ``name`` in a ``validate_hyperparams`` report."""
+    return next(ch for ch in report.checks if ch.name == name)
+
+
 class TestValidateHyperparams:
     def make_sc(self, ell=2.0, mu=2.0, sA=1.0, sa=1.0, sL=2.0, sl=0.5):
         from danyra import SpectralConstants
@@ -347,27 +353,27 @@ class TestValidateHyperparams:
     def test_eta_and_gamma_bounds_for_unit_conditioning(self, base_hp):
         sc = self.make_sc()
         report = validate_hyperparams(base_hp(gamma=0.2), sc)
-        eta = report.check("eta_curvature")
+        eta = check(report, "eta_curvature")
         assert eta.bound == pytest.approx(1.0) and eta.passed
-        glow = report.check("gamma_lower")
+        glow = check(report, "gamma_lower")
         assert glow.bound == pytest.approx(0.5) and not glow.passed
-        assert validate_hyperparams(base_hp(gamma=0.6), sc).check("gamma_lower").passed
+        assert check(validate_hyperparams(base_hp(gamma=0.6), sc), "gamma_lower").passed
 
     def test_benchmark_parameters_fail_gamma_but_report(self, base_hp, benchmark_constants):
         report = validate_hyperparams(base_hp(), benchmark_constants)
-        assert not report.check("gamma_lower").passed
+        assert not check(report, "gamma_lower").passed
         assert not report.all_passed
         assert len(report.checks) == 12  # report still fully produced
 
     def test_beta_above_one_third_fails(self, base_hp):
         report = validate_hyperparams(base_hp(beta=0.4), self.make_sc())
-        assert not report.check("beta_third").passed
+        assert not check(report, "beta_third").passed
 
     def test_equality_mode_adds_rate_bound_and_theta(self):
         sc = self.make_sc()
         hp = HyperParams(alpha=0.01, beta=0.05, eta=0.2, gamma=0.8)
         report = validate_hyperparams(hp, sc, EQUALITY)
-        assert report.check("alpha_linear_rate") is not None
+        assert check(report, "alpha_linear_rate") is not None
         assert report.all_passed
         assert report.theta_prime is not None and 0 < report.theta_prime < 1
 
@@ -400,20 +406,22 @@ class TestValidateHyperparams:
             )
             # each parameter's own checks compare it to bounds free of that parameter
             for name in ("alpha_decision_coupling", "alpha_network_coupling", "alpha_queue_coupling"):
-                if report.check(name).passed:
+                if check(report, name).passed:
                     half = validate_hyperparams(
                         HyperParams(alpha=hp.alpha / 2, beta=hp.beta, eta=hp.eta, gamma=hp.gamma),
                         sc,
                     )
-                    assert half.check(name).passed
-            if report.check("beta_third").passed:
-                assert validate_hyperparams(
+                    assert check(half, name).passed
+            if check(report, "beta_third").passed:
+                half = validate_hyperparams(
                     HyperParams(alpha=hp.alpha, beta=hp.beta / 2, eta=hp.eta, gamma=hp.gamma), sc
-                ).check("beta_third").passed
-            if report.check("eta_curvature").passed:
-                assert validate_hyperparams(
+                )
+                assert check(half, "beta_third").passed
+            if check(report, "eta_curvature").passed:
+                half = validate_hyperparams(
                     HyperParams(alpha=hp.alpha, beta=hp.beta, eta=hp.eta / 2, gamma=hp.gamma), sc
-                ).check("eta_curvature").passed
+                )
+                assert check(half, "eta_curvature").passed
             assert shrunk.alpha < hp.alpha  # sanity
 
 
@@ -476,7 +484,7 @@ class TestSerialization:
         text = instance_to_json(inst)
         back = instance_from_json(text)
         assert back.n == inst.n and back.p == inst.p and back.m == inst.m
-        assert back.topology.edges == inst.topology.edges
+        assert np.array_equal(back.topology.edges, inst.topology.edges)
         assert np.array_equal(back.topology.weights, inst.topology.weights)
         assert np.array_equal(back.topology.L, inst.topology.L)
         for name in ("A", "d", "P", "Q"):
@@ -485,7 +493,7 @@ class TestSerialization:
     def test_round_trip_bit_exact_above_dense_mixing(self):
         inst = generate_instance(11, DENSE_MIX_MAX_N + 1, 70.0, 2 * (DENSE_MIX_MAX_N + 1))
         back = instance_from_json(instance_to_json(inst))
-        assert back.topology.edges == inst.topology.edges
+        assert np.array_equal(back.topology.edges, inst.topology.edges)
         assert back.topology.weights.tobytes() == inst.topology.weights.tobytes()
         for name in ("A", "d", "P", "Q"):
             assert getattr(back, name).tobytes() == getattr(inst, name).tobytes(), name
@@ -499,7 +507,7 @@ class TestSerialization:
         assert set(doc) == {"n", "p", "m", "agents", "topology"}
         assert set(doc["agents"][0]) == {"P", "Q", "A", "d"}
         assert set(doc["topology"]) == {"edges", "weights"}
-        assert doc["topology"]["edges"] == [list(e) for e in inst.topology.edges]
+        assert doc["topology"]["edges"] == inst.topology.edges.tolist()
         assert len(doc["topology"]["weights"]) == len(doc["topology"]["edges"])
         assert all(isinstance(w, float) for w in doc["topology"]["weights"])
 

@@ -1,0 +1,46 @@
+"""README.md's Python examples run as written, and the package exports exactly the documented names."""
+
+import re
+import types
+from pathlib import Path
+
+import danyra
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+PUBLIC_NAMES = {
+    # engine
+    "SwarmState", "init_state", "iterate",
+    # errors
+    "ConfigError", "DanyraError", "DegenerateInstanceError", "DivergenceError", "InvalidInstanceError",
+    "ModeError", "OracleFailureError", "TopologyError", "UnsupportedProblemError",
+    # metrics
+    "BoundsReport", "bounds_report", "optimality_gap", "recovery_iteration", "slack_sum", "violation_l1",
+    # netsim
+    "DisturbanceEvent", "ExperimentPlan", "Trace", "apply_disturbance", "run_experiment",
+    # oracle
+    "OracleSolution", "solve_active_set", "solve_equality",
+    # problem
+    "EQUALITY", "INEQUALITY", "BufferSchedule", "CallableCost", "ConditionCheck", "ConditionReport",
+    "HyperParams", "ProblemInstance", "SpectralConstants", "Topology", "compute_projector",
+    "generate_instance", "instance_from_json", "instance_to_json", "metropolis_weights",
+    "spectral_constants", "validate_hyperparams",
+}
+
+
+def test_python_blocks_run(tmp_path, monkeypatch):
+    blocks = re.findall(r"^```python\n(.*?)^```", README.read_text(encoding="utf-8"), re.M | re.S)
+    assert len(blocks) >= 2
+    monkeypatch.chdir(tmp_path)
+    namespace = {"__name__": "readme"}
+    for block in blocks:  # in order: later blocks use names the earlier ones define
+        exec(compile(block, str(README), "exec"), namespace)
+
+
+def test_public_names():
+    exported = {
+        name
+        for name, value in vars(danyra).items()
+        if not name.startswith("_") and not isinstance(value, types.ModuleType)
+    }
+    assert exported == PUBLIC_NAMES
