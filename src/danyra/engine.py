@@ -10,6 +10,7 @@ iterative QP solve.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -176,14 +177,18 @@ def iterate(state: SwarmState, instance: ProblemInstance, hp: HyperParams) -> Sw
     fields = {"x": x_next, "x_prime": x_prime_next, "y": y_next, "lambda": lam_next}
     if inequality:
         fields["delta"] = delta_next
-    for name, arr in fields.items():
-        if not np.all(np.isfinite(arr)):
-            bad = sorted(set(np.nonzero(~np.isfinite(arr))[0].tolist()))
-            raise DivergenceError(
-                f"non-finite {name} at iteration {state.k} (agents {bad})",
-                k=state.k,
-                agents=bad,
-            )
+    # a non-finite entry makes the sum non-finite; only then are the fields
+    # searched (a finite sum can also overflow, and then nothing is found)
+    if not math.isfinite(sum(float(arr.sum()) for arr in fields.values())):
+        for name, arr in fields.items():
+            rows = np.nonzero(~np.isfinite(arr))[0]
+            if rows.size:
+                bad = sorted(set(rows.tolist()))
+                raise DivergenceError(
+                    f"non-finite {name} at iteration {state.k} (agents {bad})",
+                    k=state.k,
+                    agents=bad,
+                )
 
     return SwarmState(
         k=state.k + 1,

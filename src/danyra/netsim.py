@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import io
+import numbers
 import time
 from dataclasses import dataclass
 
@@ -13,6 +14,14 @@ from .errors import ConfigError
 from .metrics import optimality_gap, slack_sum, violation_l1
 from .oracle import OracleSolution
 from .problem import INEQUALITY, HyperParams, ProblemInstance
+
+
+def _whole_number(value, name: str) -> int:
+    """``value`` as an ``int``: an integer (numpy's too) or a whole float; anything else is a ConfigError."""
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        if isinstance(value, numbers.Integral) or float(value).is_integer():
+            return int(value)
+    raise ConfigError(f"{name} must be a whole number, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -34,9 +43,11 @@ class DisturbanceEvent:
         additive = np.array(self.additive, dtype=float)
         if not np.all(np.isfinite(additive)):
             raise ConfigError("disturbance vector must be finite")
-        if self.at_iteration < 1:
-            raise ConfigError(f"at_iteration must be >= 1, got {self.at_iteration}")
+        at_iteration = _whole_number(self.at_iteration, "at_iteration")
+        if at_iteration < 1:
+            raise ConfigError(f"at_iteration must be >= 1, got {at_iteration}")
         additive.setflags(write=False)
+        object.__setattr__(self, "at_iteration", at_iteration)
         object.__setattr__(self, "additive", additive)
         if self.agent_ids is not None:
             object.__setattr__(self, "agent_ids", tuple(int(i) for i in self.agent_ids))
@@ -69,10 +80,11 @@ class ExperimentPlan:
     x0_offset: np.ndarray | None = None
 
     def __post_init__(self):
-        if self.iters < 1:
-            raise ConfigError(f"iters must be >= 1, got {self.iters}")
-        if self.record_every < 1:
-            raise ConfigError(f"record_every must be >= 1, got {self.record_every}")
+        for name in ("iters", "record_every"):
+            value = _whole_number(getattr(self, name), name)
+            if value < 1:
+                raise ConfigError(f"{name} must be >= 1, got {value}")
+            object.__setattr__(self, name, value)
         n, p = self.instance.n, self.instance.p
         if self.init_mode == "custom" and self.x0 is None:
             raise ConfigError("init mode 'custom' needs x0")

@@ -12,9 +12,11 @@ operations over the whole swarm; only generic ``CallableCost`` agents are
 called one at a time.
 
 The graph is stored by edge (``Topology``), in memory and in instance files:
-generating, loading, validating and mixing over it cost O(|E|), so swarms of
-thousands of agents never allocate an n x n array unless a caller asks for the
-dense Laplacian ``L`` (``spectral_constants`` does).
+generating, loading, validating and mixing over it cost O(|E|), and above
+``DENSE_MIX_MAX_N`` agents the spectral constants come from a Lanczos run on
+the mixing, linear in n and |E| per step.  Swarms of thousands of agents never
+allocate an n x n array unless a caller asks for the dense Laplacian ``L``, or
+the spectral constants fall back to it.
 """
 
 from __future__ import annotations
@@ -55,11 +57,15 @@ class CallableCost:
         return np.asarray(self.gradient_fn(x), dtype=float)
 
 
-# At or below this many agents ``Topology.mix`` is the dense ``L @ v``; above
-# it, a segment sum over the neighbor arrays.  Per call on a ring plus 2n
+# At or below this many agents ``Topology.mix`` is the dense ``L @ v`` and
+# ``spectral_constants`` runs ``eigvalsh`` on ``L``; above it, a segment sum
+# over the neighbor arrays and Lanczos on it.  Per call on a ring plus 2n
 # chords with two columns (2-core x86, numpy 2.4), dense vs segment sum:
-# 2.0 vs 10.7 us at n=14, 10 vs 51 us at n=200, 48 vs 64 us at n=500,
-# 156 vs 94 us at n=700, 2.3 vs 0.28 ms at n=2000.
+# 2.2 vs 15 us at n=14, 11 vs 32 us at n=200, 39 vs 52 us at n=400,
+# 89 vs 61 us at n=500, 150 vs 71 us at n=600, 215 vs 76 us at n=700,
+# 3.3-3.9 vs 0.20 ms at n=2000.  The crossover is near n=450; the threshold
+# stays at 600 because moving it changes the rounding of ``mix``, and so the
+# traces, for every n in between.
 DENSE_MIX_MAX_N = 600
 
 
@@ -72,9 +78,10 @@ class Topology:
     weight of edge ``e``; the self-weight is ``w_ii = 1 - sum_j w_ij``, so
     each node's edge weights may sum to at most 1.  The dense Laplacian ``L``
     (``l_ij = -w_ij``, ``l_ii = sum_{j != i} w_ij``) is built on first access.
-    The iteration only needs :meth:`mix`, which does not read it above
-    ``DENSE_MIX_MAX_N`` agents, so there construction, validation and mixing
-    take O(n + |E|) time and memory.
+    Above ``DENSE_MIX_MAX_N`` agents, construction, validation and
+    :meth:`mix` take O(n + |E|) time and memory and never read it; nor does
+    :func:`spectral_constants`, which runs Lanczos on :meth:`mix` there and
+    builds ``L`` only when that falls back to the dense eigenvalues.
     """
 
     n: int
@@ -102,7 +109,7 @@ class Topology:
             ("weights", weights),
             ("_indptr", indptr),
             ("_cols", cols),
-            ("_csr_weights", csr_weights[:, None]),
+            ("_csr_weights", csr_weights),
             ("_laplacian_diag", np.bincount(rows, weights=csr_weights, minlength=n)[:, None]),
         ):
             object.__setattr__(self, name, value)
@@ -120,12 +127,16 @@ class Topology:
 
         Up to ``DENSE_MIX_MAX_N`` agents this is the dense product itself;
         above, a segment sum over the neighbor arrays in O(|E|) time, equal to
-        it up to the order of the floating-point sums.
+        it up to the order of the floating-point sums.  The terms are gathered
+        with ``np.take`` into a (columns, 2E) array, so each agent's neighbor
+        terms are contiguous in memory when they are summed.
         """
         if self.n <= DENSE_MIX_MAX_N:
             return self.L @ v
         flat = v.reshape(self.n, -1)
-        neighbor_sum = np.add.reduceat(self._csr_weights * flat[self._cols], self._indptr[:-1], axis=0)
+        terms = np.take(flat.T, self._cols, axis=1)
+        terms *= self._csr_weights
+        neighbor_sum = np.add.reduceat(terms, self._indptr[:-1], axis=1).T
         return (self._laplacian_diag * flat - neighbor_sum).reshape(v.shape)
 
     @cached_property
@@ -403,6 +414,48 @@ def generate_instance(seed: int, n: int, r_max: float, extra_edges: int = 0) -> 
     return ProblemInstance(A=A, d=d, P=P, Q=Q, topology=topology)
 
 
+LANCZOS_MAX_STEPS = 400
+LANCZOS_CHECK_EVERY = 10
+LANCZOS_RTOL = 1e-10
+
+
+def _lanczos_extremes(topology: Topology) -> tuple[float, float] | None:
+    """``(lambda_2, lambda_max)`` of the Laplacian by Lanczos on ``mix``, or None if it did not converge.
+
+    Lanczos with full reorthogonalization (Golub & Van Loan, *Matrix
+    Computations*, section 10.1) in the complement of ``1``: the Ritz values
+    of the tridiagonal ``T_k`` are the eigenvalues of ``L`` restricted to the
+    Krylov space, and for the Ritz pair ``(theta, s)`` the residual
+    ``|beta_k s_k|`` bounds the distance from ``theta`` to an eigenvalue.
+    """
+    n = topology.n
+    steps = min(LANCZOS_MAX_STEPS, n - 1)
+    ones = np.full(n, 1.0 / math.sqrt(n))
+    basis = np.empty((steps + 1, n))
+    alphas, betas = np.empty(steps), np.empty(steps)
+    q = np.random.default_rng(0).standard_normal(n)
+    for _ in range(2):
+        q -= (ones @ q) * ones
+    basis[0] = q / np.linalg.norm(q)
+    for k in range(steps):
+        w = topology.mix(basis[k])
+        alphas[k] = basis[k] @ w
+        done = basis[: k + 1]
+        for _ in range(2):
+            w -= done.T @ (done @ w)
+            w -= (ones @ w) * ones
+        beta = betas[k] = np.linalg.norm(w)
+        # a beta at rounding level means the Krylov space is invariant: check at once
+        if (k + 1) % LANCZOS_CHECK_EVERY == 0 or beta <= LANCZOS_RTOL * abs(alphas[k]):
+            T = np.diag(alphas[: k + 1]) + np.diag(betas[:k], 1) + np.diag(betas[:k], -1)
+            theta, s = np.linalg.eigh(T)
+            ends = theta[[0, -1]]
+            if np.all(beta * np.abs(s[-1, [0, -1]]) <= LANCZOS_RTOL * np.abs(ends)):
+                return float(ends[0]), float(ends[1])
+        basis[k + 1] = w / beta
+    return None
+
+
 @dataclass(frozen=True)
 class SpectralConstants:
     """Smoothness/convexity and coupling-spectrum constants used by the step-size checks."""
@@ -432,6 +485,24 @@ def spectral_constants(
 
     For quadratic costs ``ell = 2 max_i lambda_max(P_i)`` and
     ``mu = 2 min_i lambda_min(P_i)``; generic costs require both supplied.
+
+    ``sigma_L_min`` is the smallest nonzero eigenvalue of the Laplacian (the
+    Fiedler value ``lambda_2``: the graph is connected) and ``sigma_L_max``
+    the largest.  Up to ``DENSE_MIX_MAX_N`` agents both come from
+    ``eigvalsh`` on the dense ``L``.  Above, a Lanczos run on
+    ``Topology.mix`` finds them without ``L``: step ``k`` costs one ``mix``
+    plus O(k n) reorthogonalization, and the basis holds at most
+    ``LANCZOS_MAX_STEPS + 1`` vectors of length n.  It starts from a seeded
+    random vector orthogonal to ``1`` (the null space), keeps every basis
+    vector orthogonal to the others and to ``1`` with two Gram-Schmidt
+    passes per step, and every ``LANCZOS_CHECK_EVERY`` steps
+    stops once each extreme Ritz value ``theta`` has a residual of at most
+    ``LANCZOS_RTOL * theta``, which bounds its distance to an eigenvalue of
+    ``L``.  It stops at once on an invariant subspace (complete and star
+    graphs take one or two steps).  A graph whose ``lambda_2`` has not
+    converged after ``LANCZOS_MAX_STEPS`` steps (a bare ring or a long path,
+    whose ``lambda_2`` is tiny and crowded) falls back to the dense
+    ``eigvalsh``, so the constants are never an unconverged estimate.
     """
     if instance.quadratic:
         eigenvalues = instance._P_eigenvalues
@@ -441,15 +512,18 @@ def spectral_constants(
         raise InvalidInstanceError("generic costs require user-supplied ell and mu")
 
     singular_values = instance._A_singular_values
-    eig_L = np.linalg.eigvalsh(instance.topology.L)
-    nonzero = eig_L[eig_L > SYMMETRY_TOL]
+    topology = instance.topology
+    extremes = _lanczos_extremes(topology) if topology.n > DENSE_MIX_MAX_N else None
+    if extremes is None:
+        eig_L = np.linalg.eigvalsh(topology.L)
+        extremes = eig_L[eig_L > SYMMETRY_TOL][0], eig_L[-1]
     return SpectralConstants(
         ell=float(ell),
         mu=float(mu),
         sigma_A_max=float(singular_values.max()),
         sigma_A_min=float(singular_values.min()),
-        sigma_L_max=float(eig_L[-1]),
-        sigma_L_min=float(nonzero[0]),
+        sigma_L_max=float(extremes[1]),
+        sigma_L_min=float(extremes[0]),
     )
 
 

@@ -1,4 +1,4 @@
-"""Dense O(n^2) construction of the generated topology: what ``generate_instance`` is diffed against.
+"""Reference constructions the topology is diffed against, bit for bit.
 
 ``ring_with_chords`` lists every non-ring pair and draws chords from that
 list; ``metropolis_dense`` fills the dense weight matrix pair by pair and
@@ -6,6 +6,11 @@ derives the Laplacian from it.  ``danyra`` builds the same graph from edge
 arrays in O(|E|), and the tests require the edges, the edge weights (the
 entries of ``W`` on the edges) and ``L`` to be bit-identical for the same
 random generator.
+
+``segment_sum_mix`` is the first O(|E|) form of ``Topology.mix`` above
+``DENSE_MIX_MAX_N`` agents: a row gather into (2E, columns) terms summed
+along axis 0.  ``Topology.mix`` sums (columns, 2E) terms instead, and the
+tests require the same bits.
 """
 
 from __future__ import annotations
@@ -51,3 +56,18 @@ def metropolis_dense(adj: np.ndarray) -> tuple[tuple[tuple[int, int], ...], np.n
     np.fill_diagonal(L, 0.0)
     np.fill_diagonal(L, -L.sum(axis=1))
     return tuple(edges), W, L
+
+
+def segment_sum_mix(topology, v: np.ndarray) -> np.ndarray:
+    """``L @ v`` as a segment sum over neighbor arrays rebuilt from ``topology.edges``, rows gathered."""
+    n, edges = topology.n, topology.edges
+    rows = np.concatenate([edges[:, 0], edges[:, 1]])
+    cols = np.concatenate([edges[:, 1], edges[:, 0]])
+    order = np.argsort(rows * n + cols)
+    rows, cols = rows[order], cols[order]
+    weights = np.concatenate([topology.weights, topology.weights])[order][:, None]
+    starts = np.searchsorted(rows, np.arange(n))
+    diagonal = np.bincount(rows, weights=weights[:, 0], minlength=n)[:, None]
+    flat = v.reshape(n, -1)
+    neighbor_sum = np.add.reduceat(weights * flat[cols], starts, axis=0)
+    return (diagonal * flat - neighbor_sum).reshape(v.shape)

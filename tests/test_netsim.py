@@ -179,6 +179,22 @@ class TestRunExperiment:
             ExperimentPlan(instance=small_instance, hp=base_hp(), iters=5, x0=x0)
         with pytest.raises(ConfigError, match="needs x0"):
             ExperimentPlan(instance=small_instance, hp=base_hp(), iters=5, init_mode="custom")
+        # iteration numbers are whole: a fraction would never fire, or skip recorded rows
+        with pytest.raises(ConfigError, match="at_iteration must be a whole number, got 10.5"):
+            DisturbanceEvent(at_iteration=10.5, additive=np.ones(2))
+        with pytest.raises(ConfigError, match="iters must be a whole number, got 10.5"):
+            ExperimentPlan(instance=small_instance, hp=base_hp(), iters=10.5)
+        with pytest.raises(ConfigError, match="record_every must be a whole number, got 1.5"):
+            ExperimentPlan(instance=small_instance, hp=base_hp(), iters=10, record_every=1.5)
+        for bad in (True, "3", None, float("inf"), float("nan")):
+            with pytest.raises(ConfigError, match="whole number"):
+                ExperimentPlan(instance=small_instance, hp=base_hp(), iters=10, record_every=bad)
+        event = DisturbanceEvent(at_iteration=np.int64(3), additive=np.ones(2))
+        plan = ExperimentPlan(
+            instance=small_instance, hp=base_hp(), iters=np.int32(10), record_every=2.0, disturbances=(event,)
+        )
+        assert type(event.at_iteration) is type(plan.iters) is type(plan.record_every) is int
+        assert run_experiment(plan).ks.tolist() == [2, 4, 6, 8, 10]
 
     def test_equality_mode_residual_contracts(self, base_hp):
         inst = generate_instance(101, 10, 20.0, 6)

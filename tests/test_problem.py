@@ -27,6 +27,22 @@ def path_topology(n):
     return Topology(n=n, edges=[(i, i + 1) for i in range(n - 1)], weights=np.full(n - 1, 1 / 3))
 
 
+def star_topology(n):
+    return Topology(n=n, edges=[(0, j) for j in range(1, n)], weights=np.full(n - 1, 1 / n))
+
+
+def complete_topology(n):
+    i, j = np.triu_indices(n, 1)
+    return Topology(n=n, edges=np.stack([i, j], axis=1), weights=np.full(len(i), 1 / n))
+
+
+def identity_instance(topology):
+    """Agents with ``A = P = I`` (2 x 2) and zero ``d``/``Q`` on ``topology``: only its spectrum matters."""
+    eye = np.tile(np.eye(2), (topology.n, 1, 1))
+    zeros = np.zeros((topology.n, 2))
+    return ProblemInstance(A=eye, d=zeros, P=eye, Q=zeros, topology=topology)
+
+
 def single_agent(P, Q, A=None, d=None):
     """A one-agent instance with the quadratic cost ``x'Px - Q'x``."""
     P = np.asarray(P, dtype=float)
@@ -316,6 +332,38 @@ class TestSpectralConstants:
         eig = np.linalg.eigvalsh(big)
         assert sc.sigma_L_max == pytest.approx(eig[-1], rel=1e-10)
         assert sc.sigma_L_min == pytest.approx(eig[eig > 1e-8].min(), rel=1e-8)
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: generate_instance(5, DENSE_MIX_MAX_N + 1, 10.0, 2 * (DENSE_MIX_MAX_N + 1)),
+            lambda: generate_instance(1534, 2000, 70.0, 4000),
+            lambda: identity_instance(star_topology(700)),
+            lambda: identity_instance(complete_topology(700)),
+        ],
+        ids=["ring-plus-chords-601", "ring-plus-chords-2000", "star-700", "complete-700"],
+    )
+    def test_lanczos_matches_dense_eigenvalues(self, make):
+        inst = make()
+        sc = spectral_constants(inst)
+        assert "L" not in vars(inst.topology)  # Lanczos converged; the dense Laplacian was never built
+        eig = np.linalg.eigvalsh(inst.topology.L)
+        assert sc.sigma_L_min == pytest.approx(eig[1], rel=1e-10, abs=0)
+        assert sc.sigma_L_max == pytest.approx(eig[-1], rel=1e-10, abs=0)
+        assert spectral_constants(inst) == sc  # seeded start: the same bits on every call
+
+    @pytest.mark.parametrize(
+        "make",
+        [lambda: generate_instance(1, 1000, 10.0, 0).topology, lambda: path_topology(1000)],
+        ids=["ring-1000", "path-1000"],
+    )
+    def test_unconverged_lanczos_falls_back_to_dense_eigenvalues(self, make):
+        top = make()
+        sc = spectral_constants(identity_instance(top))
+        assert "L" in vars(top)  # lambda_2 ~ 1e-5 is not resolved in 400 steps
+        eig = np.linalg.eigvalsh(top.L)
+        assert sc.sigma_L_min == eig[eig > 1e-12][0]
+        assert sc.sigma_L_max == eig[-1]
 
     def test_ordering_invariants(self):
         for seed in range(5):

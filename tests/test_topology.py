@@ -16,11 +16,12 @@ from danyra import (
     instance_to_json,
     iterate,
     metropolis_weights,
+    spectral_constants,
 )
 from danyra.problem import DENSE_MIX_MAX_N
 
 from reference_agents import agent_stacks
-from reference_topology import metropolis_dense, ring_with_chords
+from reference_topology import metropolis_dense, ring_with_chords, segment_sum_mix
 
 
 def _bits(a: np.ndarray) -> bytes:
@@ -70,9 +71,23 @@ def test_mix_matches_dense_laplacian(n, extra):
         assert np.max(np.abs(mixed - top.L @ v)) <= 1e-12
 
 
+@pytest.mark.parametrize("n", [DENSE_MIX_MAX_N + 1, 2000])
+@pytest.mark.parametrize("graph", ["ring plus chords", "star"])
+def test_mix_bit_identical_to_row_gather_segment_sum(n, graph):
+    if graph == "star":
+        top = Topology(n=n, edges=[(0, j) for j in range(1, n)], weights=np.full(n - 1, 1.0 / n))
+    else:
+        top = generate_instance(7, n, 10.0, 2 * n).topology
+    rng = np.random.default_rng(n)
+    for shape in [(n,), (n, 1), (n, 2), (n, 3)]:
+        v = rng.standard_normal(shape)
+        assert _bits(top.mix(v)) == _bits(segment_sum_mix(top, v)), shape
+
+
 def test_large_instance_iterates_without_dense_matrices():
     inst = generate_instance(1534, 2000, 70.0, 4000)
     hp = HyperParams(alpha=0.01, beta=0.02, eta=0.1, gamma=0.2)
+    spectral_constants(inst)
     iterate(init_state(inst, hp), inst, hp)
     assert "L" not in vars(inst.topology)
 
