@@ -370,7 +370,7 @@ def _run_single(config, instance, oracle, sc, report, buffer, out_dir: Path) -> 
         x0=plan.x0,
         x0_offset=plan.x0_offset,
     )
-    initial_violation = violation_l1(instance, initial.x)
+    initial_violation = violation_l1(instance, initial)
     trace = run_experiment(plan, oracle)
 
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -6,12 +6,19 @@ x', the auxiliary y, and (inequality mode) the queue delta; mix the new y;
 update the dual lambda; project x' onto the per-agent affine target set.
 The projection is closed-form (``x = x' + A'(AA')^{-1}(b - Ax')``), never an
 iterative QP solve.
+
+A state carries the coupling products ``A_i x_i`` and ``A_i x'_i`` next to the
+decisions, so each product is computed once: ``iterate`` computes both for the
+state it returns and reads them from the state it is given, and the recorded
+violation and slack read ``Ax``.  A state's arrays are read-only and its
+fields cannot be reassigned, so a product cannot go stale; a state with other
+values is built with :meth:`SwarmState.build`, which recomputes them.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -19,9 +26,18 @@ from .errors import DivergenceError, InvalidInstanceError, ModeError
 from .problem import EQUALITY, INEQUALITY, HyperParams, ProblemInstance
 
 
-@dataclass
+@dataclasses.dataclass(frozen=True)
 class SwarmState:
-    """All agents' iterates at step ``k`` (stacked row-wise)."""
+    """All agents' iterates at step ``k`` (stacked row-wise), with their coupling products.
+
+    ``Ax[i] = A_i x_i`` and ``Ax_prime[i] = A_i x'_i``.  The constructor makes
+    every array read-only and the fields cannot be reassigned, so an in-place
+    ``state.x += ...`` raises instead of leaving the products stale.
+    :meth:`build` (used by ``init_state``, ``from_dict`` and
+    ``apply_disturbance``) copies the given iterates and computes the
+    products; ``iterate`` passes the products it has just computed to the
+    constructor directly.
+    """
 
     k: int
     mode: str
@@ -30,12 +46,68 @@ class SwarmState:
     y: np.ndarray        # (n, m)
     lam: np.ndarray      # (n, m)
     delta: np.ndarray | None  # (n, m) in inequality mode
+    Ax: np.ndarray       # (n, m)
+    Ax_prime: np.ndarray  # (n, m)
+
+    def __post_init__(self):
+        for arr in (self.x, self.x_prime, self.y, self.lam, self.delta, self.Ax, self.Ax_prime):
+            if arr is not None:
+                arr.setflags(write=False)
+
+    def __reduce__(self):
+        # copies and pickles are rebuilt through the constructor, so their arrays are read-only too
+        return type(self), tuple(getattr(self, f.name) for f in dataclasses.fields(self))
 
     @property
     def n(self) -> int:
         return self.x.shape[0]
 
+    @classmethod
+    def build(
+        cls,
+        instance: ProblemInstance,
+        *,
+        k: int,
+        mode: str,
+        x,
+        x_prime,
+        y,
+        lam,
+        delta,
+    ) -> "SwarmState":
+        """A state from copies of the given iterates, with ``Ax`` and ``Ax_prime`` computed from them.
+
+        The mode must be known and carry a queue exactly in inequality mode,
+        and every array must have its (n, p) or (n, m) shape.
+        """
+        if mode not in (INEQUALITY, EQUALITY):
+            raise ModeError(f"unknown mode {mode!r}")
+        if mode == INEQUALITY and delta is None:
+            raise ModeError("inequality mode needs a queue delta")
+        if mode == EQUALITY and delta is not None:
+            raise ModeError("equality mode has no queue delta")
+        n, m, p = instance.A.shape
+        arrays = {}
+        for name, value, shape in (
+            ("x", x, (n, p)),
+            ("x_prime", x_prime, (n, p)),
+            ("y", y, (n, m)),
+            ("lam", lam, (n, m)),
+            ("delta", delta, (n, m)),
+        ):
+            arr = arrays[name] = None if value is None else np.array(value, dtype=float)
+            if arr is not None and arr.shape != shape:
+                raise ValueError(f"{name} must have shape {shape}, got {arr.shape}")
+        return cls(
+            k=int(k),
+            mode=mode,
+            **arrays,
+            Ax=np.einsum("nmp,np->nm", instance.A, arrays["x"]),
+            Ax_prime=np.einsum("nmp,np->nm", instance.A, arrays["x_prime"]),
+        )
+
     def to_dict(self) -> dict:
+        """The iterates as JSON-ready lists; the products are not stored (``from_dict`` recomputes them)."""
         return {
             "k": self.k,
             "mode": self.mode,
@@ -47,23 +119,17 @@ class SwarmState:
         }
 
     @classmethod
-    def from_dict(cls, data: dict) -> "SwarmState":
-        """Rebuild a state; the mode must be known and carry a queue exactly in inequality mode."""
-        mode, delta = data["mode"], data.get("delta")
-        if mode not in (INEQUALITY, EQUALITY):
-            raise ModeError(f"unknown mode {mode!r}")
-        if mode == INEQUALITY and delta is None:
-            raise ModeError("inequality mode needs a queue delta")
-        if mode == EQUALITY and delta is not None:
-            raise ModeError("equality mode has no queue delta")
-        return cls(
-            k=int(data["k"]),
-            mode=mode,
-            x=np.array(data["x"], dtype=float),
-            x_prime=np.array(data["x_prime"], dtype=float),
-            y=np.array(data["y"], dtype=float),
-            lam=np.array(data["lam"], dtype=float),
-            delta=None if delta is None else np.array(delta, dtype=float),
+    def from_dict(cls, data: dict, instance: ProblemInstance) -> "SwarmState":
+        """Rebuild a state of ``instance`` through :meth:`build`."""
+        return cls.build(
+            instance,
+            k=data["k"],
+            mode=data["mode"],
+            x=data["x"],
+            x_prime=data["x_prime"],
+            y=data["y"],
+            lam=data["lam"],
+            delta=data.get("delta"),
         )
 
 
@@ -90,7 +156,7 @@ def init_state(
 
     if init_mode == "at_demand":
         if p == m:
-            x = instance.d.copy()
+            x = instance.d
         else:
             x = np.einsum("npm,nm->np", instance.projector_stack, instance.d)
     elif init_mode == "zero":
@@ -114,14 +180,8 @@ def init_state(
     if mode == INEQUALITY:
         delta = np.full((n, m), max(0.0, hp.buffer.value(0)))
 
-    return SwarmState(
-        k=0,
-        mode=mode,
-        x=x,
-        x_prime=x.copy(),
-        y=np.zeros((n, m)),
-        lam=np.zeros((n, m)),
-        delta=delta,
+    return SwarmState.build(
+        instance, k=0, mode=mode, x=x, x_prime=x, y=np.zeros((n, m)), lam=np.zeros((n, m)), delta=delta
     )
 
 
@@ -134,52 +194,100 @@ def iterate(state: SwarmState, instance: ProblemInstance, hp: HyperParams) -> Sw
     the edges at each agent only, O(|E|) per sub-round.  Each local update is
     one array operation over all agents' rows, and row ``i`` reads only agent
     ``i``'s iterates and mixed messages, as in the distributed algorithm.
+
+    ``A_i x_i`` and ``A_i x'_i`` are read from the state, and the returned
+    state carries the new ones, so each product is computed once per
+    iteration.  The updates run in place on arrays allocated here: each step
+    is one operation of the expression in the comment above it, on the same
+    operands (IEEE sums and products are commutative), so every rounding is
+    that of the expression.
     """
     A, d, mix = instance.A, instance.d, instance.topology.mix
     alpha, beta, eta, gamma = hp.alpha, hp.beta, hp.eta, hp.gamma
     inequality = state.mode == INEQUALITY
-    x, x_prime, y, lam, delta = state.x, state.x_prime, state.y, state.lam, state.delta
+    x_prime, y, lam, delta = state.x_prime, state.y, state.lam, state.delta
+    Ax, Ax_prime = state.Ax, state.Ax_prime
+    n, _, p = A.shape
+    if x_prime.shape != (n, p):
+        raise ValueError(f"x must have shape ({n}, {p}), got {x_prime.shape}")
 
-    # sub-round 1: mix duals and auxiliaries from the k-snapshot, then form z
+    # sub-round 1: mix duals and auxiliaries from the k-snapshot, then form
+    # z = A x' + y_bar (+ delta) and the gradient 2 P x' - Q
     lambda_bar = mix(lam)
     y_bar = mix(y)
-    z = np.einsum("nmp,np->nm", A, x_prime) + y_bar
+    z = Ax_prime + y_bar
     if inequality:
-        z = z + delta
-    grad = instance.gradient(x_prime)
+        z += delta
+    hessian = instance.hessian_stack
+    if hessian is None:
+        grad = instance.gradient(x_prime)
+    else:
+        grad = np.einsum("nij,nj->ni", hessian, x_prime)
+        grad -= instance.Q
 
     # sub-round 2: mix z; primal, auxiliary and queue updates
+    #   x'_next = x' - alpha (grad + A'v) with v = z - d + lam
+    #   y_next = y - alpha (z_bar + lambda_bar)
+    #   delta_next = max(delta - alpha v, omega_k)
     z_bar = mix(z)
-    v = z - d + lam
-    x_prime_next = x_prime - alpha * (grad + np.einsum("nmp,nm->np", A, v))
-    y_next = y - alpha * (z_bar + lambda_bar)
-    delta_next = np.maximum(delta - alpha * v, hp.buffer.value(state.k)) if inequality else None
+    v = z - d
+    v += lam
+    primal_step = np.einsum("nmp,nm->np", A, v)
+    primal_step += grad
+    primal_step *= alpha
+    x_prime_next = x_prime - primal_step
+    z_bar += lambda_bar
+    z_bar *= alpha
+    y_next = y - z_bar
+    delta_next = None
+    if inequality:
+        v *= alpha
+        delta_next = delta - v
+        np.maximum(delta_next, hp.buffer.value(state.k), out=delta_next)
 
     # sub-round 3: mix the new auxiliaries; dual update and projection
+    #   lam_next = lam + beta (z_next - d - eta A (A'lam + grad))
+    #   with z_next = A x'_next + y_bar_next (+ delta_next)
     y_bar_next = mix(y_next)
     Ax_prime_next = np.einsum("nmp,np->nm", A, x_prime_next)
-    z_next = Ax_prime_next + y_bar_next
+    lam_next = Ax_prime_next + y_bar_next
     if inequality:
-        z_next = z_next + delta_next
+        lam_next += delta_next
     At_lam = np.einsum("nmp,nm->np", A, lam)
-    lam_next = lam + beta * (z_next - d - eta * np.einsum("nmp,np->nm", A, At_lam + grad))
-    Ax = np.einsum("nmp,np->nm", A, x)
-    if inequality:
-        b = (
-            Ax
-            - gamma * (Ax + y_bar_next + delta_next - d)
-            + (1.0 - gamma) * (delta - delta_next)
-        )
-    else:
-        b = Ax - gamma * (Ax + y_bar_next - d)
-    x_next = x_prime_next + np.einsum("npm,nm->np", instance.projector_stack, b - Ax_prime_next)
+    At_lam += grad
+    damping = np.einsum("nmp,np->nm", A, At_lam)
+    damping *= eta
+    lam_next -= d
+    lam_next -= damping
+    lam_next *= beta
+    lam_next += lam
 
-    fields = {"x": x_next, "x_prime": x_prime_next, "y": y_next, "lambda": lam_next}
+    #   b = Ax - gamma (Ax + y_bar_next (+ delta_next) - d) (+ (1 - gamma)(delta - delta_next))
+    #   x_next = x'_next + A'(AA')^{-1} (b - A x'_next)
+    pull = Ax + y_bar_next
     if inequality:
-        fields["delta"] = delta_next
+        pull += delta_next
+    pull -= d
+    pull *= gamma
+    b = Ax - pull
+    if inequality:
+        queue_release = delta - delta_next
+        queue_release *= 1.0 - gamma
+        b += queue_release
+    b -= Ax_prime_next
+    x_next = np.einsum("npm,nm->np", instance.projector_stack, b)
+    x_next += x_prime_next
+    Ax_next = np.einsum("nmp,np->nm", A, x_next)
+
     # a non-finite entry makes the sum non-finite; only then are the fields
     # searched (a finite sum can also overflow, and then nothing is found)
-    if not math.isfinite(sum(float(arr.sum()) for arr in fields.values())):
+    total = float(x_next.sum()) + float(x_prime_next.sum()) + float(y_next.sum()) + float(lam_next.sum())
+    if inequality:
+        total += float(delta_next.sum())
+    if not math.isfinite(total):
+        fields = {"x": x_next, "x_prime": x_prime_next, "y": y_next, "lambda": lam_next}
+        if inequality:
+            fields["delta"] = delta_next
         for name, arr in fields.items():
             rows = np.nonzero(~np.isfinite(arr))[0]
             if rows.size:
@@ -198,5 +306,6 @@ def iterate(state: SwarmState, instance: ProblemInstance, hp: HyperParams) -> Sw
         y=y_next,
         lam=lam_next,
         delta=delta_next,
+        Ax=Ax_next,
+        Ax_prime=Ax_prime_next,
     )
-

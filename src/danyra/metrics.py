@@ -7,17 +7,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .engine import SwarmState
 from .oracle import OracleSolution
 from .problem import HyperParams, ProblemInstance, SpectralConstants
 
 ZERO_VIOLATION_TOL = 1e-12
 
 
-def violation_l1(instance: ProblemInstance, x: np.ndarray) -> float:
-    """1-norm of the positive part of ``sum_i (A_i x_i - d_i)``."""
-    x = np.asarray(x, dtype=float).reshape(instance.n, instance.p)
-    total = np.einsum("nmp,np->nm", instance.A, x).sum(axis=0) - instance.demand_total
-    return float(np.sum(np.maximum(total, 0.0)))
+def violation_l1(instance: ProblemInstance, state: SwarmState) -> float:
+    """1-norm of the positive part of ``sum_i (A_i x_i - d_i)``, from the state's ``Ax``."""
+    total = state.Ax.sum(axis=0) - instance.demand_total
+    np.maximum(total, 0.0, out=total)
+    return float(total.sum())
 
 
 def optimality_gap(x: np.ndarray, oracle: OracleSolution) -> float:
@@ -26,12 +27,11 @@ def optimality_gap(x: np.ndarray, oracle: OracleSolution) -> float:
     return float(diff @ diff)
 
 
-def slack_sum(instance: ProblemInstance, x: np.ndarray, delta: np.ndarray | None) -> np.ndarray:
-    """``sum_i (A_i x_i + delta_i - d_i)``; contracts by (1 - gamma) each iteration."""
-    x = np.asarray(x, dtype=float).reshape(instance.n, instance.p)
-    total = np.einsum("nmp,np->nm", instance.A, x).sum(axis=0) - instance.demand_total
-    if delta is not None:
-        total = total + np.asarray(delta, dtype=float).reshape(instance.n, instance.m).sum(axis=0)
+def slack_sum(instance: ProblemInstance, state: SwarmState) -> np.ndarray:
+    """``sum_i (A_i x_i + delta_i - d_i)`` from the state's ``Ax``; contracts by (1 - gamma) each iteration."""
+    total = state.Ax.sum(axis=0) - instance.demand_total
+    if state.delta is not None:
+        total += state.delta.sum(axis=0)
     return total
 
 

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import io
 import numbers
 import time
 from dataclasses import dataclass
@@ -53,16 +52,19 @@ class DisturbanceEvent:
             object.__setattr__(self, "agent_ids", tuple(int(i) for i in self.agent_ids))
 
 
-def apply_disturbance(state: SwarmState, event: DisturbanceEvent) -> SwarmState:
-    """Shift targeted agents' decisions in place; all other fields untouched."""
+def apply_disturbance(state: SwarmState, instance: ProblemInstance, event: DisturbanceEvent) -> SwarmState:
+    """The state with the targeted agents' decisions shifted and its products recomputed; all other fields kept."""
     ids = range(state.n) if event.agent_ids is None else event.agent_ids
+    x, x_prime = state.x.copy(), state.x_prime.copy()
     for i in ids:
         if not 0 <= i < state.n:
             raise ConfigError(f"unknown agent id {i}")
-        state.x[i] += event.additive
+        x[i] += event.additive
         if event.perturb_x_prime:
-            state.x_prime[i] += event.additive
-    return state
+            x_prime[i] += event.additive
+    return SwarmState.build(
+        instance, k=state.k, mode=state.mode, x=x, x_prime=x_prime, y=state.y, lam=state.lam, delta=state.delta
+    )
 
 
 @dataclass(frozen=True)
@@ -106,6 +108,11 @@ class ExperimentPlan:
                 raise ConfigError(f"disturbance at iteration {ev.at_iteration}: agent ids outside 0..{n - 1}")
 
 
+# Rows of ``Trace.csv_text`` formatted at once: large enough that the per-block
+# overhead vanishes, small enough that the block's strings stay near 100 kB.
+CSV_BLOCK_ROWS = 1000
+
+
 @dataclass
 class Trace:
     """Recorded per-iteration metrics, plus the run's timing and last state.
@@ -131,19 +138,25 @@ class Trace:
         return float(self.violation_l1[-1])
 
     def csv_text(self) -> str:
+        """The trace as CSV: one line per recorded row, floats in ``.17g`` (round-trip exact).
+
+        Each column is formatted from Python floats (``tolist``), a block of
+        ``CSV_BLOCK_ROWS`` rows at a time so the formatted strings of only one
+        block are alive at once.
+        """
         m = self.slack.shape[1]
-        buf = io.StringIO()
-        cols = ["k"] + (["gap"] if self.gap is not None else [])
-        cols += ["violation_l1"] + [f"slack_{j}" for j in range(m)]
-        buf.write(",".join(cols) + "\n")
-        for idx, k in enumerate(self.ks):
-            row = [str(int(k))]
-            if self.gap is not None:
-                row.append(f"{self.gap[idx]:.17g}")
-            row.append(f"{self.violation_l1[idx]:.17g}")
-            row.extend(f"{v:.17g}" for v in self.slack[idx])
-            buf.write(",".join(row) + "\n")
-        return buf.getvalue()
+        header = ["k"] + (["gap"] if self.gap is not None else [])
+        header += ["violation_l1"] + [f"slack_{j}" for j in range(m)]
+        ks = np.asarray(self.ks)
+        floats = [] if self.gap is None else [np.asarray(self.gap)]
+        floats += [np.asarray(self.violation_l1), *np.asarray(self.slack).T]
+        blocks = [",".join(header) + "\n"]
+        for start in range(0, len(ks), CSV_BLOCK_ROWS):
+            rows = slice(start, start + CSV_BLOCK_ROWS)
+            columns = [[str(int(k)) for k in ks[rows].tolist()]]
+            columns += [[f"{v:.17g}" for v in col[rows].tolist()] for col in floats]
+            blocks.append("".join(",".join(row) + "\n" for row in zip(*columns)))
+        return "".join(blocks)
 
     def to_csv(self, path) -> None:
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
@@ -178,14 +191,15 @@ def run_experiment(plan: ExperimentPlan, oracle_solution: OracleSolution | None 
     gaps: list[float] | None = [] if oracle_solution is not None else None
 
     start = time.perf_counter()
-    for _ in range(plan.iters):
+    iters, record_every = plan.iters, plan.record_every
+    for _ in range(iters):
         for ev in events.get(state.k, ()):
-            apply_disturbance(state, ev)
+            state = apply_disturbance(state, instance, ev)
         state = iterate(state, instance, hp)
-        if state.k % plan.record_every == 0 or state.k == plan.iters:
+        if state.k % record_every == 0 or state.k == iters:
             ks.append(state.k)
-            viols.append(violation_l1(instance, state.x))
-            slacks.append(slack_sum(instance, state.x, state.delta))
+            viols.append(violation_l1(instance, state))
+            slacks.append(slack_sum(instance, state))
             if gaps is not None:
                 gaps.append(optimality_gap(state.x, oracle_solution))
     elapsed = time.perf_counter() - start

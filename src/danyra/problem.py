@@ -313,6 +313,15 @@ class ProblemInstance:
         return out
 
     @cached_property
+    def hessian_stack(self) -> np.ndarray | None:
+        """Per-agent ``2 P_i``, the quadratic costs' Hessians, as (n, p, p); None for generic costs."""
+        if self.P is None:
+            return None
+        out = 2.0 * self.P
+        out.setflags(write=False)
+        return out
+
+    @cached_property
     def demand_total(self) -> np.ndarray:
         """``sum_i d_i``, the right-hand side of the coupled constraint."""
         out = self.d.sum(axis=0)
@@ -336,7 +345,7 @@ class ProblemInstance:
         """Every agent's cost gradient at the rows of ``x`` (``2 P_i x_i - Q_i`` for quadratics)."""
         x = self._rows(x)
         if self.costs is None:
-            return 2.0 * np.einsum("nij,nj->ni", self.P, x) - self.Q
+            return np.einsum("nij,nj->ni", self.hessian_stack, x) - self.Q
         return np.stack([f.gradient(xi) for f, xi in zip(self.costs, x)])
 
 
@@ -440,11 +449,21 @@ def _lanczos_extremes(topology: Topology) -> tuple[float, float] | None:
     for k in range(steps):
         w = topology.mix(basis[k])
         alphas[k] = basis[k] @ w
+        # three-term recurrence, then one Gram-Schmidt pass against the basis
+        # and 1; a second pass only if the first removed most of the vector
+        # (norm below 1/sqrt(2) of what it was: "twice is enough")
+        w -= alphas[k] * basis[k]
+        if k:
+            w -= betas[k - 1] * basis[k - 1]
         done = basis[: k + 1]
         for _ in range(2):
+            before = np.linalg.norm(w)
             w -= done.T @ (done @ w)
             w -= (ones @ w) * ones
-        beta = betas[k] = np.linalg.norm(w)
+            beta = np.linalg.norm(w)
+            if beta >= before / math.sqrt(2.0):
+                break
+        betas[k] = beta
         # a beta at rounding level means the Krylov space is invariant: check at once
         if (k + 1) % LANCZOS_CHECK_EVERY == 0 or beta <= LANCZOS_RTOL * abs(alphas[k]):
             T = np.diag(alphas[: k + 1]) + np.diag(betas[:k], 1) + np.diag(betas[:k], -1)
@@ -494,8 +513,10 @@ def spectral_constants(
     plus O(k n) reorthogonalization, and the basis holds at most
     ``LANCZOS_MAX_STEPS + 1`` vectors of length n.  It starts from a seeded
     random vector orthogonal to ``1`` (the null space), keeps every basis
-    vector orthogonal to the others and to ``1`` with two Gram-Schmidt
-    passes per step, and every ``LANCZOS_CHECK_EVERY`` steps
+    vector orthogonal to the others and to ``1`` with one Gram-Schmidt pass
+    after the three-term recurrence (a second only when the first shrinks
+    the vector below ``1/sqrt(2)`` of its norm, the Kahan-Parlett test; on
+    ring-plus-chord graphs it never does), and every ``LANCZOS_CHECK_EVERY`` steps
     stops once each extreme Ritz value ``theta`` has a residual of at most
     ``LANCZOS_RTOL * theta``, which bounds its distance to an eigenvalue of
     ``L``.  It stops at once on an invariant subspace (complete and star

@@ -2,8 +2,11 @@ import numpy as np
 import pytest
 
 from danyra import (
+    EQUALITY,
+    INEQUALITY,
     BufferSchedule,
     HyperParams,
+    SwarmState,
     generate_instance,
     solve_active_set,
     spectral_constants,
@@ -41,13 +44,28 @@ def small_instance():
     return generate_instance(77, 5, 10.0, 2)
 
 
-def randomize_state(state, seed=0, delta_low=0.1):
+def rebuild(instance, state, **changes):
+    """``state`` with some iterates replaced; states are read-only, so this builds a new one."""
+    fields = {name: getattr(state, name) for name in ("k", "mode", "x", "x_prime", "y", "lam", "delta")}
+    return SwarmState.build(instance, **{**fields, **changes})
+
+
+def state_at(instance, x, delta=None):
+    """A state whose decisions are ``x`` (with queue ``delta`` in inequality mode), for the metrics."""
+    zeros = np.zeros((instance.n, instance.m))
+    mode = EQUALITY if delta is None else INEQUALITY
+    return SwarmState.build(instance, k=0, mode=mode, x=x, x_prime=x, y=zeros, lam=zeros, delta=delta)
+
+
+def randomize_state(instance, state, seed=0, delta_low=0.1):
     """Push a state away from its init deterministically (for exercise tests)."""
     rng = np.random.default_rng(seed)
-    state.x += rng.normal(size=state.x.shape)
-    state.x_prime += rng.normal(size=state.x_prime.shape)
-    state.y += rng.normal(size=state.y.shape)
-    state.lam += rng.normal(size=state.lam.shape)
+    changes = {
+        "x": state.x + rng.normal(size=state.x.shape),
+        "x_prime": state.x_prime + rng.normal(size=state.x_prime.shape),
+        "y": state.y + rng.normal(size=state.y.shape),
+        "lam": state.lam + rng.normal(size=state.lam.shape),
+    }
     if state.delta is not None:
-        state.delta += rng.uniform(delta_low, 1.0, size=state.delta.shape)
-    return state
+        changes["delta"] = state.delta + rng.uniform(delta_low, 1.0, size=state.delta.shape)
+    return rebuild(instance, state, **changes)

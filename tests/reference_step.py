@@ -7,10 +7,19 @@ first two communication sub-rounds over the whole swarm.  ``danyra.iterate``
 computes the same step batched over all agents, and the tests require the two
 to agree to rounding; ``state_difference`` measures how far apart two states
 are.
+
+``reference_iterate`` is the batched step as it was before states carried the
+coupling products ``A x`` and ``A x'``: it recomputes both each iteration,
+allocates a new array for every operation, and returns a plain
+``ReferenceState``.  ``reference_violation_l1``, ``reference_slack_sum`` and
+``reference_disturb`` are the metric formulas and the in-place disturbance
+of the same version.  The tests require ``danyra.iterate``, the carried
+products and the recorded metrics to reproduce them bit for bit.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -218,3 +227,117 @@ def state_difference(a: SwarmState, b: SwarmState) -> float:
     if a.delta is not None and b.delta is not None:
         parts.append(a.delta - b.delta)
     return max(float(np.max(np.abs(p), initial=0.0)) for p in parts)
+
+
+@dataclass
+class ReferenceState:
+    """The iterates ``reference_iterate`` reads and returns, without coupling products."""
+
+    k: int
+    mode: str
+    x: np.ndarray
+    x_prime: np.ndarray
+    y: np.ndarray
+    lam: np.ndarray
+    delta: np.ndarray | None
+
+
+def reference_iterate(state, instance: ProblemInstance, hp: HyperParams) -> ReferenceState:
+    """The batched step before the products were carried.
+
+    Verbatim apart from its return type and the quadratic gradient, which is
+    written out as ``ProblemInstance.gradient`` computed it then.
+    """
+    A, d, mix = instance.A, instance.d, instance.topology.mix
+    alpha, beta, eta, gamma = hp.alpha, hp.beta, hp.eta, hp.gamma
+    inequality = state.mode == INEQUALITY
+    x, x_prime, y, lam, delta = state.x, state.x_prime, state.y, state.lam, state.delta
+
+    # sub-round 1: mix duals and auxiliaries from the k-snapshot, then form z
+    lambda_bar = mix(lam)
+    y_bar = mix(y)
+    z = np.einsum("nmp,np->nm", A, x_prime) + y_bar
+    if inequality:
+        z = z + delta
+    if instance.quadratic:  # ProblemInstance.gradient's formula of that version
+        grad = 2.0 * np.einsum("nij,nj->ni", instance.P, x_prime) - instance.Q
+    else:
+        grad = instance.gradient(x_prime)
+
+    # sub-round 2: mix z; primal, auxiliary and queue updates
+    z_bar = mix(z)
+    v = z - d + lam
+    x_prime_next = x_prime - alpha * (grad + np.einsum("nmp,nm->np", A, v))
+    y_next = y - alpha * (z_bar + lambda_bar)
+    delta_next = np.maximum(delta - alpha * v, hp.buffer.value(state.k)) if inequality else None
+
+    # sub-round 3: mix the new auxiliaries; dual update and projection
+    y_bar_next = mix(y_next)
+    Ax_prime_next = np.einsum("nmp,np->nm", A, x_prime_next)
+    z_next = Ax_prime_next + y_bar_next
+    if inequality:
+        z_next = z_next + delta_next
+    At_lam = np.einsum("nmp,nm->np", A, lam)
+    lam_next = lam + beta * (z_next - d - eta * np.einsum("nmp,np->nm", A, At_lam + grad))
+    Ax = np.einsum("nmp,np->nm", A, x)
+    if inequality:
+        b = (
+            Ax
+            - gamma * (Ax + y_bar_next + delta_next - d)
+            + (1.0 - gamma) * (delta - delta_next)
+        )
+    else:
+        b = Ax - gamma * (Ax + y_bar_next - d)
+    x_next = x_prime_next + np.einsum("npm,nm->np", instance.projector_stack, b - Ax_prime_next)
+
+    fields = {"x": x_next, "x_prime": x_prime_next, "y": y_next, "lambda": lam_next}
+    if inequality:
+        fields["delta"] = delta_next
+    # a non-finite entry makes the sum non-finite; only then are the fields
+    # searched (a finite sum can also overflow, and then nothing is found)
+    if not math.isfinite(sum(float(arr.sum()) for arr in fields.values())):
+        for name, arr in fields.items():
+            rows = np.nonzero(~np.isfinite(arr))[0]
+            if rows.size:
+                bad = sorted(set(rows.tolist()))
+                raise DivergenceError(
+                    f"non-finite {name} at iteration {state.k} (agents {bad})",
+                    k=state.k,
+                    agents=bad,
+                )
+
+    return ReferenceState(
+        k=state.k + 1,
+        mode=state.mode,
+        x=x_next,
+        x_prime=x_prime_next,
+        y=y_next,
+        lam=lam_next,
+        delta=delta_next,
+    )
+
+
+def reference_violation_l1(instance: ProblemInstance, x: np.ndarray) -> float:
+    """1-norm of the positive part of ``sum_i (A_i x_i - d_i)``, recomputing ``A_i x_i``."""
+    x = np.asarray(x, dtype=float).reshape(instance.n, instance.p)
+    total = np.einsum("nmp,np->nm", instance.A, x).sum(axis=0) - instance.demand_total
+    return float(np.sum(np.maximum(total, 0.0)))
+
+
+def reference_slack_sum(instance: ProblemInstance, x: np.ndarray, delta: np.ndarray | None) -> np.ndarray:
+    """``sum_i (A_i x_i + delta_i - d_i)``, recomputing ``A_i x_i``."""
+    x = np.asarray(x, dtype=float).reshape(instance.n, instance.p)
+    total = np.einsum("nmp,np->nm", instance.A, x).sum(axis=0) - instance.demand_total
+    if delta is not None:
+        total = total + np.asarray(delta, dtype=float).reshape(instance.n, instance.m).sum(axis=0)
+    return total
+
+
+def reference_disturb(state: ReferenceState, event) -> ReferenceState:
+    """Shift the targeted agents' decisions of a ``ReferenceState`` in place."""
+    ids = range(len(state.x)) if event.agent_ids is None else event.agent_ids
+    for i in ids:
+        state.x[i] += event.additive
+        if event.perturb_x_prime:
+            state.x_prime[i] += event.additive
+    return state

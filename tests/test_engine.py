@@ -18,7 +18,7 @@ from danyra import (
 )
 from danyra.engine import SwarmState
 
-from conftest import randomize_state
+from conftest import randomize_state, rebuild
 from reference_step import (
     AgentData,
     AgentMessages,
@@ -113,8 +113,7 @@ class TestExchange:
     def test_identical_agents_and_states_mix_to_zero(self, base_hp):
         inst = pair_instance()  # identical agents, so identical z as well
         st = init_state(inst, base_hp(omega=0.1), "at_demand")
-        st.lam[:] = 0.7
-        st.y[:] = -0.3
+        st = rebuild(inst, st, lam=np.full_like(st.lam, 0.7), y=np.full_like(st.y, -0.3))
         msgs = exchange_primary(st, inst)
         assert np.max(np.abs(msgs.lambda_bar)) <= 1e-12
         assert np.max(np.abs(msgs.y_bar)) <= 1e-12
@@ -123,13 +122,15 @@ class TestExchange:
     def test_two_agent_hand_computation(self, base_hp):
         inst = pair_instance()
         st = init_state(inst, base_hp(), "zero")
-        st.lam[0] = [1.0, 0.0]
+        lam = st.lam.copy()
+        lam[0] = [1.0, 0.0]
+        st = rebuild(inst, st, lam=lam)
         msgs = exchange_primary(st, inst)
         assert np.allclose(msgs.lambda_bar[0], [0.5, 0.0])
         assert np.allclose(msgs.lambda_bar[1], [-0.5, 0.0])
 
     def test_random_state_matches_dense_mixing(self, small_instance, base_hp):
-        st = randomize_state(init_state(small_instance, base_hp(omega=0.2), "at_demand"), seed=3)
+        st = randomize_state(small_instance, init_state(small_instance, base_hp(omega=0.2), "at_demand"), seed=3)
         msgs = exchange_primary(st, small_instance)
         L = small_instance.topology.L
         z_dense = np.stack(
@@ -299,7 +300,7 @@ class TestProjection:
 class TestIterate:
     def test_matches_per_agent_composition(self, small_instance, base_hp):
         hp = base_hp(omega=0.05)
-        st = randomize_state(init_state(small_instance, hp, "at_demand"), seed=1)
+        st = randomize_state(small_instance, init_state(small_instance, hp, "at_demand"), seed=1)
         msgs = exchange_primary(st, small_instance)
         omega0 = hp.buffer.value(st.k)
         xp, yn, dn = [], [], []
@@ -327,32 +328,32 @@ class TestIterate:
     def test_slack_recursion_from_benchmark_init(self, benchmark_instance, base_hp):
         hp = base_hp()
         st0 = init_state(benchmark_instance, hp, "at_demand")
-        s0 = slack_sum(benchmark_instance, st0.x, st0.delta)
+        s0 = slack_sum(benchmark_instance, st0)
         st1 = iterate(st0, benchmark_instance, hp)
-        s1 = slack_sum(benchmark_instance, st1.x, st1.delta)
+        s1 = slack_sum(benchmark_instance, st1)
         assert np.max(np.abs(s1 - 0.8 * s0)) <= 1e-9 * (1 + np.max(np.abs(s0)))
 
     def test_slack_recursion_from_random_state(self, small_instance, base_hp):
         hp = base_hp(omega=0.2, gamma=0.35)
-        st = randomize_state(init_state(small_instance, hp, "at_demand"), seed=9)
+        st = randomize_state(small_instance, init_state(small_instance, hp, "at_demand"), seed=9)
         for _ in range(50):
-            s_prev = slack_sum(small_instance, st.x, st.delta)
+            s_prev = slack_sum(small_instance, st)
             st = iterate(st, small_instance, hp)
-            s = slack_sum(small_instance, st.x, st.delta)
+            s = slack_sum(small_instance, st)
             assert np.max(np.abs(s - 0.65 * s_prev)) <= 1e-9 * (1 + np.max(np.abs(s_prev)))
 
     def test_equality_residual_recursion(self, small_instance, base_hp):
         hp = base_hp(gamma=0.3)
-        st = randomize_state(init_state(small_instance, hp, "zero", mode=EQUALITY), seed=4)
+        st = randomize_state(small_instance, init_state(small_instance, hp, "zero", mode=EQUALITY), seed=4)
         for _ in range(30):
-            r_prev = slack_sum(small_instance, st.x, None)
+            r_prev = slack_sum(small_instance, st)
             st = iterate(st, small_instance, hp)
-            r = slack_sum(small_instance, st.x, None)
+            r = slack_sum(small_instance, st)
             assert np.max(np.abs(r - 0.7 * r_prev)) <= 1e-9 * (1 + np.max(np.abs(r_prev)))
 
     def test_auxiliary_sum_conserved(self, small_instance, base_hp):
         hp = base_hp(omega=0.1)
-        st = randomize_state(init_state(small_instance, hp, "at_demand"), seed=2)
+        st = randomize_state(small_instance, init_state(small_instance, hp, "at_demand"), seed=2)
         total0 = st.y.sum(axis=0)
         for _ in range(200):
             st = iterate(st, small_instance, hp)
@@ -372,7 +373,7 @@ class TestIterate:
 
     def test_projection_exactness_along_run(self, small_instance, base_hp):
         hp = base_hp(omega=0.05)
-        st = randomize_state(init_state(small_instance, hp, "at_demand"), seed=6)
+        st = randomize_state(small_instance, init_state(small_instance, hp, "at_demand"), seed=6)
         for _ in range(20):
             prev = st
             st = iterate(prev, small_instance, hp)
@@ -409,7 +410,7 @@ class TestIterate:
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_divergence_raises_with_iteration_index(self, small_instance):
         hp = HyperParams(alpha=1e12, beta=1e12, eta=1e12, gamma=0.2)
-        st = randomize_state(init_state(small_instance, hp, "at_demand"), seed=8)
+        st = randomize_state(small_instance, init_state(small_instance, hp, "at_demand"), seed=8)
         with pytest.raises(DivergenceError) as err:
             for _ in range(4000):
                 st = iterate(st, small_instance, hp)
@@ -428,8 +429,8 @@ class TestIterate:
         generic = ProblemInstance(
             A=small_instance.A, d=small_instance.d, topology=small_instance.topology, costs=wrapped
         )
-        a = randomize_state(init_state(small_instance, hp, "at_demand"), seed=13)
-        b = randomize_state(init_state(generic, hp, "at_demand"), seed=13)
+        a = randomize_state(small_instance, init_state(small_instance, hp, "at_demand"), seed=13)
+        b = randomize_state(generic, init_state(generic, hp, "at_demand"), seed=13)
         for _ in range(10):
             a = iterate(a, small_instance, hp)
             b = iterate(b, generic, hp)
@@ -437,8 +438,8 @@ class TestIterate:
         assert np.max(np.abs(a.lam - b.lam)) <= 1e-12
 
     def test_state_round_trip(self, small_instance, base_hp):
-        st = randomize_state(init_state(small_instance, base_hp(omega=0.2), "at_demand"), seed=11)
-        back = SwarmState.from_dict(st.to_dict())
+        st = randomize_state(small_instance, init_state(small_instance, base_hp(omega=0.2), "at_demand"), seed=11)
+        back = SwarmState.from_dict(st.to_dict(), small_instance)
         assert state_difference(back, st) == 0.0
 
     @pytest.mark.parametrize(
@@ -456,5 +457,5 @@ class TestIterate:
         if not has_delta:
             data["delta"] = None
         with pytest.raises(ModeError, match=message):
-            SwarmState.from_dict(data)
+            SwarmState.from_dict(data, small_instance)
 

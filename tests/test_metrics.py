@@ -20,6 +20,8 @@ from danyra import (
 )
 from danyra.netsim import Trace
 
+from conftest import state_at
+
 
 def free_instance(n=2):
     """Identity couplings with zero demand: violation equals positive part of sums."""
@@ -42,19 +44,19 @@ class TestPointMetrics:
     def test_violation_zero_when_feasible(self):
         inst = free_instance()
         x = -np.ones((2, 2))
-        assert violation_l1(inst, x) == 0.0
+        assert violation_l1(inst, state_at(inst, x)) == 0.0
 
     def test_violation_positive_part_l1(self):
         inst = free_instance()
         x = np.array([[1.0, -2.0], [1.0, 1.0]])  # sums to (2, -1)
-        assert violation_l1(inst, x) == 2.0
+        assert violation_l1(inst, state_at(inst, x)) == 2.0
 
     def test_violation_matches_dense_recomputation(self, benchmark_instance):
         rng = np.random.default_rng(0)
         x = rng.normal(size=(14, 2)) * 10
         total = sum(A_i @ xi for A_i, xi in zip(benchmark_instance.A, x))
         expected = float(np.sum(np.maximum(total - benchmark_instance.demand_total, 0)))
-        assert violation_l1(benchmark_instance, x) == pytest.approx(expected, rel=1e-12)
+        assert violation_l1(benchmark_instance, state_at(benchmark_instance, x)) == pytest.approx(expected, rel=1e-12)
 
     def test_gap_trivial_cases(self, benchmark_instance, benchmark_oracle):
         assert optimality_gap(benchmark_oracle.x_star, benchmark_oracle) == 0.0
@@ -65,9 +67,9 @@ class TestPointMetrics:
     def test_slack_sum_cases(self):
         inst = free_instance()
         x = np.zeros((2, 2))
-        assert np.array_equal(slack_sum(inst, x, np.zeros((2, 2))), [0.0, 0.0])
-        assert np.allclose(slack_sum(inst, x, np.full((2, 2), 0.3)), [0.6, 0.6])
-        assert np.array_equal(slack_sum(inst, x, None), [0.0, 0.0])
+        assert np.array_equal(slack_sum(inst, state_at(inst, x, np.zeros((2, 2)))), [0.0, 0.0])
+        assert np.allclose(slack_sum(inst, state_at(inst, x, np.full((2, 2), 0.3))), [0.6, 0.6])
+        assert np.array_equal(slack_sum(inst, state_at(inst, x)), [0.0, 0.0])
 
     def test_slack_sum_matches_dense(self, benchmark_instance):
         rng = np.random.default_rng(3)
@@ -78,7 +80,7 @@ class TestPointMetrics:
             + delta.sum(axis=0)
             - benchmark_instance.demand_total
         )
-        assert np.max(np.abs(slack_sum(benchmark_instance, x, delta) - expected)) <= 1e-12
+        assert np.max(np.abs(slack_sum(benchmark_instance, state_at(benchmark_instance, x, delta)) - expected)) <= 1e-12
 
 
 class TestRecoveryIteration:
@@ -192,9 +194,9 @@ class TestAgainstLiveRun:
         trace = run_experiment(plan, benchmark_oracle)
         state = trace.final_state
         assert trace.violation_l1[-1] == pytest.approx(
-            violation_l1(benchmark_instance, state.x)
+            violation_l1(benchmark_instance, state)
         )
         assert trace.gap[-1] == pytest.approx(optimality_gap(state.x, benchmark_oracle))
         assert np.allclose(
-            trace.slack[-1], slack_sum(benchmark_instance, state.x, state.delta)
+            trace.slack[-1], slack_sum(benchmark_instance, state)
         )

@@ -25,16 +25,16 @@ from conftest import randomize_state
 
 class TestDisturbance:
     def test_zero_additive_leaves_state(self, small_instance, base_hp):
-        st = randomize_state(init_state(small_instance, base_hp(), "at_demand"), seed=1)
+        st = randomize_state(small_instance, init_state(small_instance, base_hp(), "at_demand"), seed=1)
         before = copy.deepcopy(st)
-        apply_disturbance(st, DisturbanceEvent(at_iteration=1, additive=np.zeros(2)))
+        st = apply_disturbance(st, small_instance, DisturbanceEvent(at_iteration=1, additive=np.zeros(2)))
         assert np.array_equal(st.x, before.x) and np.array_equal(st.x_prime, before.x_prime)
 
     def test_single_agent_only(self, small_instance, base_hp):
         st = init_state(small_instance, base_hp(), "at_demand")
         before = copy.deepcopy(st)
-        apply_disturbance(
-            st, DisturbanceEvent(at_iteration=1, additive=np.array([1.0, -2.0]), agent_ids=(2,))
+        st = apply_disturbance(
+            st, small_instance, DisturbanceEvent(at_iteration=1, additive=np.array([1.0, -2.0]), agent_ids=(2,))
         )
         assert np.array_equal(st.x[0], before.x[0])
         assert np.allclose(st.x[2] - before.x[2], [1.0, -2.0])
@@ -43,18 +43,19 @@ class TestDisturbance:
 
     def test_slack_jump_matches_dense_recomputation(self, benchmark_instance, base_hp):
         st = init_state(benchmark_instance, base_hp(), "at_demand")
-        s_before = slack_sum(benchmark_instance, st.x, st.delta)
+        s_before = slack_sum(benchmark_instance, st)
         bump = np.array([50.0, 50.0])
-        apply_disturbance(st, DisturbanceEvent(at_iteration=1, additive=bump))
-        s_after = slack_sum(benchmark_instance, st.x, st.delta)
+        st = apply_disturbance(st, benchmark_instance, DisturbanceEvent(at_iteration=1, additive=bump))
+        s_after = slack_sum(benchmark_instance, st)
         expected_jump = sum(A_i @ bump for A_i in benchmark_instance.A)
         assert np.max(np.abs((s_after - s_before) - expected_jump)) <= 1e-9
 
     def test_x_only_flag(self, small_instance, base_hp):
         st = init_state(small_instance, base_hp(), "at_demand")
         before = copy.deepcopy(st)
-        apply_disturbance(
+        st = apply_disturbance(
             st,
+            small_instance,
             DisturbanceEvent(at_iteration=1, additive=np.ones(2), perturb_x_prime=False),
         )
         assert np.allclose(st.x - before.x, 1.0)
@@ -64,7 +65,7 @@ class TestDisturbance:
         st = init_state(small_instance, base_hp(), "at_demand")
         with pytest.raises(ConfigError):
             apply_disturbance(
-                st, DisturbanceEvent(at_iteration=1, additive=np.ones(2), agent_ids=(99,))
+                st, small_instance, DisturbanceEvent(at_iteration=1, additive=np.ones(2), agent_ids=(99,))
             )
 
     def test_event_validation(self):
