@@ -12,7 +12,8 @@ decisions, so each product is computed once: ``iterate`` computes both for the
 state it returns and reads them from the state it is given, and the recorded
 violation and slack read ``Ax``.  A state's arrays are read-only and its
 fields cannot be reassigned, so a product cannot go stale; a state with other
-values is built with :meth:`SwarmState.build`, which recomputes them.
+values is built with :meth:`SwarmState.build`, which recomputes them (a state
+made by the constructor or ``dataclasses.replace`` has no products at all).
 """
 
 from __future__ import annotations
@@ -30,13 +31,14 @@ from .problem import EQUALITY, INEQUALITY, HyperParams, ProblemInstance
 class SwarmState:
     """All agents' iterates at step ``k`` (stacked row-wise), with their coupling products.
 
-    ``Ax[i] = A_i x_i`` and ``Ax_prime[i] = A_i x'_i``.  The constructor makes
-    every array read-only and the fields cannot be reassigned, so an in-place
-    ``state.x += ...`` raises instead of leaving the products stale.
-    :meth:`build` (used by ``init_state``, ``from_dict`` and
-    ``apply_disturbance``) copies the given iterates and computes the
-    products; ``iterate`` passes the products it has just computed to the
-    constructor directly.
+    ``Ax[i] = A_i x_i`` and ``Ax_prime[i] = A_i x'_i``.  The constructor does
+    not take the products: only :meth:`build` (used by ``init_state``,
+    ``from_dict`` and ``apply_disturbance``), which computes them from copies
+    of the iterates, and ``iterate``, which has just computed them, set them,
+    and both make every array read-only.  So an in-place ``state.x += ...``
+    raises, and a state made by the constructor or ``dataclasses.replace``
+    has no products: reading ``Ax`` raises ``AttributeError`` instead of
+    returning products of other decisions.
     """
 
     k: int
@@ -46,17 +48,23 @@ class SwarmState:
     y: np.ndarray        # (n, m)
     lam: np.ndarray      # (n, m)
     delta: np.ndarray | None  # (n, m) in inequality mode
-    Ax: np.ndarray       # (n, m)
-    Ax_prime: np.ndarray  # (n, m)
+    Ax: np.ndarray = dataclasses.field(init=False, repr=False)       # (n, m)
+    Ax_prime: np.ndarray = dataclasses.field(init=False, repr=False)  # (n, m)
 
-    def __post_init__(self):
-        for arr in (self.x, self.x_prime, self.y, self.lam, self.delta, self.Ax, self.Ax_prime):
+    @classmethod
+    def _with_products(cls, k, mode, x, x_prime, y, lam, delta, Ax, Ax_prime) -> "SwarmState":
+        # the arrays must be owned by the new state: they are made read-only here
+        state = cls(k=k, mode=mode, x=x, x_prime=x_prime, y=y, lam=lam, delta=delta)
+        object.__setattr__(state, "Ax", Ax)
+        object.__setattr__(state, "Ax_prime", Ax_prime)
+        for arr in (x, x_prime, y, lam, delta, Ax, Ax_prime):
             if arr is not None:
                 arr.setflags(write=False)
+        return state
 
     def __reduce__(self):
-        # copies and pickles are rebuilt through the constructor, so their arrays are read-only too
-        return type(self), tuple(getattr(self, f.name) for f in dataclasses.fields(self))
+        # copies and pickles are rebuilt through _with_products, so their arrays are read-only too
+        return self._with_products, tuple(getattr(self, f.name) for f in dataclasses.fields(self))
 
     @property
     def n(self) -> int:
@@ -98,7 +106,7 @@ class SwarmState:
             arr = arrays[name] = None if value is None else np.array(value, dtype=float)
             if arr is not None and arr.shape != shape:
                 raise ValueError(f"{name} must have shape {shape}, got {arr.shape}")
-        return cls(
+        return cls._with_products(
             k=int(k),
             mode=mode,
             **arrays,
@@ -207,9 +215,6 @@ def iterate(state: SwarmState, instance: ProblemInstance, hp: HyperParams) -> Sw
     inequality = state.mode == INEQUALITY
     x_prime, y, lam, delta = state.x_prime, state.y, state.lam, state.delta
     Ax, Ax_prime = state.Ax, state.Ax_prime
-    n, _, p = A.shape
-    if x_prime.shape != (n, p):
-        raise ValueError(f"x must have shape ({n}, {p}), got {x_prime.shape}")
 
     # sub-round 1: mix duals and auxiliaries from the k-snapshot, then form
     # z = A x' + y_bar (+ delta) and the gradient 2 P x' - Q
@@ -218,12 +223,7 @@ def iterate(state: SwarmState, instance: ProblemInstance, hp: HyperParams) -> Sw
     z = Ax_prime + y_bar
     if inequality:
         z += delta
-    hessian = instance.hessian_stack
-    if hessian is None:
-        grad = instance.gradient(x_prime)
-    else:
-        grad = np.einsum("nij,nj->ni", hessian, x_prime)
-        grad -= instance.Q
+    grad = instance.gradient(x_prime)
 
     # sub-round 2: mix z; primal, auxiliary and queue updates
     #   x'_next = x' - alpha (grad + A'v) with v = z - d + lam
@@ -298,7 +298,7 @@ def iterate(state: SwarmState, instance: ProblemInstance, hp: HyperParams) -> Sw
                     agents=bad,
                 )
 
-    return SwarmState(
+    return SwarmState._with_products(
         k=state.k + 1,
         mode=state.mode,
         x=x_next,

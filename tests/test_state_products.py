@@ -226,6 +226,29 @@ class TestNoStaleProducts:
         with pytest.raises(dataclasses.FrozenInstanceError):
             state.x = state.x + 1.0
 
+    def test_replace_and_constructor_give_no_products(self, small_instance, base_hp):
+        hp = base_hp(omega=0.1)
+        state = iterate(init_state(small_instance, hp, "at_demand"), small_instance, hp)
+        shifted = dataclasses.replace(state, x=state.x + 100.0)
+        assert same_bits(shifted.x, state.x + 100.0)
+        with pytest.raises(AttributeError, match="Ax"):
+            shifted.Ax
+        with pytest.raises(AttributeError, match="Ax"):
+            violation_l1(small_instance, shifted)
+        with pytest.raises(AttributeError, match="Ax"):
+            iterate(shifted, small_instance, hp)
+        with pytest.raises(ValueError, match="init=False"):
+            dataclasses.replace(state, Ax=state.Ax)
+
+        x = np.ones((small_instance.n, small_instance.p))
+        zeros = np.zeros((small_instance.n, small_instance.m))
+        built = SwarmState(k=0, mode=EQUALITY, x=x, x_prime=x, y=zeros, lam=zeros, delta=None)
+        assert x.flags.writeable and zeros.flags.writeable  # the caller's arrays are left alone
+        with pytest.raises(AttributeError, match="Ax_prime"):
+            built.Ax_prime
+        with pytest.raises(TypeError):
+            SwarmState(k=0, mode=EQUALITY, x=x, x_prime=x, y=zeros, lam=zeros, delta=None, Ax=zeros)
+
     def test_products_match_the_decisions(self, small_instance, base_hp):
         for origin, state in handed_out_states(small_instance, base_hp(omega=0.1)).items():
             assert same_bits(state.Ax, products(small_instance, state.x)), origin
