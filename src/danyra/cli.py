@@ -7,6 +7,7 @@ keys, which override preset keys.  One experiment per process invocation.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
@@ -14,7 +15,6 @@ from pathlib import Path
 
 import numpy as np
 
-from .engine import init_state
 from .errors import ConfigError, DanyraError, DivergenceError, OracleFailureError
 from .metrics import ZERO_VIOLATION_TOL, bounds_report, recovery_iteration, violation_l1
 from .netsim import DisturbanceEvent, ExperimentPlan, Trace, run_experiment
@@ -196,8 +196,6 @@ def _validate_config(cfg: dict) -> dict:
 
     init = cfg.get("init", {"mode": "at_demand"})
     _reject_unknown(init, _INIT_KEYS, "init")
-    if init.get("mode", "at_demand") not in ("at_demand", "zero", "custom"):
-        raise ConfigError(f"unknown init mode {init.get('mode')!r}")
     for key, ndim in (("offset", 1), ("x0", 2)):
         if init.get(key) is not None:
             _numbers(init[key], f"init.{key}", ndim)
@@ -267,13 +265,11 @@ def parse_config(
             source = cfg.get("instance", {})
             if "generate" not in source:
                 raise ConfigError("--seed only applies to generated instances")
-            cfg["instance"] = {"generate": {**source["generate"], "seed": int(value)}}
+            cfg["instance"] = {"generate": {**source["generate"], "seed": value}}
         elif key == "mode":
             cfg["mode"] = {"ineq": INEQUALITY, "eq": EQUALITY}.get(value, value)
-        elif key == "iters":
-            cfg[key] = int(value)
-        elif key == "out":
-            cfg[key] = str(value)
+        elif key in ("iters", "out"):
+            cfg[key] = value
         else:
             raise ConfigError(f"unknown override {key!r}")
 
@@ -360,24 +356,16 @@ def _largest_violation(initial_violation: float, trace: Trace) -> tuple[float, i
     return initial_violation, 0
 
 
-def _run_single(config, instance, oracle, sc, report, buffer, out_dir: Path) -> dict:
-    plan = _build_plan(config, instance, buffer)
-    initial = init_state(
-        instance,
-        plan.hp,
-        plan.init_mode,
-        mode=plan.mode,
-        x0=plan.x0,
-        x0_offset=plan.x0_offset,
-    )
-    initial_violation = violation_l1(instance, initial)
+def _run_single(config, plan: ExperimentPlan, oracle, sc, report, buffer, out_dir: Path) -> dict:
+    instance = plan.instance
+    initial_violation = violation_l1(instance, plan.start)
     trace = run_experiment(plan, oracle)
 
     out_dir.mkdir(parents=True, exist_ok=True)
     trace.to_csv(out_dir / "trace.csv")
     C_vio, C_vio_k = _largest_violation(initial_violation, trace)
     bounds = bounds_report(sc, plan.hp, instance.n, C_vio)
-    _write_json(out_dir / "bounds.json", {**bounds.to_dict(), "C_vio": C_vio, "C_vio_k": C_vio_k})
+    _write_json(out_dir / "bounds.json", {**dataclasses.asdict(bounds), "C_vio": C_vio, "C_vio_k": C_vio_k})
 
     recovery = recovery_iteration(trace)
     summary = {
@@ -399,22 +387,23 @@ def _run_single(config, instance, oracle, sc, report, buffer, out_dir: Path) -> 
 
 
 def run(config: dict) -> int:
-    """Build the instance, solve the oracle, run the experiment(s), emit files."""
+    """Build the instance and every run's plan (bad inputs fail here), then solve, run and emit files."""
     instance = _build_instance(config)
+    buffers = [config["hp"]["buffer"]] if config["sweep"] is None else config["sweep"]
+    plans = [_build_plan(config, instance, buffer) for buffer in buffers]
     oracle = solve_equality(instance) if config["mode"] == EQUALITY else solve_active_set(instance)
     sc = spectral_constants(instance)
-    report = validate_hyperparams(_hyperparams(config["hp"], config["hp"]["buffer"]), sc, config["mode"])
+    # the conditions do not read the buffer, so every member shares one report
+    report = validate_hyperparams(plans[0].hp, sc, config["mode"])
 
     out_root = Path(config["out"])
     if config["sweep"] is None:
-        _run_single(config, instance, oracle, sc, report, config["hp"]["buffer"], out_root)
+        _run_single(config, plans[0], oracle, sc, report, buffers[0], out_root)
     else:
         summaries = {}
-        for buffer in config["sweep"]:
+        for buffer, plan in zip(buffers, plans):
             label = _buffer_label(buffer)
-            summaries[label] = _run_single(
-                config, instance, oracle, sc, report, buffer, out_root / label
-            )
+            summaries[label] = _run_single(config, plan, oracle, sc, report, buffer, out_root / label)
         out_root.mkdir(parents=True, exist_ok=True)
         _write_json(
             out_root / "report.json",

@@ -23,7 +23,7 @@ import math
 
 import numpy as np
 
-from .errors import DivergenceError, InvalidInstanceError, ModeError
+from .errors import ConfigError, DivergenceError, ModeError
 from .problem import EQUALITY, INEQUALITY, HyperParams, ProblemInstance
 
 
@@ -150,39 +150,43 @@ def init_state(
     x0: np.ndarray | None = None,
     x0_offset: np.ndarray | None = None,
 ) -> SwarmState:
-    """Build the iteration-0 state.
+    """Build the iteration-0 state; the one place the start inputs are checked.
 
     ``y = 0`` and ``lam = 0``; ``delta = max(0, omega_0) * 1`` in inequality
     mode so the queue floor holds from the start.  ``at_demand`` places each
     decision at its demand vector when p == m and at the least-norm preimage
     ``projector @ d`` otherwise; ``zero`` starts at the origin; ``custom``
-    takes ``x0`` with shape (n, p).
+    takes ``x0`` with shape (n, p); ``x0_offset`` (shape (p,)) is added to
+    every start.  A bad start input is a ``ConfigError``: an unknown init
+    mode, ``custom`` without ``x0`` or ``x0`` with another init mode, or an
+    ``x0``/``x0_offset`` that is not finite or not of its shape.  An unknown
+    ``mode`` is a ``ModeError`` (from :meth:`SwarmState.build`).
     """
-    if mode not in (INEQUALITY, EQUALITY):
-        raise InvalidInstanceError(f"unknown mode {mode!r}")
+    if init_mode not in ("at_demand", "zero", "custom"):
+        raise ConfigError(f"unknown init mode {init_mode!r}")
+    if init_mode == "custom" and x0 is None:
+        raise ConfigError("init mode 'custom' needs x0")
+    if init_mode != "custom" and x0 is not None:
+        raise ConfigError(f"x0 is only read by init mode 'custom', not {init_mode!r}")
     n, p, m = instance.n, instance.p, instance.m
+    for name, value, shape in (("x0", x0, (n, p)), ("x0_offset", x0_offset, (p,))):
+        try:
+            fits = value is None or (np.shape(value) == shape and bool(np.all(np.isfinite(value))))
+        except (TypeError, ValueError):  # a ragged list, or not numbers
+            fits = False
+        if not fits:
+            raise ConfigError(f"{name} must be finite with shape {shape}")
 
-    if init_mode == "at_demand":
-        if p == m:
-            x = instance.d
-        else:
-            x = np.einsum("npm,nm->np", instance.projector_stack, instance.d)
+    if init_mode == "custom":
+        x = np.array(x0, dtype=float)
     elif init_mode == "zero":
         x = np.zeros((n, p))
-    elif init_mode == "custom":
-        if x0 is None:
-            raise ValueError("custom init requires x0")
-        x = np.array(x0, dtype=float)
-        if x.shape != (n, p):
-            raise ValueError(f"x0 must have shape ({n}, {p}), got {x.shape}")
+    elif p == m:
+        x = instance.d
     else:
-        raise ValueError(f"unknown init_mode {init_mode!r}")
-
+        x = np.einsum("npm,nm->np", instance.projector_stack, instance.d)
     if x0_offset is not None:
-        offset = np.asarray(x0_offset, dtype=float)
-        if offset.shape != (p,):
-            raise ValueError(f"x0_offset must have shape ({p},), got {offset.shape}")
-        x = x + offset
+        x = x + np.asarray(x0_offset, dtype=float)
 
     delta = None
     if mode == INEQUALITY:

@@ -60,15 +60,6 @@ class BoundsReport:
     one_step_threshold: float
     one_step_satisfied: bool
 
-    def to_dict(self) -> dict:
-        return {
-            "accuracy_bound": self.accuracy_bound,
-            "recovery_bound_t": self.recovery_bound_t,
-            "tradeoff_rhs": self.tradeoff_rhs,
-            "one_step_threshold": self.one_step_threshold,
-            "one_step_satisfied": self.one_step_satisfied,
-        }
-
 
 def bounds_report(sc: SpectralConstants, hp: HyperParams, n: int, C_vio: float) -> BoundsReport:
     """Evaluate the guarantee formulas for a buffer level and measured violation."""

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numbers
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -69,7 +69,12 @@ def apply_disturbance(state: SwarmState, instance: ProblemInstance, event: Distu
 
 @dataclass(frozen=True)
 class ExperimentPlan:
-    """Everything needed for one deterministic run, checked against the instance before it starts."""
+    """Everything needed for one deterministic run, checked against the instance before it starts.
+
+    ``start`` is the iteration-0 state that ``init_state`` builds from the start
+    inputs when the plan is constructed, so a bad one rejects the plan; it is
+    derived (not a constructor parameter) and read-only.
+    """
 
     instance: ProblemInstance
     hp: HyperParams
@@ -80,6 +85,7 @@ class ExperimentPlan:
     init_mode: str = "at_demand"
     x0: np.ndarray | None = None
     x0_offset: np.ndarray | None = None
+    start: SwarmState = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for name in ("iters", "record_every"):
@@ -87,14 +93,11 @@ class ExperimentPlan:
             if value < 1:
                 raise ConfigError(f"{name} must be >= 1, got {value}")
             object.__setattr__(self, name, value)
+        start = init_state(
+            self.instance, self.hp, self.init_mode, mode=self.mode, x0=self.x0, x0_offset=self.x0_offset
+        )
+        object.__setattr__(self, "start", start)
         n, p = self.instance.n, self.instance.p
-        if self.init_mode == "custom" and self.x0 is None:
-            raise ConfigError("init mode 'custom' needs x0")
-        if self.init_mode != "custom" and self.x0 is not None:
-            raise ConfigError(f"x0 is only read by init mode 'custom', not {self.init_mode!r}")
-        for name, value, shape in (("x0", self.x0, (n, p)), ("x0_offset", self.x0_offset, (p,))):
-            if value is not None and (np.shape(value) != shape or not np.all(np.isfinite(value))):
-                raise ConfigError(f"{name} must be finite with shape {shape}, got shape {np.shape(value)}")
         object.__setattr__(self, "disturbances", tuple(self.disturbances))
         for ev in self.disturbances:
             if ev.at_iteration >= self.iters:
@@ -164,7 +167,7 @@ class Trace:
 
 
 def run_experiment(plan: ExperimentPlan, oracle_solution: OracleSolution | None = None) -> Trace:
-    """Run the plan and record metrics after each full iteration (post-projection).
+    """Run the plan from ``plan.start`` and record metrics after each full iteration (post-projection).
 
     Disturbances scheduled at iteration k are applied right before the
     iteration consuming the k-state, matching an interference that lands after
@@ -172,15 +175,7 @@ def run_experiment(plan: ExperimentPlan, oracle_solution: OracleSolution | None 
     iteration and always at the final one; the gap column is present only when
     an oracle solution is supplied.
     """
-    instance, hp = plan.instance, plan.hp
-    state = init_state(
-        instance,
-        hp,
-        plan.init_mode,
-        mode=plan.mode,
-        x0=plan.x0,
-        x0_offset=plan.x0_offset,
-    )
+    instance, hp, state = plan.instance, plan.hp, plan.start
     events: dict[int, list[DisturbanceEvent]] = {}
     for ev in plan.disturbances:
         events.setdefault(ev.at_iteration, []).append(ev)

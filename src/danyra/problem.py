@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from functools import cached_property
 from typing import Callable, Sequence
 
@@ -647,15 +647,6 @@ class ConditionCheck:
     relation: str  # "<" or ">"
     passed: bool
 
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "supplied": self.supplied,
-            "bound": self.bound,
-            "relation": self.relation,
-            "passed": self.passed,
-        }
-
 
 @dataclass(frozen=True)
 class ConditionReport:
@@ -678,7 +669,7 @@ class ConditionReport:
             "all_passed": self.all_passed,
             "c": self.c,
             "theta_prime": self.theta_prime,
-            "checks": [ch.to_dict() for ch in self.checks],
+            "checks": [asdict(ch) for ch in self.checks],
         }
 
 

@@ -5,6 +5,8 @@ import re
 import numpy as np
 import pytest
 
+import danyra.cli
+import danyra.netsim
 from danyra import ConfigError, generate_instance, instance_to_json
 from danyra.cli import PRESETS, _largest_violation, main, parse_config, run
 from danyra.netsim import Trace
@@ -352,6 +354,7 @@ class TestRun:
                 id="extra-edges-fraction",
             ),
             pytest.param({"disturbances": [{"at_iteration": 10.5, "additive": [5.0, 5.0]}]}, id="at-iteration-fraction"),
+            pytest.param({"init": {"mode": "warm"}}, id="init-mode-unknown"),
         ],
     )
     def test_config_shape_errors(self, tmp_path, capsys, edit):
@@ -360,6 +363,46 @@ class TestRun:
         assert main(["run", "--config", str(path)]) == 2
         assert capsys.readouterr().err.startswith("config error:")
         assert not (tmp_path / "out").exists()
+
+    def test_plans_fail_before_the_oracle_solve(self, tmp_path, capsys, monkeypatch):
+        def no_solve(instance):
+            raise AssertionError("the oracle was solved for a config that does not fit the instance")
+
+        monkeypatch.setattr(danyra.cli, "solve_active_set", no_solve)
+        dist = {"at_iteration": 10, "additive": [5.0, 5.0], "agent_ids": [0, 4]}
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(self.small_cfg(tmp_path, disturbances=[dist])), encoding="utf-8")
+        assert main(["run", "--config", str(path)]) == 2
+        assert "agent ids outside 0..3" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_one_start_state_per_member(self, tmp_path, monkeypatch):
+        calls = []
+        build = danyra.netsim.init_state
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return build(*args, **kwargs)
+
+        # the cli is patched too, so a start state it built of its own would be counted
+        for module in (danyra.netsim, danyra.cli):
+            monkeypatch.setattr(module, "init_state", counted, raising=False)
+        argv = ["run", "--preset", "buffer-sweep", "--iters", "50", "--out", str(tmp_path / "sweep")]
+        assert main(argv) == 0
+        assert len(calls) == 4
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            pytest.param({"iters": 7.9}, id="iters-fraction"),
+            pytest.param({"iters": "12"}, id="iters-text"),
+            pytest.param({"seed": 3.7}, id="seed-fraction"),
+            pytest.param({"seed": "3"}, id="seed-text"),
+        ],
+    )
+    def test_overrides_are_checked_like_file_keys(self, overrides):
+        with pytest.raises(ConfigError, match="must be an integer|must be a number"):
+            parse_config(preset="fig2", overrides=overrides)
 
     def test_threads_key_rejected(self, tmp_path, capsys):
         path = tmp_path / "c.json"

@@ -6,6 +6,7 @@ from danyra import (
     INEQUALITY,
     BufferSchedule,
     CallableCost,
+    ConfigError,
     DivergenceError,
     HyperParams,
     ModeError,
@@ -94,10 +95,48 @@ class TestInitState:
         assert np.allclose(st.x @ np.array([1.0, 1.0]), 4.0)
 
     def test_custom_requires_matching_shape(self, small_instance, base_hp):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError):
             init_state(small_instance, base_hp(), "custom", x0=np.zeros((3, 2)))
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError):
             init_state(small_instance, base_hp(), "custom")
+
+    @pytest.mark.parametrize(
+        "init_mode, inputs, message",
+        [
+            pytest.param("warm", {}, "unknown init mode 'warm'", id="unknown-init-mode"),
+            pytest.param("custom", {}, "init mode 'custom' needs x0", id="custom-without-x0"),
+            pytest.param(
+                "at_demand",
+                {"x0": np.full((5, 2), 1e3)},
+                "x0 is only read by init mode 'custom', not 'at_demand'",
+                id="x0-with-at-demand",
+            ),
+            pytest.param(
+                "zero", {"x0": np.zeros((5, 2))}, "only read by init mode 'custom', not 'zero'", id="x0-with-zero"
+            ),
+            pytest.param("custom", {"x0": np.zeros((3, 2))}, r"x0 must be finite with shape \(5, 2\)", id="x0-shape"),
+            pytest.param(
+                "custom", {"x0": np.full((5, 2), np.nan)}, r"x0 must be finite with shape \(5, 2\)", id="x0-nan"
+            ),
+            pytest.param(
+                "at_demand", {"x0_offset": np.ones(3)}, r"x0_offset must be finite with shape \(2,\)", id="offset-shape"
+            ),
+            pytest.param(
+                "zero", {"x0_offset": [np.inf, 0.0]}, r"x0_offset must be finite with shape \(2,\)", id="offset-inf"
+            ),
+            pytest.param(
+                "custom", {"x0": [[0.0, 0.0], [1.0]] * 2 + [[0.0, 0.0]]}, "x0 must be finite", id="x0-ragged"
+            ),
+            pytest.param("custom", {"x0": [["0", "1"]] * 5}, "x0 must be finite", id="x0-text"),
+        ],
+    )
+    def test_bad_start_inputs_are_config_errors(self, small_instance, base_hp, init_mode, inputs, message):
+        with pytest.raises(ConfigError, match=message):
+            init_state(small_instance, base_hp(), init_mode, **inputs)
+
+    def test_unknown_mode_is_a_mode_error(self, small_instance, base_hp):
+        with pytest.raises(ModeError, match="unknown mode 'both'"):
+            init_state(small_instance, base_hp(), "at_demand", mode="both")
 
     def test_offset_shifts_the_start(self, small_instance, base_hp):
         st = init_state(small_instance, base_hp(), "at_demand", x0_offset=np.array([50.0, 50.0]))

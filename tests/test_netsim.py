@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 
 import numpy as np
 import pytest
@@ -154,6 +155,26 @@ class TestRunExperiment:
         assert parsed[0] == trace.gap[0]
         assert parsed[1] == trace.violation_l1[0]
         assert parsed[2] == trace.slack[0][0] and parsed[3] == trace.slack[0][1]
+
+    def test_plan_builds_its_start_state(self, small_instance, base_hp):
+        hp, offset = base_hp(omega=0.05), np.array([3.0, -1.0])
+        event = DisturbanceEvent(at_iteration=5, additive=np.ones(2))
+        plan = ExperimentPlan(instance=small_instance, hp=hp, iters=20, x0_offset=offset, disturbances=(event,))
+        direct = init_state(small_instance, hp, "at_demand", x0_offset=offset)
+        assert (plan.start.k, plan.start.mode) == (direct.k, direct.mode)
+        for name in ("x", "x_prime", "y", "lam", "delta", "Ax", "Ax_prime"):
+            assert getattr(plan.start, name).tobytes() == getattr(direct, name).tobytes(), name
+            assert not getattr(plan.start, name).flags.writeable, name
+        # derived, so a caller can neither pass nor replace it
+        with pytest.raises(TypeError):
+            ExperimentPlan(instance=small_instance, hp=hp, iters=20, start=direct)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            plan.start = direct
+        # every run starts from the same state: a disturbance does not reach into it
+        first, second = run_experiment(plan), run_experiment(plan)
+        assert first.csv_text() == second.csv_text()
+        assert first.final_state.x.tobytes() == second.final_state.x.tobytes()
+        assert plan.start.x.tobytes() == direct.x.tobytes()
 
     def test_disturbance_beyond_horizon_rejected(self, small_instance, base_hp):
         with pytest.raises(ConfigError):
