@@ -2,6 +2,8 @@
 
 Configs are single UTF-8 JSON documents; command-line flags override file
 keys, which override preset keys.  One experiment per process invocation.
+The merged document is checked against one schema of JSON kinds; range and
+shape checks are left to the constructors the values go to.
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ import json
 import math
 import sys
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -91,142 +94,108 @@ PRESETS: dict[str, dict] = {
     },
 }
 
-_TOP_KEYS = {
-    "preset",
-    "instance",
-    "hp",
-    "sweep",
-    "mode",
-    "iters",
-    "record_every",
-    "disturbances",
-    "init",
-    "out",
-}
-_HP_KEYS = {"alpha", "beta", "eta", "gamma", "buffer"}
-_BUFFER_KEYS = {"kind", "omega", "coefficient", "values"}
-_INIT_KEYS = {"mode", "offset", "x0"}
-_DISTURBANCE_KEYS = {"at_iteration", "additive", "agent_ids", "perturb_x_prime"}
-_GENERATE_KEYS = {"seed", "n", "r_max", "extra_edges"}
+
+class _Object(NamedTuple):
+    """An object section: the kind of each key it may have, and the keys it must have."""
+
+    keys: dict
+    required: tuple = ()
 
 
-def _reject_unknown(section: dict, allowed: set[str], where: str) -> None:
-    unknown = sorted(set(section) - allowed)
-    if unknown:
-        raise ConfigError(f"unknown key(s) {unknown} in {where}")
+class _OrNull(NamedTuple):
+    """``null`` or a value of ``kind``."""
+
+    kind: object
 
 
-def _require(section: dict, key: str, where: str):
-    if key not in section:
-        raise ConfigError(f"missing required key {key!r} in {where}")
-    return section[key]
+# The config document.  A kind is an ``_Object`` section, ``_OrNull``, a one-item list ``[kind]`` (a
+# list of that kind), or one of the JSON scalars below, named by the Python type it parses to.
+_SCALARS = {int: "an integer", float: "a number", str: "a string", bool: "a boolean"}
+_BUFFER = _Object({"kind": str, "omega": float, "coefficient": float, "values": [float]}, ("kind",))
+_CONFIG = _Object(
+    {
+        "preset": _OrNull(str),
+        "instance": _Object(
+            {
+                "generate": _Object(
+                    {"seed": int, "n": int, "r_max": float, "extra_edges": int}, ("seed", "n", "r_max")
+                ),
+                "file": str,
+            }
+        ),
+        "hp": _Object(
+            {"alpha": float, "beta": float, "eta": float, "gamma": float, "buffer": _BUFFER},
+            ("alpha", "beta", "eta", "gamma"),
+        ),
+        "sweep": _OrNull([_BUFFER]),
+        "mode": str,
+        "iters": int,
+        "record_every": int,
+        "disturbances": [
+            _Object(
+                {"at_iteration": int, "additive": [float], "agent_ids": _OrNull([int]), "perturb_x_prime": bool},
+                ("at_iteration", "additive"),
+            )
+        ],
+        "init": _Object({"mode": str, "offset": _OrNull([float]), "x0": _OrNull([[float]])}),
+        "out": str,
+    },
+    ("instance", "hp", "mode", "iters", "out"),
+)
 
 
-def _number(value, where: str, kind: type = float):
-    """``kind(value)`` for a JSON number; anything else, or a fraction as an integer, is a ConfigError."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{where} must be a number, got {value!r}")
-    if kind is int and isinstance(value, float) and not value.is_integer():
-        raise ConfigError(f"{where} must be an integer, got {value!r}")
-    try:
-        return kind(value)
-    except (OverflowError, ValueError) as exc:
-        raise ConfigError(f"{where} must be a finite number, got {value!r}") from exc
-
-
-def _numbers(value, where: str, ndim: int, kinds: str = "iuf") -> None:
-    """Reject anything but an ``ndim``-deep rectangular list of numbers (of integers for ``kinds="iu"``)."""
-    try:
-        arr = np.array(value)
-    except ValueError:  # a ragged list
-        arr = None
-    if arr is None or arr.ndim != ndim or (arr.size and arr.dtype.kind not in kinds):
-        raise ConfigError(f"{where} must be a rectangular {ndim}-dimensional list of numbers, got {value!r}")
-
-
-def _validate_buffer(buffer: dict, where: str) -> None:
-    _reject_unknown(buffer, _BUFFER_KEYS, where)
-    kind = buffer.get("kind")
-    if kind == "sequence":
-        _numbers(_require(buffer, "values", where), f"{where}.values", 1)
-    elif kind in ("constant", "decaying"):
-        key = "omega" if kind == "constant" else "coefficient"
-        _number(_require(buffer, key, where), f"{where}.{key}")
-    BufferSchedule.from_dict(buffer)  # the range checks, and an unknown kind
+def _checked(value, kind, path: str = ""):
+    """A copy of the JSON ``value`` checked against ``kind``, integers as ``int``; a mismatch names its path."""
+    if isinstance(kind, _OrNull):
+        return None if value is None else _checked(value, kind.kind, path)
+    if isinstance(kind, _Object):
+        where = path or "config"
+        if not isinstance(value, dict):
+            raise ConfigError(f"{where} must be an object, got {value!r}")
+        unknown = sorted(set(value) - set(kind.keys))
+        if unknown:
+            raise ConfigError(f"unknown key(s) {unknown} in {where}")
+        for key in kind.required:
+            if key not in value:
+                raise ConfigError(f"missing required key {key!r} in {where}")
+        return {key: _checked(item, kind.keys[key], f"{path}.{key}" if path else key) for key, item in value.items()}
+    if isinstance(kind, list):
+        if not isinstance(value, list):
+            raise ConfigError(f"{path} must be a list, got {value!r}")
+        return [_checked(item, kind[0], f"{path}[{idx}]") for idx, item in enumerate(value)]
+    if kind is int and isinstance(value, float) and value.is_integer():
+        return int(value)
+    if isinstance(value, bool) == (kind is bool) and isinstance(value, (int, float) if kind is float else kind):
+        return value
+    raise ConfigError(f"{path} must be {_SCALARS[kind]}, got {value!r}")
 
 
 def _hyperparams(hp: dict, buffer: dict) -> HyperParams:
-    """The step parameters of a validated config with the queue floor ``buffer``."""
+    """The step parameters of a checked config with the queue floor ``buffer``."""
     steps = {key: float(hp[key]) for key in ("alpha", "beta", "eta", "gamma")}
     return HyperParams(**steps, buffer=BufferSchedule.from_dict(buffer))
 
 
 def _validate_config(cfg: dict) -> dict:
-    """Check a merged config and return it expanded: every top-level key present, defaults filled in."""
-    _reject_unknown(cfg, _TOP_KEYS, "config")
-    instance = _require(cfg, "instance", "config")
-    if not isinstance(instance, dict) or len(instance) != 1 or next(iter(instance)) not in (
-        "generate",
-        "file",
-    ):
+    """Check a merged config and return a copy of it expanded: every top-level key present, defaults filled in."""
+    cfg = _checked(cfg, _CONFIG)
+    if len(cfg["instance"]) != 1:
         raise ConfigError("instance must be exactly one of {'generate': {...}} or {'file': path}")
-    if "generate" in instance:
-        _reject_unknown(instance["generate"], _GENERATE_KEYS, "instance.generate")
-        for key in ("seed", "n", "r_max"):
-            _require(instance["generate"], key, "instance.generate")
-        for key, value in instance["generate"].items():
-            _number(value, f"instance.generate.{key}", float if key == "r_max" else int)
-
-    hp = _require(cfg, "hp", "config")
-    _reject_unknown(hp, _HP_KEYS, "hp")
-    for key in ("alpha", "beta", "eta", "gamma"):
-        _number(_require(hp, key, "hp"), f"hp.{key}")
-    buffer = hp.get("buffer", {"kind": "constant", "omega": 0.0})
-    _validate_buffer(buffer, "hp.buffer")
-    hp = {**hp, "buffer": buffer}
-    _hyperparams(hp, buffer)  # the step parameters' range checks
-
-    mode = _require(cfg, "mode", "config")
-    if mode not in (INEQUALITY, EQUALITY):
-        raise ConfigError(f"mode must be {INEQUALITY!r} or {EQUALITY!r}, got {mode!r}")
-
-    iters = _number(_require(cfg, "iters", "config"), "iters", int)
-    if iters < 1:
-        raise ConfigError(f"iters must be >= 1, got {iters}")
-
-    init = cfg.get("init", {"mode": "at_demand"})
-    _reject_unknown(init, _INIT_KEYS, "init")
-    for key, ndim in (("offset", 1), ("x0", 2)):
-        if init.get(key) is not None:
-            _numbers(init[key], f"init.{key}", ndim)
-
-    disturbances = []
-    for idx, dist in enumerate(cfg.get("disturbances", [])):
-        where = f"disturbances[{idx}]"
-        _reject_unknown(dist, _DISTURBANCE_KEYS, where)
-        _number(_require(dist, "at_iteration", where), f"{where}.at_iteration", int)
-        _numbers(_require(dist, "additive", where), f"{where}.additive", 1)
-        if dist.get("agent_ids") is not None:
-            _numbers(dist["agent_ids"], f"{where}.agent_ids", 1, "iu")
-        disturbances.append(dict(dist))
-
-    sweep = cfg.get("sweep")
-    if sweep is not None:
-        for idx, member in enumerate(sweep):
-            _validate_buffer(member, f"sweep[{idx}]")
-        sweep = [dict(member) for member in sweep]
-
+    if cfg["mode"] not in (INEQUALITY, EQUALITY):
+        raise ConfigError(f"mode must be {INEQUALITY!r} or {EQUALITY!r}, got {cfg['mode']!r}")
+    if cfg.get("sweep") == []:
+        raise ConfigError("sweep must list at least one buffer")
+    hp = {"buffer": {"kind": "constant", "omega": 0.0}, **cfg["hp"]}
+    for buffer in [hp["buffer"], *(cfg.get("sweep") or [])]:
+        _hyperparams(hp, buffer)  # the range checks of the steps and of every buffer, before any run
     return {
-        "preset": cfg.get("preset"),
-        "instance": instance,
+        "preset": None,
+        "sweep": None,
+        "record_every": 1,
+        "disturbances": [],
+        "init": {"mode": "at_demand"},
+        **cfg,
         "hp": hp,
-        "sweep": sweep,
-        "mode": mode,
-        "iters": iters,
-        "record_every": _number(cfg.get("record_every", 1), "record_every", int),
-        "disturbances": disturbances,
-        "init": dict(init),
-        "out": str(_require(cfg, "out", "config")),
     }
 
 
@@ -252,18 +221,16 @@ def parse_config(
         preset = preset or cfg.get("preset")
 
     if preset is not None:
-        if preset not in PRESETS:
+        if not isinstance(preset, str) or preset not in PRESETS:
             raise ConfigError(f"unknown preset {preset!r}; available: {sorted(PRESETS)}")
-        merged = {**PRESETS[preset], **cfg}
-        merged["preset"] = preset
-        cfg = merged
+        cfg = {**PRESETS[preset], **cfg, "preset": preset}
 
     for key, value in (overrides or {}).items():
         if value is None:
             continue
         if key == "seed":
-            source = cfg.get("instance", {})
-            if "generate" not in source:
+            source = cfg.get("instance")
+            if not (isinstance(source, dict) and isinstance(source.get("generate"), dict)):
                 raise ConfigError("--seed only applies to generated instances")
             cfg["instance"] = {"generate": {**source["generate"], "seed": value}}
         elif key == "mode":
@@ -278,13 +245,7 @@ def parse_config(
 
 def _build_instance(config: dict):
     if "generate" in config["instance"]:
-        gen = config["instance"]["generate"]
-        return generate_instance(
-            seed=int(gen["seed"]),
-            n=int(gen["n"]),
-            r_max=float(gen["r_max"]),
-            extra_edges=int(gen.get("extra_edges", 0)),
-        )
+        return generate_instance(**config["instance"]["generate"])
     path = config["instance"]["file"]
     try:
         text = Path(path).read_text(encoding="utf-8")
@@ -294,27 +255,17 @@ def _build_instance(config: dict):
 
 
 def _build_plan(config: dict, instance, buffer: dict) -> ExperimentPlan:
-    hp = _hyperparams(config["hp"], buffer)
-    disturbances = tuple(
-        DisturbanceEvent(
-            at_iteration=int(d["at_iteration"]),
-            additive=np.array(d["additive"], dtype=float),
-            agent_ids=None if d.get("agent_ids") is None else tuple(d["agent_ids"]),
-            perturb_x_prime=bool(d.get("perturb_x_prime", True)),
-        )
-        for d in config["disturbances"]
-    )
     init = config["init"]
     return ExperimentPlan(
         instance=instance,
-        hp=hp,
+        hp=_hyperparams(config["hp"], buffer),
         iters=config["iters"],
         mode=config["mode"],
-        disturbances=disturbances,
+        disturbances=tuple(DisturbanceEvent(**d) for d in config["disturbances"]),
         record_every=config["record_every"],
         init_mode=init.get("mode", "at_demand"),
-        x0=None if init.get("x0") is None else np.array(init["x0"], dtype=float),
-        x0_offset=None if init.get("offset") is None else np.array(init["offset"], dtype=float),
+        x0=init.get("x0"),
+        x0_offset=init.get("offset"),
     )
 
 

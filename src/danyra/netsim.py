@@ -15,9 +15,14 @@ from .oracle import OracleSolution
 from .problem import INEQUALITY, HyperParams, ProblemInstance
 
 
+def _is_number(value) -> bool:
+    """Whether ``value`` is a real number (numpy's too) and not a boolean."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
 def _whole_number(value, name: str) -> int:
     """``value`` as an ``int``: an integer (numpy's too) or a whole float; anything else is a ConfigError."""
-    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+    if _is_number(value):
         if isinstance(value, numbers.Integral) or float(value).is_integer():
             return int(value)
     raise ConfigError(f"{name} must be a whole number, got {value!r}")
@@ -39,6 +44,8 @@ class DisturbanceEvent:
     perturb_x_prime: bool = True
 
     def __post_init__(self):
+        if not all(_is_number(v) for v in np.asarray(self.additive, dtype=object).flat):
+            raise ConfigError(f"disturbance vector must be numbers, got {self.additive!r}")
         additive = np.array(self.additive, dtype=float)
         if not np.all(np.isfinite(additive)):
             raise ConfigError("disturbance vector must be finite")
@@ -49,7 +56,7 @@ class DisturbanceEvent:
         object.__setattr__(self, "at_iteration", at_iteration)
         object.__setattr__(self, "additive", additive)
         if self.agent_ids is not None:
-            object.__setattr__(self, "agent_ids", tuple(int(i) for i in self.agent_ids))
+            object.__setattr__(self, "agent_ids", tuple(_whole_number(i, "agent id") for i in self.agent_ids))
 
 
 def apply_disturbance(state: SwarmState, instance: ProblemInstance, event: DisturbanceEvent) -> SwarmState:

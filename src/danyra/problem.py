@@ -29,7 +29,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import InvalidInstanceError, TopologyError
+from .errors import ConfigError, InvalidInstanceError, TopologyError
 
 SYMMETRY_TOL = 1e-12
 RANK_TOL = 1e-10
@@ -610,14 +610,14 @@ class BufferSchedule:
 
     @classmethod
     def from_dict(cls, data: dict) -> "BufferSchedule":
+        """The schedule of a config's buffer section; an unknown kind or a missing level is a ConfigError."""
         kind = data.get("kind")
-        if kind == "constant":
-            return cls.constant(data["omega"])
-        if kind == "decaying":
-            return cls.decaying(data["coefficient"])
-        if kind == "sequence":
-            return cls.sequence(data["values"])
-        raise InvalidInstanceError(f"unknown buffer kind {kind!r}")
+        key = {"constant": "omega", "decaying": "coefficient", "sequence": "values"}.get(kind)
+        if key is None:
+            raise ConfigError(f"unknown buffer kind {kind!r}")
+        if key not in data:
+            raise ConfigError(f"missing required key {key!r} for buffer kind {kind!r}")
+        return getattr(cls, kind)(data[key])
 
 
 @dataclass(frozen=True)

@@ -1,3 +1,4 @@
+import copy
 import json
 import os
 import re
@@ -76,6 +77,10 @@ EQUALITY_EXPANDED = {
 }
 
 
+HP = {"alpha": 0.01, "beta": 0.02, "eta": 0.1, "gamma": 0.2}
+DIST = {"at_iteration": 10, "additive": [5.0, 5.0]}
+
+
 class TestPresets:
     def test_fig2_expansion_frozen(self):
         assert parse_config(preset="fig2") == FIG2_EXPANDED
@@ -85,6 +90,20 @@ class TestPresets:
 
     def test_equality_expansion_frozen(self):
         assert parse_config(preset="equality") == EQUALITY_EXPANDED
+
+    def test_parsed_config_does_not_alias_presets(self, monkeypatch):
+        monkeypatch.setattr(danyra.cli, "PRESETS", copy.deepcopy(PRESETS))  # a failure leaks into no other test
+        fig2 = parse_config(preset="fig2")
+        fig2["hp"]["alpha"] = 0.5
+        fig2["hp"]["buffer"]["omega"] = 3.0
+        fig2["instance"]["generate"]["seed"] = 7
+        fig2["disturbances"][0]["additive"][0] = 0.0
+        fig2["init"]["mode"] = "zero"
+        sweep = parse_config(preset="buffer-sweep")
+        sweep["sweep"][0]["omega"] = 9.0
+        sweep["init"]["offset"].append(1.0)
+        assert parse_config(preset="fig2") == FIG2_EXPANDED
+        assert parse_config(preset="buffer-sweep") == BUFFER_SWEEP_EXPANDED
 
     def test_unknown_preset(self):
         with pytest.raises(ConfigError):
@@ -355,6 +374,18 @@ class TestRun:
             ),
             pytest.param({"disturbances": [{"at_iteration": 10.5, "additive": [5.0, 5.0]}]}, id="at-iteration-fraction"),
             pytest.param({"init": {"mode": "warm"}}, id="init-mode-unknown"),
+            pytest.param({"init": None}, id="init-null"),
+            pytest.param({"hp": 5}, id="hp-number"),
+            pytest.param({"disturbances": [5]}, id="disturbance-number"),
+            pytest.param({"disturbances": {}}, id="disturbances-object"),
+            pytest.param({"hp": {**HP, "buffer": None}}, id="buffer-null"),
+            pytest.param({"hp": {**HP, "buffer": {"kind": 5, "omega": 0.1}}}, id="buffer-kind-number"),
+            pytest.param({"hp": {**HP, "buffer": {"kind": "linear"}}}, id="buffer-kind-unknown"),
+            pytest.param({"instance": {"file": 5}}, id="instance-file-number"),
+            pytest.param({"disturbances": [{**DIST, "perturb_x_prime": "false"}]}, id="perturb-x-prime-text"),
+            pytest.param({"disturbances": [{**DIST, "perturb_x_prime": 0}]}, id="perturb-x-prime-zero"),
+            pytest.param({"out": 7}, id="out-number"),
+            pytest.param({"sweep": []}, id="sweep-empty"),
         ],
     )
     def test_config_shape_errors(self, tmp_path, capsys, edit):
@@ -363,6 +394,45 @@ class TestRun:
         assert main(["run", "--config", str(path)]) == 2
         assert capsys.readouterr().err.startswith("config error:")
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            pytest.param({"hp": {**HP, "buffer": {"kind": 5}}}, "hp.buffer.kind must be a string, got 5", id="kind"),
+            pytest.param(
+                {"disturbances": [{**DIST, "additive": [1.0, "x"]}]},
+                r"disturbances\[0\].additive\[1\] must be a number, got 'x'",
+                id="additive-item",
+            ),
+            pytest.param({"disturbances": {**DIST}}, "disturbances must be a list", id="disturbances"),
+            pytest.param({"init": None}, "init must be an object, got None", id="init"),
+            pytest.param({"iters": True}, "iters must be an integer, got True", id="iters-boolean"),
+            pytest.param({"hp": {**HP, "gamma": False}}, "hp.gamma must be a number, got False", id="gamma-boolean"),
+            pytest.param(
+                {"disturbances": [{**DIST, "agent_ids": [0, 1.5]}]},
+                r"disturbances\[0\].agent_ids\[1\] must be an integer, got 1.5",
+                id="agent-id-fraction",
+            ),
+            pytest.param(
+                {"sweep": [{"kind": "constant", "omega": 0.1}, {"kind": "decaying"}]},
+                "missing required key 'coefficient' for buffer kind 'decaying'",
+                id="sweep-member-without-level",
+            ),
+        ],
+    )
+    def test_config_type_errors_name_the_path(self, tmp_path, capsys, edit, message):
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(self.small_cfg(tmp_path, **edit)), encoding="utf-8")
+        assert main(["run", "--config", str(path)]) == 2
+        assert re.match(f"config error: {message}", capsys.readouterr().err)
+        assert not (tmp_path / "out").exists()
+
+    def test_whole_float_agent_id_is_an_integer(self, tmp_path):
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(self.small_cfg(tmp_path, disturbances=[{**DIST, "agent_ids": [1.0]}])))
+        config = parse_config(str(path))
+        assert config["disturbances"][0]["agent_ids"] == [1]
+        assert run(config) == 0
 
     def test_plans_fail_before_the_oracle_solve(self, tmp_path, capsys, monkeypatch):
         def no_solve(instance):

@@ -75,6 +75,27 @@ class TestDisturbance:
         with pytest.raises(ConfigError):
             DisturbanceEvent(at_iteration=5, additive=np.array([np.inf, 0.0]))
 
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            pytest.param({"additive": ["1", "2"]}, "must be numbers", id="additive-text"),
+            pytest.param({"additive": [True, 2.0]}, "must be numbers", id="additive-boolean"),
+            pytest.param({"additive": [[1.0], [1.0, 2.0]]}, "must be numbers", id="additive-ragged"),
+            pytest.param({"agent_ids": (1.5, 2)}, "agent id must be a whole number, got 1.5", id="agent-fraction"),
+            pytest.param({"agent_ids": ("2",)}, "agent id must be a whole number, got '2'", id="agent-text"),
+            pytest.param({"agent_ids": (True,)}, "agent id must be a whole number, got True", id="agent-boolean"),
+        ],
+    )
+    def test_event_rejects_what_is_not_a_number(self, kwargs, message):
+        with pytest.raises(ConfigError, match=message):
+            DisturbanceEvent(**{"at_iteration": 5, "additive": [1.0, 2.0], **kwargs})
+
+    def test_event_agent_ids_are_ints(self):
+        event = DisturbanceEvent(at_iteration=5, additive=[1, 2], agent_ids=(1.0, np.int64(2)))
+        assert event.agent_ids == (1, 2)
+        assert all(type(i) is int for i in event.agent_ids)
+        assert event.additive.tolist() == [1.0, 2.0]
+
 
 class TestRunExperiment:
     def test_feasible_init_never_violates(self, benchmark_instance, benchmark_oracle, base_hp):

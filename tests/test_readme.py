@@ -1,10 +1,11 @@
-"""README.md's Python examples run as written, and the package exports exactly the documented names."""
+"""README.md's Python examples and its config run as written, and the package exports exactly the documented names."""
 
 import re
 import types
 from pathlib import Path
 
 import danyra
+from danyra.cli import parse_config, run
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -35,6 +36,17 @@ def test_python_blocks_run(tmp_path, monkeypatch):
     namespace = {"__name__": "readme"}
     for block in blocks:  # in order: later blocks use names the earlier ones define
         exec(compile(block, str(README), "exec"), namespace)
+
+
+def test_json_config_block_runs(tmp_path):
+    blocks = re.findall(r"^```json\n(.*?)^```", README.read_text(encoding="utf-8"), re.M | re.S)
+    configs = [block for block in blocks if '"out"' in block]
+    assert len(configs) == 1
+    path = tmp_path / "config.json"
+    path.write_text(configs[0], encoding="utf-8")
+    config = parse_config(str(path), overrides={"iters": 600, "out": str(tmp_path / "out")})
+    assert run(config) == 0
+    assert (tmp_path / "out" / "trace.csv").exists()
 
 
 def test_public_names():
