@@ -188,6 +188,9 @@ def _validate_config(cfg: dict) -> dict:
     hp = {"buffer": {"kind": "constant", "omega": 0.0}, **cfg["hp"]}
     for buffer in [hp["buffer"], *(cfg.get("sweep") or [])]:
         _hyperparams(hp, buffer)  # the range checks of the steps and of every buffer, before any run
+    labels = [_buffer_label(buffer) for buffer in cfg.get("sweep") or []]
+    if len(set(labels)) < len(labels):
+        raise ConfigError(f"sweep members must have distinct labels, got {labels}")
     return {
         "preset": None,
         "sweep": None,
@@ -274,7 +277,7 @@ def _buffer_label(buffer: dict) -> str:
         return f"omega-{buffer['omega']:g}"
     if buffer["kind"] == "decaying":
         return f"omega-{buffer['coefficient']:g}-over-k"
-    return "omega-sequence"
+    return "omega-seq-" + "-".join(f"{value:g}" for value in buffer["values"])
 
 
 def _strict(value):

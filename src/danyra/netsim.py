@@ -12,20 +12,12 @@ from .engine import SwarmState, init_state, iterate
 from .errors import ConfigError
 from .metrics import optimality_gap, slack_sum, violation_l1
 from .oracle import OracleSolution
-from .problem import INEQUALITY, HyperParams, ProblemInstance
+from .problem import INEQUALITY, HyperParams, ProblemInstance, _whole_number
 
 
 def _is_number(value) -> bool:
     """Whether ``value`` is a real number (numpy's too) and not a boolean."""
     return isinstance(value, numbers.Real) and not isinstance(value, bool)
-
-
-def _whole_number(value, name: str) -> int:
-    """``value`` as an ``int``: an integer (numpy's too) or a whole float; anything else is a ConfigError."""
-    if _is_number(value):
-        if isinstance(value, numbers.Integral) or float(value).is_integer():
-            return int(value)
-    raise ConfigError(f"{name} must be a whole number, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -49,14 +41,15 @@ class DisturbanceEvent:
         additive = np.array(self.additive, dtype=float)
         if not np.all(np.isfinite(additive)):
             raise ConfigError("disturbance vector must be finite")
-        at_iteration = _whole_number(self.at_iteration, "at_iteration")
+        at_iteration = _whole_number(self.at_iteration, "at_iteration", ConfigError)
         if at_iteration < 1:
             raise ConfigError(f"at_iteration must be >= 1, got {at_iteration}")
         additive.setflags(write=False)
         object.__setattr__(self, "at_iteration", at_iteration)
         object.__setattr__(self, "additive", additive)
         if self.agent_ids is not None:
-            object.__setattr__(self, "agent_ids", tuple(_whole_number(i, "agent id") for i in self.agent_ids))
+            agent_ids = tuple(_whole_number(i, "agent id", ConfigError) for i in self.agent_ids)
+            object.__setattr__(self, "agent_ids", agent_ids)
 
 
 def apply_disturbance(state: SwarmState, instance: ProblemInstance, event: DisturbanceEvent) -> SwarmState:
@@ -96,7 +89,7 @@ class ExperimentPlan:
 
     def __post_init__(self):
         for name in ("iters", "record_every"):
-            value = _whole_number(getattr(self, name), name)
+            value = _whole_number(getattr(self, name), name, ConfigError)
             if value < 1:
                 raise ConfigError(f"{name} must be >= 1, got {value}")
             object.__setattr__(self, name, value)

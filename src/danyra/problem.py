@@ -12,17 +12,19 @@ operations over the whole swarm; only generic ``CallableCost`` agents are
 called one at a time.
 
 The graph is stored by edge (``Topology``), in memory and in instance files:
-generating, loading, validating and mixing over it cost O(|E|), and above
-``DENSE_MIX_MAX_N`` agents the spectral constants come from a Lanczos run on
-the mixing, linear in n and |E| per step.  Swarms of thousands of agents never
-allocate an n x n array unless a caller asks for the dense Laplacian ``L``, or
-the spectral constants fall back to it.
+generating, loading, validating and mixing over it cost O(|E|).  Above
+``DENSE_MIX_MAX_N`` agents the Laplacian's two spectral constants are
+certified bounds in O(n + |E|), not eigenvalues, so an advisory step-size
+check may fail there that the exact eigenvalues would pass.  Swarms of
+thousands of agents never allocate an n x n array unless a caller asks for
+the dense Laplacian ``L``.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import asdict, dataclass, field
 from functools import cached_property
 from typing import Callable, Sequence
@@ -58,8 +60,10 @@ class CallableCost:
 
 
 # At or below this many agents ``Topology.mix`` is the dense ``L @ v`` and
-# ``spectral_constants`` runs ``eigvalsh`` on ``L``; above it, a segment sum
-# over the neighbor arrays and Lanczos on it.  Per call on a ring plus 2n
+# ``spectral_constants`` runs ``eigvalsh`` on ``L``; above it, ``mix`` is a
+# segment sum over the neighbor arrays and the spectral constants are
+# certified bounds, not eigenvalues (an advisory check may fail on them that
+# the eigenvalues would pass).  Per call on a ring plus 2n
 # chords with two columns (2-core x86, numpy 2.4), dense vs segment sum:
 # 2.2 vs 15 us at n=14, 11 vs 32 us at n=200, 39 vs 52 us at n=400,
 # 89 vs 61 us at n=500, 150 vs 71 us at n=600, 215 vs 76 us at n=700,
@@ -80,8 +84,11 @@ class Topology:
     (``l_ij = -w_ij``, ``l_ii = sum_{j != i} w_ij``) is built on first access.
     Above ``DENSE_MIX_MAX_N`` agents, construction, validation and
     :meth:`mix` take O(n + |E|) time and memory and never read it; nor does
-    :func:`spectral_constants`, which runs Lanczos on :meth:`mix` there and
-    builds ``L`` only when that falls back to the dense eigenvalues.
+    :func:`spectral_constants`, whose two Laplacian constants there are
+    certified bounds, not eigenvalues: Gershgorin's from the degrees, and
+    Mohar's from node 0's eccentricity, which construction's connectivity
+    search records.  An advisory check may fail on them that the eigenvalues
+    would pass.
     """
 
     n: int
@@ -89,7 +96,7 @@ class Topology:
     weights: np.ndarray
 
     def __post_init__(self):
-        n = int(self.n)
+        n = _whole_number(self.n, "n", TopologyError)
         if n < 1:
             raise TopologyError(f"a topology needs at least one node, got n={n}")
         edges = _edge_array(self.edges, n)
@@ -117,8 +124,10 @@ class Topology:
         if heavy.size:
             i, total = int(heavy[0]), float(self._laplacian_diag[heavy[0], 0])
             raise TopologyError(f"node {i}: edge weights sum to {total} > 1 (negative self-weight)")
-        if not _connected(indptr, cols):
+        eccentricity = _eccentricity(indptr, cols)
+        if eccentricity is None:
             raise TopologyError("graph is disconnected")
+        object.__setattr__(self, "_eccentricity", eccentricity)
         if np.max(np.abs(self.mix(np.ones((n, 1))))) > SYMMETRY_TOL:
             raise TopologyError("Laplacian rows do not sum to zero within 1e-12")
 
@@ -152,6 +161,14 @@ class Topology:
         return L
 
 
+def _whole_number(value, name: str, error: type[Exception]) -> int:
+    """``value`` as an ``int``: an integer (numpy's too) or a whole float; anything else raises ``error``."""
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        if isinstance(value, numbers.Integral) or float(value).is_integer():
+            return int(value)
+    raise error(f"{name} must be a whole number, got {value!r}")
+
+
 def _edge_array(edges, n: int) -> np.ndarray:
     """Edges as a new (E, 2) int64 array, every endpoint in ``range(n)``."""
     pairs = np.array(edges)
@@ -178,19 +195,18 @@ def _validate_edges(n: int, pairs: np.ndarray, weights: np.ndarray) -> None:
         raise TopologyError("edge weights must be positive and finite")
 
 
-def _connected(indptr: np.ndarray, cols: np.ndarray) -> bool:
-    """Depth-first search from node 0 over the neighbor arrays."""
+def _eccentricity(indptr: np.ndarray, cols: np.ndarray) -> int | None:
+    """Node 0's eccentricity by breadth-first search over the neighbor arrays; None if the graph is disconnected."""
     indptr, cols = indptr.tolist(), cols.tolist()
-    seen = [False] * (len(indptr) - 1)
-    seen[0] = True
-    stack = [0]
-    while stack:
-        i = stack.pop()
+    depth = [-1] * (len(indptr) - 1)
+    depth[0] = 0
+    queue = [0]
+    for i in queue:  # the queue grows while it is walked, in order of depth
         for j in cols[indptr[i] : indptr[i + 1]]:
-            if not seen[j]:
-                seen[j] = True
-                stack.append(j)
-    return all(seen)
+            if depth[j] < 0:
+                depth[j] = depth[i] + 1
+                queue.append(j)
+    return depth[queue[-1]] if len(queue) == len(depth) else None
 
 
 def _metropolis_topology(n: int, pairs: np.ndarray) -> Topology:
@@ -394,6 +410,8 @@ def generate_instance(seed: int, n: int, r_max: float, extra_edges: int = 0) -> 
     eigenvalues drawn from ``U[0.5, 2.0]`` in a random orthogonal basis, and
     ``Q_i`` entrywise uniform in ``(0, 1]``.  Deterministic for a fixed seed.
     """
+    n = _whole_number(n, "n", InvalidInstanceError)
+    extra_edges = _whole_number(extra_edges, "extra_edges", InvalidInstanceError)
     if n < 2:
         raise InvalidInstanceError(f"need at least 2 agents, got {n}")
     if r_max <= 0:
@@ -423,61 +441,16 @@ def generate_instance(seed: int, n: int, r_max: float, extra_edges: int = 0) -> 
     return ProblemInstance(A=A, d=d, P=P, Q=Q, topology=topology)
 
 
-LANCZOS_MAX_STEPS = 400
-LANCZOS_CHECK_EVERY = 10
-LANCZOS_RTOL = 1e-10
-
-
-def _lanczos_extremes(topology: Topology) -> tuple[float, float] | None:
-    """``(lambda_2, lambda_max)`` of the Laplacian by Lanczos on ``mix``, or None if it did not converge.
-
-    Lanczos with full reorthogonalization (Golub & Van Loan, *Matrix
-    Computations*, section 10.1) in the complement of ``1``: the Ritz values
-    of the tridiagonal ``T_k`` are the eigenvalues of ``L`` restricted to the
-    Krylov space, and for the Ritz pair ``(theta, s)`` the residual
-    ``|beta_k s_k|`` bounds the distance from ``theta`` to an eigenvalue.
-    """
-    n = topology.n
-    steps = min(LANCZOS_MAX_STEPS, n - 1)
-    ones = np.full(n, 1.0 / math.sqrt(n))
-    basis = np.empty((steps + 1, n))
-    alphas, betas = np.empty(steps), np.empty(steps)
-    q = np.random.default_rng(0).standard_normal(n)
-    for _ in range(2):
-        q -= (ones @ q) * ones
-    basis[0] = q / np.linalg.norm(q)
-    for k in range(steps):
-        w = topology.mix(basis[k])
-        alphas[k] = basis[k] @ w
-        # three-term recurrence, then one Gram-Schmidt pass against the basis
-        # and 1; a second pass only if the first removed most of the vector
-        # (norm below 1/sqrt(2) of what it was: "twice is enough")
-        w -= alphas[k] * basis[k]
-        if k:
-            w -= betas[k - 1] * basis[k - 1]
-        done = basis[: k + 1]
-        for _ in range(2):
-            before = np.linalg.norm(w)
-            w -= done.T @ (done @ w)
-            w -= (ones @ w) * ones
-            beta = np.linalg.norm(w)
-            if beta >= before / math.sqrt(2.0):
-                break
-        betas[k] = beta
-        # a beta at rounding level means the Krylov space is invariant: check at once
-        if (k + 1) % LANCZOS_CHECK_EVERY == 0 or beta <= LANCZOS_RTOL * abs(alphas[k]):
-            T = np.diag(alphas[: k + 1]) + np.diag(betas[:k], 1) + np.diag(betas[:k], -1)
-            theta, s = np.linalg.eigh(T)
-            ends = theta[[0, -1]]
-            if np.all(beta * np.abs(s[-1, [0, -1]]) <= LANCZOS_RTOL * np.abs(ends)):
-                return float(ends[0]), float(ends[1])
-        basis[k + 1] = w / beta
-    return None
-
-
 @dataclass(frozen=True)
 class SpectralConstants:
-    """Smoothness/convexity and coupling-spectrum constants used by the step-size checks."""
+    """Smoothness/convexity and coupling-spectrum constants used by the step-size checks.
+
+    ``sigma_L_max`` and ``sigma_L_min`` are the Laplacian's ``lambda_max`` and
+    ``lambda_2`` up to ``DENSE_MIX_MAX_N`` agents.  Above, they are certified
+    bounds, ``sigma_L_max >= lambda_max`` and ``sigma_L_min <= lambda_2``, not
+    eigenvalues: the advisory checks stay valid, but one may fail there that
+    the exact eigenvalues would pass.
+    """
 
     ell: float
     mu: float
@@ -505,25 +478,18 @@ def spectral_constants(
     For quadratic costs ``ell = 2 max_i lambda_max(P_i)`` and
     ``mu = 2 min_i lambda_min(P_i)``; generic costs require both supplied.
 
-    ``sigma_L_min`` is the smallest nonzero eigenvalue of the Laplacian (the
-    Fiedler value ``lambda_2``: the graph is connected) and ``sigma_L_max``
-    the largest.  Up to ``DENSE_MIX_MAX_N`` agents both come from
-    ``eigvalsh`` on the dense ``L``.  Above, a Lanczos run on
-    ``Topology.mix`` finds them without ``L``: step ``k`` costs one ``mix``
-    plus O(k n) reorthogonalization, and the basis holds at most
-    ``LANCZOS_MAX_STEPS + 1`` vectors of length n.  It starts from a seeded
-    random vector orthogonal to ``1`` (the null space), keeps every basis
-    vector orthogonal to the others and to ``1`` with one Gram-Schmidt pass
-    after the three-term recurrence (a second only when the first shrinks
-    the vector below ``1/sqrt(2)`` of its norm, the Kahan-Parlett test; on
-    ring-plus-chord graphs it never does), and every ``LANCZOS_CHECK_EVERY`` steps
-    stops once each extreme Ritz value ``theta`` has a residual of at most
-    ``LANCZOS_RTOL * theta``, which bounds its distance to an eigenvalue of
-    ``L``.  It stops at once on an invariant subspace (complete and star
-    graphs take one or two steps).  A graph whose ``lambda_2`` has not
-    converged after ``LANCZOS_MAX_STEPS`` steps (a bare ring or a long path,
-    whose ``lambda_2`` is tiny and crowded) falls back to the dense
-    ``eigvalsh``, so the constants are never an unconverged estimate.
+    Up to ``DENSE_MIX_MAX_N`` agents, ``sigma_L_min`` is the smallest nonzero
+    eigenvalue of the Laplacian (the Fiedler value ``lambda_2``: the graph is
+    connected) and ``sigma_L_max`` the largest, both from ``eigvalsh`` on the
+    dense ``L``.  Above, both are bounds in O(n + |E|) that never build ``L``,
+    so an advisory check may fail there that the eigenvalues would pass:
+
+    - ``sigma_L_max = 2 max_i l_ii >= lambda_max`` (Gershgorin), which only
+      tightens ``alpha_network_coupling``;
+    - ``sigma_L_min = 2 w_min / (n ecc(0)) <= lambda_2``: Mohar's
+      ``lambda_2 >= 4 / (n D)`` for the unweighted Laplacian (*Graphs and
+      Combinatorics* 7, 1991), with the diameter ``D <= 2 ecc(0)`` and
+      ``L >= w_min L_unweighted``.  It only raises ``theta_prime``.
     """
     if instance.quadratic:
         eigenvalues = instance._P_eigenvalues
@@ -534,17 +500,19 @@ def spectral_constants(
 
     singular_values = instance._A_singular_values
     topology = instance.topology
-    extremes = _lanczos_extremes(topology) if topology.n > DENSE_MIX_MAX_N else None
-    if extremes is None:
+    if topology.n <= DENSE_MIX_MAX_N:
         eig_L = np.linalg.eigvalsh(topology.L)
-        extremes = eig_L[eig_L > SYMMETRY_TOL][0], eig_L[-1]
+        sigma_L_min, sigma_L_max = eig_L[eig_L > SYMMETRY_TOL][0], eig_L[-1]
+    else:
+        sigma_L_min = 2.0 * topology.weights.min() / (topology.n * topology._eccentricity)
+        sigma_L_max = 2.0 * topology._laplacian_diag.max()
     return SpectralConstants(
         ell=float(ell),
         mu=float(mu),
         sigma_A_max=float(singular_values.max()),
         sigma_A_min=float(singular_values.min()),
-        sigma_L_max=float(extremes[1]),
-        sigma_L_min=float(extremes[0]),
+        sigma_L_max=float(sigma_L_max),
+        sigma_L_min=float(sigma_L_min),
     )
 
 
@@ -765,12 +733,6 @@ def _json_floats(value, where: str) -> np.ndarray:
     return arr.astype(float)
 
 
-def _json_int(value, where: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, (int, float)) or not float(value).is_integer():
-        raise ValueError(f"{where} must be an integer, got {value!r}")
-    return int(value)
-
-
 def instance_from_json(text: str) -> ProblemInstance:
     """Load an instance from its JSON document, re-validating all invariants.
 
@@ -789,7 +751,7 @@ def instance_from_json(text: str) -> ProblemInstance:
     try:
         agents = doc["agents"]
         P, Q, A, d = (_json_floats([agent[key] for agent in agents], f"agents' {key}") for key in "PQAd")
-        sizes = tuple(_json_int(doc[key], key) for key in ("n", "p", "m"))
+        sizes = tuple(_whole_number(doc[key], key, ValueError) for key in ("n", "p", "m"))
         weights = _json_floats(doc["topology"]["weights"], "topology weights")
         topology = Topology(n=sizes[0], edges=doc["topology"]["edges"], weights=weights)
     except KeyError as exc:

@@ -309,8 +309,8 @@ class TestRun:
             ),
             pytest.param(lambda doc: {**doc, "topology": None}, 1, "malformed", id="topology-null"),
             pytest.param(lambda doc: {**doc, "n": None}, 1, "malformed", id="n-null"),
-            pytest.param(lambda doc: {**doc, "n": "4"}, 1, "n must be an integer", id="n-text"),
-            pytest.param(lambda doc: {**doc, "n": 4.9}, 1, "n must be an integer", id="n-fraction"),
+            pytest.param(lambda doc: {**doc, "n": "4"}, 1, "n must be a whole number", id="n-text"),
+            pytest.param(lambda doc: {**doc, "n": 4.9}, 1, "n must be a whole number", id="n-fraction"),
             pytest.param(
                 lambda doc: {**doc, "agents": [{**agent, "d": [str(v) for v in agent["d"]]} for agent in doc["agents"]]},
                 1,
@@ -497,6 +497,26 @@ class TestRun:
             "omega-1",
             "omega-5-over-k",
         }
+
+    def _sweep_config(self, tmp_path, sweep) -> str:
+        path = tmp_path / "sweep.json"
+        cfg = {"preset": "buffer-sweep", "sweep": sweep, "iters": 25, "out": str(tmp_path / "sweep")}
+        path.write_text(json.dumps(cfg), encoding="utf-8")
+        return str(path)
+
+    def test_sequence_members_labelled_by_their_values(self, tmp_path):
+        sweep = [{"kind": "sequence", "values": [1.0, 0.5]}, {"kind": "sequence", "values": [0.2]}]
+        assert main(["run", "--config", self._sweep_config(tmp_path, sweep)]) == 0
+        root = tmp_path / "sweep"
+        labels = {"omega-seq-1-0.5", "omega-seq-0.2"}
+        assert {path.name for path in root.iterdir() if path.is_dir()} == labels
+        assert set(json.loads((root / "report.json").read_text())["members"]) == labels
+
+    def test_repeated_sweep_member_rejected(self, tmp_path, capsys):
+        sweep = [{"kind": "constant", "omega": 0.1}, {"kind": "constant", "omega": 0.1}]
+        assert main(["run", "--config", self._sweep_config(tmp_path, sweep)]) == 2
+        assert "sweep members must have distinct labels" in capsys.readouterr().err
+        assert not (tmp_path / "sweep").exists()
 
     def test_exit_codes(self, tmp_path):
         assert main(["run", "--preset", "nope"]) == 2

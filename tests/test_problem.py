@@ -285,6 +285,10 @@ class TestGenerateInstance:
             generate_instance(1, 14, 0.0, 0)
         with pytest.raises(InvalidInstanceError):
             generate_instance(1, 3, 5.0, 100)
+        with pytest.raises(InvalidInstanceError, match="n must be a whole number, got 14.5"):
+            generate_instance(1, 14.5, 70.0, 0)
+        with pytest.raises(InvalidInstanceError, match="extra_edges must be a whole number, got 2.5"):
+            generate_instance(1, 14, 70.0, 2.5)
 
     def test_ranges(self):
         inst = generate_instance(4, 10, 30.0, 2)
@@ -336,34 +340,23 @@ class TestSpectralConstants:
     @pytest.mark.parametrize(
         "make",
         [
-            lambda: generate_instance(5, DENSE_MIX_MAX_N + 1, 10.0, 2 * (DENSE_MIX_MAX_N + 1)),
-            lambda: generate_instance(1534, 2000, 70.0, 4000),
-            lambda: identity_instance(star_topology(700)),
-            lambda: identity_instance(complete_topology(700)),
+            lambda: generate_instance(1, 1000, 10.0, 0).topology,
+            lambda: path_topology(1000),
+            lambda: star_topology(700),
+            lambda: complete_topology(700),
+            lambda: generate_instance(5, DENSE_MIX_MAX_N + 1, 10.0, 2 * (DENSE_MIX_MAX_N + 1)).topology,
+            lambda: generate_instance(1534, 2000, 70.0, 4000).topology,
         ],
-        ids=["ring-plus-chords-601", "ring-plus-chords-2000", "star-700", "complete-700"],
+        ids=["ring-1000", "path-1000", "star-700", "complete-700", "ring-plus-chords-601", "ring-plus-chords-2000"],
     )
-    def test_lanczos_matches_dense_eigenvalues(self, make):
-        inst = make()
-        sc = spectral_constants(inst)
-        assert "L" not in vars(inst.topology)  # Lanczos converged; the dense Laplacian was never built
-        eig = np.linalg.eigvalsh(inst.topology.L)
-        assert sc.sigma_L_min == pytest.approx(eig[1], rel=1e-10, abs=0)
-        assert sc.sigma_L_max == pytest.approx(eig[-1], rel=1e-10, abs=0)
-        assert spectral_constants(inst) == sc  # seeded start: the same bits on every call
-
-    @pytest.mark.parametrize(
-        "make",
-        [lambda: generate_instance(1, 1000, 10.0, 0).topology, lambda: path_topology(1000)],
-        ids=["ring-1000", "path-1000"],
-    )
-    def test_unconverged_lanczos_falls_back_to_dense_eigenvalues(self, make):
+    def test_bounds_hold_the_eigenvalues(self, make):
         top = make()
         sc = spectral_constants(identity_instance(top))
-        assert "L" in vars(top)  # lambda_2 ~ 1e-5 is not resolved in 400 steps
+        assert "L" not in vars(top)  # O(n + |E|) bounds: the dense Laplacian is never built
+        # eigvalsh is exact to rounding only: on the even ring, lambda_max = 2 l_ii = 4/3 comes out one ulp above
         eig = np.linalg.eigvalsh(top.L)
-        assert sc.sigma_L_min == eig[eig > 1e-12][0]
-        assert sc.sigma_L_max == eig[-1]
+        assert 0.0 < sc.sigma_L_min <= eig[1] + 1e-12
+        assert sc.sigma_L_max >= eig[-1] - 1e-12
 
     def test_ordering_invariants(self):
         for seed in range(5):

@@ -111,6 +111,8 @@ def test_large_instance_iterates_without_dense_matrices():
         (2, [(0, 1)], [1.5], "node 0: edge weights sum to 1.5 > 1"),
         (3, [(0, 1), (1, 2)], [0.5, 0.75], "node 1: edge weights sum to 1.25 > 1"),
         (3, [(0, 1), (1, 2.5)], [0.2, 0.3], "integers"),
+        (2.9, [(0, 1)], [0.5], "n must be a whole number, got 2.9"),
+        ("2", [(0, 1)], [0.5], "n must be a whole number, got '2'"),
     ],
 )
 def test_edge_validation_rejects(n, edges, weights, message):
