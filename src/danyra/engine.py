@@ -14,6 +14,11 @@ violation and slack read ``Ax``.  A state's arrays are read-only and its
 fields cannot be reassigned, so a product cannot go stale; a state with other
 values is built with :meth:`SwarmState.build`, which recomputes them (a state
 made by the constructor or ``dataclasses.replace`` has no products at all).
+
+Every array of a state is stored agents innermost (Fortran order), like the
+instance stacks, so each batched product runs along the agents: ``build``
+copies the iterates so, and ``iterate``'s operations keep their operands'
+layout.  Sums over agents (``problem.agent_sum``) keep the row-major order.
 """
 
 from __future__ import annotations
@@ -29,16 +34,17 @@ from .problem import EQUALITY, INEQUALITY, HyperParams, ProblemInstance
 
 @dataclasses.dataclass(frozen=True)
 class SwarmState:
-    """All agents' iterates at step ``k`` (stacked row-wise), with their coupling products.
+    """All agents' iterates at step ``k`` (a row per agent), with their coupling products.
 
-    ``Ax[i] = A_i x_i`` and ``Ax_prime[i] = A_i x'_i``.  The constructor does
-    not take the products: only :meth:`build` (used by ``init_state``,
-    ``from_dict`` and ``apply_disturbance``), which computes them from copies
-    of the iterates, and ``iterate``, which has just computed them, set them,
-    and both make every array read-only.  So an in-place ``state.x += ...``
-    raises, and a state made by the constructor or ``dataclasses.replace``
-    has no products: reading ``Ax`` raises ``AttributeError`` instead of
-    returning products of other decisions.
+    ``Ax[i] = A_i x_i`` and ``Ax_prime[i] = A_i x'_i``, all stored agents
+    innermost.  The constructor does not take the products: only
+    :meth:`build` (used by ``init_state``, ``from_dict`` and
+    ``apply_disturbance``), which computes them from copies of the iterates,
+    and ``iterate``, which has just computed them, set them, and both make
+    every array read-only.  So an in-place ``state.x += ...`` raises, and a
+    state made by the constructor or ``dataclasses.replace`` has no products:
+    reading ``Ax`` raises ``AttributeError`` instead of returning products of
+    other decisions.
     """
 
     k: int
@@ -83,7 +89,7 @@ class SwarmState:
         lam,
         delta,
     ) -> "SwarmState":
-        """A state from copies of the given iterates, with ``Ax`` and ``Ax_prime`` computed from them.
+        """A state from Fortran-ordered copies of the given iterates, with ``Ax`` and ``Ax_prime`` from them.
 
         The mode must be known and carry a queue exactly in inequality mode,
         and every array must have its (n, p) or (n, m) shape.
@@ -103,7 +109,7 @@ class SwarmState:
             ("lam", lam, (n, m)),
             ("delta", delta, (n, m)),
         ):
-            arr = arrays[name] = None if value is None else np.array(value, dtype=float)
+            arr = arrays[name] = None if value is None else np.array(value, dtype=float, order="F")
             if arr is not None and arr.shape != shape:
                 raise ValueError(f"{name} must have shape {shape}, got {arr.shape}")
         return cls._with_products(
@@ -283,12 +289,12 @@ def iterate(state: SwarmState, instance: ProblemInstance, hp: HyperParams) -> Sw
     x_next += x_prime_next
     Ax_next = np.einsum("nmp,np->nm", A, x_next)
 
-    # a non-finite entry makes the sum non-finite; only then are the fields
-    # searched (a finite sum can also overflow, and then nothing is found)
-    total = float(x_next.sum()) + float(x_prime_next.sum()) + float(y_next.sum()) + float(lam_next.sum())
-    if inequality:
-        total += float(delta_next.sum())
-    if not math.isfinite(total):
+    # a non-finite entry of any returned field at agent i reaches x_next[i] or
+    # lam_next[i]: x'_next directly, y_next through mix's l_ii y_i (l_ii > 0
+    # for n >= 2; 0 * inf is NaN at n = 1), delta_next through pull and b.
+    # Only if a sum is not finite are the fields searched (a finite sum can
+    # also overflow, and then nothing is found)
+    if not math.isfinite(float(x_next.sum()) + float(lam_next.sum())):
         fields = {"x": x_next, "x_prime": x_prime_next, "y": y_next, "lambda": lam_next}
         if inequality:
             fields["delta"] = delta_next

@@ -9,14 +9,14 @@ import numpy as np
 
 from .engine import SwarmState
 from .oracle import OracleSolution
-from .problem import HyperParams, ProblemInstance, SpectralConstants
+from .problem import HyperParams, ProblemInstance, SpectralConstants, agent_sum
 
 ZERO_VIOLATION_TOL = 1e-12
 
 
 def violation_l1(instance: ProblemInstance, state: SwarmState) -> float:
     """1-norm of the positive part of ``sum_i (A_i x_i - d_i)``, from the state's ``Ax``."""
-    total = state.Ax.sum(axis=0) - instance.demand_total
+    total = agent_sum(state.Ax) - instance.demand_total
     np.maximum(total, 0.0, out=total)
     return float(total.sum())
 
@@ -29,9 +29,9 @@ def optimality_gap(x: np.ndarray, oracle: OracleSolution) -> float:
 
 def slack_sum(instance: ProblemInstance, state: SwarmState) -> np.ndarray:
     """``sum_i (A_i x_i + delta_i - d_i)`` from the state's ``Ax``; contracts by (1 - gamma) each iteration."""
-    total = state.Ax.sum(axis=0) - instance.demand_total
+    total = agent_sum(state.Ax) - instance.demand_total
     if state.delta is not None:
-        total += state.delta.sum(axis=0)
+        total += agent_sum(state.delta)
     return total
 
 

@@ -9,7 +9,10 @@ A ``ProblemInstance`` holds each kind of agent data as one stack with a row
 per agent (``A`` (n, m, p), ``d`` (n, m), quadratic ``P`` (n, p, p) and
 ``Q`` (n, p)), so building, validating and using an instance are array
 operations over the whole swarm; only generic ``CallableCost`` agents are
-called one at a time.
+called one at a time.  The stacks are stored agents innermost (Fortran
+order), so the batched products over the short ``m``/``p`` axes run along
+the agents; sums over agents (``agent_sum``) still add the rows one after
+another, as numpy's ``.sum(axis=0)`` does on a row-major stack.
 
 The graph is stored by edge (``Topology``), in memory and in instance files:
 generating, loading, validating and mixing over it cost O(|E|).  Above
@@ -63,13 +66,13 @@ class CallableCost:
 # ``spectral_constants`` runs ``eigvalsh`` on ``L``; above it, ``mix`` is a
 # segment sum over the neighbor arrays and the spectral constants are
 # certified bounds, not eigenvalues (an advisory check may fail on them that
-# the eigenvalues would pass).  Per call on a ring plus 2n
-# chords with two columns (2-core x86, numpy 2.4), dense vs segment sum:
-# 2.2 vs 15 us at n=14, 11 vs 32 us at n=200, 39 vs 52 us at n=400,
-# 89 vs 61 us at n=500, 150 vs 71 us at n=600, 215 vs 76 us at n=700,
-# 3.3-3.9 vs 0.20 ms at n=2000.  The crossover is near n=450; the threshold
-# stays at 600 because moving it changes the rounding of ``mix``, and so the
-# traces, for every n in between.
+# the eigenvalues would pass).  Per call on a ring plus 2n chords with two
+# agent-innermost columns (2-core x86, numpy 2.4), dense vs segment sum:
+# 2.5-2.9 vs 11-12 us at n=14, 9-11 vs 24-27 us at n=200, 33-37 vs 38-42 us
+# at n=400, 68-70 vs 45-50 us at n=500, 116-140 vs 51-52 us at n=600,
+# 222-313 vs 47-65 us at n=700, 1.9-2.7 vs 0.15-0.17 ms at n=2000.  The
+# crossover is near n=450; the threshold stays at 600 because moving it
+# changes the rounding of ``mix``, and so the traces, for every n in between.
 DENSE_MIX_MAX_N = 600
 
 
@@ -138,10 +141,11 @@ class Topology:
         above, a segment sum over the neighbor arrays in O(|E|) time, equal to
         it up to the order of the floating-point sums.  The terms are gathered
         with ``np.take`` into a (columns, 2E) array, so each agent's neighbor
-        terms are contiguous in memory when they are summed.
+        terms are contiguous in memory when they are summed.  Both branches
+        return the agents innermost (Fortran order).
         """
         if self.n <= DENSE_MIX_MAX_N:
-            return self.L @ v
+            return np.matmul(self.L, v, out=np.empty(v.shape, order="F"))
         flat = v.reshape(self.n, -1)
         terms = np.take(flat.T, self._cols, axis=1)
         terms *= self._csr_weights
@@ -240,6 +244,18 @@ def _check_agents(bad: np.ndarray, message: str) -> None:
         raise InvalidInstanceError(f"agent {int(np.argmax(rows))}: {message}")
 
 
+def agent_sum(values: np.ndarray) -> np.ndarray:
+    """``sum_i values[i]`` of an (n, k) stack, bit for bit numpy's ``.sum(axis=0)`` of its C-order copy.
+
+    For k > 1 that sum adds the rows in sequence (numpy's own on a Fortran
+    array is pairwise); ``+ 0.0`` makes an all ``-0.0`` column ``+0.0``, as
+    numpy's does.  One column is the same array in both orders.
+    """
+    if values.shape[1] == 1:
+        return values.sum(axis=0)
+    return np.add.accumulate(values, axis=0)[-1] + 0.0
+
+
 @dataclass(frozen=True)
 class ProblemInstance:
     """A full resource allocation instance: every agent's data stacked by row, plus the topology.
@@ -250,7 +266,8 @@ class ProblemInstance:
     the generic ``costs[i]``.  Exactly one of ``P``/``Q`` and ``costs`` is
     given.  The constructor checks every invariant with one array operation
     over the whole stack and names the first agent that breaks it; the stored
-    stacks are read-only.
+    stacks are read-only copies in Fortran order (agents innermost), and so
+    are ``projector_stack`` and ``hessian_stack``.
     """
 
     A: np.ndarray  # (n, m, p)
@@ -262,7 +279,7 @@ class ProblemInstance:
 
     def __post_init__(self):
         n = self.topology.n
-        A = np.array(self.A, dtype=float)
+        A = np.array(self.A, dtype=float, order="F")
         if A.ndim != 3 or 0 in A.shape:
             raise InvalidInstanceError(f"A must be a nonempty (n, m, p) stack, got shape {A.shape}")
         if len(A) != n:
@@ -278,7 +295,7 @@ class ProblemInstance:
             shapes.update(P=(n, p, p), Q=(n, p))
         stacks = {"A": A}
         for name, shape in shapes.items():
-            stacks[name] = np.array(getattr(self, name), dtype=float)
+            stacks[name] = np.array(getattr(self, name), dtype=float, order="F")
             if stacks[name].shape != shape:
                 raise InvalidInstanceError(f"{name} must have shape {shape}, got {stacks[name].shape}")
         for name, value in stacks.items():
@@ -324,7 +341,7 @@ class ProblemInstance:
     @cached_property
     def projector_stack(self) -> np.ndarray:
         """Per-agent ``A'(AA')^{-1}``, the closed-form affine projection kernels, as (n, p, m)."""
-        out = np.ascontiguousarray(compute_projector(self.A))
+        out = np.asfortranarray(compute_projector(self.A))
         out.setflags(write=False)
         return out
 
@@ -340,7 +357,7 @@ class ProblemInstance:
     @cached_property
     def demand_total(self) -> np.ndarray:
         """``sum_i d_i``, the right-hand side of the coupled constraint."""
-        out = self.d.sum(axis=0)
+        out = agent_sum(self.d)
         out.setflags(write=False)
         return out
 
@@ -412,10 +429,13 @@ def generate_instance(seed: int, n: int, r_max: float, extra_edges: int = 0) -> 
     """
     n = _whole_number(n, "n", InvalidInstanceError)
     extra_edges = _whole_number(extra_edges, "extra_edges", InvalidInstanceError)
+    seed = _whole_number(seed, "seed", InvalidInstanceError)
+    if seed < 0:
+        raise InvalidInstanceError(f"seed must be >= 0, got {seed}")
     if n < 2:
         raise InvalidInstanceError(f"need at least 2 agents, got {n}")
-    if r_max <= 0:
-        raise InvalidInstanceError(f"r_max must be positive, got {r_max}")
+    if isinstance(r_max, bool) or not isinstance(r_max, numbers.Real) or not 0 < r_max < math.inf:
+        raise InvalidInstanceError(f"r_max must be a finite positive number, got {r_max!r}")
     if extra_edges < 0:
         raise InvalidInstanceError(f"extra_edges must be nonnegative, got {extra_edges}")
 
@@ -500,6 +520,8 @@ def spectral_constants(
 
     singular_values = instance._A_singular_values
     topology = instance.topology
+    if topology.n == 1:
+        raise InvalidInstanceError("one agent: a single node's Laplacian has no nonzero eigenvalue (sigma_L_min)")
     if topology.n <= DENSE_MIX_MAX_N:
         eig_L = np.linalg.eigvalsh(topology.L)
         sigma_L_min, sigma_L_max = eig_L[eig_L > SYMMETRY_TOL][0], eig_L[-1]

@@ -320,16 +320,16 @@ def reference_iterate(state, instance: ProblemInstance, hp: HyperParams) -> Refe
 def reference_violation_l1(instance: ProblemInstance, x: np.ndarray) -> float:
     """1-norm of the positive part of ``sum_i (A_i x_i - d_i)``, recomputing ``A_i x_i``."""
     x = np.asarray(x, dtype=float).reshape(instance.n, instance.p)
-    total = np.einsum("nmp,np->nm", instance.A, x).sum(axis=0) - instance.demand_total
+    total = np.ascontiguousarray(np.einsum("nmp,np->nm", instance.A, x)).sum(axis=0) - instance.demand_total
     return float(np.sum(np.maximum(total, 0.0)))
 
 
 def reference_slack_sum(instance: ProblemInstance, x: np.ndarray, delta: np.ndarray | None) -> np.ndarray:
     """``sum_i (A_i x_i + delta_i - d_i)``, recomputing ``A_i x_i``."""
     x = np.asarray(x, dtype=float).reshape(instance.n, instance.p)
-    total = np.einsum("nmp,np->nm", instance.A, x).sum(axis=0) - instance.demand_total
+    total = np.ascontiguousarray(np.einsum("nmp,np->nm", instance.A, x)).sum(axis=0) - instance.demand_total
     if delta is not None:
-        total = total + np.asarray(delta, dtype=float).reshape(instance.n, instance.m).sum(axis=0)
+        total = total + np.ascontiguousarray(delta, dtype=float).reshape(instance.n, instance.m).sum(axis=0)
     return total
 
 

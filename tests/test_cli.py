@@ -344,6 +344,20 @@ class TestRun:
         assert re.search(message, capsys.readouterr().err)
         assert not (tmp_path / "out").exists()
 
+    def test_one_agent_instance_file_is_an_error(self, tmp_path, capsys):
+        # a valid one-node instance: its Laplacian has no nonzero eigenvalue for the step-size checks
+        doc = {"n": 1, "p": 2, "m": 2, "topology": {"edges": [], "weights": []}}
+        doc["agents"] = [{"P": np.eye(2).tolist(), "Q": [0.5, 0.5], "A": np.eye(2).tolist(), "d": [1.0, 1.0]}]
+        inst_path = tmp_path / "instance.json"
+        inst_path.write_text(json.dumps(doc), encoding="utf-8")
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(self.small_cfg(tmp_path, instance={"file": str(inst_path)})), encoding="utf-8")
+        assert main(["run", "--config", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: one agent: a single node's Laplacian has no nonzero eigenvalue")
+        assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize(
         "edit",
         [

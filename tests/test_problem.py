@@ -289,6 +289,13 @@ class TestGenerateInstance:
             generate_instance(1, 14.5, 70.0, 0)
         with pytest.raises(InvalidInstanceError, match="extra_edges must be a whole number, got 2.5"):
             generate_instance(1, 14, 70.0, 2.5)
+        for seed, message in ((1.5, "seed must be a whole number"), (True, "seed must be a whole number"),
+                              (-1, "seed must be >= 0")):
+            with pytest.raises(InvalidInstanceError, match=message):
+                generate_instance(seed, 14, 70.0, 0)
+        for r_max in ("70", True, float("nan"), float("inf"), -1.0, None):
+            with pytest.raises(InvalidInstanceError, match="r_max must be a finite positive number"):
+                generate_instance(1, 14, r_max, 0)
 
     def test_ranges(self):
         inst = generate_instance(4, 10, 30.0, 2)
@@ -364,6 +371,10 @@ class TestSpectralConstants:
             assert sc.mu <= sc.ell
             assert sc.sigma_A_min <= sc.sigma_A_max
             assert sc.kappa_A >= 1.0
+
+    def test_one_agent_has_no_fiedler_value(self):
+        with pytest.raises(InvalidInstanceError, match="single node's Laplacian has no nonzero eigenvalue"):
+            spectral_constants(single_agent(np.eye(2), np.zeros(2)))
 
     def test_generic_costs_need_constants(self):
         inst = ProblemInstance(
