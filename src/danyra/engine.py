@@ -34,14 +34,14 @@ from .problem import EQUALITY, INEQUALITY, HyperParams, ProblemInstance
 
 @dataclasses.dataclass(frozen=True)
 class SwarmState:
-    """All agents' iterates at step ``k`` (a row per agent), with their coupling products.
+    """All agents' iterates at step ``k`` (a row per agent), with their coupling products and mixed ``y``.
 
-    ``Ax[i] = A_i x_i`` and ``Ax_prime[i] = A_i x'_i``, all stored agents
-    innermost.  The constructor does not take the products: only
-    :meth:`build` (used by ``init_state``, ``from_dict`` and
-    ``apply_disturbance``), which computes them from copies of the iterates,
-    and ``iterate``, which has just computed them, set them, and both make
-    every array read-only.  So an in-place ``state.x += ...`` raises, and a
+    ``Ax[i] = A_i x_i``, ``Ax_prime[i] = A_i x'_i`` and ``y_bar = L y``
+    (``Topology.mix(y)``), all stored agents innermost.  The constructor
+    does not take these products: only :meth:`build` (used by
+    ``init_state``, ``from_dict`` and ``apply_disturbance``), which computes
+    them from copies of the iterates, and ``iterate``, which has just
+    computed them, set them, and both make every array read-only.  So an in-place ``state.x += ...`` raises, and a
     state made by the constructor or ``dataclasses.replace`` has no products:
     reading ``Ax`` raises ``AttributeError`` instead of returning products of
     other decisions.
@@ -56,14 +56,16 @@ class SwarmState:
     delta: np.ndarray | None  # (n, m) in inequality mode
     Ax: np.ndarray = dataclasses.field(init=False, repr=False)       # (n, m)
     Ax_prime: np.ndarray = dataclasses.field(init=False, repr=False)  # (n, m)
+    y_bar: np.ndarray = dataclasses.field(init=False, repr=False)     # (n, m)
 
     @classmethod
-    def _with_products(cls, k, mode, x, x_prime, y, lam, delta, Ax, Ax_prime) -> "SwarmState":
+    def _with_products(cls, k, mode, x, x_prime, y, lam, delta, Ax, Ax_prime, y_bar) -> "SwarmState":
         # the arrays must be owned by the new state: they are made read-only here
         state = cls(k=k, mode=mode, x=x, x_prime=x_prime, y=y, lam=lam, delta=delta)
         object.__setattr__(state, "Ax", Ax)
         object.__setattr__(state, "Ax_prime", Ax_prime)
-        for arr in (x, x_prime, y, lam, delta, Ax, Ax_prime):
+        object.__setattr__(state, "y_bar", y_bar)
+        for arr in (x, x_prime, y, lam, delta, Ax, Ax_prime, y_bar):
             if arr is not None:
                 arr.setflags(write=False)
         return state
@@ -89,7 +91,7 @@ class SwarmState:
         lam,
         delta,
     ) -> "SwarmState":
-        """A state from Fortran-ordered copies of the given iterates, with ``Ax`` and ``Ax_prime`` from them.
+        """A state from Fortran-ordered copies of the given iterates, with ``Ax``, ``Ax_prime`` and ``y_bar`` from them.
 
         The mode must be known and carry a queue exactly in inequality mode,
         and every array must have its (n, p) or (n, m) shape.
@@ -118,6 +120,7 @@ class SwarmState:
             **arrays,
             Ax=np.einsum("nmp,np->nm", instance.A, arrays["x"]),
             Ax_prime=np.einsum("nmp,np->nm", instance.A, arrays["x_prime"]),
+            y_bar=instance.topology.mix(arrays["y"]),
         )
 
     def to_dict(self) -> dict:
@@ -224,12 +227,12 @@ def iterate(state: SwarmState, instance: ProblemInstance, hp: HyperParams) -> Sw
     alpha, beta, eta, gamma = hp.alpha, hp.beta, hp.eta, hp.gamma
     inequality = state.mode == INEQUALITY
     x_prime, y, lam, delta = state.x_prime, state.y, state.lam, state.delta
-    Ax, Ax_prime = state.Ax, state.Ax_prime
+    Ax, Ax_prime, y_bar = state.Ax, state.Ax_prime, state.y_bar
 
-    # sub-round 1: mix duals and auxiliaries from the k-snapshot, then form
-    # z = A x' + y_bar (+ delta) and the gradient 2 P x' - Q
+    # sub-round 1: mix duals from the k-snapshot (y_bar = L y is carried from
+    # the last sub-round 3), then form z = A x' + y_bar (+ delta) and the
+    # gradient 2 P x' - Q
     lambda_bar = mix(lam)
-    y_bar = mix(y)
     z = Ax_prime + y_bar
     if inequality:
         z += delta
@@ -318,4 +321,5 @@ def iterate(state: SwarmState, instance: ProblemInstance, hp: HyperParams) -> Sw
         delta=delta_next,
         Ax=Ax_next,
         Ax_prime=Ax_prime_next,
+        y_bar=y_bar_next,
     )

@@ -39,7 +39,7 @@ from conftest import randomize_state
 from reference_step import reference_iterate
 
 STACKS = ("A", "d", "P", "Q", "projector_stack", "hessian_stack")
-ARRAYS = ("x", "x_prime", "y", "lam", "delta", "Ax", "Ax_prime")
+ARRAYS = ("x", "x_prime", "y", "lam", "delta", "Ax", "Ax_prime", "y_bar")
 FIELDS = ("x", "x_prime", "y", "lam", "delta")
 
 

@@ -7,7 +7,8 @@ both metrics to equal, bit for bit, ``reference_step.reference_iterate`` (the
 step before the products were carried) and its metric formulas over 50 steps
 on several kinds of instance.  The others require a state's arrays to be
 read-only wherever the state comes from, and its products to be exactly the
-products of its decisions.
+products of its decisions; the same holds for the carried ``y_bar = L y``,
+which must equal ``Topology.mix(state.y)`` bit for bit.
 """
 
 from __future__ import annotations
@@ -49,7 +50,7 @@ from reference_step import (
 )
 
 FIELDS = ("x", "x_prime", "y", "lam", "delta")
-ARRAYS = FIELDS + ("Ax", "Ax_prime")
+ARRAYS = FIELDS + ("Ax", "Ax_prime", "y_bar")
 STEPS = 50
 
 
@@ -253,6 +254,19 @@ class TestNoStaleProducts:
         for origin, state in handed_out_states(small_instance, base_hp(omega=0.1)).items():
             assert same_bits(state.Ax, products(small_instance, state.x)), origin
             assert same_bits(state.Ax_prime, products(small_instance, state.x_prime)), origin
+
+    @pytest.mark.parametrize("n", [5, 601], ids=["dense-mix-5", "segment-sum-601"])
+    def test_y_bar_is_the_mixed_y(self, base_hp, n):
+        instance = generate_instance(77, n, 10.0, 2 if n == 5 else 2 * n)
+        hp = base_hp(omega=0.1)
+        states = handed_out_states(instance, hp)
+        stepped = states[f"iterate-{INEQUALITY}"]
+        states["pickle"] = pickle.loads(pickle.dumps(stepped))
+        states["deepcopy"] = copy.deepcopy(stepped)
+        for origin, state in states.items():
+            assert same_bits(state.y_bar, instance.topology.mix(state.y)), origin
+            assert not state.y_bar.flags.writeable, origin
+            assert state.y_bar.flags.f_contiguous, origin
 
     def test_disturbance_refreshes_products(self, small_instance, base_hp):
         state = randomize_state(small_instance, init_state(small_instance, base_hp(), "at_demand"), seed=7)
