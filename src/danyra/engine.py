@@ -1,19 +1,22 @@
 """One synchronous iteration of the anytime-feasible allocation algorithm.
 
-Each iteration runs three neighbor-exchange sub-rounds and five local updates,
-in this order: mix {lambda, y}; form z and mix it; update the virtual decision
-x', the auxiliary y, and (inequality mode) the queue delta; mix the new y;
-update the dual lambda; project x' onto the per-agent affine target set.
-The projection is closed-form (``x = x' + A'(AA')^{-1}(b - Ax')``), never an
+Each iteration runs two neighbor exchanges and five local updates, in this
+order: form z from the mixed auxiliaries y_bar = L y and mix z + lambda (one
+message: L z + L lambda = L (z + lambda)); update the virtual decision x', the
+auxiliary y, and (inequality mode) the queue delta; mix the new y; update the
+dual lambda; project x' onto the per-agent affine target set.  The
+projection is closed-form (``x = x' + A'(AA')^{-1}(b - Ax')``), never an
 iterative QP solve.
 
-A state carries the coupling products ``A_i x_i`` and ``A_i x'_i`` next to the
-decisions, so each product is computed once: ``iterate`` computes both for the
-state it returns and reads them from the state it is given, and the recorded
-violation and slack read ``Ax``.  A state's arrays are read-only and its
-fields cannot be reassigned, so a product cannot go stale; a state with other
-values is built with :meth:`SwarmState.build`, which recomputes them (a state
-made by the constructor or ``dataclasses.replace`` has no products at all).
+A state carries the coupling products ``A_i x_i`` and ``A_i x'_i`` and the
+mixed auxiliaries ``y_bar`` next to the iterates, so each is computed once:
+``iterate`` computes them for the state it returns and reads them from the
+state it is given (the new y's mix is the next iteration's y_bar), and the
+recorded violation and slack read ``Ax``.  A state's arrays are read-only
+and its fields cannot be reassigned, so a product cannot go stale; a state
+with other values is built with :meth:`SwarmState.build`, which recomputes
+them (a state made by the constructor or ``dataclasses.replace`` has no
+products at all).
 
 Every array of a state is stored agents innermost (Fortran order), like the
 instance stacks, so each batched product runs along the agents: ``build``
@@ -41,10 +44,10 @@ class SwarmState:
     does not take these products: only :meth:`build` (used by
     ``init_state``, ``from_dict`` and ``apply_disturbance``), which computes
     them from copies of the iterates, and ``iterate``, which has just
-    computed them, set them, and both make every array read-only.  So an in-place ``state.x += ...`` raises, and a
-    state made by the constructor or ``dataclasses.replace`` has no products:
-    reading ``Ax`` raises ``AttributeError`` instead of returning products of
-    other decisions.
+    computed them, set them, and both make every array read-only.  So an
+    in-place ``state.x += ...`` raises, and a state made by the constructor
+    or ``dataclasses.replace`` has no products: reading ``Ax`` raises
+    ``AttributeError`` instead of returning products of other decisions.
     """
 
     k: int
@@ -91,7 +94,7 @@ class SwarmState:
         lam,
         delta,
     ) -> "SwarmState":
-        """A state from Fortran-ordered copies of the given iterates, with ``Ax``, ``Ax_prime`` and ``y_bar`` from them.
+        """A state from Fortran-ordered copies of the given iterates, with ``Ax``, ``Ax_prime``, ``y_bar`` of them.
 
         The mode must be known and carry a queue exactly in inequality mode,
         and every array must have its (n, p) or (n, m) shape.
@@ -212,12 +215,14 @@ def iterate(state: SwarmState, instance: ProblemInstance, hp: HyperParams) -> Sw
     Neighbor reductions are computed centrally from sub-round snapshots (the
     simulated network) by ``Topology.mix``, which is ``L @ v``: the dense
     product for small swarms, and above ``DENSE_MIX_MAX_N`` agents a sum over
-    the edges at each agent only, O(|E|) per sub-round.  Each local update is
-    one array operation over all agents' rows, and row ``i`` reads only agent
-    ``i``'s iterates and mixed messages, as in the distributed algorithm.
+    the edges at each agent only, O(|E|) per exchange.  There are two
+    exchanges per iteration: ``z + lam`` and the new ``y``.  Each local update
+    is one array operation over all agents' rows, and row ``i`` reads only
+    agent ``i``'s iterates and mixed messages, as in the distributed
+    algorithm.
 
-    ``A_i x_i`` and ``A_i x'_i`` are read from the state, and the returned
-    state carries the new ones, so each product is computed once per
+    ``A_i x_i``, ``A_i x'_i`` and ``y_bar = L y`` are read from the state, and
+    the returned state carries the new ones, so each is computed once per
     iteration.  The updates run in place on arrays allocated here: each step
     is one operation of the expression in the comment above it, on the same
     operands (IEEE sums and products are commutative), so every rounding is
@@ -229,29 +234,28 @@ def iterate(state: SwarmState, instance: ProblemInstance, hp: HyperParams) -> Sw
     x_prime, y, lam, delta = state.x_prime, state.y, state.lam, state.delta
     Ax, Ax_prime, y_bar = state.Ax, state.Ax_prime, state.y_bar
 
-    # sub-round 1: mix duals from the k-snapshot (y_bar = L y is carried from
-    # the last sub-round 3), then form z = A x' + y_bar (+ delta) and the
+    # sub-round 1: from the k-snapshot form z = A x' + y_bar (+ delta), with
+    # y_bar = L y carried from the last iteration's second exchange, and the
     # gradient 2 P x' - Q
-    lambda_bar = mix(lam)
     z = Ax_prime + y_bar
     if inequality:
         z += delta
     grad = instance.gradient(x_prime)
 
-    # sub-round 2: mix z; primal, auxiliary and queue updates
+    # sub-round 2: mix z + lam as one message; primal, auxiliary and queue updates
     #   x'_next = x' - alpha (grad + A'v) with v = z - d + lam
-    #   y_next = y - alpha (z_bar + lambda_bar)
+    #   y_next = y - alpha L (z + lam)
     #   delta_next = max(delta - alpha v, omega_k)
-    z_bar = mix(z)
     v = z - d
     v += lam
+    z += lam
+    mixed = mix(z)
     primal_step = np.einsum("nmp,nm->np", A, v)
     primal_step += grad
     primal_step *= alpha
     x_prime_next = x_prime - primal_step
-    z_bar += lambda_bar
-    z_bar *= alpha
-    y_next = y - z_bar
+    mixed *= alpha
+    y_next = y - mixed
     delta_next = None
     if inequality:
         v *= alpha
@@ -293,8 +297,9 @@ def iterate(state: SwarmState, instance: ProblemInstance, hp: HyperParams) -> Sw
     Ax_next = np.einsum("nmp,np->nm", A, x_next)
 
     # a non-finite entry of any returned field at agent i reaches x_next[i] or
-    # lam_next[i]: x'_next directly, y_next through mix's l_ii y_i (l_ii > 0
-    # for n >= 2; 0 * inf is NaN at n = 1), delta_next through pull and b.
+    # lam_next[i]: x'_next directly, y_bar_next and delta_next through pull
+    # and b, y_next through y_bar_next's l_ii y_i (l_ii > 0 for n >= 2;
+    # 0 * inf is NaN at n = 1).
     # Only if a sum is not finite are the fields searched (a finite sum can
     # also overflow, and then nothing is found)
     if not math.isfinite(float(x_next.sum()) + float(lam_next.sum())):

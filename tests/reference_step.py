@@ -2,19 +2,27 @@
 
 Each function is one agent's local update, written from the paper's update
 rules with that agent's own vectors and matrices (``AgentData``, one row of the
-instance's stacks); ``exchange_primary`` is the
-first two communication sub-rounds over the whole swarm.  ``danyra.iterate``
+instance's stacks); ``exchange_primary`` is the paper's first two
+communication sub-rounds (mix lambda and y, then z) over the whole swarm.  ``danyra.iterate``
 computes the same step batched over all agents, and the tests require the two
 to agree to rounding; ``state_difference`` measures how far apart two states
 are.
 
-``reference_iterate`` is the batched step as it was before states carried the
-coupling products ``A x`` and ``A x'``: it recomputes both each iteration,
-allocates a new array for every operation, and returns a plain
-``ReferenceState``.  ``reference_violation_l1``, ``reference_slack_sum`` and
+``reference_iterate`` is the batched two-exchange step without the carried
+coupling products ``A x`` and ``A x'``: it reads the mixed auxiliaries
+``y_bar = L y`` from the state, mixes ``z + lam`` as one message and the new
+``y`` as the other, recomputes both products each iteration, allocates a new
+array for every operation, and returns a plain ``ReferenceState`` (with the
+new ``y_bar``).  ``reference_violation_l1``, ``reference_slack_sum`` and
 ``reference_disturb`` are the metric formulas and the in-place disturbance
 of the same version.  The tests require ``danyra.iterate``, the carried
 products and the recorded metrics to reproduce them bit for bit.
+
+``reference_iterate_four_exchanges`` is the step before ``y_bar`` was
+carried: it mixes ``lam``, ``y``, ``z`` and the new ``y``, so it rounds
+differently, and the tests require the two forms to agree within the
+artifact check's tolerances over long runs.  ``exchange_primary`` and the
+per-agent updates keep the paper's separate ``lambda_bar`` and ``z_bar``.
 """
 
 from __future__ import annotations
@@ -231,7 +239,7 @@ def state_difference(a: SwarmState, b: SwarmState) -> float:
 
 @dataclass
 class ReferenceState:
-    """The iterates ``reference_iterate`` reads and returns, without coupling products."""
+    """The iterates the reference steps read and return, with ``y_bar = L y`` but no coupling products."""
 
     k: int
     mode: str
@@ -240,22 +248,58 @@ class ReferenceState:
     y: np.ndarray
     lam: np.ndarray
     delta: np.ndarray | None
+    y_bar: np.ndarray
+
+
+def reference_copy(state: SwarmState) -> ReferenceState:
+    """A ``ReferenceState`` with writable copies of a state's iterates and ``y_bar``."""
+    return ReferenceState(
+        k=state.k,
+        mode=state.mode,
+        **{
+            name: None if getattr(state, name) is None else np.array(getattr(state, name))
+            for name in ("x", "x_prime", "y", "lam", "delta", "y_bar")
+        },
+    )
 
 
 def reference_iterate(state, instance: ProblemInstance, hp: HyperParams) -> ReferenceState:
-    """The batched step before the products were carried.
+    """The batched two-exchange step, recomputing the coupling products.
 
-    Verbatim apart from its return type and the quadratic gradient, which is
-    written out as ``ProblemInstance.gradient`` computed it then.
+    It reads ``y_bar`` from the state and mixes ``z + lam`` as one message.
+    """
+    return _reference_step(state, instance, hp, four_exchanges=False)
+
+
+def reference_iterate_four_exchanges(state, instance: ProblemInstance, hp: HyperParams) -> ReferenceState:
+    """The batched step before ``y_bar`` was carried: it mixes ``lam``, ``y``, ``z`` and the new ``y``.
+
+    It ignores the state's ``y_bar`` and returns the mix of the new ``y`` as one.
+    """
+    return _reference_step(state, instance, hp, four_exchanges=True)
+
+
+def _reference_step(
+    state, instance: ProblemInstance, hp: HyperParams, *, four_exchanges: bool
+) -> ReferenceState:
+    """One step before the products were carried.
+
+    Verbatim apart from the exchanges, the return type and the quadratic
+    gradient, which is written out as ``ProblemInstance.gradient`` computed
+    it then.
     """
     A, d, mix = instance.A, instance.d, instance.topology.mix
     alpha, beta, eta, gamma = hp.alpha, hp.beta, hp.eta, hp.gamma
     inequality = state.mode == INEQUALITY
     x, x_prime, y, lam, delta = state.x, state.x_prime, state.y, state.lam, state.delta
 
-    # sub-round 1: mix duals and auxiliaries from the k-snapshot, then form z
-    lambda_bar = mix(lam)
-    y_bar = mix(y)
+    # sub-round 1: mix duals and auxiliaries from the k-snapshot (four
+    # exchanges), or read the carried y_bar (two), then form z
+    if four_exchanges:
+        lambda_bar = mix(lam)
+        y_bar = mix(y)
+    else:
+        y_bar = state.y_bar
     z = np.einsum("nmp,np->nm", A, x_prime) + y_bar
     if inequality:
         z = z + delta
@@ -264,11 +308,14 @@ def reference_iterate(state, instance: ProblemInstance, hp: HyperParams) -> Refe
     else:
         grad = instance.gradient(x_prime)
 
-    # sub-round 2: mix z; primal, auxiliary and queue updates
-    z_bar = mix(z)
+    # sub-round 2: mix z and add lambda_bar (four exchanges), or mix z + lam
+    # (two); primal, auxiliary and queue updates
     v = z - d + lam
     x_prime_next = x_prime - alpha * (grad + np.einsum("nmp,nm->np", A, v))
-    y_next = y - alpha * (z_bar + lambda_bar)
+    if four_exchanges:
+        y_next = y - alpha * (mix(z) + lambda_bar)
+    else:
+        y_next = y - alpha * mix(z + lam)
     delta_next = np.maximum(delta - alpha * v, hp.buffer.value(state.k)) if inequality else None
 
     # sub-round 3: mix the new auxiliaries; dual update and projection
@@ -314,6 +361,7 @@ def reference_iterate(state, instance: ProblemInstance, hp: HyperParams) -> Refe
         y=y_next,
         lam=lam_next,
         delta=delta_next,
+        y_bar=y_bar_next,
     )
 
 

@@ -4,7 +4,7 @@ A state carries ``Ax = A_i x_i`` and ``Ax_prime = A_i x'_i``; ``iterate`` reads
 them instead of recomputing them, and the recorded violation and slack are
 formed from ``Ax``.  The first tests require every iterate, both products and
 both metrics to equal, bit for bit, ``reference_step.reference_iterate`` (the
-step before the products were carried) and its metric formulas over 50 steps
+two-exchange step with the products recomputed) and its metric formulas over 50 steps
 on several kinds of instance.  The others require a state's arrays to be
 read-only wherever the state comes from, and its products to be exactly the
 products of its decisions; the same holds for the carried ``y_bar = L y``,
@@ -43,6 +43,7 @@ from danyra.engine import SwarmState
 from conftest import randomize_state
 from reference_step import (
     ReferenceState,
+    reference_copy,
     reference_disturb,
     reference_iterate,
     reference_slack_sum,
@@ -101,14 +102,6 @@ def hyperparams(buffer=None):
     )
 
 
-def reference_copy(state: SwarmState) -> ReferenceState:
-    return ReferenceState(
-        k=state.k,
-        mode=state.mode,
-        **{name: None if getattr(state, name) is None else np.array(getattr(state, name)) for name in FIELDS},
-    )
-
-
 def assert_matches_reference(instance, state: SwarmState, ref: ReferenceState) -> None:
     assert state.k == ref.k
     for name in FIELDS:
@@ -118,6 +111,7 @@ def assert_matches_reference(instance, state: SwarmState, ref: ReferenceState) -
         assert same_bits(getattr(state, name), getattr(ref, name)), name
     assert same_bits(state.Ax, products(instance, ref.x))
     assert same_bits(state.Ax_prime, products(instance, ref.x_prime))
+    assert same_bits(state.y_bar, ref.y_bar)
     assert bits(violation_l1(instance, state)) == bits(reference_violation_l1(instance, ref.x))
     assert same_bits(slack_sum(instance, state), reference_slack_sum(instance, ref.x, ref.delta))
 
