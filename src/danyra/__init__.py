@@ -10,7 +10,6 @@ from .errors import (
     ModeError,
     OracleFailureError,
     TopologyError,
-    UnsupportedProblemError,
 )
 from .metrics import (
     BoundsReport,

@@ -172,7 +172,7 @@ def _checked(value, kind, path: str = ""):
 
 def _hyperparams(hp: dict, buffer: dict) -> HyperParams:
     """The step parameters of a checked config with the queue floor ``buffer``."""
-    steps = {key: float(hp[key]) for key in ("alpha", "beta", "eta", "gamma")}
+    steps = {key: hp[key] for key in ("alpha", "beta", "eta", "gamma")}
     return HyperParams(**steps, buffer=BufferSchedule.from_dict(buffer))
 
 

@@ -34,9 +34,5 @@ class DegenerateInstanceError(DanyraError):
     """The KKT system of an equality-constrained instance is singular."""
 
 
-class UnsupportedProblemError(DanyraError):
-    """The instance is outside the supported size/structure envelope."""
-
-
 class ConfigError(DanyraError):
     """An experiment or CLI configuration is invalid."""

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import numbers
 import time
 from dataclasses import dataclass, field
 
@@ -12,12 +11,7 @@ from .engine import SwarmState, init_state, iterate
 from .errors import ConfigError
 from .metrics import optimality_gap, slack_sum, violation_l1
 from .oracle import OracleSolution
-from .problem import INEQUALITY, HyperParams, ProblemInstance, _whole_number
-
-
-def _is_number(value) -> bool:
-    """Whether ``value`` is a real number (numpy's too) and not a boolean."""
-    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+from .problem import INEQUALITY, HyperParams, ProblemInstance, _real, _whole_number
 
 
 @dataclass(frozen=True)
@@ -36,8 +30,10 @@ class DisturbanceEvent:
     perturb_x_prime: bool = True
 
     def __post_init__(self):
-        if not all(_is_number(v) for v in np.asarray(self.additive, dtype=object).flat):
-            raise ConfigError(f"disturbance vector must be numbers, got {self.additive!r}")
+        for value in np.asarray(self.additive, dtype=object).flat:
+            _real(value, "disturbance vector must be numbers", ConfigError)
+        if not isinstance(self.perturb_x_prime, (bool, np.bool_)):
+            raise ConfigError(f"perturb_x_prime must be a boolean, got {self.perturb_x_prime!r}")
         additive = np.array(self.additive, dtype=float)
         if not np.all(np.isfinite(additive)):
             raise ConfigError("disturbance vector must be finite")
@@ -47,6 +43,7 @@ class DisturbanceEvent:
         additive.setflags(write=False)
         object.__setattr__(self, "at_iteration", at_iteration)
         object.__setattr__(self, "additive", additive)
+        object.__setattr__(self, "perturb_x_prime", bool(self.perturb_x_prime))
         if self.agent_ids is not None:
             agent_ids = tuple(_whole_number(i, "agent id", ConfigError) for i in self.agent_ids)
             object.__setattr__(self, "agent_ids", agent_ids)

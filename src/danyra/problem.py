@@ -173,6 +173,13 @@ def _whole_number(value, name: str, error: type[Exception]) -> int:
     raise error(f"{name} must be a whole number, got {value!r}")
 
 
+def _real(value, rule: str, error: type[Exception]) -> float:
+    """``value`` as a ``float``: a real number (numpy's too), not a boolean; anything else raises ``error`` with ``rule``."""
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        return float(value)
+    raise error(f"{rule}, got {value!r}")
+
+
 def _edge_array(edges, n: int) -> np.ndarray:
     """Edges as a new (E, 2) int64 array, every endpoint in ``range(n)``."""
     pairs = np.array(edges)
@@ -221,13 +228,15 @@ def _metropolis_topology(n: int, pairs: np.ndarray) -> Topology:
 
 
 def metropolis_weights(adjacency) -> Topology:
-    """Build a topology with Metropolis-Hastings weights from a 0/1 adjacency matrix.
+    """Build a topology with Metropolis-Hastings weights from a 0/1 (or boolean) adjacency matrix.
 
     ``w_ij = 1 / (1 + max(deg_i, deg_j))`` on edges, ``w_ii = 1 - sum_j w_ij``;
     this is symmetric and doubly stochastic on any graph.  The Laplacian uses
     ``l_ii = sum_{j != i} w_ij`` and ``l_ij = -w_ij``.
     """
-    adj = np.array(adjacency, dtype=bool)
+    adj = np.asarray(adjacency)
+    if adj.dtype.kind not in "biuf" or np.any((adj != 0) & (adj != 1)):
+        raise TopologyError("adjacency entries must be 0/1 or booleans")
     if adj.ndim != 2 or adj.shape[0] != adj.shape[1]:
         raise TopologyError(f"adjacency must be square, got shape {adj.shape}")
     if not np.array_equal(adj, adj.T):
@@ -434,8 +443,9 @@ def generate_instance(seed: int, n: int, r_max: float, extra_edges: int = 0) -> 
         raise InvalidInstanceError(f"seed must be >= 0, got {seed}")
     if n < 2:
         raise InvalidInstanceError(f"need at least 2 agents, got {n}")
-    if isinstance(r_max, bool) or not isinstance(r_max, numbers.Real) or not 0 < r_max < math.inf:
-        raise InvalidInstanceError(f"r_max must be a finite positive number, got {r_max!r}")
+    rule = "r_max must be a finite positive number"
+    if not 0 < _real(r_max, rule, InvalidInstanceError) < math.inf:
+        raise InvalidInstanceError(f"{rule}, got {r_max!r}")
     if extra_edges < 0:
         raise InvalidInstanceError(f"extra_edges must be nonnegative, got {extra_edges}")
 
@@ -538,6 +548,14 @@ def spectral_constants(
     )
 
 
+# each buffer kind's level field, and what its levels must be
+_BUFFER_LEVELS = {
+    "constant": ("omega", "buffer level must be finite and >= 0"),
+    "decaying": ("coefficient", "decaying buffer needs a finite positive coefficient"),
+    "sequence": ("values", "sequence buffer needs finite nonnegative values"),
+}
+
+
 @dataclass(frozen=True)
 class BufferSchedule:
     """Queue buffer floor per iteration: constant ``w``, decaying ``c/(k+1)``, or explicit.
@@ -555,28 +573,24 @@ class BufferSchedule:
     values: tuple[float, ...] = ()
 
     def __post_init__(self):
-        if self.kind == "constant":
-            if not (math.isfinite(self.omega) and self.omega >= 0):
-                raise InvalidInstanceError(f"buffer level must be finite and >= 0, got {self.omega}")
-        elif self.kind == "decaying":
-            if not (math.isfinite(self.coefficient) and self.coefficient > 0):
-                raise InvalidInstanceError("decaying buffer needs a finite positive coefficient")
-        elif self.kind == "sequence":
-            if not self.values or not all(math.isfinite(v) and v >= 0 for v in self.values):
-                raise InvalidInstanceError("sequence buffer needs finite nonnegative values")
-            if any(b > a for a, b in zip(self.values, self.values[1:])):
-                raise InvalidInstanceError("sequence buffer must be nonincreasing")
-            object.__setattr__(self, "values", tuple(float(v) for v in self.values))
-        else:
+        if not isinstance(self.kind, str) or self.kind not in _BUFFER_LEVELS:
             raise InvalidInstanceError(f"unknown buffer kind {self.kind!r}")
+        key, rule = _BUFFER_LEVELS[self.kind]
+        given = getattr(self, key)
+        levels = tuple(_real(v, rule, InvalidInstanceError) for v in (given if key == "values" else (given,)))
+        if not levels or not all(math.isfinite(v) and (v > 0 if key == "coefficient" else v >= 0) for v in levels):
+            raise InvalidInstanceError(f"{rule}, got {given!r}")
+        if any(b > a for a, b in zip(levels, levels[1:])):
+            raise InvalidInstanceError("sequence buffer must be nonincreasing")
+        object.__setattr__(self, key, levels if key == "values" else levels[0])
 
     @classmethod
     def constant(cls, omega: float) -> "BufferSchedule":
-        return cls(kind="constant", omega=float(omega))
+        return cls(kind="constant", omega=omega)
 
     @classmethod
     def decaying(cls, coefficient: float) -> "BufferSchedule":
-        return cls(kind="decaying", coefficient=float(coefficient))
+        return cls(kind="decaying", coefficient=coefficient)
 
     @classmethod
     def sequence(cls, values: Sequence[float]) -> "BufferSchedule":
@@ -602,9 +616,9 @@ class BufferSchedule:
     def from_dict(cls, data: dict) -> "BufferSchedule":
         """The schedule of a config's buffer section; an unknown kind or a missing level is a ConfigError."""
         kind = data.get("kind")
-        key = {"constant": "omega", "decaying": "coefficient", "sequence": "values"}.get(kind)
-        if key is None:
+        if not isinstance(kind, str) or kind not in _BUFFER_LEVELS:
             raise ConfigError(f"unknown buffer kind {kind!r}")
+        key = _BUFFER_LEVELS[kind][0]
         if key not in data:
             raise ConfigError(f"missing required key {key!r} for buffer kind {kind!r}")
         return getattr(cls, kind)(data[key])
@@ -622,9 +636,11 @@ class HyperParams:
 
     def __post_init__(self):
         for name in ("alpha", "beta", "eta", "gamma"):
-            value = getattr(self, name)
+            rule = f"{name} must be finite and strictly positive"
+            value = _real(getattr(self, name), rule, InvalidInstanceError)
             if not (math.isfinite(value) and value > 0):
-                raise InvalidInstanceError(f"{name} must be finite and strictly positive, got {value}")
+                raise InvalidInstanceError(f"{rule}, got {value}")
+            object.__setattr__(self, name, value)
         if self.gamma >= 1:
             raise InvalidInstanceError(f"gamma must be < 1, got {self.gamma}")
 

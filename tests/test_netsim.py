@@ -90,6 +90,15 @@ class TestDisturbance:
         with pytest.raises(ConfigError, match=message):
             DisturbanceEvent(**{"at_iteration": 5, "additive": [1.0, 2.0], **kwargs})
 
+    @pytest.mark.parametrize("flag", ["false", 0, None], ids=["text", "zero", "null"])
+    def test_event_perturb_x_prime_must_be_boolean(self, flag):
+        with pytest.raises(ConfigError, match="perturb_x_prime must be a boolean"):
+            DisturbanceEvent(at_iteration=5, additive=[1.0, 2.0], perturb_x_prime=flag)
+
+    def test_event_perturb_x_prime_accepts_numpy_boolean(self):
+        event = DisturbanceEvent(at_iteration=5, additive=[1.0, 2.0], perturb_x_prime=np.bool_(False))
+        assert event.perturb_x_prime is False
+
     def test_event_agent_ids_are_ints(self):
         event = DisturbanceEvent(at_iteration=5, additive=[1, 2], agent_ids=(1.0, np.int64(2)))
         assert event.agent_ids == (1, 2)

@@ -6,14 +6,19 @@ from danyra import (
     InvalidInstanceError,
     OracleFailureError,
     ProblemInstance,
-    UnsupportedProblemError,
     generate_instance,
     metropolis_weights,
+    oracle,
     solve_active_set,
     solve_equality,
 )
 
-from reference_oracle import kkt_residuals, reference_projected_gradient
+from reference_oracle import (
+    kkt_residuals,
+    reference_enumeration,
+    reference_equality,
+    reference_projected_gradient,
+)
 
 
 def scalar_instance(d_value: float, n: int = 1):
@@ -35,6 +40,73 @@ def random_small_instance(seed: int):
     n = int(rng.integers(2, 6))
     extra = 1 if n >= 5 else 0
     return generate_instance(int(rng.integers(1, 10_000)), n, float(rng.uniform(2.0, 30.0)), extra)
+
+
+def ring(n: int):
+    adj = np.zeros((n, n), dtype=bool)
+    for i in range(n):
+        adj[i, (i + 1) % n] = adj[(i + 1) % n, i] = True
+    return metropolis_weights(adj)
+
+
+def random_dense_instance(seed: int, n: int | None = None, m: int | None = None, p: int | None = None):
+    """A ring of agents with dense Gaussian ``A`` (full row rank almost surely), ``P = B B' + I/2`` and ``Q``, ``d``.
+
+    Unless given, n is drawn from 3..8, m from 1..8 and p from m..m+2.
+    """
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(3, 9)) if n is None else n
+    m = int(rng.integers(1, 9)) if m is None else m
+    p = m + int(rng.integers(0, 3)) if p is None else p
+    B = rng.standard_normal((n, p, p))
+    return ProblemInstance(
+        A=rng.standard_normal((n, m, p)),
+        d=rng.standard_normal((n, m)),
+        P=B @ B.transpose(0, 2, 1) + 0.5 * np.eye(p),
+        Q=rng.standard_normal((n, p)),
+        topology=ring(n),
+    )
+
+
+def assert_same_bits(sol, ref):
+    assert np.array_equal(sol.x_star, ref.x_star)
+    assert np.array_equal(sol.lambda_star, ref.lambda_star)
+    assert sol.f_star == ref.f_star
+    assert sol.active_set == ref.active_set
+
+
+# the workload instances: fig2 (seeds 1534 and 52), equality (101 and 7) and large-n (1534 and 7)
+WORKLOAD_INSTANCES = [
+    (seed, n, r_max, extra)
+    for seeds, n, r_max, extra in (((1534, 52), 14, 70.0, 16), ((101, 7), 10, 20.0, 6), ((1534, 7), 2000, 70.0, 4000))
+    for seed in seeds
+]
+
+
+class TestReferenceBits:
+    """Both solvers match the per-agent references (2^m enumeration, one dual solve) bit for bit."""
+
+    @pytest.mark.parametrize("args", WORKLOAD_INSTANCES, ids=lambda a: f"seed{a[0]}-n{a[1]}")
+    def test_workload_instances(self, args):
+        inst = generate_instance(*args)
+        assert_same_bits(solve_active_set(inst), reference_enumeration(inst))
+        assert_same_bits(solve_equality(inst), reference_equality(inst))
+
+    def test_small_generated_instances(self):
+        for seed in range(50):
+            inst = random_small_instance(seed)
+            assert_same_bits(solve_active_set(inst), reference_enumeration(inst))
+            assert_same_bits(solve_equality(inst), reference_equality(inst))
+
+    def test_random_dense_instances(self):
+        sizes = set()
+        for seed in range(300):
+            inst = random_dense_instance(seed)
+            sol = solve_active_set(inst)
+            assert_same_bits(sol, reference_enumeration(inst))
+            assert_same_bits(solve_equality(inst), reference_equality(inst))
+            sizes.add(len(sol.active_set))
+        assert {0, 1, 2, 3, 4} <= sizes  # the draws exercise empty, partial and larger active sets
 
 
 class TestActiveSet:
@@ -62,13 +134,27 @@ class TestActiveSet:
             assert max(res.values()) <= 1e-8
             assert np.all(sol.lambda_star >= 0)
 
-    def test_large_m_guarded(self):
-        eye = np.tile(np.eye(11), (2, 1, 1))
-        adj = np.array([[0, 1], [1, 0]], dtype=bool)
-        inst = ProblemInstance(
-            A=eye, d=np.zeros((2, 11)), P=eye, Q=np.zeros((2, 11)), topology=metropolis_weights(adj)
-        )
-        with pytest.raises(UnsupportedProblemError):
+    def test_large_m_solves(self):
+        # m = 40 rows: far beyond what trying all 2^m active sets could reach
+        inst = random_dense_instance(40, n=6, m=40, p=42)
+        sol = solve_active_set(inst)
+        assert 0 < len(sol.active_set) < 40
+        assert np.all(sol.lambda_star >= 0)
+        assert max(kkt_residuals(inst, sol).values()) <= 1e-8
+
+    @pytest.mark.parametrize(
+        "G, message",
+        [
+            pytest.param(np.zeros((1, 1)), "singular dual system", id="singular"),
+            # an indefinite dual: the held row's multiplier comes out negative at every step
+            pytest.param(-np.ones((1, 1)), "did not settle within 4 steps", id="step-cap"),
+        ],
+    )
+    def test_failures_raise_oracle_failure(self, monkeypatch, G, message):
+        inst = scalar_instance(-1.0)
+        H = np.ones((1, 1, 1))
+        monkeypatch.setattr(oracle, "_dual", lambda instance: (H, G, np.ones(1)))
+        with pytest.raises(OracleFailureError, match=message):
             solve_active_set(inst)
 
     def test_generic_costs_rejected(self):

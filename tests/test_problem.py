@@ -7,6 +7,7 @@ from danyra import (
     EQUALITY,
     BufferSchedule,
     CallableCost,
+    ConfigError,
     HyperParams,
     InvalidInstanceError,
     ProblemInstance,
@@ -517,6 +518,37 @@ class TestBufferSchedule:
                 BufferSchedule.sequence([bad, 0.1])
             with pytest.raises(InvalidInstanceError, match="finite"):
                 BufferSchedule.sequence([0.2, bad])
+
+    @pytest.mark.parametrize("bad", ["0.1", True, None], ids=["text", "boolean", "null"])
+    def test_levels_must_be_real_numbers(self, bad):
+        for make in (BufferSchedule.constant, BufferSchedule.decaying, lambda v: BufferSchedule.sequence([v])):
+            with pytest.raises(InvalidInstanceError, match=f"got {bad!r}"):
+                make(bad)
+        with pytest.raises(InvalidInstanceError):
+            BufferSchedule(kind="constant", omega=bad)
+
+    def test_unknown_kinds_rejected(self):
+        for kind in (["constant"], None, 1):
+            with pytest.raises(InvalidInstanceError, match="unknown buffer kind"):
+                BufferSchedule(kind=kind)
+            with pytest.raises(ConfigError, match="unknown buffer kind"):
+                BufferSchedule.from_dict({"kind": kind, "omega": 0.1})
+
+    def test_levels_stored_as_floats(self):
+        assert type(BufferSchedule.constant(np.float64(0.5)).omega) is float
+        assert BufferSchedule.decaying(5).coefficient == 5.0
+        assert BufferSchedule.sequence([2, np.float32(0.5)]).values == (2.0, 0.5)
+
+    @pytest.mark.parametrize("name", ["alpha", "beta", "eta", "gamma"])
+    @pytest.mark.parametrize("bad", [True, "0.1", None], ids=["boolean", "text", "null"])
+    def test_hyperparams_must_be_real_numbers(self, name, bad):
+        steps = {"alpha": 0.01, "beta": 0.02, "eta": 0.1, "gamma": 0.2}
+        with pytest.raises(InvalidInstanceError, match=f"{name} must be finite and strictly positive, got {bad!r}"):
+            HyperParams(**{**steps, name: bad})
+
+    def test_hyperparams_stored_as_floats(self):
+        hp = HyperParams(alpha=np.float64(0.01), beta=0.02, eta=0.1, gamma=np.float32(0.5))
+        assert type(hp.alpha) is float and hp.gamma == 0.5
 
     def test_hyperparams_validation(self):
         with pytest.raises(InvalidInstanceError):

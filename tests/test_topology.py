@@ -132,3 +132,16 @@ def test_instance_file_rejects_unsorted_edges(reorder, message):
     doc["topology"]["edges"] = reorder(doc["topology"]["edges"])
     with pytest.raises(TopologyError, match=message):
         instance_from_json(json.dumps(doc))
+
+
+@pytest.mark.parametrize("entry", [2, np.nan, -1, 0.5, "1"], ids=["two", "nan", "minus-one", "half", "text"])
+def test_metropolis_weights_rejects_entries_other_than_zero_one(entry):
+    adj = np.array([[0, 1, 1], [1, 0, 1], [1, 1, 0]], dtype=object)
+    adj[0, 1] = adj[1, 0] = entry
+    with pytest.raises(TopologyError, match="0/1 or booleans"):
+        metropolis_weights(adj.tolist())
+
+
+@pytest.mark.parametrize("adj", [[[0, 1], [1, 0]], [[0.0, 1.0], [1.0, 0.0]], [[False, True], [True, False]]])
+def test_metropolis_weights_accepts_zero_one_and_booleans(adj):
+    assert metropolis_weights(adj).edges.tolist() == [[0, 1]]
