@@ -7,7 +7,6 @@ from .errors import (
     DegenerateInstanceError,
     DivergenceError,
     InvalidInstanceError,
-    ModeError,
     OracleFailureError,
     TopologyError,
 )

@@ -18,6 +18,11 @@ with other values is built with :meth:`SwarmState.build`, which recomputes
 them (a state made by the constructor or ``dataclasses.replace`` has no
 products at all).
 
+A state is in inequality mode exactly when it carries the virtual queue
+``delta``: ``init_state`` is the one place where a mode name becomes a queue
+or none, and ``iterate`` branches on ``delta is not None``.  The queue's
+floor at step k is ``hp.buffer.value(k)``.
+
 Every array of a state is stored agents innermost (Fortran order), like the
 instance stacks, so each batched product runs along the agents: ``build``
 copies the iterates so, and ``iterate``'s operations keep their operands'
@@ -31,7 +36,7 @@ import math
 
 import numpy as np
 
-from .errors import ConfigError, DivergenceError, ModeError
+from .errors import ConfigError, DivergenceError
 from .problem import EQUALITY, INEQUALITY, HyperParams, ProblemInstance
 
 
@@ -51,20 +56,19 @@ class SwarmState:
     """
 
     k: int
-    mode: str
     x: np.ndarray        # (n, p)
     x_prime: np.ndarray  # (n, p)
     y: np.ndarray        # (n, m)
     lam: np.ndarray      # (n, m)
-    delta: np.ndarray | None  # (n, m) in inequality mode
+    delta: np.ndarray | None  # (n, m) in inequality mode, None in equality mode
     Ax: np.ndarray = dataclasses.field(init=False, repr=False)       # (n, m)
     Ax_prime: np.ndarray = dataclasses.field(init=False, repr=False)  # (n, m)
     y_bar: np.ndarray = dataclasses.field(init=False, repr=False)     # (n, m)
 
     @classmethod
-    def _with_products(cls, k, mode, x, x_prime, y, lam, delta, Ax, Ax_prime, y_bar) -> "SwarmState":
+    def _with_products(cls, k, x, x_prime, y, lam, delta, Ax, Ax_prime, y_bar) -> "SwarmState":
         # the arrays must be owned by the new state: they are made read-only here
-        state = cls(k=k, mode=mode, x=x, x_prime=x_prime, y=y, lam=lam, delta=delta)
+        state = cls(k=k, x=x, x_prime=x_prime, y=y, lam=lam, delta=delta)
         object.__setattr__(state, "Ax", Ax)
         object.__setattr__(state, "Ax_prime", Ax_prime)
         object.__setattr__(state, "y_bar", y_bar)
@@ -87,7 +91,6 @@ class SwarmState:
         instance: ProblemInstance,
         *,
         k: int,
-        mode: str,
         x,
         x_prime,
         y,
@@ -96,15 +99,9 @@ class SwarmState:
     ) -> "SwarmState":
         """A state from Fortran-ordered copies of the given iterates, with ``Ax``, ``Ax_prime``, ``y_bar`` of them.
 
-        The mode must be known and carry a queue exactly in inequality mode,
-        and every array must have its (n, p) or (n, m) shape.
+        ``delta=None`` builds an equality-mode state, and every array must
+        have its (n, p) or (n, m) shape.
         """
-        if mode not in (INEQUALITY, EQUALITY):
-            raise ModeError(f"unknown mode {mode!r}")
-        if mode == INEQUALITY and delta is None:
-            raise ModeError("inequality mode needs a queue delta")
-        if mode == EQUALITY and delta is not None:
-            raise ModeError("equality mode has no queue delta")
         n, m, p = instance.A.shape
         arrays = {}
         for name, value, shape in (
@@ -119,7 +116,6 @@ class SwarmState:
                 raise ValueError(f"{name} must have shape {shape}, got {arr.shape}")
         return cls._with_products(
             k=int(k),
-            mode=mode,
             **arrays,
             Ax=np.einsum("nmp,np->nm", instance.A, arrays["x"]),
             Ax_prime=np.einsum("nmp,np->nm", instance.A, arrays["x_prime"]),
@@ -130,7 +126,6 @@ class SwarmState:
         """The iterates as JSON-ready lists; the products are not stored (``from_dict`` recomputes them)."""
         return {
             "k": self.k,
-            "mode": self.mode,
             "x": self.x.tolist(),
             "x_prime": self.x_prime.tolist(),
             "y": self.y.tolist(),
@@ -144,7 +139,6 @@ class SwarmState:
         return cls.build(
             instance,
             k=data["k"],
-            mode=data["mode"],
             x=data["x"],
             x_prime=data["x_prime"],
             y=data["y"],
@@ -164,16 +158,18 @@ def init_state(
 ) -> SwarmState:
     """Build the iteration-0 state; the one place the start inputs are checked.
 
-    ``y = 0`` and ``lam = 0``; ``delta = max(0, omega_0) * 1`` in inequality
-    mode so the queue floor holds from the start.  ``at_demand`` places each
+    ``y = 0`` and ``lam = 0``.  ``mode`` decides the queue: inequality mode
+    starts it at ``delta = omega_0 * 1``, so its floor holds from the start,
+    and equality mode has none.  ``at_demand`` places each
     decision at its demand vector when p == m and at the least-norm preimage
     ``projector @ d`` otherwise; ``zero`` starts at the origin; ``custom``
     takes ``x0`` with shape (n, p); ``x0_offset`` (shape (p,)) is added to
-    every start.  A bad start input is a ``ConfigError``: an unknown init
-    mode, ``custom`` without ``x0`` or ``x0`` with another init mode, or an
-    ``x0``/``x0_offset`` that is not finite or not of its shape.  An unknown
-    ``mode`` is a ``ModeError`` (from :meth:`SwarmState.build`).
+    every start.  A bad start input is a ``ConfigError``: an unknown mode or
+    init mode, ``custom`` without ``x0`` or ``x0`` with another init mode, or
+    an ``x0``/``x0_offset`` that is not finite or not of its shape.
     """
+    if mode not in (INEQUALITY, EQUALITY):
+        raise ConfigError(f"unknown mode {mode!r}")
     if init_mode not in ("at_demand", "zero", "custom"):
         raise ConfigError(f"unknown init mode {init_mode!r}")
     if init_mode == "custom" and x0 is None:
@@ -200,12 +196,10 @@ def init_state(
     if x0_offset is not None:
         x = x + np.asarray(x0_offset, dtype=float)
 
-    delta = None
-    if mode == INEQUALITY:
-        delta = np.full((n, m), max(0.0, hp.buffer.value(0)))
+    delta = np.full((n, m), hp.buffer.value(0)) if mode == INEQUALITY else None
 
     return SwarmState.build(
-        instance, k=0, mode=mode, x=x, x_prime=x, y=np.zeros((n, m)), lam=np.zeros((n, m)), delta=delta
+        instance, k=0, x=x, x_prime=x, y=np.zeros((n, m)), lam=np.zeros((n, m)), delta=delta
     )
 
 
@@ -230,7 +224,7 @@ def iterate(state: SwarmState, instance: ProblemInstance, hp: HyperParams) -> Sw
     """
     A, d, mix = instance.A, instance.d, instance.topology.mix
     alpha, beta, eta, gamma = hp.alpha, hp.beta, hp.eta, hp.gamma
-    inequality = state.mode == INEQUALITY
+    inequality = state.delta is not None
     x_prime, y, lam, delta = state.x_prime, state.y, state.lam, state.delta
     Ax, Ax_prime, y_bar = state.Ax, state.Ax_prime, state.y_bar
 
@@ -318,7 +312,6 @@ def iterate(state: SwarmState, instance: ProblemInstance, hp: HyperParams) -> Sw
 
     return SwarmState._with_products(
         k=state.k + 1,
-        mode=state.mode,
         x=x_next,
         x_prime=x_prime_next,
         y=y_next,

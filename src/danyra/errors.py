@@ -13,10 +13,6 @@ class TopologyError(DanyraError):
     """The communication graph is malformed or disconnected."""
 
 
-class ModeError(DanyraError):
-    """An operation was called in the wrong constraint mode."""
-
-
 class DivergenceError(DanyraError):
     """An iterate produced non-finite values."""
 

@@ -21,7 +21,8 @@ class DisturbanceEvent:
     By default both the decision and the virtual decision are shifted, so the
     interference genuinely stresses recovery instead of being pulled back by
     the still-clean projection target; set ``perturb_x_prime=False`` to hit
-    the decision only.  Queues and duals are never touched.
+    the decision only.  Queues and duals are never touched, and each agent
+    id may be listed once.
     """
 
     at_iteration: int
@@ -45,7 +46,12 @@ class DisturbanceEvent:
         object.__setattr__(self, "additive", additive)
         object.__setattr__(self, "perturb_x_prime", bool(self.perturb_x_prime))
         if self.agent_ids is not None:
+            if not np.iterable(self.agent_ids):
+                raise ConfigError(f"agent_ids must be a list of agent ids, got {self.agent_ids!r}")
             agent_ids = tuple(_whole_number(i, "agent id", ConfigError) for i in self.agent_ids)
+            ids, counts = np.unique(agent_ids, return_counts=True)
+            if np.any(counts > 1):
+                raise ConfigError(f"agent id {ids[counts > 1][0]} is listed more than once")
             object.__setattr__(self, "agent_ids", agent_ids)
 
 
@@ -60,7 +66,7 @@ def apply_disturbance(state: SwarmState, instance: ProblemInstance, event: Distu
         if event.perturb_x_prime:
             x_prime[i] += event.additive
     return SwarmState.build(
-        instance, k=state.k, mode=state.mode, x=x, x_prime=x_prime, y=state.y, lam=state.lam, delta=state.delta
+        instance, k=state.k, x=x, x_prime=x_prime, y=state.y, lam=state.lam, delta=state.delta
     )
 
 

@@ -548,77 +548,71 @@ def spectral_constants(
     )
 
 
-# each buffer kind's level field, and what its levels must be
-_BUFFER_LEVELS = {
-    "constant": ("omega", "buffer level must be finite and >= 0"),
-    "decaying": ("coefficient", "decaying buffer needs a finite positive coefficient"),
-    "sequence": ("values", "sequence buffer needs finite nonnegative values"),
-}
+# each config buffer kind's level key
+_BUFFER_KEYS = {"constant": "omega", "decaying": "coefficient", "sequence": "values"}
 
 
 @dataclass(frozen=True)
 class BufferSchedule:
-    """Queue buffer floor per iteration: constant ``w``, decaying ``c/(k+1)``, or explicit.
+    """Queue buffer floor per iteration: ``value(k) = levels[min(k, len(levels) - 1)] + coefficient / (k + 1)``.
 
-    Every level is finite.  The built-in decaying family is square-summable
-    for every coefficient (``sum_k (c/(k+1))^2 = c^2 pi^2 / 6``).  Explicit
-    sequences must be nonnegative and nonincreasing (the queue floor carried
-    from one step to the next relies on it), and hold their last value past
-    the end.
+    ``constant(w)`` is the one level ``w``, ``sequence(values)`` explicit
+    levels whose last holds past the end, and ``decaying(c)`` the level 0
+    plus ``c/(k+1)``, square-summable for every coefficient
+    (``sum_k (c/(k+1))^2 = c^2 pi^2 / 6``).  Levels are finite, nonnegative
+    and nonincreasing (the queue floor carried from one step to the next
+    relies on it), and stored ``+ 0.0``; the coefficient is finite and >= 0.
     """
 
-    kind: str
-    omega: float = 0.0
+    levels: tuple[float, ...]
     coefficient: float = 0.0
-    values: tuple[float, ...] = ()
 
     def __post_init__(self):
-        if not isinstance(self.kind, str) or self.kind not in _BUFFER_LEVELS:
-            raise InvalidInstanceError(f"unknown buffer kind {self.kind!r}")
-        key, rule = _BUFFER_LEVELS[self.kind]
-        given = getattr(self, key)
-        levels = tuple(_real(v, rule, InvalidInstanceError) for v in (given if key == "values" else (given,)))
-        if not levels or not all(math.isfinite(v) and (v > 0 if key == "coefficient" else v >= 0) for v in levels):
-            raise InvalidInstanceError(f"{rule}, got {given!r}")
+        rule = "buffer levels must be finite and >= 0"
+        if not np.iterable(self.levels):
+            raise InvalidInstanceError(f"{rule}, got {self.levels!r}")
+        levels = tuple(_real(v, rule, InvalidInstanceError) + 0.0 for v in self.levels)
+        if not levels or not all(math.isfinite(v) and v >= 0 for v in levels):
+            raise InvalidInstanceError(f"{rule}, got {self.levels!r}")
         if any(b > a for a, b in zip(levels, levels[1:])):
-            raise InvalidInstanceError("sequence buffer must be nonincreasing")
-        object.__setattr__(self, key, levels if key == "values" else levels[0])
+            raise InvalidInstanceError("buffer levels must be nonincreasing")
+        rule = "buffer coefficient must be finite and >= 0"
+        coefficient = _real(self.coefficient, rule, InvalidInstanceError)
+        if not (math.isfinite(coefficient) and coefficient >= 0):
+            raise InvalidInstanceError(f"{rule}, got {coefficient!r}")
+        object.__setattr__(self, "levels", levels)
+        object.__setattr__(self, "coefficient", coefficient)
 
     @classmethod
     def constant(cls, omega: float) -> "BufferSchedule":
-        return cls(kind="constant", omega=omega)
+        return cls(levels=(omega,))
 
     @classmethod
     def decaying(cls, coefficient: float) -> "BufferSchedule":
-        return cls(kind="decaying", coefficient=coefficient)
+        rule = "decaying buffer needs a finite positive coefficient"
+        if not _real(coefficient, rule, InvalidInstanceError) > 0:
+            raise InvalidInstanceError(f"{rule}, got {coefficient!r}")
+        return cls(levels=(0.0,), coefficient=coefficient)
 
     @classmethod
     def sequence(cls, values: Sequence[float]) -> "BufferSchedule":
-        return cls(kind="sequence", values=tuple(values))
+        return cls(levels=values)
 
     def value(self, k: int) -> float:
-        if self.kind == "constant":
-            return self.omega
-        if self.kind == "decaying":
-            return self.coefficient / (k + 1)
-        return self.values[min(k, len(self.values) - 1)]
+        return self.levels[min(k, len(self.levels) - 1)] + self.coefficient / (k + 1)
 
     @property
     def limit(self) -> float:
         """Limiting buffer level; the steady-state accuracy bound scales with it."""
-        if self.kind == "constant":
-            return self.omega
-        if self.kind == "decaying":
-            return 0.0
-        return self.values[-1]
+        return self.levels[-1]
 
     @classmethod
     def from_dict(cls, data: dict) -> "BufferSchedule":
         """The schedule of a config's buffer section; an unknown kind or a missing level is a ConfigError."""
         kind = data.get("kind")
-        if not isinstance(kind, str) or kind not in _BUFFER_LEVELS:
+        if not isinstance(kind, str) or kind not in _BUFFER_KEYS:
             raise ConfigError(f"unknown buffer kind {kind!r}")
-        key = _BUFFER_LEVELS[kind][0]
+        key = _BUFFER_KEYS[kind]
         if key not in data:
             raise ConfigError(f"missing required key {key!r} for buffer kind {kind!r}")
         return getattr(cls, kind)(data[key])
@@ -643,6 +637,8 @@ class HyperParams:
             object.__setattr__(self, name, value)
         if self.gamma >= 1:
             raise InvalidInstanceError(f"gamma must be < 1, got {self.gamma}")
+        if not isinstance(self.buffer, BufferSchedule):
+            raise InvalidInstanceError(f"buffer must be a BufferSchedule, got {self.buffer!r}")
 
 
 @dataclass(frozen=True)
@@ -697,7 +693,7 @@ def validate_hyperparams(
     lower bound yet converges).
     """
     if mode not in (INEQUALITY, EQUALITY):
-        raise InvalidInstanceError(f"unknown mode {mode!r}")
+        raise ConfigError(f"unknown mode {mode!r}")
     a, b, eta, g = hp.alpha, hp.beta, hp.eta, hp.gamma
     ell, mu = sc.ell, sc.mu
     sA2, sa2 = sc.sigma_A_max**2, sc.sigma_A_min**2

@@ -2,8 +2,6 @@ import numpy as np
 import pytest
 
 from danyra import (
-    EQUALITY,
-    INEQUALITY,
     BufferSchedule,
     HyperParams,
     SwarmState,
@@ -46,15 +44,14 @@ def small_instance():
 
 def rebuild(instance, state, **changes):
     """``state`` with some iterates replaced; states are read-only, so this builds a new one."""
-    fields = {name: getattr(state, name) for name in ("k", "mode", "x", "x_prime", "y", "lam", "delta")}
+    fields = {name: getattr(state, name) for name in ("k", "x", "x_prime", "y", "lam", "delta")}
     return SwarmState.build(instance, **{**fields, **changes})
 
 
 def state_at(instance, x, delta=None):
     """A state whose decisions are ``x`` (with queue ``delta`` in inequality mode), for the metrics."""
     zeros = np.zeros((instance.n, instance.m))
-    mode = EQUALITY if delta is None else INEQUALITY
-    return SwarmState.build(instance, k=0, mode=mode, x=x, x_prime=x, y=zeros, lam=zeros, delta=delta)
+    return SwarmState.build(instance, k=0, x=x, x_prime=x, y=zeros, lam=zeros, delta=delta)
 
 
 def randomize_state(instance, state, seed=0, delta_low=0.1):

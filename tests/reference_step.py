@@ -34,9 +34,9 @@ import numpy as np
 
 from danyra import (
     INEQUALITY,
+    ConfigError,
     DivergenceError,
     HyperParams,
-    ModeError,
     ProblemInstance,
     SwarmState,
     compute_projector,
@@ -126,7 +126,7 @@ def exchange_primary(state: SwarmState, instance: ProblemInstance) -> RoundMessa
     lambda_bar = L @ state.lam
     y_bar = L @ state.y
     z = np.einsum("nmp,np->nm", instance.A, state.x_prime) + y_bar
-    if state.mode == INEQUALITY:
+    if state.delta is not None:
         z = z + state.delta
     z_bar = L @ z
     return RoundMessages(lambda_bar=lambda_bar, y_bar=y_bar, z=z, z_bar=z_bar)
@@ -161,7 +161,7 @@ def step_virtual_queue(
 ) -> np.ndarray:
     """``delta <- max(delta - alpha * (z - d + lambda), omega_k)`` elementwise."""
     if agent.delta is None:
-        raise ModeError("virtual queue update is undefined in equality mode")
+        raise ConfigError("virtual queue update is undefined in equality mode")
     return np.maximum(agent.delta - hp.alpha * (msgs.z - spec.d + agent.lam), omega_k)
 
 
@@ -242,7 +242,6 @@ class ReferenceState:
     """The iterates the reference steps read and return, with ``y_bar = L y`` but no coupling products."""
 
     k: int
-    mode: str
     x: np.ndarray
     x_prime: np.ndarray
     y: np.ndarray
@@ -255,7 +254,6 @@ def reference_copy(state: SwarmState) -> ReferenceState:
     """A ``ReferenceState`` with writable copies of a state's iterates and ``y_bar``."""
     return ReferenceState(
         k=state.k,
-        mode=state.mode,
         **{
             name: None if getattr(state, name) is None else np.array(getattr(state, name))
             for name in ("x", "x_prime", "y", "lam", "delta", "y_bar")
@@ -290,7 +288,7 @@ def _reference_step(
     """
     A, d, mix = instance.A, instance.d, instance.topology.mix
     alpha, beta, eta, gamma = hp.alpha, hp.beta, hp.eta, hp.gamma
-    inequality = state.mode == INEQUALITY
+    inequality = state.delta is not None
     x, x_prime, y, lam, delta = state.x, state.x_prime, state.y, state.lam, state.delta
 
     # sub-round 1: mix duals and auxiliaries from the k-snapshot (four
@@ -355,7 +353,6 @@ def _reference_step(
 
     return ReferenceState(
         k=state.k + 1,
-        mode=state.mode,
         x=x_next,
         x_prime=x_prime_next,
         y=y_next,

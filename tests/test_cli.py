@@ -441,6 +441,14 @@ class TestRun:
         assert re.match(f"config error: {message}", capsys.readouterr().err)
         assert not (tmp_path / "out").exists()
 
+    def test_repeated_agent_id_is_a_config_error(self, tmp_path, capsys):
+        dist = {**DIST, "agent_ids": [2, 0, 2]}
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(self.small_cfg(tmp_path, disturbances=[dist])), encoding="utf-8")
+        assert main(["run", "--config", str(path)]) == 2
+        assert capsys.readouterr().err.startswith("config error: agent id 2 is listed more than once")
+        assert not (tmp_path / "out").exists()
+
     def test_whole_float_agent_id_is_an_integer(self, tmp_path):
         path = tmp_path / "c.json"
         path.write_text(json.dumps(self.small_cfg(tmp_path, disturbances=[{**DIST, "agent_ids": [1.0]}])))

@@ -3,13 +3,11 @@ import pytest
 
 from danyra import (
     EQUALITY,
-    INEQUALITY,
     BufferSchedule,
     CallableCost,
     ConfigError,
     DivergenceError,
     HyperParams,
-    ModeError,
     ProblemInstance,
     generate_instance,
     init_state,
@@ -134,8 +132,8 @@ class TestInitState:
         with pytest.raises(ConfigError, match=message):
             init_state(small_instance, base_hp(), init_mode, **inputs)
 
-    def test_unknown_mode_is_a_mode_error(self, small_instance, base_hp):
-        with pytest.raises(ModeError, match="unknown mode 'both'"):
+    def test_unknown_mode_is_a_config_error(self, small_instance, base_hp):
+        with pytest.raises(ConfigError, match="unknown mode 'both'"):
             init_state(small_instance, base_hp(), "at_demand", mode="both")
 
     def test_offset_shifts_the_start(self, small_instance, base_hp):
@@ -145,7 +143,8 @@ class TestInitState:
 
     def test_equality_mode_has_no_queue(self, small_instance, base_hp):
         st = init_state(small_instance, base_hp(), "at_demand", mode=EQUALITY)
-        assert st.delta is None and st.mode == EQUALITY
+        assert st.delta is None and not hasattr(st, "mode")
+        assert "mode" not in st.to_dict()
 
 
 class TestExchange:
@@ -256,7 +255,7 @@ class TestLocalSteps:
 
     def test_queue_in_equality_mode_raises(self, base_hp):
         ag = agent_view()  # delta defaults to None
-        with pytest.raises(ModeError):
+        with pytest.raises(ConfigError, match="undefined in equality mode"):
             step_virtual_queue(self.spec(), ag, messages(), base_hp(), omega_k=0.0)
 
     def test_decaying_floor_reaches_benchmark_level(self):
@@ -481,20 +480,14 @@ class TestIterate:
         back = SwarmState.from_dict(st.to_dict(), small_instance)
         assert state_difference(back, st) == 0.0
 
-    @pytest.mark.parametrize(
-        "mode, has_delta, message",
-        [
-            ("mystery", True, "unknown mode 'mystery'"),
-            ("mystery", False, "unknown mode 'mystery'"),
-            (INEQUALITY, False, "needs a queue delta"),
-            (EQUALITY, True, "has no queue delta"),
-        ],
-    )
-    def test_state_from_dict_rejects_mode_mismatch(self, small_instance, base_hp, mode, has_delta, message):
-        data = init_state(small_instance, base_hp(omega=0.2), "at_demand").to_dict()
-        data["mode"] = mode
-        if not has_delta:
-            data["delta"] = None
-        with pytest.raises(ModeError, match=message):
-            SwarmState.from_dict(data, small_instance)
+    def test_the_queue_decides_the_step(self, small_instance, base_hp):
+        # a state is in inequality mode exactly when it carries delta
+        hp = base_hp(omega=0.2)
+        ineq = randomize_state(small_instance, init_state(small_instance, hp, "at_demand"), seed=12)
+        data = ineq.to_dict()
+        data["delta"] = None
+        eq = randomize_state(small_instance, init_state(small_instance, hp, "at_demand", mode=EQUALITY), seed=12)
+        stepped = iterate(SwarmState.from_dict(data, small_instance), small_instance, hp)
+        assert stepped.delta is None and state_difference(stepped, iterate(eq, small_instance, hp)) == 0.0
+        assert iterate(ineq, small_instance, hp).delta is not None
 

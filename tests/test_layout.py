@@ -145,7 +145,7 @@ def test_finiteness_check_names_the_first_nonfinite_field(divergence_instances, 
             values = getattr(start, field).copy()
             values[agent, 0] = bad
             state = SwarmState.build(
-                instance, **{**{f: getattr(start, f) for f in ("k", "mode", *FIELDS)}, field: values}
+                instance, **{**{f: getattr(start, f) for f in ("k", *FIELDS)}, field: values}
             )
             with pytest.raises(DivergenceError) as full_check:
                 reference_iterate(state, instance, hp)
@@ -168,7 +168,7 @@ def test_finiteness_check_sees_an_overflow_in_the_dual_update(divergence_instanc
     lam = np.zeros((instance.n, instance.m))
     lam[agent, 1] = np.finfo(float).max / c**1.5
     start = init_state(instance, hp, mode=mode)
-    state = SwarmState.build(instance, **{**{f: getattr(start, f) for f in ("k", "mode", *FIELDS)}, "lam": lam})
+    state = SwarmState.build(instance, **{**{f: getattr(start, f) for f in ("k", *FIELDS)}, "lam": lam})
     with pytest.raises(DivergenceError, match=rf"non-finite lambda at iteration 0 \(agents \[{agent}\]\)"):
         reference_iterate(state, instance, hp)
     with pytest.raises(DivergenceError, match=rf"non-finite lambda at iteration 0 \(agents \[{agent}\]\)"):

@@ -84,6 +84,9 @@ class TestDisturbance:
             pytest.param({"agent_ids": (1.5, 2)}, "agent id must be a whole number, got 1.5", id="agent-fraction"),
             pytest.param({"agent_ids": ("2",)}, "agent id must be a whole number, got '2'", id="agent-text"),
             pytest.param({"agent_ids": (True,)}, "agent id must be a whole number, got True", id="agent-boolean"),
+            pytest.param({"agent_ids": 5}, "agent_ids must be a list of agent ids, got 5", id="agent-ids-number"),
+            pytest.param({"agent_ids": [0, 0]}, "agent id 0 is listed more than once", id="agent-repeated"),
+            pytest.param({"agent_ids": [3, 1, 3, 1]}, "agent id 1 is listed more than once", id="agents-repeated"),
         ],
     )
     def test_event_rejects_what_is_not_a_number(self, kwargs, message):
@@ -191,7 +194,7 @@ class TestRunExperiment:
         event = DisturbanceEvent(at_iteration=5, additive=np.ones(2))
         plan = ExperimentPlan(instance=small_instance, hp=hp, iters=20, x0_offset=offset, disturbances=(event,))
         direct = init_state(small_instance, hp, "at_demand", x0_offset=offset)
-        assert (plan.start.k, plan.start.mode) == (direct.k, direct.mode)
+        assert plan.start.k == direct.k
         for name in ("x", "x_prime", "y", "lam", "delta", "Ax", "Ax_prime"):
             assert getattr(plan.start, name).tobytes() == getattr(direct, name).tobytes(), name
             assert not getattr(plan.start, name).flags.writeable, name
@@ -225,6 +228,8 @@ class TestRunExperiment:
         far = DisturbanceEvent(at_iteration=3, additive=np.ones(2), agent_ids=(small_instance.n,))
         with pytest.raises(ConfigError, match="agent ids outside"):
             ExperimentPlan(instance=small_instance, hp=base_hp(), iters=5, disturbances=(far,))
+        with pytest.raises(ConfigError, match="unknown mode 'both'"):
+            ExperimentPlan(instance=small_instance, hp=base_hp(), iters=5, mode="both")
         # x0 is read only by the custom init, so elsewhere it is an error rather than ignored
         x0 = np.full((small_instance.n, small_instance.p), 1e3)
         with pytest.raises(ConfigError, match="only read by init mode 'custom', not 'at_demand'"):

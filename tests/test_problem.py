@@ -412,6 +412,10 @@ class TestValidateHyperparams:
         assert glow.bound == pytest.approx(0.5) and not glow.passed
         assert check(validate_hyperparams(base_hp(gamma=0.6), sc), "gamma_lower").passed
 
+    def test_unknown_mode_is_a_config_error(self, base_hp, benchmark_constants):
+        with pytest.raises(ConfigError, match="unknown mode 'both'"):
+            validate_hyperparams(base_hp(), benchmark_constants, "both")
+
     def test_benchmark_parameters_fail_gamma_but_report(self, base_hp, benchmark_constants):
         report = validate_hyperparams(base_hp(), benchmark_constants)
         assert not check(report, "gamma_lower").passed
@@ -505,10 +509,21 @@ class TestBufferSchedule:
             BufferSchedule.constant(-0.1)
         with pytest.raises(InvalidInstanceError):
             BufferSchedule.sequence([0.1, -0.2])
-        with pytest.raises(InvalidInstanceError):
+        with pytest.raises(InvalidInstanceError, match="buffer levels must be nonincreasing"):
             BufferSchedule.sequence([0.1, 1.0, 5.0])
-        with pytest.raises(InvalidInstanceError):
-            BufferSchedule(kind="mystery")
+        with pytest.raises(InvalidInstanceError, match="finite"):
+            BufferSchedule.sequence([])
+        for bad in (5, 0.1, None):  # not a sequence at all
+            with pytest.raises(InvalidInstanceError, match=f"buffer levels must be finite and >= 0, got {bad!r}"):
+                BufferSchedule.sequence(bad)
+            with pytest.raises(InvalidInstanceError, match=f"got {bad!r}"):
+                BufferSchedule.from_dict({"kind": "sequence", "values": bad})
+        with pytest.raises(InvalidInstanceError, match="coefficient must be finite and >= 0"):
+            BufferSchedule(levels=(0.1,), coefficient=-1.0)
+        with pytest.raises(InvalidInstanceError, match="positive coefficient"):
+            BufferSchedule.decaying(0.0)
+        with pytest.raises(ConfigError, match="unknown buffer kind 'mystery'"):
+            BufferSchedule.from_dict({"kind": "mystery"})
         for bad in (np.nan, np.inf):
             with pytest.raises(InvalidInstanceError, match="finite"):
                 BufferSchedule.constant(bad)
@@ -524,20 +539,49 @@ class TestBufferSchedule:
         for make in (BufferSchedule.constant, BufferSchedule.decaying, lambda v: BufferSchedule.sequence([v])):
             with pytest.raises(InvalidInstanceError, match=f"got {bad!r}"):
                 make(bad)
-        with pytest.raises(InvalidInstanceError):
-            BufferSchedule(kind="constant", omega=bad)
+        with pytest.raises(InvalidInstanceError, match=f"got {bad!r}"):
+            BufferSchedule.from_dict({"kind": "constant", "omega": bad})
+        with pytest.raises(InvalidInstanceError, match=f"got {bad!r}"):
+            BufferSchedule(levels=(0.1,), coefficient=bad)
 
     def test_unknown_kinds_rejected(self):
-        for kind in (["constant"], None, 1):
-            with pytest.raises(InvalidInstanceError, match="unknown buffer kind"):
-                BufferSchedule(kind=kind)
+        for kind in (["constant"], None, 1, "linear"):
             with pytest.raises(ConfigError, match="unknown buffer kind"):
                 BufferSchedule.from_dict({"kind": kind, "omega": 0.1})
 
     def test_levels_stored_as_floats(self):
-        assert type(BufferSchedule.constant(np.float64(0.5)).omega) is float
+        assert BufferSchedule.constant(np.float64(0.5)).levels == (0.5,)
+        assert type(BufferSchedule.constant(np.float64(0.5)).levels[0]) is float
         assert BufferSchedule.decaying(5).coefficient == 5.0
-        assert BufferSchedule.sequence([2, np.float32(0.5)]).values == (2.0, 0.5)
+        assert type(BufferSchedule.decaying(np.int64(5)).coefficient) is float
+        assert BufferSchedule.sequence([2, np.float32(0.5)]).levels == (2.0, 0.5)
+        assert all(type(v) is float for v in BufferSchedule.sequence(np.array([2, 1])).levels)
+        zero = BufferSchedule.constant(-0.0)  # stored + 0.0, so the floor is never -0.0
+        assert zero.levels[0].hex() == (0.0).hex() and zero.value(0).hex() == (0.0).hex()
+
+    def test_constructors_and_config_kinds_agree(self):
+        assert BufferSchedule.constant(0.1) == BufferSchedule.sequence([0.1]) == BufferSchedule(levels=(0.1,))
+        assert BufferSchedule.decaying(5.0) == BufferSchedule(levels=(0.0,), coefficient=5.0)
+        for doc, made in (
+            ({"kind": "constant", "omega": 0.1}, BufferSchedule.constant(0.1)),
+            ({"kind": "decaying", "coefficient": 5.0}, BufferSchedule.decaying(5.0)),
+            ({"kind": "sequence", "values": [1.0, 0.5]}, BufferSchedule.sequence([1.0, 0.5])),
+        ):
+            assert BufferSchedule.from_dict(doc) == made
+
+    def test_one_formula_reproduces_the_three_kinds(self):
+        # the per-kind formulas the single formula replaced, checked bit for bit
+        values = (1.0, 0.5, 0.5, 0.2)
+        old = {
+            "constant(0.01)": (BufferSchedule.constant(0.01), lambda k: 0.01, 0.01),
+            "constant(0.0)": (BufferSchedule.constant(0.0), lambda k: 0.0, 0.0),
+            "sequence": (BufferSchedule.sequence(values), lambda k: values[min(k, len(values) - 1)], values[-1]),
+            "decaying(5.0)": (BufferSchedule.decaying(5.0), lambda k: 5.0 / (k + 1), 0.0),
+        }
+        for name, (sched, value, limit) in old.items():
+            assert sched.limit.hex() == limit.hex(), name
+            for k in range(100_001):
+                assert sched.value(k).hex() == value(k).hex(), (name, k)
 
     @pytest.mark.parametrize("name", ["alpha", "beta", "eta", "gamma"])
     @pytest.mark.parametrize("bad", [True, "0.1", None], ids=["boolean", "text", "null"])
@@ -560,6 +604,12 @@ class TestBufferSchedule:
             for bad in (np.nan, np.inf):
                 with pytest.raises(InvalidInstanceError, match=f"{name} must be finite"):
                     HyperParams(**{**steps, name: bad})
+
+    @pytest.mark.parametrize("bad", ["x", 0.1, None, {"kind": "constant", "omega": 0.1}])
+    def test_hyperparams_buffer_must_be_a_schedule(self, bad):
+        steps = {"alpha": 0.01, "beta": 0.02, "eta": 0.1, "gamma": 0.2}
+        with pytest.raises(InvalidInstanceError, match="buffer must be a BufferSchedule, got"):
+            HyperParams(**steps, buffer=bad)
 
 
 class TestSerialization:

@@ -14,7 +14,7 @@ PUBLIC_NAMES = {
     "SwarmState", "init_state", "iterate",
     # errors
     "ConfigError", "DanyraError", "DegenerateInstanceError", "DivergenceError", "InvalidInstanceError",
-    "ModeError", "OracleFailureError", "TopologyError",
+    "OracleFailureError", "TopologyError",
     # metrics
     "BoundsReport", "bounds_report", "optimality_gap", "recovery_iteration", "slack_sum", "violation_l1",
     # netsim
