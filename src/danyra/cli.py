@@ -49,14 +49,7 @@ PRESETS: dict[str, dict] = {
         "mode": INEQUALITY,
         "iters": 20000,
         "record_every": 1,
-        "disturbances": [
-            {
-                "at_iteration": 500,
-                "additive": [50.0, 50.0],
-                "agent_ids": None,
-                "perturb_x_prime": True,
-            }
-        ],
+        "disturbances": [{"at_iteration": 500, "additive": [50.0, 50.0]}],
         "init": {"mode": "at_demand"},
         "out": "runs/fig2",
     },
@@ -131,13 +124,8 @@ _CONFIG = _Object(
         "mode": str,
         "iters": int,
         "record_every": int,
-        "disturbances": [
-            _Object(
-                {"at_iteration": int, "additive": [float], "agent_ids": _OrNull([int]), "perturb_x_prime": bool},
-                ("at_iteration", "additive"),
-            )
-        ],
-        "init": _Object({"mode": str, "offset": _OrNull([float]), "x0": _OrNull([[float]])}),
+        "disturbances": [_Object({"at_iteration": int, "additive": [float]}, ("at_iteration", "additive"))],
+        "init": _Object({"mode": str, "offset": _OrNull([float])}),
         "out": str,
     },
     ("instance", "hp", "mode", "iters", "out"),
@@ -267,7 +255,6 @@ def _build_plan(config: dict, instance, buffer: dict) -> ExperimentPlan:
         disturbances=tuple(DisturbanceEvent(**d) for d in config["disturbances"]),
         record_every=config["record_every"],
         init_mode=init.get("mode", "at_demand"),
-        x0=init.get("x0"),
         x0_offset=init.get("offset"),
     )
 

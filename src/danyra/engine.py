@@ -37,7 +37,7 @@ import math
 import numpy as np
 
 from .errors import ConfigError, DivergenceError
-from .problem import EQUALITY, INEQUALITY, HyperParams, ProblemInstance
+from .problem import EQUALITY, INEQUALITY, HyperParams, ProblemInstance, _real
 
 
 @dataclasses.dataclass(frozen=True)
@@ -147,13 +147,27 @@ class SwarmState:
         )
 
 
+def _real_vector(value, name: str, shape: tuple | None = None) -> np.ndarray:
+    """``value`` as a new float array of real numbers (not booleans), finite and of ``shape`` if given.
+
+    Anything else is a ``ConfigError``: ``{name} must be numbers`` for an
+    entry that is not a real number (text, a boolean, a ragged list), and
+    ``{name} must be finite [with shape ...]`` otherwise.
+    """
+    for item in np.asarray(value, dtype=object).flat:
+        _real(item, f"{name} must be numbers", ConfigError)
+    arr = np.array(value, dtype=float)
+    if not (np.all(np.isfinite(arr)) and (shape is None or arr.shape == shape)):
+        raise ConfigError(f"{name} must be finite" + ("" if shape is None else f" with shape {shape}"))
+    return arr
+
+
 def init_state(
     instance: ProblemInstance,
     hp: HyperParams,
     init_mode: str = "at_demand",
     *,
     mode: str = INEQUALITY,
-    x0: np.ndarray | None = None,
     x0_offset: np.ndarray | None = None,
 ) -> SwarmState:
     """Build the iteration-0 state; the one place the start inputs are checked.
@@ -162,39 +176,27 @@ def init_state(
     starts it at ``delta = omega_0 * 1``, so its floor holds from the start,
     and equality mode has none.  ``at_demand`` places each
     decision at its demand vector when p == m and at the least-norm preimage
-    ``projector @ d`` otherwise; ``zero`` starts at the origin; ``custom``
-    takes ``x0`` with shape (n, p); ``x0_offset`` (shape (p,)) is added to
-    every start.  A bad start input is a ``ConfigError``: an unknown mode or
-    init mode, ``custom`` without ``x0`` or ``x0`` with another init mode, or
-    an ``x0``/``x0_offset`` that is not finite or not of its shape.
+    ``projector @ d`` otherwise; ``zero`` starts at the origin; ``x0_offset``
+    (shape (p,)) is added to every agent's start.  A bad start input is a
+    ``ConfigError``: an unknown mode or init mode, or an ``x0_offset`` that
+    is not real numbers, not finite or not of shape (p,), checked as a
+    disturbance's ``additive`` is.
     """
     if mode not in (INEQUALITY, EQUALITY):
         raise ConfigError(f"unknown mode {mode!r}")
-    if init_mode not in ("at_demand", "zero", "custom"):
+    if init_mode not in ("at_demand", "zero"):
         raise ConfigError(f"unknown init mode {init_mode!r}")
-    if init_mode == "custom" and x0 is None:
-        raise ConfigError("init mode 'custom' needs x0")
-    if init_mode != "custom" and x0 is not None:
-        raise ConfigError(f"x0 is only read by init mode 'custom', not {init_mode!r}")
     n, p, m = instance.n, instance.p, instance.m
-    for name, value, shape in (("x0", x0, (n, p)), ("x0_offset", x0_offset, (p,))):
-        try:
-            fits = value is None or (np.shape(value) == shape and bool(np.all(np.isfinite(value))))
-        except (TypeError, ValueError):  # a ragged list, or not numbers
-            fits = False
-        if not fits:
-            raise ConfigError(f"{name} must be finite with shape {shape}")
+    offset = None if x0_offset is None else _real_vector(x0_offset, "x0_offset", (p,))
 
-    if init_mode == "custom":
-        x = np.array(x0, dtype=float)
-    elif init_mode == "zero":
+    if init_mode == "zero":
         x = np.zeros((n, p))
     elif p == m:
         x = instance.d
     else:
         x = np.einsum("npm,nm->np", instance.projector_stack, instance.d)
-    if x0_offset is not None:
-        x = x + np.asarray(x0_offset, dtype=float)
+    if offset is not None:
+        x = x + offset
 
     delta = np.full((n, m), hp.buffer.value(0)) if mode == INEQUALITY else None
 

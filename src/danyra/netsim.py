@@ -7,67 +7,46 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .engine import SwarmState, init_state, iterate
-from .errors import ConfigError
+from .engine import SwarmState, _real_vector, init_state, iterate
+from .errors import ConfigError, InvalidInstanceError
 from .metrics import optimality_gap, slack_sum, violation_l1
 from .oracle import OracleSolution
-from .problem import INEQUALITY, HyperParams, ProblemInstance, _real, _whole_number
+from .problem import INEQUALITY, HyperParams, ProblemInstance, _whole_number
 
 
 @dataclass(frozen=True)
 class DisturbanceEvent:
-    """Additive interference applied to agents' decisions at one iteration.
+    """Additive interference on every agent's decisions at one iteration.
 
-    By default both the decision and the virtual decision are shifted, so the
-    interference genuinely stresses recovery instead of being pulled back by
-    the still-clean projection target; set ``perturb_x_prime=False`` to hit
-    the decision only.  Queues and duals are never touched, and each agent
-    id may be listed once.
+    ``additive`` (shape (p,)) is added to each agent's decision ``x_i`` and
+    virtual decision ``x'_i``, so the interference genuinely stresses
+    recovery instead of being pulled back by the still-clean projection
+    target.  Queues and duals are never touched.
     """
 
     at_iteration: int
     additive: np.ndarray
-    agent_ids: tuple[int, ...] | None = None
-    perturb_x_prime: bool = True
 
     def __post_init__(self):
-        for value in np.asarray(self.additive, dtype=object).flat:
-            _real(value, "disturbance vector must be numbers", ConfigError)
-        if not isinstance(self.perturb_x_prime, (bool, np.bool_)):
-            raise ConfigError(f"perturb_x_prime must be a boolean, got {self.perturb_x_prime!r}")
-        additive = np.array(self.additive, dtype=float)
-        if not np.all(np.isfinite(additive)):
-            raise ConfigError("disturbance vector must be finite")
+        additive = _real_vector(self.additive, "disturbance vector")
         at_iteration = _whole_number(self.at_iteration, "at_iteration", ConfigError)
         if at_iteration < 1:
             raise ConfigError(f"at_iteration must be >= 1, got {at_iteration}")
         additive.setflags(write=False)
         object.__setattr__(self, "at_iteration", at_iteration)
         object.__setattr__(self, "additive", additive)
-        object.__setattr__(self, "perturb_x_prime", bool(self.perturb_x_prime))
-        if self.agent_ids is not None:
-            if not np.iterable(self.agent_ids):
-                raise ConfigError(f"agent_ids must be a list of agent ids, got {self.agent_ids!r}")
-            agent_ids = tuple(_whole_number(i, "agent id", ConfigError) for i in self.agent_ids)
-            ids, counts = np.unique(agent_ids, return_counts=True)
-            if np.any(counts > 1):
-                raise ConfigError(f"agent id {ids[counts > 1][0]} is listed more than once")
-            object.__setattr__(self, "agent_ids", agent_ids)
+
+
+def _check_fits(event: DisturbanceEvent, p: int) -> None:
+    if event.additive.shape != (p,):
+        raise ConfigError(f"disturbance at iteration {event.at_iteration}: additive must have shape ({p},)")
 
 
 def apply_disturbance(state: SwarmState, instance: ProblemInstance, event: DisturbanceEvent) -> SwarmState:
-    """The state with the targeted agents' decisions shifted and its products recomputed; all other fields kept."""
-    ids = range(state.n) if event.agent_ids is None else event.agent_ids
-    x, x_prime = state.x.copy(), state.x_prime.copy()
-    for i in ids:
-        if not 0 <= i < state.n:
-            raise ConfigError(f"unknown agent id {i}")
-        x[i] += event.additive
-        if event.perturb_x_prime:
-            x_prime[i] += event.additive
-    return SwarmState.build(
-        instance, k=state.k, x=x, x_prime=x_prime, y=state.y, lam=state.lam, delta=state.delta
-    )
+    """The state with ``event.additive`` added to every agent's ``x`` and ``x'``, and its products recomputed."""
+    _check_fits(event, instance.p)
+    x, x_prime = state.x + event.additive, state.x_prime + event.additive
+    return SwarmState.build(instance, k=state.k, x=x, x_prime=x_prime, y=state.y, lam=state.lam, delta=state.delta)
 
 
 @dataclass(frozen=True)
@@ -86,32 +65,30 @@ class ExperimentPlan:
     disturbances: tuple[DisturbanceEvent, ...] = ()
     record_every: int = 1
     init_mode: str = "at_demand"
-    x0: np.ndarray | None = None
     x0_offset: np.ndarray | None = None
     start: SwarmState = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        if not isinstance(self.hp, HyperParams):
+            raise InvalidInstanceError(f"hp must be a HyperParams, got {self.hp!r}")
         for name in ("iters", "record_every"):
             value = _whole_number(getattr(self, name), name, ConfigError)
             if value < 1:
                 raise ConfigError(f"{name} must be >= 1, got {value}")
             object.__setattr__(self, name, value)
-        start = init_state(
-            self.instance, self.hp, self.init_mode, mode=self.mode, x0=self.x0, x0_offset=self.x0_offset
-        )
+        events = tuple(self.disturbances) if np.iterable(self.disturbances) else None
+        if events is None or not all(isinstance(ev, DisturbanceEvent) for ev in events):
+            raise ConfigError(f"disturbances must be a sequence of DisturbanceEvent, got {self.disturbances!r}")
+        object.__setattr__(self, "disturbances", events)
+        start = init_state(self.instance, self.hp, self.init_mode, mode=self.mode, x0_offset=self.x0_offset)
         object.__setattr__(self, "start", start)
-        n, p = self.instance.n, self.instance.p
-        object.__setattr__(self, "disturbances", tuple(self.disturbances))
-        for ev in self.disturbances:
+        for ev in events:
             if ev.at_iteration >= self.iters:
                 raise ConfigError(
                     f"disturbance at iteration {ev.at_iteration} never fires in a "
                     f"{self.iters}-iteration run"
                 )
-            if ev.additive.shape != (p,):
-                raise ConfigError(f"disturbance at iteration {ev.at_iteration}: additive must have shape ({p},)")
-            if ev.agent_ids is not None and not all(0 <= i < n for i in ev.agent_ids):
-                raise ConfigError(f"disturbance at iteration {ev.at_iteration}: agent ids outside 0..{n - 1}")
+            _check_fits(ev, self.instance.p)
 
 
 # Rows of ``Trace.csv_text`` formatted at once: large enough that the per-block

@@ -379,10 +379,8 @@ def reference_slack_sum(instance: ProblemInstance, x: np.ndarray, delta: np.ndar
 
 
 def reference_disturb(state: ReferenceState, event) -> ReferenceState:
-    """Shift the targeted agents' decisions of a ``ReferenceState`` in place."""
-    ids = range(len(state.x)) if event.agent_ids is None else event.agent_ids
-    for i in ids:
+    """Shift every agent's decision and virtual decision of a ``ReferenceState`` in place, one agent at a time."""
+    for i in range(len(state.x)):
         state.x[i] += event.additive
-        if event.perturb_x_prime:
-            state.x_prime[i] += event.additive
+        state.x_prime[i] += event.additive
     return state

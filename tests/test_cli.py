@@ -26,9 +26,7 @@ FIG2_EXPANDED = {
     "mode": "inequality",
     "iters": 20000,
     "record_every": 1,
-    "disturbances": [
-        {"at_iteration": 500, "additive": [50.0, 50.0], "agent_ids": None, "perturb_x_prime": True}
-    ],
+    "disturbances": [{"at_iteration": 500, "additive": [50.0, 50.0]}],
     "init": {"mode": "at_demand"},
     "out": "runs/fig2",
 }
@@ -361,6 +359,7 @@ class TestRun:
     @pytest.mark.parametrize(
         "edit",
         [
+            # 'custom' is an unknown init mode, and x0 and perturb_x_prime are unknown keys
             pytest.param({"init": {"mode": "custom"}}, id="custom-without-x0"),
             pytest.param({"init": {"mode": "custom", "x0": [[0.0, 0.0]] * 3}}, id="x0-shape"),
             pytest.param({"init": {"mode": "custom", "x0": [[0.0, 0.0], [1.0]] * 2}}, id="x0-ragged"),
@@ -422,11 +421,19 @@ class TestRun:
             pytest.param({"init": None}, "init must be an object, got None", id="init"),
             pytest.param({"iters": True}, "iters must be an integer, got True", id="iters-boolean"),
             pytest.param({"hp": {**HP, "gamma": False}}, "hp.gamma must be a number, got False", id="gamma-boolean"),
+            # a disturbance shifts every agent's x and x', and a start has no x0: these keys are gone
             pytest.param(
-                {"disturbances": [{**DIST, "agent_ids": [0, 1.5]}]},
-                r"disturbances\[0\].agent_ids\[1\] must be an integer, got 1.5",
-                id="agent-id-fraction",
+                {"disturbances": [{**DIST, "agent_ids": None}]},
+                r"unknown key\(s\) \['agent_ids'\] in disturbances\[0\]",
+                id="agent-ids-key",
             ),
+            pytest.param(
+                {"disturbances": [{**DIST, "perturb_x_prime": True}]},
+                r"unknown key\(s\) \['perturb_x_prime'\] in disturbances\[0\]",
+                id="perturb-x-prime-key",
+            ),
+            pytest.param({"init": {"mode": "at_demand", "x0": None}}, r"unknown key\(s\) \['x0'\] in init", id="x0-key"),
+            pytest.param({"init": {"mode": "custom"}}, "unknown init mode 'custom'", id="init-mode-custom"),
             pytest.param(
                 {"sweep": [{"kind": "constant", "omega": 0.1}, {"kind": "decaying"}]},
                 "missing required key 'coefficient' for buffer kind 'decaying'",
@@ -441,31 +448,16 @@ class TestRun:
         assert re.match(f"config error: {message}", capsys.readouterr().err)
         assert not (tmp_path / "out").exists()
 
-    def test_repeated_agent_id_is_a_config_error(self, tmp_path, capsys):
-        dist = {**DIST, "agent_ids": [2, 0, 2]}
-        path = tmp_path / "c.json"
-        path.write_text(json.dumps(self.small_cfg(tmp_path, disturbances=[dist])), encoding="utf-8")
-        assert main(["run", "--config", str(path)]) == 2
-        assert capsys.readouterr().err.startswith("config error: agent id 2 is listed more than once")
-        assert not (tmp_path / "out").exists()
-
-    def test_whole_float_agent_id_is_an_integer(self, tmp_path):
-        path = tmp_path / "c.json"
-        path.write_text(json.dumps(self.small_cfg(tmp_path, disturbances=[{**DIST, "agent_ids": [1.0]}])))
-        config = parse_config(str(path))
-        assert config["disturbances"][0]["agent_ids"] == [1]
-        assert run(config) == 0
-
     def test_plans_fail_before_the_oracle_solve(self, tmp_path, capsys, monkeypatch):
         def no_solve(instance):
             raise AssertionError("the oracle was solved for a config that does not fit the instance")
 
         monkeypatch.setattr(danyra.cli, "solve_active_set", no_solve)
-        dist = {"at_iteration": 10, "additive": [5.0, 5.0], "agent_ids": [0, 4]}
+        dist = {"at_iteration": 10, "additive": [5.0, 5.0, 5.0]}
         path = tmp_path / "c.json"
         path.write_text(json.dumps(self.small_cfg(tmp_path, disturbances=[dist])), encoding="utf-8")
         assert main(["run", "--config", str(path)]) == 2
-        assert "agent ids outside 0..3" in capsys.readouterr().err
+        assert "additive must have shape (2,)" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     def test_one_start_state_per_member(self, tmp_path, monkeypatch):

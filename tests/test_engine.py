@@ -92,40 +92,25 @@ class TestInitState:
         st = init_state(inst, base_hp(), "at_demand")
         assert np.allclose(st.x @ np.array([1.0, 1.0]), 4.0)
 
-    def test_custom_requires_matching_shape(self, small_instance, base_hp):
-        with pytest.raises(ConfigError):
-            init_state(small_instance, base_hp(), "custom", x0=np.zeros((3, 2)))
-        with pytest.raises(ConfigError):
-            init_state(small_instance, base_hp(), "custom")
-
     @pytest.mark.parametrize(
         "init_mode, inputs, message",
         [
             pytest.param("warm", {}, "unknown init mode 'warm'", id="unknown-init-mode"),
-            pytest.param("custom", {}, "init mode 'custom' needs x0", id="custom-without-x0"),
-            pytest.param(
-                "at_demand",
-                {"x0": np.full((5, 2), 1e3)},
-                "x0 is only read by init mode 'custom', not 'at_demand'",
-                id="x0-with-at-demand",
-            ),
-            pytest.param(
-                "zero", {"x0": np.zeros((5, 2))}, "only read by init mode 'custom', not 'zero'", id="x0-with-zero"
-            ),
-            pytest.param("custom", {"x0": np.zeros((3, 2))}, r"x0 must be finite with shape \(5, 2\)", id="x0-shape"),
-            pytest.param(
-                "custom", {"x0": np.full((5, 2), np.nan)}, r"x0 must be finite with shape \(5, 2\)", id="x0-nan"
-            ),
+            pytest.param("custom", {}, "unknown init mode 'custom'", id="custom-without-x0"),
             pytest.param(
                 "at_demand", {"x0_offset": np.ones(3)}, r"x0_offset must be finite with shape \(2,\)", id="offset-shape"
             ),
             pytest.param(
                 "zero", {"x0_offset": [np.inf, 0.0]}, r"x0_offset must be finite with shape \(2,\)", id="offset-inf"
             ),
+            # the offset's entries are checked as a disturbance's are: booleans and text are not numbers
             pytest.param(
-                "custom", {"x0": [[0.0, 0.0], [1.0]] * 2 + [[0.0, 0.0]]}, "x0 must be finite", id="x0-ragged"
+                "at_demand", {"x0_offset": [True, True]}, "x0_offset must be numbers, got True", id="offset-boolean"
             ),
-            pytest.param("custom", {"x0": [["0", "1"]] * 5}, "x0 must be finite", id="x0-text"),
+            pytest.param("zero", {"x0_offset": ["1", "2"]}, "x0_offset must be numbers, got '1'", id="offset-text"),
+            pytest.param(
+                "zero", {"x0_offset": [[1.0], [1.0, 2.0]]}, r"x0_offset must be numbers, got \[1.0\]", id="offset-ragged"
+            ),
         ],
     )
     def test_bad_start_inputs_are_config_errors(self, small_instance, base_hp, init_mode, inputs, message):

@@ -78,10 +78,9 @@ class TestLayout:
                 assert getattr(inst, name).flags.f_contiguous, name
 
     @pytest.mark.parametrize("mode", [INEQUALITY, EQUALITY])
-    @pytest.mark.parametrize("init_mode", ["at_demand", "zero", "custom"])
+    @pytest.mark.parametrize("init_mode", ["at_demand", "zero"])
     def test_states_from_init_and_iterate(self, instance, base_hp, mode, init_mode):
-        x0 = np.ones((instance.n, instance.p)) if init_mode == "custom" else None  # C-ordered input
-        state = init_state(instance, base_hp(0.1), init_mode, mode=mode, x0=x0)
+        state = init_state(instance, base_hp(0.1), init_mode, mode=mode)
         assert_agent_contiguous(state)
         for _ in range(3):
             state = iterate(state, instance, base_hp(0.1))
@@ -89,7 +88,7 @@ class TestLayout:
 
     def test_states_from_disturbance_dict_and_copy(self, instance, base_hp):
         state = iterate(init_state(instance, base_hp(0.1)), instance, base_hp(0.1))
-        event = DisturbanceEvent(at_iteration=1, additive=np.array([1.0, -1.0]), agent_ids=(0, 2))
+        event = DisturbanceEvent(at_iteration=1, additive=np.array([1.0, -1.0]))
         disturbed = apply_disturbance(state, instance, event)
         for made in (disturbed, SwarmState.from_dict(state.to_dict(), instance), copy.deepcopy(state)):
             assert_agent_contiguous(made)

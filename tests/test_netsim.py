@@ -11,6 +11,7 @@ from danyra import (
     DisturbanceEvent,
     ExperimentPlan,
     HyperParams,
+    InvalidInstanceError,
     apply_disturbance,
     generate_instance,
     init_state,
@@ -31,14 +32,12 @@ class TestDisturbance:
         st = apply_disturbance(st, small_instance, DisturbanceEvent(at_iteration=1, additive=np.zeros(2)))
         assert np.array_equal(st.x, before.x) and np.array_equal(st.x_prime, before.x_prime)
 
-    def test_single_agent_only(self, small_instance, base_hp):
+    def test_every_agent_decisions_only(self, small_instance, base_hp):
         st = init_state(small_instance, base_hp(), "at_demand")
         before = copy.deepcopy(st)
-        st = apply_disturbance(
-            st, small_instance, DisturbanceEvent(at_iteration=1, additive=np.array([1.0, -2.0]), agent_ids=(2,))
-        )
-        assert np.array_equal(st.x[0], before.x[0])
-        assert np.allclose(st.x[2] - before.x[2], [1.0, -2.0])
+        st = apply_disturbance(st, small_instance, DisturbanceEvent(at_iteration=1, additive=np.array([1.0, -2.0])))
+        assert np.allclose(st.x - before.x, [1.0, -2.0])
+        assert np.allclose(st.x_prime - before.x_prime, [1.0, -2.0])
         assert np.array_equal(st.y, before.y) and np.array_equal(st.lam, before.lam)
         assert np.array_equal(st.delta, before.delta)
 
@@ -51,29 +50,20 @@ class TestDisturbance:
         expected_jump = sum(A_i @ bump for A_i in benchmark_instance.A)
         assert np.max(np.abs((s_after - s_before) - expected_jump)) <= 1e-9
 
-    def test_x_only_flag(self, small_instance, base_hp):
+    @pytest.mark.parametrize("additive", [[5.0], [1.0, 2.0, 3.0], [[1.0, 2.0]]], ids=["one", "three", "row"])
+    def test_additive_must_fit_the_instance(self, small_instance, base_hp, additive):
+        # a (1,) vector would broadcast to every coordinate; only shape (p,) is a shift of each agent
         st = init_state(small_instance, base_hp(), "at_demand")
-        before = copy.deepcopy(st)
-        st = apply_disturbance(
-            st,
-            small_instance,
-            DisturbanceEvent(at_iteration=1, additive=np.ones(2), perturb_x_prime=False),
-        )
-        assert np.allclose(st.x - before.x, 1.0)
-        assert np.array_equal(st.x_prime, before.x_prime)
-
-    def test_unknown_agent_rejected(self, small_instance, base_hp):
-        st = init_state(small_instance, base_hp(), "at_demand")
-        with pytest.raises(ConfigError):
-            apply_disturbance(
-                st, small_instance, DisturbanceEvent(at_iteration=1, additive=np.ones(2), agent_ids=(99,))
-            )
+        with pytest.raises(ConfigError, match=r"additive must have shape \(2,\)"):
+            apply_disturbance(st, small_instance, DisturbanceEvent(at_iteration=1, additive=additive))
 
     def test_event_validation(self):
         with pytest.raises(ConfigError):
             DisturbanceEvent(at_iteration=0, additive=np.ones(2))
         with pytest.raises(ConfigError):
             DisturbanceEvent(at_iteration=5, additive=np.array([np.inf, 0.0]))
+        event = DisturbanceEvent(at_iteration=5, additive=[1, 2])
+        assert event.additive.dtype == np.float64 and not event.additive.flags.writeable
 
     @pytest.mark.parametrize(
         "kwargs, message",
@@ -81,32 +71,11 @@ class TestDisturbance:
             pytest.param({"additive": ["1", "2"]}, "must be numbers", id="additive-text"),
             pytest.param({"additive": [True, 2.0]}, "must be numbers", id="additive-boolean"),
             pytest.param({"additive": [[1.0], [1.0, 2.0]]}, "must be numbers", id="additive-ragged"),
-            pytest.param({"agent_ids": (1.5, 2)}, "agent id must be a whole number, got 1.5", id="agent-fraction"),
-            pytest.param({"agent_ids": ("2",)}, "agent id must be a whole number, got '2'", id="agent-text"),
-            pytest.param({"agent_ids": (True,)}, "agent id must be a whole number, got True", id="agent-boolean"),
-            pytest.param({"agent_ids": 5}, "agent_ids must be a list of agent ids, got 5", id="agent-ids-number"),
-            pytest.param({"agent_ids": [0, 0]}, "agent id 0 is listed more than once", id="agent-repeated"),
-            pytest.param({"agent_ids": [3, 1, 3, 1]}, "agent id 1 is listed more than once", id="agents-repeated"),
         ],
     )
     def test_event_rejects_what_is_not_a_number(self, kwargs, message):
         with pytest.raises(ConfigError, match=message):
             DisturbanceEvent(**{"at_iteration": 5, "additive": [1.0, 2.0], **kwargs})
-
-    @pytest.mark.parametrize("flag", ["false", 0, None], ids=["text", "zero", "null"])
-    def test_event_perturb_x_prime_must_be_boolean(self, flag):
-        with pytest.raises(ConfigError, match="perturb_x_prime must be a boolean"):
-            DisturbanceEvent(at_iteration=5, additive=[1.0, 2.0], perturb_x_prime=flag)
-
-    def test_event_perturb_x_prime_accepts_numpy_boolean(self):
-        event = DisturbanceEvent(at_iteration=5, additive=[1.0, 2.0], perturb_x_prime=np.bool_(False))
-        assert event.perturb_x_prime is False
-
-    def test_event_agent_ids_are_ints(self):
-        event = DisturbanceEvent(at_iteration=5, additive=[1, 2], agent_ids=(1.0, np.int64(2)))
-        assert event.agent_ids == (1, 2)
-        assert all(type(i) is int for i in event.agent_ids)
-        assert event.additive.tolist() == [1.0, 2.0]
 
 
 class TestRunExperiment:
@@ -224,18 +193,25 @@ class TestRunExperiment:
             ExperimentPlan(instance=small_instance, hp=base_hp(), iters=0)
         with pytest.raises(ConfigError):
             ExperimentPlan(instance=small_instance, hp=base_hp(), iters=5, record_every=0)
-        # an agent the instance lacks is rejected before the run, not when the disturbance fires
-        far = DisturbanceEvent(at_iteration=3, additive=np.ones(2), agent_ids=(small_instance.n,))
-        with pytest.raises(ConfigError, match="agent ids outside"):
-            ExperimentPlan(instance=small_instance, hp=base_hp(), iters=5, disturbances=(far,))
+        # an additive the instance cannot take is rejected before the run, not when the disturbance fires
+        wide = DisturbanceEvent(at_iteration=3, additive=np.ones(3))
+        with pytest.raises(ConfigError, match=r"additive must have shape \(2,\)"):
+            ExperimentPlan(instance=small_instance, hp=base_hp(), iters=5, disturbances=(wide,))
         with pytest.raises(ConfigError, match="unknown mode 'both'"):
             ExperimentPlan(instance=small_instance, hp=base_hp(), iters=5, mode="both")
-        # x0 is read only by the custom init, so elsewhere it is an error rather than ignored
-        x0 = np.full((small_instance.n, small_instance.p), 1e3)
-        with pytest.raises(ConfigError, match="only read by init mode 'custom', not 'at_demand'"):
-            ExperimentPlan(instance=small_instance, hp=base_hp(), iters=5, x0=x0)
-        with pytest.raises(ConfigError, match="needs x0"):
+        with pytest.raises(ConfigError, match="unknown init mode 'custom'"):
             ExperimentPlan(instance=small_instance, hp=base_hp(), iters=5, init_mode="custom")
+        # what is not a sequence of events, or not a step-parameter set, is a typed error
+        event = DisturbanceEvent(at_iteration=3, additive=np.ones(2))
+        for bad in ({"at_iteration": 3, "additive": [1.0, 1.0]}, "3"):
+            with pytest.raises(ConfigError, match="disturbances must be a sequence of DisturbanceEvent"):
+                ExperimentPlan(instance=small_instance, hp=base_hp(), iters=5, disturbances=(bad,))
+        for bad in (event, 3, None):
+            with pytest.raises(ConfigError, match="disturbances must be a sequence of DisturbanceEvent"):
+                ExperimentPlan(instance=small_instance, hp=base_hp(), iters=5, disturbances=bad)
+        for bad in (None, {"alpha": 0.01}):
+            with pytest.raises(InvalidInstanceError, match="hp must be a HyperParams"):
+                ExperimentPlan(instance=small_instance, hp=bad, iters=5)
         # iteration numbers are whole: a fraction would never fire, or skip recorded rows
         with pytest.raises(ConfigError, match="at_iteration must be a whole number, got 10.5"):
             DisturbanceEvent(at_iteration=10.5, additive=np.ones(2))

@@ -153,10 +153,10 @@ class TestBitIdenticalToFrozenKernel:
     def test_disturbances_mid_run(self, benchmark_instance):
         events = {
             20: [DisturbanceEvent(at_iteration=20, additive=[50.0, 50.0])],
-            30: [
-                DisturbanceEvent(at_iteration=30, additive=[-3.0, 7.0], agent_ids=(2, 5)),
-                DisturbanceEvent(at_iteration=30, additive=[-3.0, 7.0], agent_ids=(2,)),  # agent 2 is hit twice
-                DisturbanceEvent(at_iteration=30, additive=[1.5, 0.5], perturb_x_prime=False),
+            30: [  # several events at one iteration apply one after another
+                DisturbanceEvent(at_iteration=30, additive=[-3.0, 7.0]),
+                DisturbanceEvent(at_iteration=30, additive=[-3.0, 7.0]),
+                DisturbanceEvent(at_iteration=30, additive=[1.5, 0.5]),
             ],
         }
         run_both(benchmark_instance, hyperparams(), INEQUALITY, seed=6, events=events)
@@ -164,7 +164,7 @@ class TestBitIdenticalToFrozenKernel:
     def test_recorded_rows(self, benchmark_instance, benchmark_oracle):
         """``run_experiment`` records what the frozen kernel's loop recorded."""
         hp = hyperparams()
-        event = DisturbanceEvent(at_iteration=25, additive=[50.0, 50.0], agent_ids=(0, 3))
+        event = DisturbanceEvent(at_iteration=25, additive=[50.0, 50.0])
         plan = ExperimentPlan(instance=benchmark_instance, hp=hp, iters=STEPS, disturbances=(event,))
         trace = run_experiment(plan, benchmark_oracle)
         ref = reference_copy(init_state(benchmark_instance, hp, "at_demand"))
@@ -190,7 +190,7 @@ def handed_out_states(instance, hp):
         states[f"init_state-{mode}"] = start
         states[f"iterate-{mode}"] = stepped
         states[f"apply_disturbance-{mode}"] = apply_disturbance(
-            stepped, instance, DisturbanceEvent(at_iteration=1, additive=[1.0, -2.0], agent_ids=(1,))
+            stepped, instance, DisturbanceEvent(at_iteration=1, additive=[1.0, -2.0])
         )
         states[f"from_dict-{mode}"] = SwarmState.from_dict(stepped.to_dict(), instance)
     return states
@@ -265,14 +265,22 @@ class TestNoStaleProducts:
 
     def test_disturbance_refreshes_products(self, small_instance, base_hp):
         state = randomize_state(small_instance, init_state(small_instance, base_hp(), "at_demand"), seed=7)
-        for perturb_x_prime in (True, False):
-            event = DisturbanceEvent(at_iteration=1, additive=[4.0, -1.0], perturb_x_prime=perturb_x_prime)
-            hit = apply_disturbance(state, small_instance, event)
-            assert not same_bits(hit.Ax, state.Ax)
-            assert same_bits(hit.Ax, products(small_instance, hit.x))
-            assert same_bits(hit.Ax_prime, products(small_instance, hit.x_prime))
-            assert same_bits(hit.Ax_prime, state.Ax_prime) != perturb_x_prime
-            assert same_bits(state.Ax, products(small_instance, state.x))  # the input is unchanged
+        hit = apply_disturbance(state, small_instance, DisturbanceEvent(at_iteration=1, additive=[4.0, -1.0]))
+        assert not same_bits(hit.Ax, state.Ax)
+        assert same_bits(hit.Ax, products(small_instance, hit.x))
+        assert same_bits(hit.Ax_prime, products(small_instance, hit.x_prime))
+        assert not same_bits(hit.Ax_prime, state.Ax_prime)
+        assert same_bits(state.Ax, products(small_instance, state.x))  # the input is unchanged
+
+    @pytest.mark.parametrize("n", [5, 601], ids=["dense-mix-5", "segment-sum-601"])
+    def test_disturbance_is_the_per_agent_shift(self, base_hp, n):
+        """The one broadcast addition gives the bits of ``x[i] += additive`` for each agent in turn."""
+        instance = generate_instance(77, n, 10.0, 2 if n == 5 else 2 * n)
+        state = randomize_state(instance, init_state(instance, base_hp(omega=0.1), "at_demand"), seed=9)
+        event = DisturbanceEvent(at_iteration=1, additive=[50.0 / 3.0, -1e-7])
+        hit = apply_disturbance(state, instance, event)
+        assert_matches_reference(instance, hit, reference_disturb(reference_copy(state), event))
+        assert hit.x.flags.f_contiguous and hit.x_prime.flags.f_contiguous
 
     def test_round_trip_rebuilds_products(self, small_instance, base_hp):
         state = randomize_state(small_instance, init_state(small_instance, base_hp(omega=0.2), "at_demand"), seed=8)
