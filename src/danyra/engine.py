@@ -12,7 +12,8 @@ A state carries the coupling products ``A_i x_i`` and ``A_i x'_i`` and the
 mixed auxiliaries ``y_bar`` next to the iterates, so each is computed once:
 ``iterate`` computes them for the state it returns and reads them from the
 state it is given (the new y's mix is the next iteration's y_bar), and the
-recorded violation and slack read ``Ax``.  A state's arrays are read-only
+recorded violation and slack share one sum of ``Ax`` over the agents
+(``SwarmState.Ax_sum``, computed on first use).  A state's arrays are read-only
 and its fields cannot be reassigned, so a product cannot go stale; a state
 with other values is built with :meth:`SwarmState.build`, which recomputes
 them (a state made by the constructor or ``dataclasses.replace`` has no
@@ -32,12 +33,13 @@ layout.  Sums over agents (``problem.agent_sum``) keep the row-major order.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 
 import numpy as np
 
-from .errors import ConfigError, DivergenceError
-from .problem import EQUALITY, INEQUALITY, HyperParams, ProblemInstance, _real
+from .errors import ConfigError, DivergenceError, InvalidInstanceError
+from .problem import EQUALITY, INEQUALITY, HyperParams, ProblemInstance, _real, agent_sum
 
 
 @dataclasses.dataclass(frozen=True)
@@ -84,6 +86,14 @@ class SwarmState:
     @property
     def n(self) -> int:
         return self.x.shape[0]
+
+    @functools.cached_property
+    def Ax_sum(self) -> np.ndarray:
+        """``sum_i A_i x_i`` (``problem.agent_sum(Ax)``), read-only; computed on first use, so a recorded
+        row's violation and slack share one sum over the agents."""
+        total = agent_sum(self.Ax)
+        total.setflags(write=False)
+        return total
 
     @classmethod
     def build(
@@ -180,8 +190,11 @@ def init_state(
     (shape (p,)) is added to every agent's start.  A bad start input is a
     ``ConfigError``: an unknown mode or init mode, or an ``x0_offset`` that
     is not real numbers, not finite or not of shape (p,), checked as a
-    disturbance's ``additive`` is.
+    disturbance's ``additive`` is.  An ``hp`` that is not a ``HyperParams``
+    is an ``InvalidInstanceError``.
     """
+    if not isinstance(hp, HyperParams):
+        raise InvalidInstanceError(f"hp must be a HyperParams, got {hp!r}")
     if mode not in (INEQUALITY, EQUALITY):
         raise ConfigError(f"unknown mode {mode!r}")
     if init_mode not in ("at_demand", "zero"):

@@ -15,8 +15,8 @@ ZERO_VIOLATION_TOL = 1e-12
 
 
 def violation_l1(instance: ProblemInstance, state: SwarmState) -> float:
-    """1-norm of the positive part of ``sum_i (A_i x_i - d_i)``, from the state's ``Ax``."""
-    total = agent_sum(state.Ax) - instance.demand_total
+    """1-norm of the positive part of ``sum_i (A_i x_i - d_i)``, from the state's ``Ax_sum``."""
+    total = state.Ax_sum - instance.demand_total
     np.maximum(total, 0.0, out=total)
     return float(total.sum())
 
@@ -28,8 +28,8 @@ def optimality_gap(x: np.ndarray, oracle: OracleSolution) -> float:
 
 
 def slack_sum(instance: ProblemInstance, state: SwarmState) -> np.ndarray:
-    """``sum_i (A_i x_i + delta_i - d_i)`` from the state's ``Ax``; contracts by (1 - gamma) each iteration."""
-    total = agent_sum(state.Ax) - instance.demand_total
+    """``sum_i (A_i x_i + delta_i - d_i)`` from the state's ``Ax_sum``; contracts by (1 - gamma) each iteration."""
+    total = state.Ax_sum - instance.demand_total
     if state.delta is not None:
         total += agent_sum(state.delta)
     return total

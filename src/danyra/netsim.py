@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .engine import SwarmState, _real_vector, init_state, iterate
-from .errors import ConfigError, InvalidInstanceError
+from .errors import ConfigError
 from .metrics import optimality_gap, slack_sum, violation_l1
 from .oracle import OracleSolution
 from .problem import INEQUALITY, HyperParams, ProblemInstance, _whole_number
@@ -69,8 +69,6 @@ class ExperimentPlan:
     start: SwarmState = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if not isinstance(self.hp, HyperParams):
-            raise InvalidInstanceError(f"hp must be a HyperParams, got {self.hp!r}")
         for name in ("iters", "record_every"):
             value = _whole_number(getattr(self, name), name, ConfigError)
             if value < 1:
@@ -91,8 +89,9 @@ class ExperimentPlan:
             _check_fits(ev, self.instance.p)
 
 
-# Rows of ``Trace.csv_text`` formatted at once: large enough that the per-block
-# overhead vanishes, small enough that the block's strings stay near 100 kB.
+# Rows of trace.csv formatted and written at once: large enough that the
+# per-block overhead vanishes, small enough that the block's strings stay near
+# 100 kB.
 CSV_BLOCK_ROWS = 1000
 
 
@@ -100,7 +99,9 @@ CSV_BLOCK_ROWS = 1000
 class Trace:
     """Recorded per-iteration metrics, plus the run's timing and last state.
 
-    Rows are strictly increasing in k.  ``wallclock_per_iteration`` is the
+    Rows are strictly increasing in k.  ``run_experiment`` fills the columns
+    in place, so a recorded row keeps 8 * (m + 3) bytes (8 * (m + 2) without
+    the gap column) and nothing else.  ``wallclock_per_iteration`` is the
     loop's wall-clock time over the iteration count, in seconds; it is
     informational and never written to the CSV.
     """
@@ -120,30 +121,35 @@ class Trace:
     def final_violation(self) -> float:
         return float(self.violation_l1[-1])
 
-    def csv_text(self) -> str:
-        """The trace as CSV: one line per recorded row, floats in ``.17g`` (round-trip exact).
+    def csv_text(self, start: int = 0, stop: int | None = None) -> str:
+        """Rows ``start:stop`` (as in a slice) as CSV, after the header line when ``start`` is 0.
 
-        Each column is formatted from Python floats (``tolist``), a block of
-        ``CSV_BLOCK_ROWS`` rows at a time so the formatted strings of only one
-        block are alive at once.
+        With no arguments this is the whole file.  Floats are written in
+        ``.17g`` (round-trip exact), each column formatted from Python floats
+        (``tolist``) a block of ``CSV_BLOCK_ROWS`` rows at a time, so the
+        formatted strings of only one block are alive at once.
         """
-        m = self.slack.shape[1]
-        header = ["k"] + (["gap"] if self.gap is not None else [])
-        header += ["violation_l1"] + [f"slack_{j}" for j in range(m)]
-        ks = np.asarray(self.ks)
+        ks, slack = np.asarray(self.ks), np.asarray(self.slack)
+        first, last, _ = slice(start, stop).indices(len(ks))
         floats = [] if self.gap is None else [np.asarray(self.gap)]
-        floats += [np.asarray(self.violation_l1), *np.asarray(self.slack).T]
-        blocks = [",".join(header) + "\n"]
-        for start in range(0, len(ks), CSV_BLOCK_ROWS):
-            rows = slice(start, start + CSV_BLOCK_ROWS)
+        floats += [np.asarray(self.violation_l1), *slack.T]
+        parts = []
+        if start == 0:
+            header = ["k"] + (["gap"] if self.gap is not None else [])
+            header += ["violation_l1"] + [f"slack_{j}" for j in range(slack.shape[1])]
+            parts.append(",".join(header) + "\n")
+        for lo in range(first, last, CSV_BLOCK_ROWS):
+            rows = slice(lo, min(lo + CSV_BLOCK_ROWS, last))
             columns = [[str(int(k)) for k in ks[rows].tolist()]]
             columns += [[f"{v:.17g}" for v in col[rows].tolist()] for col in floats]
-            blocks.append("".join(",".join(row) + "\n" for row in zip(*columns)))
-        return "".join(blocks)
+            parts.append("".join(",".join(row) + "\n" for row in zip(*columns)))
+        return "".join(parts)
 
     def to_csv(self, path) -> None:
+        """Write ``csv_text()`` to ``path`` one ``CSV_BLOCK_ROWS``-row block at a time (the header with the first)."""
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(self.csv_text())
+            for start in range(0, max(len(self.ks), 1), CSV_BLOCK_ROWS):
+                fh.write(self.csv_text(start, start + CSV_BLOCK_ROWS))
 
 
 def run_experiment(plan: ExperimentPlan, oracle_solution: OracleSolution | None = None) -> Trace:
@@ -153,37 +159,44 @@ def run_experiment(plan: ExperimentPlan, oracle_solution: OracleSolution | None 
     iteration consuming the k-state, matching an interference that lands after
     the k-state was produced.  Rows are recorded at every ``record_every``-th
     iteration and always at the final one; the gap column is present only when
-    an oracle solution is supplied.
+    an oracle solution is supplied.  The recorded ks are known before the run,
+    so each row is written into columns allocated up front: 8 * (m + 3) bytes
+    per row, with no per-row Python objects kept.
     """
     instance, hp, state = plan.instance, plan.hp, plan.start
     events: dict[int, list[DisturbanceEvent]] = {}
     for ev in plan.disturbances:
         events.setdefault(ev.at_iteration, []).append(ev)
 
-    ks: list[int] = []
-    viols: list[float] = []
-    slacks: list[np.ndarray] = []
-    gaps: list[float] | None = [] if oracle_solution is not None else None
-
-    start = time.perf_counter()
     iters, record_every = plan.iters, plan.record_every
+    ks = np.arange(record_every, iters + 1, record_every, dtype=np.int64)
+    if iters % record_every:
+        ks = np.append(ks, np.int64(iters))
+    rows = len(ks)
+    viols = np.empty(rows)
+    slacks = np.empty((rows, instance.m))
+    gaps = None if oracle_solution is None else np.empty(rows)
+
+    row, next_k = 0, int(ks[0])
+    start = time.perf_counter()
     for _ in range(iters):
         for ev in events.get(state.k, ()):
             state = apply_disturbance(state, instance, ev)
         state = iterate(state, instance, hp)
-        if state.k % record_every == 0 or state.k == iters:
-            ks.append(state.k)
-            viols.append(violation_l1(instance, state))
-            slacks.append(slack_sum(instance, state))
+        if state.k == next_k:
+            viols[row] = violation_l1(instance, state)
+            slacks[row] = slack_sum(instance, state)
             if gaps is not None:
-                gaps.append(optimality_gap(state.x, oracle_solution))
+                gaps[row] = optimality_gap(state.x, oracle_solution)
+            row += 1
+            next_k = int(ks[row]) if row < rows else None
     elapsed = time.perf_counter() - start
 
     return Trace(
-        ks=np.array(ks, dtype=int),
-        violation_l1=np.array(viols),
-        slack=np.stack(slacks),
-        gap=None if gaps is None else np.array(gaps),
+        ks=ks,
+        violation_l1=viols,
+        slack=slacks,
+        gap=gaps,
         wallclock_per_iteration=elapsed / plan.iters,
         final_state=state,
     )

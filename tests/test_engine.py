@@ -8,6 +8,7 @@ from danyra import (
     ConfigError,
     DivergenceError,
     HyperParams,
+    InvalidInstanceError,
     ProblemInstance,
     generate_instance,
     init_state,
@@ -116,6 +117,11 @@ class TestInitState:
     def test_bad_start_inputs_are_config_errors(self, small_instance, base_hp, init_mode, inputs, message):
         with pytest.raises(ConfigError, match=message):
             init_state(small_instance, base_hp(), init_mode, **inputs)
+
+    @pytest.mark.parametrize("hp", [None, {"alpha": 0.01}], ids=["none", "dict"])
+    def test_hp_must_be_hyperparams(self, small_instance, hp):
+        with pytest.raises(InvalidInstanceError, match="hp must be a HyperParams"):
+            init_state(small_instance, hp, "at_demand")
 
     def test_unknown_mode_is_a_config_error(self, small_instance, base_hp):
         with pytest.raises(ConfigError, match="unknown mode 'both'"):

@@ -1,5 +1,6 @@
 import copy
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,6 +22,9 @@ from danyra import (
     solve_active_set,
     solve_equality,
 )
+from danyra import netsim
+from danyra.engine import SwarmState
+from danyra.netsim import Trace
 
 from conftest import randomize_state
 
@@ -250,3 +254,67 @@ class TestRunExperiment:
             ExperimentPlan(instance=small_instance, hp=base_hp(), iters=5, init_mode="at_demand")
         )
         assert trace.wallclock_per_iteration > 0
+
+
+class TestTraceStorage:
+    """Rows go into columns allocated before the run, and trace.csv is written a block at a time."""
+
+    def test_recording_keeps_no_per_row_objects(self, monkeypatch, small_instance, base_hp):
+        # beyond its own columns, recording 4000 rows may hold no per-row Python
+        # objects: a list entry, two boxed floats and a slack array came to
+        # about 400 B a row.  The step only advances k (its state's products
+        # are its own), so the traced time goes to recording.
+        def advance(state, instance, hp):
+            fields = {f.name: getattr(state, f.name) for f in dataclasses.fields(state)}
+            return SwarmState._with_products(**{**fields, "k": state.k + 1})
+
+        monkeypatch.setattr(netsim, "iterate", advance)
+        oracle = solve_active_set(small_instance)
+        hp = base_hp(omega=0.05)
+        run_experiment(ExperimentPlan(instance=small_instance, hp=hp, iters=2), oracle)  # lazy instance caches
+        plan = ExperimentPlan(instance=small_instance, hp=hp, iters=4000)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            trace = run_experiment(plan, oracle)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        columns = sum(a.nbytes for a in (trace.ks, trace.violation_l1, trace.slack, trace.gap))
+        assert columns == 8 * (small_instance.m + 3) * len(trace.ks)
+        assert (peak - before - columns) / len(trace.ks) < 64
+
+    @pytest.mark.parametrize("with_gap", [False, True], ids=["no-gap", "gap"])
+    @pytest.mark.parametrize("rows", [1, 3, 4, 7])
+    def test_to_csv_is_csv_text_across_blocks(self, tmp_path, monkeypatch, small_instance, base_hp, rows, with_gap):
+        monkeypatch.setattr(netsim, "CSV_BLOCK_ROWS", 3)
+        oracle = solve_active_set(small_instance) if with_gap else None
+        trace = run_experiment(ExperimentPlan(instance=small_instance, hp=base_hp(), iters=rows), oracle)
+        whole = trace.csv_text()
+        path = tmp_path / "trace.csv"
+        trace.to_csv(path)
+        assert path.read_bytes() == whole.encode("utf-8")
+        assert "".join(trace.csv_text(start, start + 3) for start in range(0, rows, 3)) == whole
+        lines = whole.splitlines()
+        assert len(lines) == rows + 1 and lines[0].startswith("k,") and lines.count(lines[0]) == 1
+        assert [int(line.split(",")[0]) for line in lines[1:]] == list(range(1, rows + 1))
+
+    def test_hand_built_trace(self, tmp_path):
+        trace = Trace(ks=[2, 5], violation_l1=[0.5, 0.0], slack=[[1.0, -2.0], [0.0, 0.25]], gap=None)
+        assert trace.csv_text() == "k,violation_l1,slack_0,slack_1\n2,0.5,1,-2\n5,0,0,0.25\n"
+        assert trace.csv_text(1) == "5,0,0,0.25\n"
+        empty = Trace(ks=np.empty(0, dtype=int), violation_l1=np.empty(0), slack=np.empty((0, 2)), gap=None)
+        empty.to_csv(tmp_path / "empty.csv")
+        assert (tmp_path / "empty.csv").read_text(encoding="utf-8") == "k,violation_l1,slack_0,slack_1\n"
+
+    @pytest.mark.parametrize(
+        "iters, record_every, ks", [(10, 4, [4, 8, 10]), (3, 5, [3]), (6, 3, [3, 6])], ids=["remainder", "one", "exact"]
+    )
+    def test_last_row_is_the_last_iteration(self, small_instance, base_hp, iters, record_every, ks):
+        trace = run_experiment(
+            ExperimentPlan(instance=small_instance, hp=base_hp(), iters=iters, record_every=record_every)
+        )
+        assert trace.ks.dtype == np.int64 and trace.ks.tolist() == ks
+        assert trace.final_state.k == iters
+        assert trace.violation_l1.shape == (len(ks),) and trace.slack.shape == (len(ks), small_instance.m)
+        assert trace.slack[-1].tobytes() == slack_sum(small_instance, trace.final_state).tobytes()

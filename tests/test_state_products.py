@@ -39,6 +39,7 @@ from danyra import (
     violation_l1,
 )
 from danyra.engine import SwarmState
+from danyra.problem import agent_sum
 
 from conftest import randomize_state
 from reference_step import (
@@ -249,6 +250,9 @@ class TestNoStaleProducts:
         for origin, state in handed_out_states(small_instance, base_hp(omega=0.1)).items():
             assert same_bits(state.Ax, products(small_instance, state.x)), origin
             assert same_bits(state.Ax_prime, products(small_instance, state.x_prime)), origin
+            # the shared total behind a row's violation and slack: computed once, read-only
+            assert same_bits(state.Ax_sum, agent_sum(state.Ax)), origin
+            assert state.Ax_sum is state.Ax_sum and not state.Ax_sum.flags.writeable, origin
 
     @pytest.mark.parametrize("n", [5, 601], ids=["dense-mix-5", "segment-sum-601"])
     def test_y_bar_is_the_mixed_y(self, base_hp, n):
