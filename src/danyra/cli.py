@@ -13,6 +13,7 @@ import dataclasses
 import json
 import math
 import sys
+from collections import namedtuple
 from pathlib import Path
 from typing import NamedTuple
 
@@ -55,7 +56,7 @@ PRESETS: dict[str, dict] = {
     },
     "buffer-sweep": {
         "instance": _BENCHMARK_INSTANCE,
-        "hp": {**_BENCHMARK_HP, "buffer": {"kind": "constant", "omega": 0.01}},
+        "hp": _BENCHMARK_HP,
         "sweep": [
             {"kind": "constant", "omega": 0.01},
             {"kind": "constant", "omega": 0.1},
@@ -71,13 +72,7 @@ PRESETS: dict[str, dict] = {
     },
     "equality": {
         "instance": {"generate": {"seed": EQUALITY_SEED, "n": 10, "r_max": 20.0, "extra_edges": 6}},
-        "hp": {
-            "alpha": 0.02974,
-            "beta": 0.27,
-            "eta": 0.07,
-            "gamma": 0.8922,
-            "buffer": {"kind": "constant", "omega": 0.0},
-        },
+        "hp": {"alpha": 0.02974, "beta": 0.27, "eta": 0.07, "gamma": 0.8922},
         "mode": EQUALITY,
         "iters": 50000,
         "record_every": 5,
@@ -101,10 +96,20 @@ class _OrNull(NamedTuple):
     kind: object
 
 
+# Each buffer kind of a config: its level key and that level's kind, its schedule, and its sweep-member label.
+_BufferKind = namedtuple("_BufferKind", "key level make label")
+_BUFFER_KINDS = {
+    "constant": _BufferKind("omega", float, BufferSchedule.constant, "omega-{:g}".format),
+    "decaying": _BufferKind("coefficient", float, BufferSchedule.decaying, "omega-{:g}-over-k".format),
+    "sequence": _BufferKind(
+        "values", [float], BufferSchedule.sequence, lambda values: "omega-seq-" + "-".join(map("{:g}".format, values))
+    ),
+}
+
 # The config document.  A kind is an ``_Object`` section, ``_OrNull``, a one-item list ``[kind]`` (a
-# list of that kind), or one of the JSON scalars below, named by the Python type it parses to.
+# list of that kind), ``_BUFFER_KINDS`` (a buffer section: ``kind`` and exactly that kind's level key),
+# or one of the JSON scalars below, named by the Python type it parses to.
 _SCALARS = {int: "an integer", float: "a number", str: "a string", bool: "a boolean"}
-_BUFFER = _Object({"kind": str, "omega": float, "coefficient": float, "values": [float]}, ("kind",))
 _CONFIG = _Object(
     {
         "preset": _OrNull(str),
@@ -117,10 +122,10 @@ _CONFIG = _Object(
             }
         ),
         "hp": _Object(
-            {"alpha": float, "beta": float, "eta": float, "gamma": float, "buffer": _BUFFER},
+            {"alpha": float, "beta": float, "eta": float, "gamma": float, "buffer": _BUFFER_KINDS},
             ("alpha", "beta", "eta", "gamma"),
         ),
-        "sweep": _OrNull([_BUFFER]),
+        "sweep": _OrNull([_BUFFER_KINDS]),
         "mode": str,
         "iters": int,
         "record_every": int,
@@ -136,6 +141,14 @@ def _checked(value, kind, path: str = ""):
     """A copy of the JSON ``value`` checked against ``kind``, integers as ``int``; a mismatch names its path."""
     if isinstance(kind, _OrNull):
         return None if value is None else _checked(value, kind.kind, path)
+    if kind is _BUFFER_KINDS:  # the kind first: it picks the one level key the section may have
+        if not (isinstance(value, dict) and "kind" in value):
+            raise ConfigError(f"{path} must be an object with a 'kind', got {value!r}")
+        tag = _checked(value["kind"], str, f"{path}.kind")
+        if tag not in _BUFFER_KINDS:
+            raise ConfigError(f"{path}.kind must be one of {sorted(_BUFFER_KINDS)}, got {tag!r}")
+        key, level, *_ = _BUFFER_KINDS[tag]
+        kind = _Object({"kind": str, key: level}, ("kind", key))
     if isinstance(kind, _Object):
         where = path or "config"
         if not isinstance(value, dict):
@@ -161,7 +174,8 @@ def _checked(value, kind, path: str = ""):
 def _hyperparams(hp: dict, buffer: dict) -> HyperParams:
     """The step parameters of a checked config with the queue floor ``buffer``."""
     steps = {key: hp[key] for key in ("alpha", "beta", "eta", "gamma")}
-    return HyperParams(**steps, buffer=BufferSchedule.from_dict(buffer))
+    kind = _BUFFER_KINDS[buffer["kind"]]
+    return HyperParams(**steps, buffer=kind.make(buffer[kind.key]))
 
 
 def _validate_config(cfg: dict) -> dict:
@@ -171,12 +185,20 @@ def _validate_config(cfg: dict) -> dict:
         raise ConfigError("instance must be exactly one of {'generate': {...}} or {'file': path}")
     if cfg["mode"] not in (INEQUALITY, EQUALITY):
         raise ConfigError(f"mode must be {INEQUALITY!r} or {EQUALITY!r}, got {cfg['mode']!r}")
-    if cfg.get("sweep") == []:
+    sweep, hp = cfg.get("sweep"), cfg["hp"]
+    if sweep == []:
         raise ConfigError("sweep must list at least one buffer")
-    hp = {"buffer": {"kind": "constant", "omega": 0.0}, **cfg["hp"]}
-    for buffer in [hp["buffer"], *(cfg.get("sweep") or [])]:
-        _hyperparams(hp, buffer)  # the range checks of the steps and of every buffer, before any run
-    labels = [_buffer_label(buffer) for buffer in cfg.get("sweep") or []]
+    if sweep is not None and "buffer" in hp:
+        raise ConfigError("hp.buffer and sweep are exclusive: a sweep runs each member's buffer, never hp.buffer")
+    if sweep is not None and cfg["mode"] == EQUALITY:
+        raise ConfigError("sweep is not allowed in equality mode: with no queue, every member would run alike")
+    if sweep is None:  # a sweep runs its members' buffers and never reads hp.buffer
+        hp = {"buffer": {"kind": "constant", "omega": 0.0}, **hp}
+    # the range checks of the steps and of every buffer, before any run
+    schedules = [_hyperparams(hp, buffer).buffer for buffer in sweep or [hp["buffer"]]]
+    if cfg["mode"] == EQUALITY and schedules[0].value(0) > 0:  # a schedule's first floor is its largest
+        raise ConfigError(f"hp.buffer must be zero in equality mode, which has no queue, got {hp['buffer']}")
+    labels = [_buffer_label(buffer) for buffer in sweep or []]
     if len(set(labels)) < len(labels):
         raise ConfigError(f"sweep members must have distinct labels, got {labels}")
     return {
@@ -260,11 +282,8 @@ def _build_plan(config: dict, instance, buffer: dict) -> ExperimentPlan:
 
 
 def _buffer_label(buffer: dict) -> str:
-    if buffer["kind"] == "constant":
-        return f"omega-{buffer['omega']:g}"
-    if buffer["kind"] == "decaying":
-        return f"omega-{buffer['coefficient']:g}-over-k"
-    return "omega-seq-" + "-".join(f"{value:g}" for value in buffer["values"])
+    kind = _BUFFER_KINDS[buffer["kind"]]
+    return kind.label(buffer[kind.key])
 
 
 def _strict(value):
@@ -346,20 +365,9 @@ def run(config: dict) -> int:
             label = _buffer_label(buffer)
             summaries[label] = _run_single(config, plan, oracle, sc, report, buffer, out_root / label)
         out_root.mkdir(parents=True, exist_ok=True)
-        _write_json(
-            out_root / "report.json",
-            {
-                "preset": config["preset"],
-                "members": {
-                    label: {
-                        "final_gap": s["final_gap"],
-                        "final_violation": s["final_violation"],
-                        "recovery_iteration": s["recovery_iteration"],
-                    }
-                    for label, s in summaries.items()
-                },
-            },
-        )
+        keys = ("final_gap", "final_violation", "recovery_iteration")
+        members = {label: {key: s[key] for key in keys} for label, s in summaries.items()}
+        _write_json(out_root / "report.json", {"preset": config["preset"], "members": members})
     return 0
 
 
@@ -381,12 +389,7 @@ def main(argv=None) -> int:
         config = parse_config(
             config_path=args.config,
             preset=args.preset,
-            overrides={
-                "seed": args.seed,
-                "iters": args.iters,
-                "out": args.out,
-                "mode": args.mode,
-            },
+            overrides={key: getattr(args, key) for key in ("seed", "iters", "out", "mode")},
         )
         return run(config)
     except ConfigError as exc:

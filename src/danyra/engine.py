@@ -39,7 +39,7 @@ import math
 import numpy as np
 
 from .errors import ConfigError, DivergenceError, InvalidInstanceError
-from .problem import EQUALITY, INEQUALITY, HyperParams, ProblemInstance, _real, agent_sum
+from .problem import EQUALITY, INEQUALITY, HyperParams, ProblemInstance, _real, _whole_number, agent_sum
 
 
 @dataclasses.dataclass(frozen=True)
@@ -109,9 +109,12 @@ class SwarmState:
     ) -> "SwarmState":
         """A state from Fortran-ordered copies of the given iterates, with ``Ax``, ``Ax_prime``, ``y_bar`` of them.
 
-        ``delta=None`` builds an equality-mode state, and every array must
-        have its (n, p) or (n, m) shape.
+        ``delta=None`` builds an equality-mode state.  A ``k`` not a whole number >= 0, or an array not of its
+        (n, p) or (n, m) shape, is an ``InvalidInstanceError``; non-finite values are kept for ``iterate`` to report.
         """
+        k = _whole_number(k, "k", InvalidInstanceError)
+        if k < 0:
+            raise InvalidInstanceError(f"k must be >= 0, got {k}")
         n, m, p = instance.A.shape
         arrays = {}
         for name, value, shape in (
@@ -123,9 +126,9 @@ class SwarmState:
         ):
             arr = arrays[name] = None if value is None else np.array(value, dtype=float, order="F")
             if arr is not None and arr.shape != shape:
-                raise ValueError(f"{name} must have shape {shape}, got {arr.shape}")
+                raise InvalidInstanceError(f"{name} must have shape {shape}, got {arr.shape}")
         return cls._with_products(
-            k=int(k),
+            k=k,
             **arrays,
             Ax=np.einsum("nmp,np->nm", instance.A, arrays["x"]),
             Ax_prime=np.einsum("nmp,np->nm", instance.A, arrays["x_prime"]),
@@ -145,30 +148,34 @@ class SwarmState:
 
     @classmethod
     def from_dict(cls, data: dict, instance: ProblemInstance) -> "SwarmState":
-        """Rebuild a state of ``instance`` through :meth:`build`."""
-        return cls.build(
-            instance,
-            k=data["k"],
-            x=data["x"],
-            x_prime=data["x_prime"],
-            y=data["y"],
-            lam=data["lam"],
-            delta=data.get("delta"),
-        )
+        """Rebuild a state of ``instance`` from ``to_dict``'s document through :meth:`build`.
+
+        A missing key, a ``k`` that is not a whole number >= 0, or an iterate that is not real numbers,
+        finite and of its shape (``delta`` may be null) raises ``InvalidInstanceError``.
+        """
+        names = ("x", "x_prime", "y", "lam", "delta")
+        if not (isinstance(data, dict) and {"k", *names} <= data.keys()):
+            raise InvalidInstanceError(f"a state document is an object with the keys k, {', '.join(names)}")
+        iterates = {
+            name: _real_vector(data[name], name, None, InvalidInstanceError)
+            for name in names
+            if data[name] is not None or name != "delta"  # a null delta: an equality-mode state
+        }
+        return cls.build(instance, k=data["k"], **{"delta": None, **iterates})
 
 
-def _real_vector(value, name: str, shape: tuple | None = None) -> np.ndarray:
+def _real_vector(value, name: str, shape: tuple | None = None, error: type[Exception] = ConfigError) -> np.ndarray:
     """``value`` as a new float array of real numbers (not booleans), finite and of ``shape`` if given.
 
-    Anything else is a ``ConfigError``: ``{name} must be numbers`` for an
+    Anything else raises ``error``: ``{name} must be numbers`` for an
     entry that is not a real number (text, a boolean, a ragged list), and
     ``{name} must be finite [with shape ...]`` otherwise.
     """
     for item in np.asarray(value, dtype=object).flat:
-        _real(item, f"{name} must be numbers", ConfigError)
+        _real(item, f"{name} must be numbers", error)
     arr = np.array(value, dtype=float)
     if not (np.all(np.isfinite(arr)) and (shape is None or arr.shape == shape)):
-        raise ConfigError(f"{name} must be finite" + ("" if shape is None else f" with shape {shape}"))
+        raise error(f"{name} must be finite" + ("" if shape is None else f" with shape {shape}"))
     return arr
 
 

@@ -8,6 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .engine import SwarmState
+from .errors import InvalidInstanceError
 from .oracle import OracleSolution
 from .problem import HyperParams, ProblemInstance, SpectralConstants, agent_sum
 
@@ -64,7 +65,7 @@ class BoundsReport:
 def bounds_report(sc: SpectralConstants, hp: HyperParams, n: int, C_vio: float) -> BoundsReport:
     """Evaluate the guarantee formulas for a buffer level and measured violation."""
     if C_vio < 0:
-        raise ValueError(f"C_vio must be nonnegative, got {C_vio}")
+        raise InvalidInstanceError(f"C_vio must be nonnegative, got {C_vio}")
     omega = hp.buffer.limit
     accuracy = sc.ell * math.sqrt(n) * omega / (sc.mu * sc.sigma_A_min)
 

@@ -373,7 +373,7 @@ class ProblemInstance:
     def _rows(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
         if x.shape != (self.n, self.p):
-            raise ValueError(f"x must have shape ({self.n}, {self.p}), got {x.shape}")
+            raise InvalidInstanceError(f"x must have shape ({self.n}, {self.p}), got {x.shape}")
         return x
 
     def cost(self, x) -> np.ndarray:
@@ -490,6 +490,9 @@ class SpectralConstants:
     sigma_L_min: float
 
     def __post_init__(self):
+        for name, value in asdict(self).items():
+            if not math.isfinite(_real(value, f"{name} must be a finite number", InvalidInstanceError)):
+                raise InvalidInstanceError(f"{name} must be a finite number, got {value!r}")
         if self.mu <= 0 or self.ell < self.mu:
             raise InvalidInstanceError(f"need ell >= mu > 0, got ell={self.ell}, mu={self.mu}")
         if self.sigma_A_min <= 0 or self.sigma_A_max < self.sigma_A_min:
@@ -548,10 +551,6 @@ def spectral_constants(
     )
 
 
-# each config buffer kind's level key
-_BUFFER_KEYS = {"constant": "omega", "decaying": "coefficient", "sequence": "values"}
-
-
 @dataclass(frozen=True)
 class BufferSchedule:
     """Queue buffer floor per iteration: ``value(k) = levels[min(k, len(levels) - 1)] + coefficient / (k + 1)``.
@@ -580,8 +579,7 @@ class BufferSchedule:
         coefficient = _real(self.coefficient, rule, InvalidInstanceError)
         if not (math.isfinite(coefficient) and coefficient >= 0):
             raise InvalidInstanceError(f"{rule}, got {coefficient!r}")
-        object.__setattr__(self, "levels", levels)
-        object.__setattr__(self, "coefficient", coefficient)
+        vars(self).update(levels=levels, coefficient=coefficient)
 
     @classmethod
     def constant(cls, omega: float) -> "BufferSchedule":
@@ -605,17 +603,6 @@ class BufferSchedule:
     def limit(self) -> float:
         """Limiting buffer level; the steady-state accuracy bound scales with it."""
         return self.levels[-1]
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "BufferSchedule":
-        """The schedule of a config's buffer section; an unknown kind or a missing level is a ConfigError."""
-        kind = data.get("kind")
-        if not isinstance(kind, str) or kind not in _BUFFER_KEYS:
-            raise ConfigError(f"unknown buffer kind {kind!r}")
-        key = _BUFFER_KEYS[kind]
-        if key not in data:
-            raise ConfigError(f"missing required key {key!r} for buffer kind {kind!r}")
-        return getattr(cls, kind)(data[key])
 
 
 @dataclass(frozen=True)
@@ -760,10 +747,12 @@ def instance_to_json(instance: ProblemInstance) -> str:
 
 
 def _json_floats(value, where: str) -> np.ndarray:
-    """A rectangular list of JSON numbers as a float array; anything else is a ValueError."""
+    """A rectangular list of JSON numbers as a float array; anything else is an ``InvalidInstanceError``."""
     arr = np.array(value)
     if arr.dtype.kind not in "iuf":
-        raise ValueError(f"{where} must be numbers, got {arr.dtype} entries")
+        raise InvalidInstanceError(
+            f"malformed instance document: {where} must be numbers, got {arr.dtype} entries"
+        )
     return arr.astype(float)
 
 

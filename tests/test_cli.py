@@ -8,7 +8,7 @@ import pytest
 
 import danyra.cli
 import danyra.netsim
-from danyra import ConfigError, generate_instance, instance_to_json
+from danyra import BufferSchedule, ConfigError, generate_instance, instance_to_json
 from danyra.cli import PRESETS, _largest_violation, main, parse_config, run
 from danyra.netsim import Trace
 
@@ -34,13 +34,7 @@ FIG2_EXPANDED = {
 BUFFER_SWEEP_EXPANDED = {
     "preset": "buffer-sweep",
     "instance": {"generate": {"seed": 1534, "n": 14, "r_max": 70.0, "extra_edges": 16}},
-    "hp": {
-        "alpha": 0.01,
-        "beta": 0.02,
-        "eta": 0.1,
-        "gamma": 0.2,
-        "buffer": {"kind": "constant", "omega": 0.01},
-    },
+    "hp": {"alpha": 0.01, "beta": 0.02, "eta": 0.1, "gamma": 0.2},  # a sweep never reads hp.buffer
     "sweep": [
         {"kind": "constant", "omega": 0.01},
         {"kind": "constant", "omega": 0.1},
@@ -435,8 +429,8 @@ class TestRun:
             pytest.param({"init": {"mode": "at_demand", "x0": None}}, r"unknown key\(s\) \['x0'\] in init", id="x0-key"),
             pytest.param({"init": {"mode": "custom"}}, "unknown init mode 'custom'", id="init-mode-custom"),
             pytest.param(
-                {"sweep": [{"kind": "constant", "omega": 0.1}, {"kind": "decaying"}]},
-                "missing required key 'coefficient' for buffer kind 'decaying'",
+                {"hp": HP, "sweep": [{"kind": "constant", "omega": 0.1}, {"kind": "decaying"}]},
+                r"missing required key 'coefficient' in sweep\[1\]",
                 id="sweep-member-without-level",
             ),
         ],
@@ -537,3 +531,148 @@ class TestRun:
         # disturbance scheduled past the horizon is a config error
         assert main(["run", "--preset", "fig2", "--iters", "60", "--out", str(tmp_path)]) == 2
         assert main(["run"]) == 2
+
+
+KINDS = {"constant": "omega", "decaying": "coefficient", "sequence": "values"}
+
+
+class TestBufferConfig:
+    """A buffer section is ``kind`` plus exactly that kind's level key, read only where a queue reads it."""
+
+    def config(self, tmp_path, **kw):
+        return {
+            "instance": {"generate": {"seed": 3, "n": 4, "r_max": 8.0, "extra_edges": 1}},
+            "hp": HP,
+            "mode": "inequality",
+            "iters": 30,
+            "out": str(tmp_path / "out"),
+            **kw,
+        }
+
+    def rejected(self, tmp_path, capsys, monkeypatch, cfg, message, *flags):
+        """Run ``cfg`` and check it is a config error matching ``message``, raised before the oracle, with no output."""
+
+        def no_solve(instance):
+            raise AssertionError("the oracle was solved for a rejected config")
+
+        for name in ("solve_active_set", "solve_equality"):
+            monkeypatch.setattr(danyra.cli, name, no_solve)
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(cfg), encoding="utf-8")
+        assert main(["run", "--config", str(path), *flags]) == 2
+        err = capsys.readouterr().err
+        assert re.match(f"config error: {message}", err), err
+        assert not (tmp_path / "out").exists()
+
+    def test_unknown_kinds_rejected(self, tmp_path, capsys, monkeypatch):
+        for kind, rule in ((["constant"], "a string"), (None, "a string"), (1, "a string"), ("linear", "one of")):
+            buffer = {"kind": kind, "omega": 0.1}
+            for cfg, path in (
+                (self.config(tmp_path, hp={**HP, "buffer": buffer}), r"hp\.buffer"),
+                (self.config(tmp_path, sweep=[{"kind": "constant", "omega": 0.5}, buffer]), r"sweep\[1\]"),
+            ):
+                self.rejected(tmp_path, capsys, monkeypatch, cfg, rf"{path}\.kind must be {rule}")
+
+    def test_unknown_kind_lists_the_kinds(self, tmp_path, capsys, monkeypatch):
+        cfg = self.config(tmp_path, hp={**HP, "buffer": {"kind": "mystery"}})
+        message = r"hp\.buffer\.kind must be one of \['constant', 'decaying', 'sequence'\], got 'mystery'"
+        self.rejected(tmp_path, capsys, monkeypatch, cfg, message)
+
+    @pytest.mark.parametrize("buffer", [None, 0.1, [], {"omega": 0.1}], ids=["null", "number", "list", "no-kind"])
+    def test_a_buffer_is_an_object_with_a_kind(self, tmp_path, capsys, monkeypatch, buffer):
+        cfg = self.config(tmp_path, hp={**HP, "buffer": buffer})
+        self.rejected(tmp_path, capsys, monkeypatch, cfg, r"hp\.buffer must be an object with a 'kind'")
+
+    @pytest.mark.parametrize("kind", list(KINDS))
+    @pytest.mark.parametrize("bad", ["0.1", True, None], ids=["text", "boolean", "null"])
+    def test_levels_must_be_real_numbers(self, tmp_path, capsys, monkeypatch, kind, bad):
+        key = KINDS[kind]
+        level, path = ([bad], rf"hp\.buffer\.{key}\[0\]") if kind == "sequence" else (bad, rf"hp\.buffer\.{key}")
+        cfg = self.config(tmp_path, hp={**HP, "buffer": {"kind": kind, key: level}})
+        self.rejected(tmp_path, capsys, monkeypatch, cfg, f"{path} must be a number, got {re.escape(repr(bad))}")
+
+    @pytest.mark.parametrize("bad", [5, 0.1, None], ids=["integer", "number", "null"])
+    def test_sequence_values_must_be_a_list(self, tmp_path, capsys, monkeypatch, bad):
+        cfg = self.config(tmp_path, hp={**HP, "buffer": {"kind": "sequence", "values": bad}})
+        self.rejected(tmp_path, capsys, monkeypatch, cfg, rf"hp\.buffer\.values must be a list, got {bad!r}")
+
+    @pytest.mark.parametrize("kind", list(KINDS))
+    def test_a_kind_needs_its_level(self, tmp_path, capsys, monkeypatch, kind):
+        cfg = self.config(tmp_path, hp={**HP, "buffer": {"kind": kind}})
+        self.rejected(tmp_path, capsys, monkeypatch, cfg, rf"missing required key '{KINDS[kind]}' in hp\.buffer")
+
+    @pytest.mark.parametrize("where", ["hp", "sweep"])
+    @pytest.mark.parametrize("kind", list(KINDS))
+    def test_stray_level_keys_rejected(self, tmp_path, capsys, monkeypatch, kind, where):
+        levels = {"omega": 0.1, "coefficient": 5.0, "values": [0.1]}
+        for stray in sorted(set(KINDS.values()) - {KINDS[kind]}):
+            buffer = {"kind": kind, KINDS[kind]: levels[KINDS[kind]], stray: levels[stray]}
+            if where == "hp":
+                cfg, path = self.config(tmp_path, hp={**HP, "buffer": buffer}), r"hp\.buffer"
+            else:
+                cfg, path = self.config(tmp_path, sweep=[buffer]), r"sweep\[0\]"
+            self.rejected(tmp_path, capsys, monkeypatch, cfg, rf"unknown key\(s\) \['{stray}'\] in {path}")
+
+    def test_kinds_are_their_factories(self, tmp_path):
+        path = tmp_path / "c.json"
+        for doc, made in (
+            ({"kind": "constant", "omega": 0.1}, BufferSchedule.constant(0.1)),
+            ({"kind": "decaying", "coefficient": 5.0}, BufferSchedule.decaying(5.0)),
+            ({"kind": "sequence", "values": [1.0, 0.5]}, BufferSchedule.sequence([1.0, 0.5])),
+        ):
+            path.write_text(json.dumps(self.config(tmp_path, hp={**HP, "buffer": doc})), encoding="utf-8")
+            config = parse_config(str(path))
+            assert danyra.cli._hyperparams(config["hp"], config["hp"]["buffer"]).buffer == made
+            path.write_text(json.dumps(self.config(tmp_path, sweep=[doc])), encoding="utf-8")
+            config = parse_config(str(path))
+            assert danyra.cli._hyperparams(config["hp"], config["sweep"][0]).buffer == made
+
+    def test_sweep_and_hp_buffer_are_exclusive(self, tmp_path, capsys, monkeypatch):
+        sweep = [{"kind": "constant", "omega": 0.1}]
+        cfg = self.config(tmp_path, hp={**HP, "buffer": {"kind": "constant", "omega": 0.1}}, sweep=sweep)
+        self.rejected(tmp_path, capsys, monkeypatch, cfg, r"hp\.buffer and sweep are exclusive")
+        # the buffer-sweep preset with a file's hp.buffer: the sweep would never read it
+        cfg = {"preset": "buffer-sweep", "hp": {**HP, "buffer": {"kind": "constant", "omega": 123}}}
+        self.rejected(tmp_path, capsys, monkeypatch, {**cfg, "out": str(tmp_path / "out")}, r"hp\.buffer and sweep")
+        # a preset's hp.buffer with a file's sweep
+        cfg = {"preset": "fig2", "sweep": sweep, "out": str(tmp_path / "out")}
+        self.rejected(tmp_path, capsys, monkeypatch, cfg, r"hp\.buffer and sweep are exclusive")
+
+    @pytest.mark.parametrize(
+        "buffer",
+        [
+            {"kind": "constant", "omega": 0.5},
+            {"kind": "decaying", "coefficient": 5.0},
+            {"kind": "sequence", "values": [1.0, 0.0]},
+        ],
+        ids=list(KINDS),
+    )
+    def test_equality_mode_takes_only_a_zero_buffer(self, tmp_path, capsys, monkeypatch, buffer):
+        cfg = self.config(tmp_path, mode="equality", hp={**HP, "buffer": buffer})
+        self.rejected(tmp_path, capsys, monkeypatch, cfg, r"hp\.buffer must be zero in equality mode")
+        # the same through --mode eq
+        cfg = self.config(tmp_path, hp={**HP, "buffer": buffer})
+        self.rejected(tmp_path, capsys, monkeypatch, cfg, r"hp\.buffer must be zero in equality mode", "--mode", "eq")
+
+    def test_equality_mode_takes_no_sweep(self, tmp_path, capsys, monkeypatch):
+        sweep = [{"kind": "constant", "omega": 0.5}, {"kind": "constant", "omega": 2.0}]
+        cfg = {"preset": "equality", "sweep": sweep, "out": str(tmp_path / "out")}
+        self.rejected(tmp_path, capsys, monkeypatch, cfg, "sweep is not allowed in equality mode")
+        cfg = {"preset": "buffer-sweep", "out": str(tmp_path / "out")}
+        self.rejected(tmp_path, capsys, monkeypatch, cfg, "sweep is not allowed in equality mode", "--mode", "eq")
+
+    @pytest.mark.parametrize(
+        "hp",
+        [
+            HP,
+            {**HP, "buffer": {"kind": "constant", "omega": 0}},
+            {**HP, "buffer": {"kind": "constant", "omega": -0.0}},
+            {**HP, "buffer": {"kind": "sequence", "values": [0.0, 0]}},
+        ],
+        ids=["default", "constant", "negative-zero", "sequence"],
+    )
+    def test_equality_mode_accepts_the_zero_buffer(self, tmp_path, hp):
+        cfg = self.config(tmp_path, mode="equality", hp=hp)
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(cfg), encoding="utf-8")
+        assert parse_config(str(path))["mode"] == "equality"

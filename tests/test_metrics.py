@@ -165,7 +165,7 @@ class TestBoundsReport:
         assert bounds_report(self.sc(), self.hp(0.1, gamma=0.999), n=14, C_vio=1e3).recovery_bound_t > 0
 
     def test_negative_violation_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidInstanceError, match="C_vio must be nonnegative, got -1.0"):
             bounds_report(self.sc(), self.hp(0.1), n=14, C_vio=-1.0)
 
     def test_tradeoff_monotonicity_in_buffer(self):

@@ -11,6 +11,7 @@ from danyra import (
     HyperParams,
     InvalidInstanceError,
     ProblemInstance,
+    SpectralConstants,
     Topology,
     TopologyError,
     compute_projector,
@@ -103,11 +104,11 @@ class TestCosts:
 
     def test_dimension_mismatch(self):
         inst = single_agent(np.eye(2), [0.0, 0.0])
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidInstanceError, match=r"x must have shape \(1, 2\), got \(1, 3\)"):
             inst.cost(np.zeros((1, 3)))
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidInstanceError, match=r"x must have shape \(1, 2\)"):
             inst.gradient(np.zeros((1, 1)))
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidInstanceError, match=r"x must have shape \(1, 2\)"):
             inst.gradient(np.zeros(2))
 
     def test_callable_cost(self):
@@ -389,6 +390,24 @@ class TestSpectralConstants:
         sc = spectral_constants(inst, ell=2.0, mu=2.0)
         assert sc.ell == 2.0
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "minus-inf"])
+    def test_supplied_constants_must_be_finite(self, bad):
+        inst = generate_instance(3, 4, 8.0, 1)
+        with pytest.raises(InvalidInstanceError, match="ell must be a finite number"):
+            spectral_constants(inst, ell=bad, mu=1.0)
+        with pytest.raises(InvalidInstanceError, match="mu must be a finite number"):
+            spectral_constants(inst, ell=4.0, mu=bad)
+
+    @pytest.mark.parametrize(
+        "name", ["ell", "mu", "sigma_A_max", "sigma_A_min", "sigma_L_max", "sigma_L_min"]
+    )
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, "2.0", None], ids=["nan", "inf", "text", "null"])
+    def test_every_field_must_be_a_finite_number(self, name, bad):
+        fields = dict(ell=2.0, mu=1.0, sigma_A_max=2.0, sigma_A_min=1.0, sigma_L_max=2.0, sigma_L_min=0.5)
+        SpectralConstants(**fields)
+        with pytest.raises(InvalidInstanceError, match=f"{name} must be a finite number, got {bad!r}"):
+            SpectralConstants(**{**fields, name: bad})
+
 
 def check(report, name: str):
     """The condition called ``name`` in a ``validate_hyperparams`` report."""
@@ -516,14 +535,10 @@ class TestBufferSchedule:
         for bad in (5, 0.1, None):  # not a sequence at all
             with pytest.raises(InvalidInstanceError, match=f"buffer levels must be finite and >= 0, got {bad!r}"):
                 BufferSchedule.sequence(bad)
-            with pytest.raises(InvalidInstanceError, match=f"got {bad!r}"):
-                BufferSchedule.from_dict({"kind": "sequence", "values": bad})
         with pytest.raises(InvalidInstanceError, match="coefficient must be finite and >= 0"):
             BufferSchedule(levels=(0.1,), coefficient=-1.0)
         with pytest.raises(InvalidInstanceError, match="positive coefficient"):
             BufferSchedule.decaying(0.0)
-        with pytest.raises(ConfigError, match="unknown buffer kind 'mystery'"):
-            BufferSchedule.from_dict({"kind": "mystery"})
         for bad in (np.nan, np.inf):
             with pytest.raises(InvalidInstanceError, match="finite"):
                 BufferSchedule.constant(bad)
@@ -540,14 +555,7 @@ class TestBufferSchedule:
             with pytest.raises(InvalidInstanceError, match=f"got {bad!r}"):
                 make(bad)
         with pytest.raises(InvalidInstanceError, match=f"got {bad!r}"):
-            BufferSchedule.from_dict({"kind": "constant", "omega": bad})
-        with pytest.raises(InvalidInstanceError, match=f"got {bad!r}"):
             BufferSchedule(levels=(0.1,), coefficient=bad)
-
-    def test_unknown_kinds_rejected(self):
-        for kind in (["constant"], None, 1, "linear"):
-            with pytest.raises(ConfigError, match="unknown buffer kind"):
-                BufferSchedule.from_dict({"kind": kind, "omega": 0.1})
 
     def test_levels_stored_as_floats(self):
         assert BufferSchedule.constant(np.float64(0.5)).levels == (0.5,)
@@ -559,15 +567,10 @@ class TestBufferSchedule:
         zero = BufferSchedule.constant(-0.0)  # stored + 0.0, so the floor is never -0.0
         assert zero.levels[0].hex() == (0.0).hex() and zero.value(0).hex() == (0.0).hex()
 
-    def test_constructors_and_config_kinds_agree(self):
+    def test_constructors_agree(self):
+        # the config's buffer kinds are built by these factories (tests/test_cli.py::TestBufferConfig)
         assert BufferSchedule.constant(0.1) == BufferSchedule.sequence([0.1]) == BufferSchedule(levels=(0.1,))
         assert BufferSchedule.decaying(5.0) == BufferSchedule(levels=(0.0,), coefficient=5.0)
-        for doc, made in (
-            ({"kind": "constant", "omega": 0.1}, BufferSchedule.constant(0.1)),
-            ({"kind": "decaying", "coefficient": 5.0}, BufferSchedule.decaying(5.0)),
-            ({"kind": "sequence", "values": [1.0, 0.5]}, BufferSchedule.sequence([1.0, 0.5])),
-        ):
-            assert BufferSchedule.from_dict(doc) == made
 
     def test_one_formula_reproduces_the_three_kinds(self):
         # the per-kind formulas the single formula replaced, checked bit for bit

@@ -28,6 +28,7 @@ from danyra import (
     DisturbanceEvent,
     ExperimentPlan,
     HyperParams,
+    InvalidInstanceError,
     ProblemInstance,
     apply_disturbance,
     generate_instance,
@@ -296,6 +297,62 @@ class TestNoStaleProducts:
             assert same_bits(getattr(back, name), getattr(state, name)), name
         assert back.k == state.k
 
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            pytest.param({"k": "3"}, "k must be a whole number, got '3'", id="k-text"),
+            pytest.param({"k": True}, "k must be a whole number, got True", id="k-boolean"),
+            pytest.param({"k": 2.5}, "k must be a whole number, got 2.5", id="k-fraction"),
+            pytest.param({"k": -1}, "k must be >= 0, got -1", id="k-negative"),
+            pytest.param({"x": "x"}, "x must be numbers, got 'x'", id="x-text"),
+            pytest.param({"y": [["0", 0.0]] * 5}, "y must be numbers, got '0'", id="y-text-entry"),
+            pytest.param({"lam": None}, "lam must be numbers, got None", id="lam-null"),
+            pytest.param({"x_prime": [[0.0, 0.0], [1.0]] * 2}, "x_prime must be numbers", id="x-prime-ragged"),
+            pytest.param({"delta": [[float("nan"), 0.0]] * 5}, "delta must be finite", id="delta-nan"),
+            pytest.param({"x": [[float("inf"), 0.0]] * 5}, "x must be finite", id="x-inf"),
+            pytest.param({"y": [[0.0, 0.0]] * 3}, r"y must have shape \(5, 2\), got \(3, 2\)", id="y-shape"),
+            pytest.param({"delta": 0.5}, r"delta must have shape \(5, 2\), got \(\)", id="delta-scalar"),
+        ],
+    )
+    def test_from_dict_rejects_bad_documents(self, small_instance, base_hp, edit, message):
+        data = init_state(small_instance, base_hp(omega=0.2), "at_demand").to_dict()
+        with pytest.raises(InvalidInstanceError, match=message):
+            SwarmState.from_dict({**data, **edit}, small_instance)
+
+    @pytest.mark.parametrize("key", ["k", "x", "x_prime", "y", "lam", "delta"])
+    def test_from_dict_needs_every_key(self, small_instance, base_hp, key):
+        data = init_state(small_instance, base_hp(omega=0.2), "at_demand", mode=EQUALITY).to_dict()
+        del data[key]
+        with pytest.raises(InvalidInstanceError, match="a state document is an object with the keys k, x, x_prime"):
+            SwarmState.from_dict(data, small_instance)
+
+    def test_from_dict_needs_an_object(self, small_instance):
+        for data in (None, [], "k"):
+            with pytest.raises(InvalidInstanceError, match="a state document is an object"):
+                SwarmState.from_dict(data, small_instance)
+
+    def test_from_dict_reads_a_whole_float_k_and_a_null_delta(self, small_instance, base_hp):
+        data = init_state(small_instance, base_hp(omega=0.2), "at_demand").to_dict()
+        state = SwarmState.from_dict({**data, "k": 7.0, "delta": None}, small_instance)
+        assert type(state.k) is int and state.k == 7 and state.delta is None
+
+    @pytest.mark.parametrize(
+        "k, message",
+        [(2.7, "k must be a whole number, got 2.7"), ("3", "k must be a whole number, got '3'"), (-1, "k must be >= 0")],
+        ids=["fraction", "text", "negative"],
+    )
+    def test_build_checks_k(self, small_instance, k, message):
+        x = np.zeros((small_instance.n, small_instance.p))
+        with pytest.raises(InvalidInstanceError, match=message):
+            SwarmState.build(small_instance, k=k, x=x, x_prime=x, y=x, lam=x, delta=None)
+
+    def test_build_keeps_non_finite_values(self, small_instance):
+        # iterate's divergence check, not build, reports them (tests/test_layout.py runs it on such states)
+        x = np.full((small_instance.n, small_instance.p), np.nan)
+        zeros = np.zeros((small_instance.n, small_instance.m))
+        state = SwarmState.build(small_instance, k=0, x=x, x_prime=x, y=zeros, lam=zeros, delta=zeros + np.inf)
+        assert np.isnan(state.x).all() and np.isinf(state.delta).all()
+
     def test_build_copies_and_checks_shapes(self, small_instance, base_hp):
         x = np.ones((small_instance.n, small_instance.p))
         zeros = np.zeros((small_instance.n, small_instance.m))
@@ -305,11 +362,11 @@ class TestNoStaleProducts:
         x[0] = 5.0
         assert x.flags.writeable and np.all(state.x == 1.0)
         assert same_bits(state.Ax, products(small_instance, np.ones_like(x)))
-        with pytest.raises(ValueError, match=r"x_prime must have shape \(5, 2\)"):
+        with pytest.raises(InvalidInstanceError, match=r"x_prime must have shape \(5, 2\)"):
             SwarmState.build(
                 small_instance, k=0, x=x, x_prime=x[:3], y=zeros, lam=zeros, delta=None
             )
-        with pytest.raises(ValueError, match=r"delta must have shape \(5, 2\)"):
+        with pytest.raises(InvalidInstanceError, match=r"delta must have shape \(5, 2\)"):
             SwarmState.build(
                 small_instance, k=0, x=x, x_prime=x, y=zeros, lam=zeros, delta=zeros[:, :1]
             )
