@@ -351,12 +351,15 @@ def run(config: dict) -> int:
     instance = _build_instance(config)
     buffers = [config["hp"]["buffer"]] if config["sweep"] is None else config["sweep"]
     plans = [_build_plan(config, instance, buffer) for buffer in buffers]
+    out_root = Path(config["out"])
+    existing = next(path for path in (out_root, *out_root.parents) if path.exists())
+    if not existing.is_dir():
+        raise ConfigError(f"out {str(out_root)!r} cannot be a directory: {str(existing)!r} is not one")
     oracle = solve_equality(instance) if config["mode"] == EQUALITY else solve_active_set(instance)
     sc = spectral_constants(instance)
     # the conditions do not read the buffer, so every member shares one report
     report = validate_hyperparams(plans[0].hp, sc, config["mode"])
 
-    out_root = Path(config["out"])
     if config["sweep"] is None:
         _run_single(config, plans[0], oracle, sc, report, buffers[0], out_root)
     else:

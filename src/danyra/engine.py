@@ -83,10 +83,6 @@ class SwarmState:
         # copies and pickles are rebuilt through _with_products, so their arrays are read-only too
         return self._with_products, tuple(getattr(self, f.name) for f in dataclasses.fields(self))
 
-    @property
-    def n(self) -> int:
-        return self.x.shape[0]
-
     @functools.cached_property
     def Ax_sum(self) -> np.ndarray:
         """``sum_i A_i x_i`` (``problem.agent_sum(Ax)``), read-only; computed on first use, so a recorded
@@ -233,16 +229,13 @@ def iterate(state: SwarmState, instance: ProblemInstance, hp: HyperParams) -> Sw
     product for small swarms, and above ``DENSE_MIX_MAX_N`` agents a sum over
     the edges at each agent only, O(|E|) per exchange.  There are two
     exchanges per iteration: ``z + lam`` and the new ``y``.  Each local update
-    is one array operation over all agents' rows, and row ``i`` reads only
+    is one array expression over all agents' rows, and row ``i`` reads only
     agent ``i``'s iterates and mixed messages, as in the distributed
     algorithm.
 
     ``A_i x_i``, ``A_i x'_i`` and ``y_bar = L y`` are read from the state, and
     the returned state carries the new ones, so each is computed once per
-    iteration.  The updates run in place on arrays allocated here: each step
-    is one operation of the expression in the comment above it, on the same
-    operands (IEEE sums and products are commutative), so every rounding is
-    that of the expression.
+    iteration.
     """
     A, d, mix = instance.A, instance.d, instance.topology.mix
     alpha, beta, eta, gamma = hp.alpha, hp.beta, hp.eta, hp.gamma
@@ -250,66 +243,32 @@ def iterate(state: SwarmState, instance: ProblemInstance, hp: HyperParams) -> Sw
     x_prime, y, lam, delta = state.x_prime, state.y, state.lam, state.delta
     Ax, Ax_prime, y_bar = state.Ax, state.Ax_prime, state.y_bar
 
-    # sub-round 1: from the k-snapshot form z = A x' + y_bar (+ delta), with
-    # y_bar = L y carried from the last iteration's second exchange, and the
-    # gradient 2 P x' - Q
+    # sub-round 1: z from the k-snapshot, with y_bar = L y carried from the
+    # last iteration's second exchange
     z = Ax_prime + y_bar
     if inequality:
-        z += delta
+        z = z + delta
     grad = instance.gradient(x_prime)
 
     # sub-round 2: mix z + lam as one message; primal, auxiliary and queue updates
-    #   x'_next = x' - alpha (grad + A'v) with v = z - d + lam
-    #   y_next = y - alpha L (z + lam)
-    #   delta_next = max(delta - alpha v, omega_k)
-    v = z - d
-    v += lam
-    z += lam
-    mixed = mix(z)
-    primal_step = np.einsum("nmp,nm->np", A, v)
-    primal_step += grad
-    primal_step *= alpha
-    x_prime_next = x_prime - primal_step
-    mixed *= alpha
-    y_next = y - mixed
-    delta_next = None
-    if inequality:
-        v *= alpha
-        delta_next = delta - v
-        np.maximum(delta_next, hp.buffer.value(state.k), out=delta_next)
+    v = z - d + lam
+    x_prime_next = x_prime - alpha * (np.einsum("nmp,nm->np", A, v) + grad)
+    y_next = y - alpha * mix(z + lam)
+    delta_next = np.maximum(delta - alpha * v, hp.buffer.value(state.k)) if inequality else None
 
     # sub-round 3: mix the new auxiliaries; dual update and projection
-    #   lam_next = lam + beta (z_next - d - eta A (A'lam + grad))
-    #   with z_next = A x'_next + y_bar_next (+ delta_next)
     y_bar_next = mix(y_next)
     Ax_prime_next = np.einsum("nmp,np->nm", A, x_prime_next)
-    lam_next = Ax_prime_next + y_bar_next
-    if inequality:
-        lam_next += delta_next
-    At_lam = np.einsum("nmp,nm->np", A, lam)
-    At_lam += grad
-    damping = np.einsum("nmp,np->nm", A, At_lam)
-    damping *= eta
-    lam_next -= d
-    lam_next -= damping
-    lam_next *= beta
-    lam_next += lam
-
-    #   b = Ax - gamma (Ax + y_bar_next (+ delta_next) - d) (+ (1 - gamma)(delta - delta_next))
-    #   x_next = x'_next + A'(AA')^{-1} (b - A x'_next)
+    z_next = Ax_prime_next + y_bar_next
     pull = Ax + y_bar_next
     if inequality:
-        pull += delta_next
-    pull -= d
-    pull *= gamma
-    b = Ax - pull
+        z_next = z_next + delta_next
+        pull = pull + delta_next
+    lam_next = lam + beta * (z_next - d - eta * np.einsum("nmp,np->nm", A, np.einsum("nmp,nm->np", A, lam) + grad))
+    b = Ax - gamma * (pull - d)
     if inequality:
-        queue_release = delta - delta_next
-        queue_release *= 1.0 - gamma
-        b += queue_release
-    b -= Ax_prime_next
-    x_next = np.einsum("npm,nm->np", instance.projector_stack, b)
-    x_next += x_prime_next
+        b = b + (1.0 - gamma) * (delta - delta_next)
+    x_next = np.einsum("npm,nm->np", instance.projector_stack, b - Ax_prime_next) + x_prime_next
     Ax_next = np.einsum("nmp,np->nm", A, x_next)
 
     # a non-finite entry of any returned field at agent i reaches x_next[i] or

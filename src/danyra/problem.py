@@ -384,11 +384,16 @@ class ProblemInstance:
         return np.array([f.value(xi) for f, xi in zip(self.costs, x)])
 
     def gradient(self, x) -> np.ndarray:
-        """Every agent's cost gradient at the rows of ``x`` (``2 P_i x_i - Q_i`` for quadratics)."""
+        """Every agent's cost gradient at the rows of ``x`` (``2 P_i x_i - Q_i`` for quadratics).
+
+        A generic cost whose gradient is not of shape (p,) raises ``InvalidInstanceError`` naming its agent.
+        """
         x = self._rows(x)
         if self.costs is None:
             return np.einsum("nij,nj->ni", self.hessian_stack, x) - self.Q
-        return np.stack([f.gradient(xi) for f, xi in zip(self.costs, x)])
+        grads = [f.gradient(xi) for f, xi in zip(self.costs, x)]
+        _check_agents(np.array([grad.shape != (self.p,) for grad in grads]), f"gradient must have shape ({self.p},)")
+        return np.stack(grads)
 
 
 def compute_projector(A: np.ndarray) -> np.ndarray:

@@ -11,12 +11,14 @@ are.
 ``reference_iterate`` is the batched two-exchange step without the carried
 coupling products ``A x`` and ``A x'``: it reads the mixed auxiliaries
 ``y_bar = L y`` from the state, mixes ``z + lam`` as one message and the new
-``y`` as the other, recomputes both products each iteration, allocates a new
-array for every operation, and returns a plain ``ReferenceState`` (with the
-new ``y_bar``).  ``reference_violation_l1``, ``reference_slack_sum`` and
-``reference_disturb`` are the metric formulas and the in-place disturbance
-of the same version.  The tests require ``danyra.iterate``, the carried
-products and the recorded metrics to reproduce them bit for bit.
+``y`` as the other, and returns a plain ``ReferenceState`` (with the new
+``y_bar``).  What sets it apart from ``danyra.iterate`` is that it
+recomputes both products from ``x`` and ``x'`` each iteration instead of
+reading them from the state.  ``reference_violation_l1``,
+``reference_slack_sum`` and ``reference_disturb`` are the metric formulas
+and the in-place disturbance of the same version.  The tests require
+``danyra.iterate``, the carried products and the recorded metrics to
+reproduce them bit for bit.
 
 ``reference_iterate_four_exchanges`` is the step before ``y_bar`` was
 carried: it mixes ``lam``, ``y``, ``z`` and the new ``y``, so it rounds

@@ -454,6 +454,28 @@ class TestRun:
         assert "additive must have shape (2,)" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize(
+        "out, sweep",
+        [("taken", False), ("taken/x", False), ("taken", True)],
+        ids=["out-is-a-file", "out-under-a-file", "sweep-root-is-a-file"],
+    )
+    def test_out_that_cannot_be_a_directory(self, tmp_path, capsys, monkeypatch, out, sweep):
+        def no_solve(instance):
+            raise AssertionError("the oracle was solved for an out that cannot be written")
+
+        for name in ("solve_active_set", "solve_equality"):
+            monkeypatch.setattr(danyra.cli, name, no_solve)
+        (tmp_path / "taken").write_text("a file", encoding="utf-8")
+        cfg = {"preset": "buffer-sweep", "iters": 25} if sweep else self.small_cfg(tmp_path)
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({**cfg, "out": str(tmp_path / out)}), encoding="utf-8")
+        before = sorted(tmp_path.rglob("*"))
+        assert main(["run", "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and repr(str(tmp_path / out)) in err, err
+        assert sorted(tmp_path.rglob("*")) == before
+        assert (tmp_path / "taken").read_text(encoding="utf-8") == "a file"
+
     def test_one_start_state_per_member(self, tmp_path, monkeypatch):
         calls = []
         build = danyra.netsim.init_state

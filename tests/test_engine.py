@@ -466,6 +466,24 @@ class TestIterate:
         assert np.max(np.abs(a.x - b.x)) <= 1e-12
         assert np.max(np.abs(a.lam - b.lam)) <= 1e-12
 
+    @pytest.mark.parametrize(
+        "gradients, agent",
+        [
+            pytest.param([lambda x: 2 * x.sum()] * 2, 0, id="scalar"),
+            pytest.param([lambda x: 2 * x, lambda x: np.append(2 * x, 0.0)], 1, id="wrong-length"),
+        ],
+    )
+    def test_generic_gradient_of_the_wrong_shape_is_rejected(self, base_hp, gradients, agent):
+        costs = tuple(CallableCost(value_fn=lambda x: float(x @ x), gradient_fn=g, p=2) for g in gradients)
+        quadratic = pair_instance()
+        generic = ProblemInstance(A=quadratic.A, d=quadratic.d, topology=quadratic.topology, costs=costs)
+        st = init_state(generic, base_hp(omega=0.05), "at_demand")
+        message = rf"agent {agent}: gradient must have shape \(2,\)"
+        with pytest.raises(InvalidInstanceError, match=message):
+            generic.gradient(st.x_prime)
+        with pytest.raises(InvalidInstanceError, match=message):
+            iterate(st, generic, base_hp(omega=0.05))
+
     def test_state_round_trip(self, small_instance, base_hp):
         st = randomize_state(small_instance, init_state(small_instance, base_hp(omega=0.2), "at_demand"), seed=11)
         back = SwarmState.from_dict(st.to_dict(), small_instance)
