@@ -10,14 +10,7 @@ from .errors import (
     OracleFailureError,
     TopologyError,
 )
-from .metrics import (
-    BoundsReport,
-    bounds_report,
-    optimality_gap,
-    recovery_iteration,
-    slack_sum,
-    violation_l1,
-)
+from .metrics import optimality_gap, slack_sum, violation_l1
 from .netsim import DisturbanceEvent, ExperimentPlan, Trace, apply_disturbance, run_experiment
 from .oracle import OracleSolution, solve_active_set, solve_equality
 from .problem import (
@@ -25,8 +18,6 @@ from .problem import (
     INEQUALITY,
     BufferSchedule,
     CallableCost,
-    ConditionCheck,
-    ConditionReport,
     HyperParams,
     ProblemInstance,
     SpectralConstants,
@@ -37,7 +28,7 @@ from .problem import (
     instance_to_json,
     metropolis_weights,
     spectral_constants,
-    validate_hyperparams,
 )
+from .theory import BoundsReport, ConditionCheck, ConditionReport, bounds_report, recovery_iteration, validate_hyperparams
 
 __version__ = "0.1.0"

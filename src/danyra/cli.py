@@ -17,11 +17,9 @@ from collections import namedtuple
 from pathlib import Path
 from typing import NamedTuple
 
-import numpy as np
-
 from .errors import ConfigError, DanyraError, DivergenceError, OracleFailureError
-from .metrics import ZERO_VIOLATION_TOL, bounds_report, recovery_iteration, violation_l1
-from .netsim import DisturbanceEvent, ExperimentPlan, Trace, run_experiment
+from .metrics import violation_l1
+from .netsim import DisturbanceEvent, ExperimentPlan, run_experiment
 from .oracle import solve_active_set, solve_equality
 from .problem import (
     EQUALITY,
@@ -31,8 +29,8 @@ from .problem import (
     generate_instance,
     instance_from_json,
     spectral_constants,
-    validate_hyperparams,
 )
+from .theory import bounds_report, largest_violation, recovery_iteration, validate_hyperparams
 
 # Benchmark seed: chosen so that placing every decision at its demand vector
 # is feasible (sum of the C coefficients stays below n) and the draw is well
@@ -303,19 +301,6 @@ def _write_json(path: Path, payload: dict) -> None:
     path.write_text(text + "\n", encoding="utf-8")
 
 
-def _largest_violation(initial_violation: float, trace: Trace) -> tuple[float, int]:
-    """The largest violation a run faced and its iteration (0 for the initial state).
-
-    A recorded row counts only when it exceeds the initial violation (so a tie
-    goes to k = 0) and the rounding level that ``recovery_iteration`` treats as
-    zero.
-    """
-    peak = int(np.argmax(trace.violation_l1))
-    if trace.violation_l1[peak] > max(initial_violation, ZERO_VIOLATION_TOL):
-        return float(trace.violation_l1[peak]), int(trace.ks[peak])
-    return initial_violation, 0
-
-
 def _run_single(config, plan: ExperimentPlan, oracle, sc, report, buffer, out_dir: Path) -> dict:
     instance = plan.instance
     initial_violation = violation_l1(instance, plan.start)
@@ -323,7 +308,7 @@ def _run_single(config, plan: ExperimentPlan, oracle, sc, report, buffer, out_di
 
     out_dir.mkdir(parents=True, exist_ok=True)
     trace.to_csv(out_dir / "trace.csv")
-    C_vio, C_vio_k = _largest_violation(initial_violation, trace)
+    C_vio, C_vio_k = largest_violation(initial_violation, trace)
     bounds = bounds_report(sc, plan.hp, instance.n, C_vio)
     _write_json(out_dir / "bounds.json", {**dataclasses.asdict(bounds), "C_vio": C_vio, "C_vio_k": C_vio_k})
 
@@ -352,9 +337,14 @@ def run(config: dict) -> int:
     buffers = [config["hp"]["buffer"]] if config["sweep"] is None else config["sweep"]
     plans = [_build_plan(config, instance, buffer) for buffer in buffers]
     out_root = Path(config["out"])
-    existing = next(path for path in (out_root, *out_root.parents) if path.exists())
-    if not existing.is_dir():
-        raise ConfigError(f"out {str(out_root)!r} cannot be a directory: {str(existing)!r} is not one")
+    labels = [_buffer_label(buffer) for buffer in config["sweep"] or []]
+    dirs = [out_root / label for label in labels] or [out_root]
+    # every file a run writes, checked before any work: none may be a directory, nor lie under a non-directory
+    for path in [out_root / "report.json", *(d / f for d in dirs for f in ("trace.csv", "bounds.json", "report.json"))]:
+        existing = next(part for part in (path, *path.parents) if part.exists())
+        if existing.is_dir() == (existing == path):
+            what = "a directory" if existing == path else "not a directory"
+            raise ConfigError(f"out {str(out_root)!r} cannot hold {str(path)!r}: {str(existing)!r} is {what}")
     oracle = solve_equality(instance) if config["mode"] == EQUALITY else solve_active_set(instance)
     sc = spectral_constants(instance)
     # the conditions do not read the buffer, so every member shares one report
@@ -364,8 +354,7 @@ def run(config: dict) -> int:
         _run_single(config, plans[0], oracle, sc, report, buffers[0], out_root)
     else:
         summaries = {}
-        for buffer, plan in zip(buffers, plans):
-            label = _buffer_label(buffer)
+        for buffer, plan, label in zip(buffers, plans, labels):
             summaries[label] = _run_single(config, plan, oracle, sc, report, buffer, out_root / label)
         out_root.mkdir(parents=True, exist_ok=True)
         keys = ("final_gap", "final_violation", "recovery_iteration")

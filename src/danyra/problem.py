@@ -1,4 +1,4 @@
-"""Problem instances: agent costs, coupling matrices, topology, and step-size checks.
+"""Problem instances: agent costs, coupling matrices, topology, step parameters and spectral constants.
 
 The resource allocation problem is ``min sum_i f_i(x_i)`` subject to the single
 coupled constraint ``sum_i A_i x_i <= sum_i d_i`` (or ``=`` in equality mode),
@@ -34,7 +34,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, InvalidInstanceError, TopologyError
+from .errors import InvalidInstanceError, TopologyError
 
 SYMMETRY_TOL = 1e-12
 RANK_TOL = 1e-10
@@ -631,98 +631,6 @@ class HyperParams:
             raise InvalidInstanceError(f"gamma must be < 1, got {self.gamma}")
         if not isinstance(self.buffer, BufferSchedule):
             raise InvalidInstanceError(f"buffer must be a BufferSchedule, got {self.buffer!r}")
-
-
-@dataclass(frozen=True)
-class ConditionCheck:
-    name: str
-    supplied: float
-    bound: float
-    relation: str  # "<" or ">"
-    passed: bool
-
-
-@dataclass(frozen=True)
-class ConditionReport:
-    """Outcome of the sufficient step-size conditions; advisory, never blocking.
-
-    ``theta_prime`` (the guaranteed linear contraction factor in equality mode)
-    is reported only when every check passes, and is then strictly below one.
-    """
-
-    checks: tuple[ConditionCheck, ...]
-    c: float
-    theta_prime: float | None = None
-
-    @property
-    def all_passed(self) -> bool:
-        return all(ch.passed for ch in self.checks)
-
-    def to_dict(self) -> dict:
-        return {
-            "all_passed": self.all_passed,
-            "c": self.c,
-            "theta_prime": self.theta_prime,
-            "checks": [asdict(ch) for ch in self.checks],
-        }
-
-
-def _upper(name: str, supplied: float, bound: float) -> ConditionCheck:
-    return ConditionCheck(name, supplied, bound, "<", supplied < bound)
-
-
-def _lower(name: str, supplied: float, bound: float) -> ConditionCheck:
-    return ConditionCheck(name, supplied, bound, ">", supplied > bound)
-
-
-def validate_hyperparams(
-    hp: HyperParams, sc: SpectralConstants, mode: str = INEQUALITY
-) -> ConditionReport:
-    """Evaluate the sufficient conditions on (alpha, beta, eta, gamma).
-
-    The conditions are sufficient, not necessary; a failing report does not
-    prevent a run (the canonical benchmark choice gamma = 0.2 fails the gamma
-    lower bound yet converges).
-    """
-    if mode not in (INEQUALITY, EQUALITY):
-        raise ConfigError(f"unknown mode {mode!r}")
-    a, b, eta, g = hp.alpha, hp.beta, hp.eta, hp.gamma
-    ell, mu = sc.ell, sc.mu
-    sA2, sa2 = sc.sigma_A_max**2, sc.sigma_A_min**2
-    kA = sc.kappa_A
-    c = (1 - g) ** 2 * (1 - 3 * b) / (2 * g**2)
-
-    def safe_inv(denom: float) -> float:
-        return 1.0 / denom if denom > 0 else -math.inf
-
-    checks = [
-        _upper("alpha_decision_coupling", a, safe_inv(6 * sA2 * (1 + 3 * c))),
-        _upper("alpha_network_coupling", a, safe_inv(3 * sc.sigma_L_max**2 * (1 + 4 * c))),
-        _upper("alpha_queue_coupling", a, safe_inv(6 * (1 + 3 * c))),
-        _upper("alpha_curvature", a, (2 * mu - eta * ell**2 * (3 * b * eta + 1)) / (2 * ell**2)),
-        _upper("alpha_dual_margin", a, 2 * eta * (sa2 - 3 * b * eta * sA2)),
-        _upper("alpha_beta_margin", a, 1 - 3 * b),
-        _upper("beta_third", b, 1.0 / 3.0),
-        _upper("beta_curvature", b, (2 * mu / (eta * ell**2) - 1) / (3 * eta)),
-        _upper("beta_conditioning", b, 1.0 / (3 * eta * kA**2)),
-        _upper("eta_curvature", eta, 2 * mu / ell**2),
-        _lower("gamma_lower", g, 1 - 1 / (2 * kA)),
-        _upper("gamma_upper", g, 1.0),
-    ]
-    if mode == EQUALITY:
-        rate_bound = (8 * mu - 4 * eta * ell**2 * (3 * b * eta + 1) + (1 - 3 * b)) / (8 * ell**2)
-        checks.append(_upper("alpha_linear_rate", a, rate_bound))
-
-    theta_prime = None
-    if mode == EQUALITY and all(ch.passed for ch in checks):
-        theta_prime = max(
-            1 + a * (2 * ell**2 * a - 2 * mu + eta * ell**2 * (3 * b * eta + 1) + (3 * b - 1) / 4),
-            (8 + a * (3 * b - 1) * sc.sigma_L_min**2) / 8,
-            1 + b * eta * (3 * b * eta * sA2 - sa2),
-            0.5,
-            4 * (1 - g) ** 2 * kA**2,
-        )
-    return ConditionReport(checks=tuple(checks), c=c, theta_prime=theta_prime)
 
 
 def instance_to_json(instance: ProblemInstance) -> str:

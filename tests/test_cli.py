@@ -9,8 +9,9 @@ import pytest
 import danyra.cli
 import danyra.netsim
 from danyra import BufferSchedule, ConfigError, generate_instance, instance_to_json
-from danyra.cli import PRESETS, _largest_violation, main, parse_config, run
+from danyra.cli import PRESETS, main, parse_config, run
 from danyra.netsim import Trace
+from danyra.theory import largest_violation
 
 FIG2_EXPANDED = {
     "preset": "fig2",
@@ -264,7 +265,7 @@ class TestRun:
         trace = Trace(
             ks=np.arange(1, rows + 1), violation_l1=np.array(violations), slack=np.zeros((rows, 1)), gap=None
         )
-        assert _largest_violation(initial, trace) == expected
+        assert largest_violation(initial, trace) == expected
 
     def test_bounds_json_is_strict(self, tmp_path):
         # without a buffer floor a violation takes forever to clear: recovery_bound_t is infinite
@@ -455,17 +456,37 @@ class TestRun:
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize(
-        "out, sweep",
-        [("taken", False), ("taken/x", False), ("taken", True)],
-        ids=["out-is-a-file", "out-under-a-file", "sweep-root-is-a-file"],
+        "out, sweep, taken",  # ``taken`` is made a file, or a directory when it ends in "/"
+        [
+            ("taken", False, "taken"),
+            ("taken/x", False, "taken"),
+            ("taken", True, "taken"),
+            ("R", True, "R/omega-0.1"),
+            ("S", False, "S/trace.csv/"),
+            ("T", True, "T/report.json/"),
+        ],
+        ids=[
+            "out-is-a-file",
+            "out-under-a-file",
+            "sweep-root-is-a-file",
+            "sweep-member-is-a-file",
+            "trace-csv-is-a-directory",
+            "sweep-report-is-a-directory",
+        ],
     )
-    def test_out_that_cannot_be_a_directory(self, tmp_path, capsys, monkeypatch, out, sweep):
+    def test_out_that_cannot_be_a_directory(self, tmp_path, capsys, monkeypatch, out, sweep, taken):
         def no_solve(instance):
             raise AssertionError("the oracle was solved for an out that cannot be written")
 
         for name in ("solve_active_set", "solve_equality"):
             monkeypatch.setattr(danyra.cli, name, no_solve)
-        (tmp_path / "taken").write_text("a file", encoding="utf-8")
+        is_dir = taken.endswith("/")
+        taken = tmp_path / taken
+        taken.parent.mkdir(parents=True, exist_ok=True)
+        if is_dir:
+            taken.mkdir()
+        else:
+            taken.write_text("a file", encoding="utf-8")
         cfg = {"preset": "buffer-sweep", "iters": 25} if sweep else self.small_cfg(tmp_path)
         path = tmp_path / "c.json"
         path.write_text(json.dumps({**cfg, "out": str(tmp_path / out)}), encoding="utf-8")
@@ -473,8 +494,9 @@ class TestRun:
         assert main(["run", "--config", str(path)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and repr(str(tmp_path / out)) in err, err
+        assert repr(str(taken)) in err, err
         assert sorted(tmp_path.rglob("*")) == before
-        assert (tmp_path / "taken").read_text(encoding="utf-8") == "a file"
+        assert is_dir or taken.read_text(encoding="utf-8") == "a file"
 
     def test_one_start_state_per_member(self, tmp_path, monkeypatch):
         calls = []

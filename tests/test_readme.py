@@ -9,23 +9,36 @@ from danyra.cli import parse_config, run
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
+# each exported name and the module that defines it
 PUBLIC_NAMES = {
-    # engine
-    "SwarmState", "init_state", "iterate",
-    # errors
-    "ConfigError", "DanyraError", "DegenerateInstanceError", "DivergenceError", "InvalidInstanceError",
-    "OracleFailureError", "TopologyError",
-    # metrics
-    "BoundsReport", "bounds_report", "optimality_gap", "recovery_iteration", "slack_sum", "violation_l1",
-    # netsim
-    "DisturbanceEvent", "ExperimentPlan", "Trace", "apply_disturbance", "run_experiment",
-    # oracle
-    "OracleSolution", "solve_active_set", "solve_equality",
-    # problem
-    "EQUALITY", "INEQUALITY", "BufferSchedule", "CallableCost", "ConditionCheck", "ConditionReport",
-    "HyperParams", "ProblemInstance", "SpectralConstants", "Topology", "compute_projector",
-    "generate_instance", "instance_from_json", "instance_to_json", "metropolis_weights",
-    "spectral_constants", "validate_hyperparams",
+    **dict.fromkeys(["SwarmState", "init_state", "iterate"], "danyra.engine"),
+    **dict.fromkeys(
+        [
+            "ConfigError", "DanyraError", "DegenerateInstanceError", "DivergenceError", "InvalidInstanceError",
+            "OracleFailureError", "TopologyError",
+        ],
+        "danyra.errors",
+    ),
+    **dict.fromkeys(["optimality_gap", "slack_sum", "violation_l1"], "danyra.metrics"),
+    **dict.fromkeys(
+        ["DisturbanceEvent", "ExperimentPlan", "Trace", "apply_disturbance", "run_experiment"], "danyra.netsim"
+    ),
+    **dict.fromkeys(["OracleSolution", "solve_active_set", "solve_equality"], "danyra.oracle"),
+    **dict.fromkeys(
+        [
+            "EQUALITY", "INEQUALITY", "BufferSchedule", "CallableCost", "HyperParams", "ProblemInstance",
+            "SpectralConstants", "Topology", "compute_projector", "generate_instance", "instance_from_json",
+            "instance_to_json", "metropolis_weights", "spectral_constants",
+        ],
+        "danyra.problem",
+    ),
+    **dict.fromkeys(
+        [
+            "BoundsReport", "ConditionCheck", "ConditionReport", "bounds_report", "recovery_iteration",
+            "validate_hyperparams",
+        ],
+        "danyra.theory",
+    ),
 }
 
 
@@ -55,4 +68,8 @@ def test_public_names():
         for name, value in vars(danyra).items()
         if not name.startswith("_") and not isinstance(value, types.ModuleType)
     }
-    assert exported == PUBLIC_NAMES
+    assert exported == set(PUBLIC_NAMES)
+    for name, module in PUBLIC_NAMES.items():
+        value = getattr(danyra, name)
+        if isinstance(value, (type, types.FunctionType)):  # the constants carry no module
+            assert value.__module__ == module, name
