@@ -1,12 +1,12 @@
 """One synchronous iteration of the anytime-feasible allocation algorithm.
 
-Each iteration runs two neighbor exchanges and five local updates, in this
-order: form z from the mixed auxiliaries y_bar = L y and mix z + lambda (one
-message: L z + L lambda = L (z + lambda)); update the virtual decision x', the
-auxiliary y, and (inequality mode) the queue delta; mix the new y; update the
-dual lambda; project x' onto the per-agent affine target set.  The
-projection is closed-form (``x = x' + A'(AA')^{-1}(b - Ax')``), never an
-iterative QP solve.
+Each computed iteration (not a reused fixed point, below) runs two neighbor
+exchanges and five local updates, in this order: form z from the mixed
+auxiliaries y_bar = L y and mix z + lambda (one message: L z + L lambda =
+L (z + lambda)); update the virtual decision x', the auxiliary y, and
+(inequality mode) the queue delta; mix the new y; update the dual lambda;
+project x' onto the per-agent affine target set.  The projection is
+closed-form (``x = x' + A'(AA')^{-1}(b - Ax')``), never an iterative QP solve.
 
 A state carries the coupling products ``A_i x_i`` and ``A_i x'_i`` and the
 mixed auxiliaries ``y_bar`` next to the iterates, so each is computed once:
@@ -23,6 +23,13 @@ A state is in inequality mode exactly when it carries the virtual queue
 ``delta``: ``init_state`` is the one place where a mode name becomes a queue
 or none, and ``iterate`` branches on ``delta is not None``.  The queue's
 floor at step k is ``hp.buffer.value(k)``.
+
+Fixed points: a computed step whose output has its input's bits in the seven
+arrays a step reads (``x'``, ``y``, ``lam``, ``delta``, ``Ax``, ``Ax'``,
+``y_bar``; compared only when the ``lam`` sums are equal) marks the returned
+state fixed under ``(instance, hp, floor)``, for ``iterate`` to reuse.  Only
+``iterate`` marks: a state from ``build``, ``from_dict``,
+``apply_disturbance``, a copy or a pickle is always stepped in full.
 
 Every array of a state is stored agents innermost (Fortran order), like the
 instance stacks, so each batched product runs along the agents: ``build``
@@ -80,7 +87,7 @@ class SwarmState:
         return state
 
     def __reduce__(self):
-        # copies and pickles are rebuilt through _with_products, so their arrays are read-only too
+        # copies and pickles are rebuilt through _with_products: their arrays are read-only, and unmarked
         return self._with_products, tuple(getattr(self, f.name) for f in dataclasses.fields(self))
 
     @functools.cached_property
@@ -236,10 +243,21 @@ def iterate(state: SwarmState, instance: ProblemInstance, hp: HyperParams) -> Sw
     ``A_i x_i``, ``A_i x'_i`` and ``y_bar = L y`` are read from the state, and
     the returned state carries the new ones, so each is computed once per
     iteration.
+
+    A state marked fixed (see the module docstring) is returned at ``k + 1``
+    with its arrays shared, without arithmetic or exchanges, when ``instance``
+    and ``hp`` are the objects it was marked under and the floor is equal; so
+    the two exchanges per iteration hold only for steps that are computed.
     """
+    inequality = state.delta is not None
+    floor = hp.buffer.value(state.k) if inequality else None
+    mark = state.__dict__.get("_fixed_under")
+    if mark is not None and mark[0] is instance and mark[1] is hp and mark[2] == floor:
+        fixed = object.__new__(SwarmState)  # shares the arrays, the cached Ax_sum and the mark
+        fixed.__dict__.update(state.__dict__, k=state.k + 1)
+        return fixed
     A, d, mix = instance.A, instance.d, instance.topology.mix
     alpha, beta, eta, gamma = hp.alpha, hp.beta, hp.eta, hp.gamma
-    inequality = state.delta is not None
     x_prime, y, lam, delta = state.x_prime, state.y, state.lam, state.delta
     Ax, Ax_prime, y_bar = state.Ax, state.Ax_prime, state.y_bar
 
@@ -254,7 +272,7 @@ def iterate(state: SwarmState, instance: ProblemInstance, hp: HyperParams) -> Sw
     v = z - d + lam
     x_prime_next = x_prime - alpha * (np.einsum("nmp,nm->np", A, v) + grad)
     y_next = y - alpha * mix(z + lam)
-    delta_next = np.maximum(delta - alpha * v, hp.buffer.value(state.k)) if inequality else None
+    delta_next = np.maximum(delta - alpha * v, floor) if inequality else None
 
     # sub-round 3: mix the new auxiliaries; dual update and projection
     y_bar_next = mix(y_next)
@@ -277,7 +295,8 @@ def iterate(state: SwarmState, instance: ProblemInstance, hp: HyperParams) -> Sw
     # 0 * inf is NaN at n = 1).
     # Only if a sum is not finite are the fields searched (a finite sum can
     # also overflow, and then nothing is found)
-    if not math.isfinite(float(x_next.sum()) + float(lam_next.sum())):
+    lam_sum = float(lam_next.sum())
+    if not math.isfinite(float(x_next.sum()) + lam_sum):
         fields = {"x": x_next, "x_prime": x_prime_next, "y": y_next, "lambda": lam_next}
         if inequality:
             fields["delta"] = delta_next
@@ -291,7 +310,7 @@ def iterate(state: SwarmState, instance: ProblemInstance, hp: HyperParams) -> Sw
                     agents=bad,
                 )
 
-    return SwarmState._with_products(
+    out = SwarmState._with_products(
         k=state.k + 1,
         x=x_next,
         x_prime=x_prime_next,
@@ -302,3 +321,11 @@ def iterate(state: SwarmState, instance: ProblemInstance, hp: HyperParams) -> Sw
         Ax_prime=Ax_prime_next,
         y_bar=y_bar_next,
     )
+    # equal sums of lam, then equal bits in the seven arrays a step reads (x enters only through Ax)
+    object.__setattr__(out, "_lam_sum", lam_sum)
+    if lam_sum == state.__dict__.get("_lam_sum") and all(
+        getattr(state, f) is None or getattr(state, f).tobytes() == getattr(out, f).tobytes()
+        for f in ("x_prime", "y", "lam", "delta", "Ax", "Ax_prime", "y_bar")
+    ):
+        object.__setattr__(out, "_fixed_under", (instance, hp, floor))
+    return out

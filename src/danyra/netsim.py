@@ -102,7 +102,8 @@ class Trace:
     Rows are strictly increasing in k.  ``run_experiment`` fills the columns
     in place, so a recorded row keeps 8 * (m + 3) bytes (8 * (m + 2) without
     the gap column) and nothing else.  ``wallclock_per_iteration`` is the
-    loop's wall-clock time over the iteration count, in seconds; it is
+    loop's mean: its wall-clock time over the iteration count, in seconds,
+    cheap steps that reuse a fixed state (``danyra.engine``) included; it is
     informational and never written to the CSV.
     """
 

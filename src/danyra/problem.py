@@ -49,6 +49,8 @@ class CallableCost:
 
     Spectral constants cannot be derived from an oracle pair, so runs using
     these costs must supply the smoothness/convexity constants explicitly.
+    ``gradient_fn`` must be a pure function: ``iterate`` does not call it on a
+    step that reuses a fixed state (see ``danyra.engine``).
     """
 
     value_fn: Callable[[np.ndarray], float]

@@ -5,6 +5,7 @@ from danyra import (
     BufferSchedule,
     HyperParams,
     SwarmState,
+    Topology,
     generate_instance,
     solve_active_set,
     spectral_constants,
@@ -35,6 +36,25 @@ def base_hp():
         return HyperParams(**params, buffer=BufferSchedule.constant(omega))
 
     return make
+
+
+def count_mix(monkeypatch) -> list:
+    """Patch ``Topology.mix`` through ``monkeypatch``; the returned list gets each later call's argument shape."""
+    calls = []
+    mix = Topology.mix
+
+    def counted(self, v):
+        calls.append(v.shape)
+        return mix(self, v)
+
+    monkeypatch.setattr(Topology, "mix", counted)
+    return calls
+
+
+@pytest.fixture
+def counted_mix(monkeypatch):
+    """The list of ``Topology.mix`` calls made from here on."""
+    return count_mix(monkeypatch)
 
 
 @pytest.fixture

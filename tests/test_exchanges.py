@@ -1,13 +1,15 @@
-"""Two neighbor exchanges per iteration: ``z + lam``, then the new ``y``.
+"""Two neighbor exchanges per computed iteration: ``z + lam``, then the new ``y``.
 
 ``iterate`` reads the mixed auxiliaries ``y_bar = L y`` from the state (the
 previous iteration's second exchange) and mixes ``z + lam`` as one message,
 since ``L z + L lam = L (z + lam)``.  The first tests count the calls to
-``Topology.mix``: two per ``iterate`` and one per ``SwarmState.build``, on
-both mix branches and in both modes.  The others run ``run_experiment``
-beside ``reference_step.reference_iterate_four_exchanges`` (the step that
-mixed ``lam``, ``y``, ``z`` and the new ``y``) for 3000 iterations, on the
-fig2 instance with its k=500 disturbance and on a 601-agent instance: every
+``Topology.mix``: two per computed ``iterate`` and one per
+``SwarmState.build``, on both mix branches and in both modes.  A step that
+reuses a fixed state (see ``danyra.engine``) makes none; ``test_fixed_point``
+counts those.  The others run ``run_experiment`` beside
+``reference_step.reference_iterate_four_exchanges`` (the step that mixed
+``lam``, ``y``, ``z`` and the new ``y``) for 3000 iterations, on the fig2
+instance with its k=500 disturbance and on a 601-agent instance: every
 recorded column must agree within the artifact check's tolerances
 (``perfbench/check.py``), and the recovery iteration must be the same.
 """
@@ -27,7 +29,6 @@ from danyra import (
     DisturbanceEvent,
     ExperimentPlan,
     HyperParams,
-    Topology,
     apply_disturbance,
     generate_instance,
     init_state,
@@ -59,20 +60,6 @@ DISTURBANCE_K = 500
 def instance(request):
     n = request.param
     return generate_instance(3, n, 70.0, 2 * n)
-
-
-@pytest.fixture
-def counted_mix(monkeypatch):
-    """The list of ``Topology.mix`` calls made from here on."""
-    calls = []
-    mix = Topology.mix
-
-    def counted(self, v):
-        calls.append(v.shape)
-        return mix(self, v)
-
-    monkeypatch.setattr(Topology, "mix", counted)
-    return calls
 
 
 @pytest.mark.parametrize("mode", [INEQUALITY, EQUALITY])
