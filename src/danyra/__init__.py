@@ -4,7 +4,6 @@ from .engine import SwarmState, init_state, iterate
 from .errors import (
     ConfigError,
     DanyraError,
-    DegenerateInstanceError,
     DivergenceError,
     InvalidInstanceError,
     OracleFailureError,

@@ -1,32 +1,32 @@
 """One synchronous iteration of the anytime-feasible allocation algorithm.
 
 Each computed iteration (not a reused fixed point, below) runs two neighbor
-exchanges and five local updates, in this order: form z from the mixed
-auxiliaries y_bar = L y and mix z + lambda (one message: L z + L lambda =
-L (z + lambda)); update the virtual decision x', the auxiliary y, and
-(inequality mode) the queue delta; mix the new y; update the dual lambda;
-project x' onto the per-agent affine target set.  The projection is
-closed-form (``x = x' + A'(AA')^{-1}(b - Ax')``), never an iterative QP solve.
+exchanges and five local updates, in this order: mix z + lambda (one message:
+L z + L lambda = L (z + lambda)); update the virtual decision x', the
+auxiliary y, and (inequality mode) the queue delta; mix the new y; update the
+dual lambda with the new z; project x' onto the per-agent affine target set.
+The projection is closed-form (``x = x' + A'(AA')^{-1}(b - Ax')``), never an
+iterative QP solve.
 
-A state carries the coupling products ``A_i x_i`` and ``A_i x'_i`` and the
-mixed auxiliaries ``y_bar`` next to the iterates, so each is computed once:
-``iterate`` computes them for the state it returns and reads them from the
-state it is given (the new y's mix is the next iteration's y_bar), and the
-recorded violation and slack share one sum of ``Ax`` over the agents
-(``SwarmState.Ax_sum``, computed on first use).  A state's arrays are read-only
-and its fields cannot be reassigned, so a product cannot go stale; a state
-with other values is built with :meth:`SwarmState.build`, which recomputes
-them (a state made by the constructor or ``dataclasses.replace`` has no
-products at all).
+A state carries the coupling product ``A_i x_i`` and the message
+``z_i = A_i x'_i + sum_j l_ij y_j (+ delta_i)`` next to the iterates, so each
+is computed once: ``iterate`` forms them for the state it returns (the z its
+dual update reads is the next step's z) and reads them from the state it is
+given, and the recorded violation and slack share one sum of ``Ax`` over the
+agents (``SwarmState.Ax_sum``, computed on first use).  A state's arrays are
+read-only and its fields cannot be reassigned, so a product cannot go stale;
+a state with other values is built with :meth:`SwarmState.build`, which
+recomputes them (a state made by the constructor or ``dataclasses.replace``
+has no products at all).
 
 A state is in inequality mode exactly when it carries the virtual queue
 ``delta``: ``init_state`` is the one place where a mode name becomes a queue
 or none, and ``iterate`` branches on ``delta is not None``.  The queue's
 floor at step k is ``hp.buffer.value(k)``.
 
-Fixed points: a computed step whose output has its input's bits in the seven
-arrays a step reads (``x'``, ``y``, ``lam``, ``delta``, ``Ax``, ``Ax'``,
-``y_bar``; compared only when the ``lam`` sums are equal) marks the returned
+Fixed points: a computed step whose output has its input's bits in the six
+arrays a step reads (``x'``, ``y``, ``lam``, ``delta``, ``Ax``, ``z``;
+compared only when the ``lam`` sums are equal) marks the returned
 state fixed under ``(instance, hp, floor)``, for ``iterate`` to reuse.  Only
 ``iterate`` marks: a state from ``build``, ``from_dict``,
 ``apply_disturbance``, a copy or a pickle is always stepped in full.
@@ -51,17 +51,18 @@ from .problem import EQUALITY, INEQUALITY, HyperParams, ProblemInstance, _real, 
 
 @dataclasses.dataclass(frozen=True)
 class SwarmState:
-    """All agents' iterates at step ``k`` (a row per agent), with their coupling products and mixed ``y``.
+    """All agents' iterates at step ``k`` (a row per agent), with two products of them, ``Ax`` and ``z``.
 
-    ``Ax[i] = A_i x_i``, ``Ax_prime[i] = A_i x'_i`` and ``y_bar = L y``
-    (``Topology.mix(y)``), all stored agents innermost.  The constructor
-    does not take these products: only :meth:`build` (used by
-    ``init_state``, ``from_dict`` and ``apply_disturbance``), which computes
-    them from copies of the iterates, and ``iterate``, which has just
-    computed them, set them, and both make every array read-only.  So an
-    in-place ``state.x += ...`` raises, and a state made by the constructor
-    or ``dataclasses.replace`` has no products: reading ``Ax`` raises
-    ``AttributeError`` instead of returning products of other decisions.
+    ``Ax[i] = A_i x_i`` and ``z[i] = A_i x'_i + (L y)_i (+ delta_i in
+    inequality mode)``, with ``L y = Topology.mix(y)``, both stored agents
+    innermost.  The constructor does not take these products: only
+    :meth:`build` (used by ``init_state``, ``from_dict`` and
+    ``apply_disturbance``), which computes them from copies of the iterates,
+    and ``iterate``, which has just computed them, set them, and both make
+    every array read-only.  So an in-place ``state.x += ...`` raises, and a
+    state made by the constructor or ``dataclasses.replace`` has no products:
+    reading ``Ax`` raises ``AttributeError`` instead of returning products of
+    other decisions.
     """
 
     k: int
@@ -70,18 +71,16 @@ class SwarmState:
     y: np.ndarray        # (n, m)
     lam: np.ndarray      # (n, m)
     delta: np.ndarray | None  # (n, m) in inequality mode, None in equality mode
-    Ax: np.ndarray = dataclasses.field(init=False, repr=False)       # (n, m)
-    Ax_prime: np.ndarray = dataclasses.field(init=False, repr=False)  # (n, m)
-    y_bar: np.ndarray = dataclasses.field(init=False, repr=False)     # (n, m)
+    Ax: np.ndarray = dataclasses.field(init=False, repr=False)  # (n, m)
+    z: np.ndarray = dataclasses.field(init=False, repr=False)   # (n, m)
 
     @classmethod
-    def _with_products(cls, k, x, x_prime, y, lam, delta, Ax, Ax_prime, y_bar) -> "SwarmState":
+    def _with_products(cls, k, x, x_prime, y, lam, delta, Ax, z) -> "SwarmState":
         # the arrays must be owned by the new state: they are made read-only here
         state = cls(k=k, x=x, x_prime=x_prime, y=y, lam=lam, delta=delta)
         object.__setattr__(state, "Ax", Ax)
-        object.__setattr__(state, "Ax_prime", Ax_prime)
-        object.__setattr__(state, "y_bar", y_bar)
-        for arr in (x, x_prime, y, lam, delta, Ax, Ax_prime, y_bar):
+        object.__setattr__(state, "z", z)
+        for arr in (x, x_prime, y, lam, delta, Ax, z):
             if arr is not None:
                 arr.setflags(write=False)
         return state
@@ -110,7 +109,7 @@ class SwarmState:
         lam,
         delta,
     ) -> "SwarmState":
-        """A state from Fortran-ordered copies of the given iterates, with ``Ax``, ``Ax_prime``, ``y_bar`` of them.
+        """A state from Fortran-ordered copies of the given iterates, with ``Ax`` and ``z`` of them.
 
         ``delta=None`` builds an equality-mode state.  A ``k`` not a whole number >= 0, or an array not of its
         (n, p) or (n, m) shape, is an ``InvalidInstanceError``; non-finite values are kept for ``iterate`` to report.
@@ -130,13 +129,10 @@ class SwarmState:
             arr = arrays[name] = None if value is None else np.array(value, dtype=float, order="F")
             if arr is not None and arr.shape != shape:
                 raise InvalidInstanceError(f"{name} must have shape {shape}, got {arr.shape}")
-        return cls._with_products(
-            k=k,
-            **arrays,
-            Ax=np.einsum("nmp,np->nm", instance.A, arrays["x"]),
-            Ax_prime=np.einsum("nmp,np->nm", instance.A, arrays["x_prime"]),
-            y_bar=instance.topology.mix(arrays["y"]),
-        )
+        z = np.einsum("nmp,np->nm", instance.A, arrays["x_prime"]) + instance.topology.mix(arrays["y"])
+        if delta is not None:
+            z = z + arrays["delta"]
+        return cls._with_products(k=k, **arrays, Ax=np.einsum("nmp,np->nm", instance.A, arrays["x"]), z=z)
 
     def to_dict(self) -> dict:
         """The iterates as JSON-ready lists; the products are not stored (``from_dict`` recomputes them)."""
@@ -240,9 +236,8 @@ def iterate(state: SwarmState, instance: ProblemInstance, hp: HyperParams) -> Sw
     agent ``i``'s iterates and mixed messages, as in the distributed
     algorithm.
 
-    ``A_i x_i``, ``A_i x'_i`` and ``y_bar = L y`` are read from the state, and
-    the returned state carries the new ones, so each is computed once per
-    iteration.
+    ``A_i x_i`` and ``z`` are read from the state, and the returned state
+    carries the new ones, so each is computed once per iteration.
 
     A state marked fixed (see the module docstring) is returned at ``k + 1``
     with its arrays shared, without arithmetic or exchanges, when ``instance``
@@ -258,17 +253,12 @@ def iterate(state: SwarmState, instance: ProblemInstance, hp: HyperParams) -> Sw
         return fixed
     A, d, mix = instance.A, instance.d, instance.topology.mix
     alpha, beta, eta, gamma = hp.alpha, hp.beta, hp.eta, hp.gamma
-    x_prime, y, lam, delta = state.x_prime, state.y, state.lam, state.delta
-    Ax, Ax_prime, y_bar = state.Ax, state.Ax_prime, state.y_bar
-
-    # sub-round 1: z from the k-snapshot, with y_bar = L y carried from the
-    # last iteration's second exchange
-    z = Ax_prime + y_bar
-    if inequality:
-        z = z + delta
+    x_prime, y, lam, delta, Ax, z = state.x_prime, state.y, state.lam, state.delta, state.Ax, state.z
     grad = instance.gradient(x_prime)
 
-    # sub-round 2: mix z + lam as one message; primal, auxiliary and queue updates
+    # sub-round 1: z is the k-snapshot's, carried from the last iteration's
+    # second exchange; sub-round 2: mix z + lam as one message; primal,
+    # auxiliary and queue updates
     v = z - d + lam
     x_prime_next = x_prime - alpha * (np.einsum("nmp,nm->np", A, v) + grad)
     y_next = y - alpha * mix(z + lam)
@@ -290,9 +280,9 @@ def iterate(state: SwarmState, instance: ProblemInstance, hp: HyperParams) -> Sw
     Ax_next = np.einsum("nmp,np->nm", A, x_next)
 
     # a non-finite entry of any returned field at agent i reaches x_next[i] or
-    # lam_next[i]: x'_next directly, y_bar_next and delta_next through pull
-    # and b, y_next through y_bar_next's l_ii y_i (l_ii > 0 for n >= 2;
-    # 0 * inf is NaN at n = 1).
+    # lam_next[i]: x'_next and z_next directly, y_bar_next and delta_next
+    # through pull and b, y_next through y_bar_next's l_ii y_i (l_ii > 0 for
+    # n >= 2; 0 * inf is NaN at n = 1).
     # Only if a sum is not finite are the fields searched (a finite sum can
     # also overflow, and then nothing is found)
     lam_sum = float(lam_next.sum())
@@ -318,14 +308,13 @@ def iterate(state: SwarmState, instance: ProblemInstance, hp: HyperParams) -> Sw
         lam=lam_next,
         delta=delta_next,
         Ax=Ax_next,
-        Ax_prime=Ax_prime_next,
-        y_bar=y_bar_next,
+        z=z_next,
     )
-    # equal sums of lam, then equal bits in the seven arrays a step reads (x enters only through Ax)
+    # equal sums of lam, then equal bits in the six arrays a step reads (x enters only through Ax)
     object.__setattr__(out, "_lam_sum", lam_sum)
     if lam_sum == state.__dict__.get("_lam_sum") and all(
         getattr(state, f) is None or getattr(state, f).tobytes() == getattr(out, f).tobytes()
-        for f in ("x_prime", "y", "lam", "delta", "Ax", "Ax_prime", "y_bar")
+        for f in ("x_prime", "y", "lam", "delta", "Ax", "z")
     ):
         object.__setattr__(out, "_fixed_under", (instance, hp, floor))
     return out

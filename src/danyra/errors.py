@@ -26,9 +26,5 @@ class OracleFailureError(DanyraError):
     """A ground-truth solver failed to produce a verified solution."""
 
 
-class DegenerateInstanceError(DanyraError):
-    """The KKT system of an equality-constrained instance is singular."""
-
-
 class ConfigError(DanyraError):
     """An experiment or CLI configuration is invalid."""

@@ -127,24 +127,21 @@ class Trace:
 
         With no arguments this is the whole file.  Floats are written in
         ``.17g`` (round-trip exact), each column formatted from Python floats
-        (``tolist``) a block of ``CSV_BLOCK_ROWS`` rows at a time, so the
-        formatted strings of only one block are alive at once.
+        (``tolist``); ``to_csv`` asks for one ``CSV_BLOCK_ROWS``-row block at a
+        time, so the formatted strings of only one block are alive at once.
         """
         ks, slack = np.asarray(self.ks), np.asarray(self.slack)
-        first, last, _ = slice(start, stop).indices(len(ks))
+        rows = slice(start, stop)
         floats = [] if self.gap is None else [np.asarray(self.gap)]
         floats += [np.asarray(self.violation_l1), *slack.T]
-        parts = []
+        header = ""
         if start == 0:
-            header = ["k"] + (["gap"] if self.gap is not None else [])
-            header += ["violation_l1"] + [f"slack_{j}" for j in range(slack.shape[1])]
-            parts.append(",".join(header) + "\n")
-        for lo in range(first, last, CSV_BLOCK_ROWS):
-            rows = slice(lo, min(lo + CSV_BLOCK_ROWS, last))
-            columns = [[str(int(k)) for k in ks[rows].tolist()]]
-            columns += [[f"{v:.17g}" for v in col[rows].tolist()] for col in floats]
-            parts.append("".join(",".join(row) + "\n" for row in zip(*columns)))
-        return "".join(parts)
+            names = ["k"] + (["gap"] if self.gap is not None else [])
+            names += ["violation_l1"] + [f"slack_{j}" for j in range(slack.shape[1])]
+            header = ",".join(names) + "\n"
+        columns = [[str(int(k)) for k in ks[rows].tolist()]]
+        columns += [[f"{v:.17g}" for v in col[rows].tolist()] for col in floats]
+        return header + "".join(",".join(row) + "\n" for row in zip(*columns))
 
     def to_csv(self, path) -> None:
         """Write ``csv_text()`` to ``path`` one ``CSV_BLOCK_ROWS``-row block at a time (the header with the first)."""

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateInstanceError, InvalidInstanceError, OracleFailureError
+from .errors import InvalidInstanceError, OracleFailureError
 from .problem import ProblemInstance
 
 ACTIVE_SET_TOL = 1e-9
@@ -99,10 +99,13 @@ def solve_active_set(instance: ProblemInstance) -> OracleSolution:
 
 
 def solve_equality(instance: ProblemInstance) -> OracleSolution:
-    """Exact solution with all constraint rows active and a free-sign multiplier."""
+    """Exact solution with all constraint rows active and a free-sign multiplier.
+
+    A singular dual system raises ``OracleFailureError``, as in ``solve_active_set``.
+    """
     H, G, h = _dual(instance)
     try:
         lam = np.linalg.solve(G, h)
     except np.linalg.LinAlgError as exc:
-        raise DegenerateInstanceError("equality KKT matrix is singular") from exc
+        raise OracleFailureError(f"singular dual system on rows {list(range(instance.m))}") from exc
     return _solution(instance, H, lam, tuple(range(instance.m)))

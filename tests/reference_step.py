@@ -9,18 +9,21 @@ to agree to rounding; ``state_difference`` measures how far apart two states
 are.
 
 ``reference_iterate`` is the batched two-exchange step without the carried
-coupling products ``A x`` and ``A x'``: it reads the mixed auxiliaries
-``y_bar = L y`` from the state, mixes ``z + lam`` as one message and the new
-``y`` as the other, and returns a plain ``ReferenceState`` (with the new
-``y_bar``).  What sets it apart from ``danyra.iterate`` is that it
-recomputes both products from ``x`` and ``x'`` each iteration instead of
-reading them from the state.  ``reference_violation_l1``,
+products ``A x`` and ``z``: it reads the mixed auxiliaries ``y_bar = L y``
+from a ``ReferenceState`` (``reference_copy`` mixes a ``SwarmState``'s ``y``
+itself and never reads its ``z``), forms ``z = A x' + y_bar (+ delta)``,
+mixes ``z + lam`` as one message and the new ``y`` as the other, and returns a
+``ReferenceState`` with the new ``y_bar``.  What sets it apart from
+``danyra.iterate`` is that it recomputes ``A x`` and ``A x'`` each iteration
+and forms ``z`` from them instead of reading the carried products;
+``reference_z`` forms a ``ReferenceState``'s ``z`` the same way, for
+comparison with the carried one.  ``reference_violation_l1``,
 ``reference_slack_sum`` and ``reference_disturb`` are the metric formulas
 and the in-place disturbance of the same version.  The tests require
 ``danyra.iterate``, the carried products and the recorded metrics to
 reproduce them bit for bit.
 
-``reference_iterate_four_exchanges`` is the step before ``y_bar`` was
+``reference_iterate_four_exchanges`` is the step before the mixed ``y`` was
 carried: it mixes ``lam``, ``y``, ``z`` and the new ``y``, so it rounds
 differently, and the tests require the two forms to agree within the
 artifact check's tolerances over long runs.  ``exchange_primary`` and the
@@ -252,27 +255,38 @@ class ReferenceState:
     y_bar: np.ndarray
 
 
-def reference_copy(state: SwarmState) -> ReferenceState:
-    """A ``ReferenceState`` with writable copies of a state's iterates and ``y_bar``."""
+def reference_copy(state: SwarmState, instance: ProblemInstance) -> ReferenceState:
+    """A ``ReferenceState`` with writable copies of a state's iterates and ``y_bar = L y`` mixed here."""
     return ReferenceState(
         k=state.k,
         **{
             name: None if getattr(state, name) is None else np.array(getattr(state, name))
-            for name in ("x", "x_prime", "y", "lam", "delta", "y_bar")
+            for name in ("x", "x_prime", "y", "lam", "delta")
         },
+        y_bar=instance.topology.mix(state.y),
     )
 
 
-def reference_iterate(state, instance: ProblemInstance, hp: HyperParams) -> ReferenceState:
+def reference_z(instance: ProblemInstance, state: ReferenceState) -> np.ndarray:
+    """The message ``z = A x' + y_bar (+ delta in inequality mode)`` of a ``ReferenceState``, recomputing ``A x'``."""
+    z = np.einsum("nmp,np->nm", instance.A, state.x_prime) + state.y_bar
+    if state.delta is not None:
+        z = z + state.delta
+    return z
+
+
+def reference_iterate(state: ReferenceState, instance: ProblemInstance, hp: HyperParams) -> ReferenceState:
     """The batched two-exchange step, recomputing the coupling products.
 
-    It reads ``y_bar`` from the state and mixes ``z + lam`` as one message.
+    It reads ``y_bar`` from the ``ReferenceState`` and mixes ``z + lam`` as one message.
     """
     return _reference_step(state, instance, hp, four_exchanges=False)
 
 
-def reference_iterate_four_exchanges(state, instance: ProblemInstance, hp: HyperParams) -> ReferenceState:
-    """The batched step before ``y_bar`` was carried: it mixes ``lam``, ``y``, ``z`` and the new ``y``.
+def reference_iterate_four_exchanges(
+    state: ReferenceState, instance: ProblemInstance, hp: HyperParams
+) -> ReferenceState:
+    """The batched step before the mixed ``y`` was carried: it mixes ``lam``, ``y``, ``z`` and the new ``y``.
 
     It ignores the state's ``y_bar`` and returns the mix of the new ``y`` as one.
     """

@@ -2,7 +2,8 @@
 
 Each test prints one line summarizing the measured quantity against its
 threshold; run with ``pytest tests/test_acceptance.py -v -s`` to see them.
-Long runs are shared through module-scoped fixtures.
+Long runs are shared through module-scoped fixtures, on the fig2 instance,
+its oracle and its spectral constants from ``conftest.py``'s session fixtures.
 """
 
 import math
@@ -36,7 +37,6 @@ from conftest import rebuild
 from reference_oracle import kkt_residuals, reference_projected_gradient
 from reference_step import state_difference
 
-BENCH = PRESETS["fig2"]["instance"]["generate"]
 GAMMA = 0.2
 OFFSET = np.array([50.0, 50.0])
 
@@ -46,71 +46,56 @@ def hp_with(buffer):
 
 
 @pytest.fixture(scope="module")
-def bench():
-    return generate_instance(BENCH["seed"], BENCH["n"], BENCH["r_max"], BENCH["extra_edges"])
-
-
-@pytest.fixture(scope="module")
-def oracle(bench):
-    return solve_active_set(bench)
-
-
-@pytest.fixture(scope="module")
-def constants(bench):
-    return spectral_constants(bench)
-
-
-@pytest.fixture(scope="module")
-def feasible_run(bench, oracle):
+def feasible_run(benchmark_instance, benchmark_oracle):
     plan = ExperimentPlan(
-        instance=bench, hp=hp_with(BufferSchedule.constant(0.0)), iters=2000,
+        instance=benchmark_instance, hp=hp_with(BufferSchedule.constant(0.0)), iters=2000,
         init_mode="at_demand",
     )
     start = time.perf_counter()
-    trace = run_experiment(plan, oracle)
+    trace = run_experiment(plan, benchmark_oracle)
     return trace, time.perf_counter() - start
 
 
 @pytest.fixture(scope="module")
-def fig2_trace(bench, oracle):
+def fig2_trace(benchmark_instance, benchmark_oracle):
     plan = ExperimentPlan(
-        instance=bench,
+        instance=benchmark_instance,
         hp=hp_with(BufferSchedule.constant(0.0)),
         iters=20000,
         init_mode="at_demand",
         disturbances=(DisturbanceEvent(at_iteration=500, additive=OFFSET),),
     )
-    return run_experiment(plan, oracle)
+    return run_experiment(plan, benchmark_oracle)
 
 
 @pytest.fixture(scope="module")
-def decaying_trace(bench, oracle):
+def decaying_trace(benchmark_instance, benchmark_oracle):
     plan = ExperimentPlan(
-        instance=bench,
+        instance=benchmark_instance,
         hp=hp_with(BufferSchedule.decaying(5.0)),
         iters=20000,
         init_mode="at_demand",
         x0_offset=OFFSET,
     )
-    return run_experiment(plan, oracle)
+    return run_experiment(plan, benchmark_oracle)
 
 
 @pytest.fixture(scope="module")
-def sweep_runs(bench, oracle):
+def sweep_runs(benchmark_instance, benchmark_oracle):
     runs = {}
     for omega in (0.01, 0.1, 1.0):
         hp = hp_with(BufferSchedule.constant(omega))
-        initial = init_state(bench, hp, "at_demand", x0_offset=OFFSET)
+        initial = init_state(benchmark_instance, hp, "at_demand", x0_offset=OFFSET)
         plan = ExperimentPlan(
-            instance=bench, hp=hp, iters=8000, init_mode="at_demand", x0_offset=OFFSET
+            instance=benchmark_instance, hp=hp, iters=8000, init_mode="at_demand", x0_offset=OFFSET
         )
         start = time.perf_counter()
-        trace = run_experiment(plan, oracle)
+        trace = run_experiment(plan, benchmark_oracle)
         elapsed = time.perf_counter() - start
         runs[omega] = {
             "trace": trace,
             "elapsed": elapsed,
-            "C0": violation_l1(bench, initial),
+            "C0": violation_l1(benchmark_instance, initial),
             "hp": hp,
         }
     return runs
@@ -176,11 +161,11 @@ def test_c03_exact_convergence(fig2_trace, decaying_trace):
           f"decaying-buffer gap {decay_gap:.2e} <= 1e-6 within 20000 iterations")
 
 
-def test_c04_finite_time_recovery_bound(bench, sweep_runs):
+def test_c04_finite_time_recovery_bound(benchmark_instance, sweep_runs):
     total = 0.0
     lines = []
     for omega, data in sweep_runs.items():
-        C0, n = data["C0"], bench.n
+        C0, n = data["C0"], benchmark_instance.n
         bound = math.ceil(math.log(n * omega / C0) / math.log(1 - GAMMA))
         measured = recovery_iteration(data["trace"])
         total += data["elapsed"]
@@ -191,32 +176,32 @@ def test_c04_finite_time_recovery_bound(bench, sweep_runs):
           f"runtime {total:.2f}s < 10s")
 
 
-def test_c05_one_step_absorption(bench):
+def test_c05_one_step_absorption(benchmark_instance):
     omega = 0.1
     hp = hp_with(BufferSchedule.constant(omega))
-    state = init_state(bench, hp, "at_demand")
-    target = 0.9 * bench.n * omega / (1 - GAMMA)
-    bump = np.linalg.solve(bench.A[0], target - slack_sum(bench, state))
+    state = init_state(benchmark_instance, hp, "at_demand")
+    target = 0.9 * benchmark_instance.n * omega / (1 - GAMMA)
+    bump = np.linalg.solve(benchmark_instance.A[0], target - slack_sum(benchmark_instance, state))
     x, x_prime = state.x.copy(), state.x_prime.copy()
     x[0] += bump
     x_prime[0] += bump
-    state = rebuild(bench, state, x=x, x_prime=x_prime)
-    assert np.allclose(slack_sum(bench, state), target)
-    before = violation_l1(bench, state)
+    state = rebuild(benchmark_instance, state, x=x, x_prime=x_prime)
+    assert np.allclose(slack_sum(benchmark_instance, state), target)
+    before = violation_l1(benchmark_instance, state)
     assert before > 0  # genuinely violated before the absorbing step
     worst = 0.0
     for _ in range(501):
-        state = iterate(state, bench, hp)
-        worst = max(worst, violation_l1(bench, state))
+        state = iterate(state, benchmark_instance, hp)
+        worst = max(worst, violation_l1(benchmark_instance, state))
     assert worst <= 1e-12
     print(f"criterion 5 PASS: violation {before:.3f} at slack 0.9*n*w/(1-gamma) absorbed in "
           f"one iteration and stayed <= {worst:.2e} for 500 more")
 
 
-def test_c06_steady_state_accuracy_bound(bench, constants, sweep_runs):
+def test_c06_steady_state_accuracy_bound(benchmark_instance, benchmark_constants, sweep_runs):
     lines = []
     for omega, data in sweep_runs.items():
-        bound = bounds_report(constants, data["hp"], bench.n, data["C0"]).accuracy_bound
+        bound = bounds_report(benchmark_constants, data["hp"], benchmark_instance.n, data["C0"]).accuracy_bound
         final_norm = math.sqrt(data["trace"].gap[-1])
         assert final_norm <= bound * 1.05
         squared_ok = data["trace"].gap[-1] <= bound  # squared-form variant, informational
@@ -292,9 +277,9 @@ def test_c10_oracle_cross_validation():
           f"KKT residuals {worst_kkt:.2e} <= 1e-8 on 20 instances")
 
 
-def test_c11_fixed_point_stationarity(bench, fig2_trace):
+def test_c11_fixed_point_stationarity(benchmark_instance, fig2_trace):
     state = fig2_trace.final_state
-    moved = iterate(state, bench, hp_with(BufferSchedule.constant(0.0)))
+    moved = iterate(state, benchmark_instance, hp_with(BufferSchedule.constant(0.0)))
     movement = state_difference(moved, state)
     assert movement <= 1e-9
     print(f"criterion 11 PASS: one extra iteration after convergence moves fields by "

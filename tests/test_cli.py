@@ -8,6 +8,7 @@ import pytest
 
 import danyra.cli
 import danyra.netsim
+import danyra.oracle
 from danyra import BufferSchedule, ConfigError, generate_instance, instance_to_json
 from danyra.cli import PRESETS, main, parse_config, run
 from danyra.netsim import Trace
@@ -575,6 +576,24 @@ class TestRun:
         # disturbance scheduled past the horizon is a config error
         assert main(["run", "--preset", "fig2", "--iters", "60", "--out", str(tmp_path)]) == 2
         assert main(["run"]) == 2
+
+    @pytest.mark.parametrize("mode", ["inequality", "equality"])
+    def test_singular_dual_system_is_an_oracle_failure(self, tmp_path, capsys, monkeypatch, mode):
+        # both solvers raise OracleFailureError on a singular dual system, and it exits 4
+        m = 2
+        monkeypatch.setattr(danyra.oracle, "_dual", lambda instance: (None, np.zeros((m, m)), np.ones(m)))
+        cfg = {
+            "instance": {"generate": {"seed": 3, "n": 4, "r_max": 8.0, "extra_edges": 1}},
+            "hp": HP if mode == "equality" else {**HP, "buffer": {"kind": "constant", "omega": 0.1}},
+            "mode": mode,
+            "iters": 30,
+            "out": str(tmp_path / "out"),
+        }
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(cfg), encoding="utf-8")
+        assert main(["run", "--config", str(path)]) == 4
+        assert capsys.readouterr().err.startswith("oracle failure: singular dual system on rows")
+        assert not (tmp_path / "out").exists()
 
 
 KINDS = {"constant": "omega", "decaying": "coefficient", "sequence": "values"}

@@ -1,8 +1,8 @@
 """Two neighbor exchanges per computed iteration: ``z + lam``, then the new ``y``.
 
-``iterate`` reads the mixed auxiliaries ``y_bar = L y`` from the state (the
-previous iteration's second exchange) and mixes ``z + lam`` as one message,
-since ``L z + L lam = L (z + lam)``.  The first tests count the calls to
+``iterate`` reads the message ``z = A x' + L y (+ delta)`` from the state
+(formed with the previous iteration's second exchange) and mixes ``z + lam``
+as one message, since ``L z + L lam = L (z + lam)``.  The first tests count the calls to
 ``Topology.mix``: two per computed ``iterate`` and one per
 ``SwarmState.build``, on both mix branches and in both modes.  A step that
 reuses a fixed state (see ``danyra.engine``) makes none; ``test_fixed_point``
@@ -79,7 +79,7 @@ def test_two_mixes_per_iterate_and_one_per_build(instance, base_hp, counted_mix,
 def four_exchange_trace(plan: ExperimentPlan, oracle) -> Trace:
     """``run_experiment``'s rows, stepped by the four-exchange kernel."""
     instance, hp = plan.instance, plan.hp
-    state = reference_copy(plan.start)
+    state = reference_copy(plan.start, instance)
     viols, slacks, gaps = [], [], []
     for _ in range(plan.iters):
         for event in plan.disturbances:

@@ -10,7 +10,7 @@ steps down from 0.1 to 0.05 at ``FLOOR_DROP_K``), these tests require:
 - every state of the run to equal, bit for bit, a chain with no reuse, whose
   every input is rebuilt with ``SwarmState.build`` (all fields and products);
 - a step to make no ``Topology.mix`` call exactly when its input equals its
-  predecessor in the seven arrays a step reads under an unchanged floor, and
+  predecessor in the six arrays a step reads under an unchanged floor, and
   two otherwise;
 - a fixed state paired with a value-equal but distinct ``HyperParams`` or
   instance, remade by ``apply_disturbance``, ``copy``, ``deepcopy``,
@@ -48,8 +48,8 @@ GENERATE = {"seed": 1, "n": 4, "r_max": 10.0, "extra_edges": 2}
 STEP_SIZES = {"alpha": 0.02974, "beta": 0.27, "eta": 0.07, "gamma": 0.8922}  # the equality preset's
 FLOOR_DROP_K = 3600
 ITERS = {EQUALITY: 1900, INEQUALITY: 3650}
-FIELDS = ("x", "x_prime", "y", "lam", "delta", "Ax", "Ax_prime", "y_bar", "Ax_sum")
-STEP_READS = ("x_prime", "y", "lam", "delta", "Ax", "Ax_prime", "y_bar")
+FIELDS = ("x", "x_prime", "y", "lam", "delta", "Ax", "z", "Ax_sum")
+STEP_READS = ("x_prime", "y", "lam", "delta", "Ax", "z")
 
 
 def make_hp(mode):

@@ -36,10 +36,10 @@ from danyra.engine import SwarmState
 from danyra.problem import agent_sum
 
 from conftest import randomize_state
-from reference_step import reference_iterate
+from reference_step import reference_copy, reference_iterate
 
 STACKS = ("A", "d", "P", "Q", "projector_stack", "hessian_stack")
-ARRAYS = ("x", "x_prime", "y", "lam", "delta", "Ax", "Ax_prime", "y_bar")
+ARRAYS = ("x", "x_prime", "y", "lam", "delta", "Ax", "z")
 FIELDS = ("x", "x_prime", "y", "lam", "delta")
 
 
@@ -147,7 +147,7 @@ def test_finiteness_check_names_the_first_nonfinite_field(divergence_instances, 
                 instance, **{**{f: getattr(start, f) for f in ("k", *FIELDS)}, field: values}
             )
             with pytest.raises(DivergenceError) as full_check:
-                reference_iterate(state, instance, hp)
+                reference_iterate(reference_copy(state, instance), instance, hp)
             with pytest.raises(DivergenceError) as err:
                 iterate(state, instance, hp)
             assert str(err.value) == str(full_check.value)
@@ -169,6 +169,6 @@ def test_finiteness_check_sees_an_overflow_in_the_dual_update(divergence_instanc
     start = init_state(instance, hp, mode=mode)
     state = SwarmState.build(instance, **{**{f: getattr(start, f) for f in ("k", *FIELDS)}, "lam": lam})
     with pytest.raises(DivergenceError, match=rf"non-finite lambda at iteration 0 \(agents \[{agent}\]\)"):
-        reference_iterate(state, instance, hp)
+        reference_iterate(reference_copy(state, instance), instance, hp)
     with pytest.raises(DivergenceError, match=rf"non-finite lambda at iteration 0 \(agents \[{agent}\]\)"):
         iterate(state, instance, hp)

@@ -168,7 +168,7 @@ class TestRunExperiment:
         plan = ExperimentPlan(instance=small_instance, hp=hp, iters=20, x0_offset=offset, disturbances=(event,))
         direct = init_state(small_instance, hp, "at_demand", x0_offset=offset)
         assert plan.start.k == direct.k
-        for name in ("x", "x_prime", "y", "lam", "delta", "Ax", "Ax_prime"):
+        for name in ("x", "x_prime", "y", "lam", "delta", "Ax", "z"):
             assert getattr(plan.start, name).tobytes() == getattr(direct, name).tobytes(), name
             assert not getattr(plan.start, name).flags.writeable, name
         # derived, so a caller can neither pass nor replace it

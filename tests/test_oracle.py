@@ -143,19 +143,22 @@ class TestActiveSet:
         assert max(kkt_residuals(inst, sol).values()) <= 1e-8
 
     @pytest.mark.parametrize(
-        "G, message",
+        "G, message, solve",
         [
-            pytest.param(np.zeros((1, 1)), "singular dual system", id="singular"),
+            pytest.param(np.zeros((1, 1)), "singular dual system", solve_active_set, id="singular"),
             # an indefinite dual: the held row's multiplier comes out negative at every step
-            pytest.param(-np.ones((1, 1)), "did not settle within 4 steps", id="step-cap"),
+            pytest.param(-np.ones((1, 1)), "did not settle within 4 steps", solve_active_set, id="step-cap"),
+            pytest.param(
+                np.zeros((1, 1)), r"singular dual system on rows \[0\]", solve_equality, id="equality-singular"
+            ),
         ],
     )
-    def test_failures_raise_oracle_failure(self, monkeypatch, G, message):
+    def test_failures_raise_oracle_failure(self, monkeypatch, G, message, solve):
         inst = scalar_instance(-1.0)
         H = np.ones((1, 1, 1))
         monkeypatch.setattr(oracle, "_dual", lambda instance: (H, G, np.ones(1)))
         with pytest.raises(OracleFailureError, match=message):
-            solve_active_set(inst)
+            solve(inst)
 
     def test_generic_costs_rejected(self):
         cost = CallableCost(value_fn=lambda x: float(x @ x), gradient_fn=lambda x: 2 * x, p=2)

@@ -14,7 +14,7 @@ PUBLIC_NAMES = {
     **dict.fromkeys(["SwarmState", "init_state", "iterate"], "danyra.engine"),
     **dict.fromkeys(
         [
-            "ConfigError", "DanyraError", "DegenerateInstanceError", "DivergenceError", "InvalidInstanceError",
+            "ConfigError", "DanyraError", "DivergenceError", "InvalidInstanceError",
             "OracleFailureError", "TopologyError",
         ],
         "danyra.errors",

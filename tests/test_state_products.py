@@ -1,14 +1,15 @@
-"""The carried coupling products: bit-identical to the frozen kernel, and never stale.
+"""The carried products: bit-identical to the frozen kernel, and never stale.
 
-A state carries ``Ax = A_i x_i`` and ``Ax_prime = A_i x'_i``; ``iterate`` reads
-them instead of recomputing them, and the recorded violation and slack are
-formed from ``Ax``.  The first tests require every iterate, both products and
-both metrics to equal, bit for bit, ``reference_step.reference_iterate`` (the
-two-exchange step with the products recomputed) and its metric formulas over 50 steps
-on several kinds of instance.  The others require a state's arrays to be
-read-only wherever the state comes from, and its products to be exactly the
-products of its decisions; the same holds for the carried ``y_bar = L y``,
-which must equal ``Topology.mix(state.y)`` bit for bit.
+A state carries ``Ax = A_i x_i`` and the message ``z = A_i x'_i + (L y)_i
+(+ delta_i)``; ``iterate`` reads them instead of recomputing them, and the
+recorded violation and slack are formed from ``Ax``.  The first tests require
+every iterate, both products and both metrics to equal, bit for bit,
+``reference_step.reference_iterate`` (the two-exchange step with the products
+recomputed) and its metric formulas over 50 steps on several kinds of
+instance.  The others require a state's arrays to be read-only wherever the
+state comes from, and its products to be exactly the products of its
+iterates: ``Ax`` of ``x``, and ``z`` of ``x'``, ``Topology.mix(state.y)`` and
+``delta``, bit for bit.
 """
 
 from __future__ import annotations
@@ -50,10 +51,11 @@ from reference_step import (
     reference_iterate,
     reference_slack_sum,
     reference_violation_l1,
+    reference_z,
 )
 
 FIELDS = ("x", "x_prime", "y", "lam", "delta")
-ARRAYS = FIELDS + ("Ax", "Ax_prime", "y_bar")
+ARRAYS = FIELDS + ("Ax", "z")
 STEPS = 50
 
 
@@ -67,6 +69,11 @@ def same_bits(a, b) -> bool:
 
 def products(instance, x):
     return np.einsum("nmp,np->nm", instance.A, x)
+
+
+def message(instance, state: SwarmState):
+    """``A x' + L y (+ delta)`` of a state's iterates, formed by the reference from its own ``L y``."""
+    return reference_z(instance, reference_copy(state, instance))
 
 
 def dense_wide_instance(n=6, seed=21):
@@ -112,8 +119,7 @@ def assert_matches_reference(instance, state: SwarmState, ref: ReferenceState) -
             continue
         assert same_bits(getattr(state, name), getattr(ref, name)), name
     assert same_bits(state.Ax, products(instance, ref.x))
-    assert same_bits(state.Ax_prime, products(instance, ref.x_prime))
-    assert same_bits(state.y_bar, ref.y_bar)
+    assert same_bits(state.z, reference_z(instance, ref))
     assert bits(violation_l1(instance, state)) == bits(reference_violation_l1(instance, ref.x))
     assert same_bits(slack_sum(instance, state), reference_slack_sum(instance, ref.x, ref.delta))
 
@@ -121,7 +127,7 @@ def assert_matches_reference(instance, state: SwarmState, ref: ReferenceState) -
 def run_both(instance, hp, mode, seed, events=None):
     """50 steps of ``iterate`` and of the frozen kernel from one randomized state, compared each step."""
     state = randomize_state(instance, init_state(instance, hp, "at_demand", mode=mode), seed=seed)
-    ref = reference_copy(state)
+    ref = reference_copy(state, instance)
     for _ in range(STEPS):
         for event in (events or {}).get(state.k, ()):
             state = apply_disturbance(state, instance, event)
@@ -169,7 +175,7 @@ class TestBitIdenticalToFrozenKernel:
         event = DisturbanceEvent(at_iteration=25, additive=[50.0, 50.0])
         plan = ExperimentPlan(instance=benchmark_instance, hp=hp, iters=STEPS, disturbances=(event,))
         trace = run_experiment(plan, benchmark_oracle)
-        ref = reference_copy(init_state(benchmark_instance, hp, "at_demand"))
+        ref = reference_copy(init_state(benchmark_instance, hp, "at_demand"), benchmark_instance)
         viols, slacks = [], []
         for _ in range(STEPS):
             if ref.k == event.at_iteration:
@@ -242,21 +248,21 @@ class TestNoStaleProducts:
         zeros = np.zeros((small_instance.n, small_instance.m))
         built = SwarmState(k=0, x=x, x_prime=x, y=zeros, lam=zeros, delta=None)
         assert x.flags.writeable and zeros.flags.writeable  # the caller's arrays are left alone
-        with pytest.raises(AttributeError, match="Ax_prime"):
-            built.Ax_prime
+        with pytest.raises(AttributeError, match="'z'"):
+            built.z
         with pytest.raises(TypeError):
             SwarmState(k=0, x=x, x_prime=x, y=zeros, lam=zeros, delta=None, Ax=zeros)
 
     def test_products_match_the_decisions(self, small_instance, base_hp):
         for origin, state in handed_out_states(small_instance, base_hp(omega=0.1)).items():
             assert same_bits(state.Ax, products(small_instance, state.x)), origin
-            assert same_bits(state.Ax_prime, products(small_instance, state.x_prime)), origin
+            assert same_bits(state.z, message(small_instance, state)), origin
             # the shared total behind a row's violation and slack: computed once, read-only
             assert same_bits(state.Ax_sum, agent_sum(state.Ax)), origin
             assert state.Ax_sum is state.Ax_sum and not state.Ax_sum.flags.writeable, origin
 
     @pytest.mark.parametrize("n", [5, 601], ids=["dense-mix-5", "segment-sum-601"])
-    def test_y_bar_is_the_mixed_y(self, base_hp, n):
+    def test_z_is_the_message(self, base_hp, n):
         instance = generate_instance(77, n, 10.0, 2 if n == 5 else 2 * n)
         hp = base_hp(omega=0.1)
         states = handed_out_states(instance, hp)
@@ -264,17 +270,17 @@ class TestNoStaleProducts:
         states["pickle"] = pickle.loads(pickle.dumps(stepped))
         states["deepcopy"] = copy.deepcopy(stepped)
         for origin, state in states.items():
-            assert same_bits(state.y_bar, instance.topology.mix(state.y)), origin
-            assert not state.y_bar.flags.writeable, origin
-            assert state.y_bar.flags.f_contiguous, origin
+            assert same_bits(state.z, message(instance, state)), origin
+            assert not state.z.flags.writeable, origin
+            assert state.z.flags.f_contiguous, origin
 
     def test_disturbance_refreshes_products(self, small_instance, base_hp):
         state = randomize_state(small_instance, init_state(small_instance, base_hp(), "at_demand"), seed=7)
         hit = apply_disturbance(state, small_instance, DisturbanceEvent(at_iteration=1, additive=[4.0, -1.0]))
         assert not same_bits(hit.Ax, state.Ax)
         assert same_bits(hit.Ax, products(small_instance, hit.x))
-        assert same_bits(hit.Ax_prime, products(small_instance, hit.x_prime))
-        assert not same_bits(hit.Ax_prime, state.Ax_prime)
+        assert same_bits(hit.z, message(small_instance, hit))
+        assert not same_bits(hit.z, state.z)
         assert same_bits(state.Ax, products(small_instance, state.x))  # the input is unchanged
 
     @pytest.mark.parametrize("n", [5, 601], ids=["dense-mix-5", "segment-sum-601"])
@@ -284,14 +290,14 @@ class TestNoStaleProducts:
         state = randomize_state(instance, init_state(instance, base_hp(omega=0.1), "at_demand"), seed=9)
         event = DisturbanceEvent(at_iteration=1, additive=[50.0 / 3.0, -1e-7])
         hit = apply_disturbance(state, instance, event)
-        assert_matches_reference(instance, hit, reference_disturb(reference_copy(state), event))
+        assert_matches_reference(instance, hit, reference_disturb(reference_copy(state, instance), event))
         assert hit.x.flags.f_contiguous and hit.x_prime.flags.f_contiguous
 
     def test_round_trip_rebuilds_products(self, small_instance, base_hp):
         state = randomize_state(small_instance, init_state(small_instance, base_hp(omega=0.2), "at_demand"), seed=8)
         state = iterate(state, small_instance, base_hp(omega=0.2))
         data = state.to_dict()
-        assert "Ax" not in data and "Ax_prime" not in data
+        assert "Ax" not in data and "z" not in data
         back = SwarmState.from_dict(data, small_instance)
         for name in ARRAYS:
             assert same_bits(getattr(back, name), getattr(state, name)), name
