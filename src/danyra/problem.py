@@ -72,7 +72,7 @@ class CallableCost:
 # agent-innermost columns (2-core x86, numpy 2.4), dense vs segment sum:
 # 2.5-2.9 vs 11-12 us at n=14, 9-11 vs 24-27 us at n=200, 33-37 vs 38-42 us
 # at n=400, 68-70 vs 45-50 us at n=500, 116-140 vs 51-52 us at n=600,
-# 222-313 vs 47-65 us at n=700, 1.9-2.7 vs 0.15-0.17 ms at n=2000.  The
+# 222-313 vs 47-65 us at n=700, 1.2-1.6 ms vs 84-116 us at n=2000.  The
 # crossover is near n=450; the threshold stays at 600 because moving it
 # changes the rounding of ``mix``, and so the traces, for every n in between.
 DENSE_MIX_MAX_N = 600
@@ -441,7 +441,12 @@ def generate_instance(seed: int, n: int, r_max: float, extra_edges: int = 0) -> 
     Per agent, ``A_i = blkdiag(1, C_i)`` with ``C_i ~ U[0.5, 2.0]``,
     ``d_i = [r_max/n, 1/n]``, ``P_i`` symmetric positive definite with
     eigenvalues drawn from ``U[0.5, 2.0]`` in a random orthogonal basis, and
-    ``Q_i`` entrywise uniform in ``(0, 1]``.  Deterministic for a fixed seed.
+    ``Q_i`` entrywise uniform in ``(0, 1]``.
+
+    A seed's instance stays the same as long as numpy's ``default_rng`` stream
+    does, since the draws keep one order: first the chords, then agent by
+    agent ``C_i``, the two eigenvalues, the four normals of the basis (row by
+    row) and the two entries of ``Q_i``.
     """
     n = _whole_number(n, "n", InvalidInstanceError)
     extra_edges = _whole_number(extra_edges, "extra_edges", InvalidInstanceError)
@@ -458,15 +463,19 @@ def generate_instance(seed: int, n: int, r_max: float, extra_edges: int = 0) -> 
 
     rng = np.random.default_rng(seed)
     topology = _metropolis_topology(n, _ring_with_chords(n, extra_edges, rng))
-    C = np.empty(n)
-    eigs = np.empty((n, 2))
+    # uniform(a, b) is a + (b - a) * random(), one word per double, so agent
+    # i's two Q_i doubles and agent i + 1's C and eigenvalues are one run of
+    # five random() doubles; row i of u is agent i's C_i, eigenvalues and Q_i
+    u = np.empty(5 * n)
     normals = np.empty((n, 2, 2))
-    Q = np.empty((n, 2))
-    for i in range(n):  # each agent's draws, in the generator's order
-        C[i] = rng.uniform(0.5, 2.0)
-        eigs[i] = rng.uniform(0.5, 2.0, size=2)
-        normals[i] = rng.standard_normal((2, 2))
-        Q[i] = 1.0 - rng.random(2)  # entrywise in (0, 1]
+    rng.random(out=u[:3])
+    for i in range(n):  # the normals have no fixed word count: one call each
+        rng.standard_normal(out=normals[i])
+        rng.random(out=u[5 * i + 3 : 5 * i + 8])  # the last agent's run is its two Q doubles
+    u = u.reshape(n, 5)
+    C = 0.5 + 1.5 * u[:, 0]
+    eigs = 0.5 + 1.5 * u[:, 1:3]
+    Q = 1.0 - u[:, 3:]  # entrywise in (0, 1]
     basis, r = np.linalg.qr(normals)
     basis = basis * np.sign(np.diagonal(r, axis1=1, axis2=2))[:, None, :]
     P = (basis * eigs[:, None, :]) @ basis.transpose(0, 2, 1)

@@ -1,10 +1,13 @@
 """Agent-by-agent construction of the generated agents: what ``generate_instance`` is diffed against.
 
 ``agent_stacks`` draws and builds one agent at a time, with one ``qr`` and
-one matrix product per agent, and stacks the results.  ``danyra`` draws in
-the same order but builds all agents at once with batched linear algebra, and
-the tests require ``A``, ``d``, ``P`` and ``Q`` to be bit-identical for the
-same random generator.
+one matrix product per agent, and stacks the results.  ``danyra`` draws the
+same numbers in the same order, but merges the uniform draws into runs of
+``rng.random`` that it scales afterwards, and builds all agents at once with
+batched linear algebra; the tests require ``A``, ``d``, ``P`` and ``Q`` to be
+bit-identical for the same random generator.  The draws here stay
+``rng.uniform``, so the tests also check that the installed numpy's
+``uniform(a, b)`` is ``a + (b - a) * random()``.
 """
 
 from __future__ import annotations

@@ -15,7 +15,9 @@ steps down from 0.1 to 0.05 at ``FLOOR_DROP_K``), these tests require:
 - a fixed state paired with a value-equal but distinct ``HyperParams`` or
   instance, remade by ``apply_disturbance``, ``copy``, ``deepcopy``,
   ``pickle``, ``from_dict`` or ``build``, or under a floor that stepped down,
-  to be stepped in full, to the same bits.
+  to be stepped in full, to the same bits;
+- a step that changes ``x'`` only along the null space of ``A`` (p > m), and
+  so no other array a step reads, not to be reused.
 """
 
 from __future__ import annotations
@@ -31,9 +33,12 @@ from danyra import (
     EQUALITY,
     INEQUALITY,
     BufferSchedule,
+    CallableCost,
     DisturbanceEvent,
     HyperParams,
+    ProblemInstance,
     SwarmState,
+    Topology,
     apply_disturbance,
     generate_instance,
     init_state,
@@ -151,3 +156,24 @@ def test_a_floor_that_steps_down_is_stepped_in_full(run, counted_mix):
     assert len(counted_mix) == 2
     assert_same_bits(got, iterate(rebuild(instance, fixed), instance, hp))
     assert reads(got) != reads(fixed)
+
+
+def test_a_step_that_moves_x_prime_only_along_the_null_space_of_A_is_not_reused():
+    # p = 2 > m = 1 and A_i = [1, 0]: a constant gradient (0, g) moves x'_i along (0, 1), and with equal
+    # demands, x = x' and y = lam = 0, every other array a step reads keeps its bits from step to step
+    n, g = 2, 1.0
+    topology = Topology(n=n, edges=[(0, 1)], weights=[0.5])
+    cost = CallableCost(value_fn=lambda x: g * x[1], gradient_fn=lambda x: np.array([0.0, g]), p=2)
+    A = np.tile([[[1.0, 0.0]]], (n, 1, 1))
+    instance = ProblemInstance(A=A, d=np.ones((n, 1)), topology=topology, costs=(cost,) * n)
+    hp = make_hp(EQUALITY)
+    x = np.tile([1.0, 0.0], (n, 1))
+    zeros = np.zeros((n, 1))
+    states = [SwarmState.build(instance, k=0, x=x, x_prime=x, y=zeros, lam=zeros, delta=None)]
+    for _ in range(4):
+        states.append(iterate(states[-1], instance, hp))
+    fresh = states[0]
+    for before, state in zip(states, states[1:]):
+        fresh = iterate(rebuild(instance, fresh), instance, hp)
+        assert_same_bits(state, fresh)
+        assert reads(state)[0] != reads(before)[0] and reads(state)[1:] == reads(before)[1:]

@@ -1,5 +1,6 @@
 """The edge-form topology and the batched agent build: generator bit-identity, mixing, O(|E|) validation."""
 
+import hashlib
 import json
 
 import numpy as np
@@ -45,7 +46,8 @@ def test_generated_topology_bit_identical_to_dense_reference(n):
             assert np.array_equal(top.edges, edges), (seed, n, extra)
             assert _bits(top.weights) == _bits(W[tuple(np.array(edges).T)]), (seed, n, extra)
             assert _bits(top.L) == _bits(L), (seed, n, extra)
-            # the agents draw from where the chord picks left the generator
+            # the agents draw from where the chord picks left the generator (at n = 2 and 3
+            # there are none, and the last agent's run of doubles is only its two Q entries)
             for name, stack in zip("AdPQ", agent_stacks(n, 10.0, rng)):
                 assert _bits(getattr(inst, name)) == _bits(stack), (seed, n, extra, name)
             from_adjacency = metropolis_weights(adj)
@@ -55,6 +57,37 @@ def test_generated_topology_bit_identical_to_dense_reference(n):
             ring_with_chords(n, available + 1, np.random.default_rng(seed))
         with pytest.raises(InvalidInstanceError, match=f"only {available} available"):
             generate_instance(seed, n, 10.0, available + 1)
+
+
+@pytest.mark.parametrize("seed", [1534, 7])
+def test_large_n_agents_bit_identical_to_reference(seed):
+    # the large-n benchmark's instances; the dense topology reference is too slow at this size
+    inst = generate_instance(seed, 2000, 70.0, 4000)
+    rng = np.random.default_rng(seed)
+    rng.choice(_available_chords(2000), size=4000, replace=False)  # the chord picks
+    for name, stack in zip("AdPQ", agent_stacks(2000, 70.0, rng)):
+        assert _bits(getattr(inst, name)) == _bits(stack), name
+
+
+# SHA-256 of instance_to_json for the presets' and the benchmark's instances
+# (fig2, equality and large-n, both seeds of each)
+INSTANCE_SHA256 = {
+    (1534, 14, 70.0, 16): "833406496aa451a3338d36a43f56efbe0bffc13ef0f6946b7e51af4f84b18ad9",
+    (52, 14, 70.0, 16): "54bb6aaf391ed1042650c3d11bab2469f0d0c1c2a6a82db6a99aea1485549f4c",
+    (101, 10, 20.0, 6): "fe70f4429acf805e96087ab746790cd1cf9b5e88bacfc335740427eb7b0256a8",
+    (7, 10, 20.0, 6): "1894eced15d65992f62640fb5f8c31a9b25087a981256770ef7dbf60a20bdcff",
+    (1534, 2000, 70.0, 4000): "5788576966c60960208ff121e145413123aea49806aa08d896a3ec527f7e98e1",
+    (7, 2000, 70.0, 4000): "97bcabedbc1cd7e61dd8aab9f7bdc81d6155976f76f4f1c53329b10cb1948ee8",
+}
+
+
+@pytest.mark.parametrize("generate", INSTANCE_SHA256, ids=lambda g: f"seed{g[0]}-n{g[1]}")
+def test_preset_and_benchmark_instances_are_pinned(generate):
+    digest = hashlib.sha256(instance_to_json(generate_instance(*generate)).encode()).hexdigest()
+    assert digest == INSTANCE_SHA256[generate], (
+        f"generate_instance{generate} is not the instance the presets' and the benchmark's references "
+        f"were made from: numpy {np.__version__}'s default_rng stream, or the generator's draw order, changed"
+    )
 
 
 @pytest.mark.parametrize(
