@@ -192,10 +192,8 @@ def _validate_config(cfg: dict) -> dict:
         raise ConfigError("sweep is not allowed in equality mode: with no queue, every member would run alike")
     if sweep is None:  # a sweep runs its members' buffers and never reads hp.buffer
         hp = {"buffer": {"kind": "constant", "omega": 0.0}, **hp}
-    # the range checks of the steps and of every buffer, before any run
-    schedules = [_hyperparams(hp, buffer).buffer for buffer in sweep or [hp["buffer"]]]
-    if cfg["mode"] == EQUALITY and schedules[0].value(0) > 0:  # a schedule's first floor is its largest
-        raise ConfigError(f"hp.buffer must be zero in equality mode, which has no queue, got {hp['buffer']}")
+    for buffer in sweep or [hp["buffer"]]:  # the range checks of the steps and of every buffer, before any run
+        _hyperparams(hp, buffer)
     labels = [_buffer_label(buffer) for buffer in sweep or []]
     if len(set(labels)) < len(labels):
         raise ConfigError(f"sweep members must have distinct labels, got {labels}")
@@ -244,8 +242,6 @@ def parse_config(
             if not (isinstance(source, dict) and isinstance(source.get("generate"), dict)):
                 raise ConfigError("--seed only applies to generated instances")
             cfg["instance"] = {"generate": {**source["generate"], "seed": value}}
-        elif key == "mode":
-            cfg["mode"] = {"ineq": INEQUALITY, "eq": EQUALITY}.get(value, value)
         elif key in ("iters", "out"):
             cfg[key] = value
         else:
@@ -301,43 +297,18 @@ def _write_json(path: Path, payload: dict) -> None:
     path.write_text(text + "\n", encoding="utf-8")
 
 
-def _run_single(config, plan: ExperimentPlan, oracle, sc, report, buffer, out_dir: Path) -> dict:
-    instance = plan.instance
-    initial_violation = violation_l1(instance, plan.start)
-    trace = run_experiment(plan, oracle)
-
-    out_dir.mkdir(parents=True, exist_ok=True)
-    trace.to_csv(out_dir / "trace.csv")
-    C_vio, C_vio_k = largest_violation(initial_violation, trace)
-    bounds = bounds_report(sc, plan.hp, instance.n, C_vio)
-    _write_json(out_dir / "bounds.json", {**dataclasses.asdict(bounds), "C_vio": C_vio, "C_vio_k": C_vio_k})
-
-    recovery = recovery_iteration(trace)
-    summary = {
-        "preset": config["preset"],
-        "mode": plan.mode,
-        "buffer": buffer,
-        "iters": plan.iters,
-        "seed": config["instance"].get("generate", {}).get("seed"),
-        "n": instance.n,
-        "initial_violation": initial_violation,
-        "final_gap": trace.final_gap,
-        "final_violation": trace.final_violation,
-        "recovery_iteration": recovery,
-        "conditions": report.to_dict(),
-        "wallclock_per_iteration": trace.wallclock_per_iteration,
-    }
-    _write_json(out_dir / "report.json", summary)
-    return summary
-
-
 def run(config: dict) -> int:
-    """Build the instance and every run's plan (bad inputs fail here), then solve, run and emit files."""
+    """Build the instance and every run's plan (bad inputs fail here), then solve, run and emit files.
+
+    A single run writes its files to ``out``; a sweep writes each member's to ``out/<label>`` and an
+    aggregate ``report.json`` to ``out``.
+    """
     instance = _build_instance(config)
-    buffers = [config["hp"]["buffer"]] if config["sweep"] is None else config["sweep"]
+    sweep = config["sweep"]
+    buffers = sweep or [config["hp"]["buffer"]]
     plans = [_build_plan(config, instance, buffer) for buffer in buffers]
     out_root = Path(config["out"])
-    labels = [_buffer_label(buffer) for buffer in config["sweep"] or []]
+    labels = [_buffer_label(buffer) for buffer in sweep or []]
     dirs = [out_root / label for label in labels] or [out_root]
     # every file a run writes, checked before any work: none may be a directory, nor lie under a non-directory
     for path in [out_root / "report.json", *(d / f for d in dirs for f in ("trace.csv", "bounds.json", "report.json"))]:
@@ -350,15 +321,34 @@ def run(config: dict) -> int:
     # the conditions do not read the buffer, so every member shares one report
     report = validate_hyperparams(plans[0].hp, sc, config["mode"])
 
-    if config["sweep"] is None:
-        _run_single(config, plans[0], oracle, sc, report, buffers[0], out_root)
-    else:
-        summaries = {}
-        for buffer, plan, label in zip(buffers, plans, labels):
-            summaries[label] = _run_single(config, plan, oracle, sc, report, buffer, out_root / label)
-        out_root.mkdir(parents=True, exist_ok=True)
+    summaries = []
+    for plan, buffer, out_dir in zip(plans, buffers, dirs):
+        initial_violation = violation_l1(instance, plan.start)
+        trace = run_experiment(plan, oracle)
+        out_dir.mkdir(parents=True, exist_ok=True)
+        trace.to_csv(out_dir / "trace.csv")
+        C_vio, C_vio_k = largest_violation(initial_violation, trace)
+        bounds = bounds_report(sc, plan.hp, instance.n, C_vio)
+        _write_json(out_dir / "bounds.json", {**dataclasses.asdict(bounds), "C_vio": C_vio, "C_vio_k": C_vio_k})
+        summary = {
+            "preset": config["preset"],
+            "mode": plan.mode,
+            "buffer": buffer,
+            "iters": plan.iters,
+            "seed": config["instance"].get("generate", {}).get("seed"),
+            "n": instance.n,
+            "initial_violation": initial_violation,
+            "final_gap": trace.final_gap,
+            "final_violation": trace.final_violation,
+            "recovery_iteration": recovery_iteration(trace),
+            "conditions": report.to_dict(),
+            "wallclock_per_iteration": trace.wallclock_per_iteration,
+        }
+        _write_json(out_dir / "report.json", summary)
+        summaries.append(summary)
+    if sweep is not None:
         keys = ("final_gap", "final_violation", "recovery_iteration")
-        members = {label: {key: s[key] for key in keys} for label, s in summaries.items()}
+        members = {label: {key: s[key] for key in keys} for label, s in zip(labels, summaries)}
         _write_json(out_root / "report.json", {"preset": config["preset"], "members": members})
     return 0
 
@@ -372,7 +362,6 @@ def main(argv=None) -> int:
     runp.add_argument("--seed", type=int, help="override the generator seed")
     runp.add_argument("--iters", type=int, help="override the iteration count")
     runp.add_argument("--out", help="override the output directory")
-    runp.add_argument("--mode", choices=["ineq", "eq", INEQUALITY, EQUALITY], help="constraint mode")
 
     args = parser.parse_args(argv)
     try:
@@ -381,7 +370,7 @@ def main(argv=None) -> int:
         config = parse_config(
             config_path=args.config,
             preset=args.preset,
-            overrides={key: getattr(args, key) for key in ("seed", "iters", "out", "mode")},
+            overrides={key: getattr(args, key) for key in ("seed", "iters", "out")},
         )
         return run(config)
     except ConfigError as exc:

@@ -11,7 +11,7 @@ from .engine import SwarmState, _real_vector, init_state, iterate
 from .errors import ConfigError
 from .metrics import optimality_gap, slack_sum, violation_l1
 from .oracle import OracleSolution
-from .problem import INEQUALITY, HyperParams, ProblemInstance, _whole_number
+from .problem import EQUALITY, INEQUALITY, HyperParams, ProblemInstance, _whole_number
 
 
 @dataclass(frozen=True)
@@ -55,7 +55,9 @@ class ExperimentPlan:
 
     ``start`` is the iteration-0 state that ``init_state`` builds from the start
     inputs when the plan is constructed, so a bad one rejects the plan; it is
-    derived (not a constructor parameter) and read-only.
+    derived (not a constructor parameter) and read-only.  Equality mode has
+    no queue, so its ``hp.buffer`` must be zero (``hp.buffer.value(0) == 0``);
+    any other floor is a ``ConfigError``.
     """
 
     instance: ProblemInstance
@@ -80,6 +82,8 @@ class ExperimentPlan:
         object.__setattr__(self, "disturbances", events)
         start = init_state(self.instance, self.hp, self.init_mode, mode=self.mode, x0_offset=self.x0_offset)
         object.__setattr__(self, "start", start)
+        if self.mode == EQUALITY and self.hp.buffer.value(0) > 0:  # a schedule's first floor is its largest
+            raise ConfigError(f"hp.buffer must be zero in equality mode, which has no queue, got {self.hp.buffer}")
         for ev in events:
             if ev.at_iteration >= self.iters:
                 raise ConfigError(

@@ -123,6 +123,8 @@ class TestParseConfig:
         config = parse_config(self.write(tmp_path, self.minimal()))
         assert config["iters"] == 10
         assert config["hp"]["buffer"] == {"kind": "constant", "omega": 0.0}
+        config = parse_config(self.write(tmp_path, {**self.minimal(), "iters": 30.0}))  # a whole float is an integer
+        assert config["iters"] == 30 and type(config["iters"]) is int
 
     def test_missing_mode_named(self, tmp_path):
         cfg = self.minimal()
@@ -144,11 +146,12 @@ class TestParseConfig:
 
     def test_flags_override_file(self, tmp_path):
         path = self.write(tmp_path, self.minimal())
-        config = parse_config(path, overrides={"seed": 99, "iters": 7, "mode": "eq", "out": "o2"})
+        config = parse_config(path, overrides={"seed": 99, "iters": 7, "out": "o2"})
         assert config["instance"]["generate"]["seed"] == 99
         assert config["iters"] == 7
-        assert config["mode"] == "equality"
         assert config["out"] == "o2"
+        with pytest.raises(ConfigError, match="unknown override 'x'"):
+            parse_config(path, overrides={"x": 1})
 
     def test_file_overrides_preset(self, tmp_path):
         cfg = {"preset": "fig2", "iters": 777}
@@ -395,6 +398,7 @@ class TestRun:
             pytest.param({"disturbances": [{**DIST, "perturb_x_prime": 0}]}, id="perturb-x-prime-zero"),
             pytest.param({"out": 7}, id="out-number"),
             pytest.param({"sweep": []}, id="sweep-empty"),
+            pytest.param({"mode": "eq"}, id="mode-unknown"),
         ],
     )
     def test_config_shape_errors(self, tmp_path, capsys, edit):
@@ -571,11 +575,29 @@ class TestRun:
         assert "sweep members must have distinct labels" in capsys.readouterr().err
         assert not (tmp_path / "sweep").exists()
 
-    def test_exit_codes(self, tmp_path):
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the diverging run overflows before it is non-finite
+    def test_exit_codes(self, tmp_path, capsys):
         assert main(["run", "--preset", "nope"]) == 2
         # disturbance scheduled past the horizon is a config error
         assert main(["run", "--preset", "fig2", "--iters", "60", "--out", str(tmp_path)]) == 2
         assert main(["run"]) == 2
+        capsys.readouterr()
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps([self.small_cfg(tmp_path)]), encoding="utf-8")
+        assert main(["run", "--config", str(path)]) == 2
+        assert capsys.readouterr().err == "config error: config document must be a JSON object\n"
+        path.write_text(json.dumps(self.small_cfg(tmp_path, instance={"file": "instance.json"})), encoding="utf-8")
+        assert main(["run", "--config", str(path), "--seed", "3"]) == 2
+        assert capsys.readouterr().err == "config error: --seed only applies to generated instances\n"
+        # the mode is a config key only: --mode is not an option
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "--preset", "fig2", "--mode", "eq"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --mode eq" in capsys.readouterr().err
+        path.write_text(json.dumps({"preset": "fig2", "hp": {**HP, "alpha": 50.0}, "out": str(tmp_path / "out")}))
+        assert main(["run", "--config", str(path)]) == 3
+        assert capsys.readouterr().err == "divergence: non-finite x at iteration 121 (agents [11])\n"
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("mode", ["inequality", "equality"])
     def test_singular_dual_system_is_an_oracle_failure(self, tmp_path, capsys, monkeypatch, mode):
@@ -612,7 +634,7 @@ class TestBufferConfig:
             **kw,
         }
 
-    def rejected(self, tmp_path, capsys, monkeypatch, cfg, message, *flags):
+    def rejected(self, tmp_path, capsys, monkeypatch, cfg, message):
         """Run ``cfg`` and check it is a config error matching ``message``, raised before the oracle, with no output."""
 
         def no_solve(instance):
@@ -622,7 +644,7 @@ class TestBufferConfig:
             monkeypatch.setattr(danyra.cli, name, no_solve)
         path = tmp_path / "c.json"
         path.write_text(json.dumps(cfg), encoding="utf-8")
-        assert main(["run", "--config", str(path), *flags]) == 2
+        assert main(["run", "--config", str(path)]) == 2
         err = capsys.readouterr().err
         assert re.match(f"config error: {message}", err), err
         assert not (tmp_path / "out").exists()
@@ -713,16 +735,16 @@ class TestBufferConfig:
     def test_equality_mode_takes_only_a_zero_buffer(self, tmp_path, capsys, monkeypatch, buffer):
         cfg = self.config(tmp_path, mode="equality", hp={**HP, "buffer": buffer})
         self.rejected(tmp_path, capsys, monkeypatch, cfg, r"hp\.buffer must be zero in equality mode")
-        # the same through --mode eq
-        cfg = self.config(tmp_path, hp={**HP, "buffer": buffer})
-        self.rejected(tmp_path, capsys, monkeypatch, cfg, r"hp\.buffer must be zero in equality mode", "--mode", "eq")
+        # an inequality preset turned to equality mode by the file's key
+        cfg = {"preset": "fig2", "mode": "equality", "hp": {**HP, "buffer": buffer}, "out": str(tmp_path / "out")}
+        self.rejected(tmp_path, capsys, monkeypatch, cfg, r"hp\.buffer must be zero in equality mode")
 
     def test_equality_mode_takes_no_sweep(self, tmp_path, capsys, monkeypatch):
         sweep = [{"kind": "constant", "omega": 0.5}, {"kind": "constant", "omega": 2.0}]
         cfg = {"preset": "equality", "sweep": sweep, "out": str(tmp_path / "out")}
         self.rejected(tmp_path, capsys, monkeypatch, cfg, "sweep is not allowed in equality mode")
-        cfg = {"preset": "buffer-sweep", "out": str(tmp_path / "out")}
-        self.rejected(tmp_path, capsys, monkeypatch, cfg, "sweep is not allowed in equality mode", "--mode", "eq")
+        cfg = {"preset": "buffer-sweep", "mode": "equality", "out": str(tmp_path / "out")}
+        self.rejected(tmp_path, capsys, monkeypatch, cfg, "sweep is not allowed in equality mode")
 
     @pytest.mark.parametrize(
         "hp",
@@ -738,4 +760,6 @@ class TestBufferConfig:
         cfg = self.config(tmp_path, mode="equality", hp=hp)
         path = tmp_path / "c.json"
         path.write_text(json.dumps(cfg), encoding="utf-8")
-        assert parse_config(str(path))["mode"] == "equality"
+        config = parse_config(str(path))
+        assert config["mode"] == "equality"
+        danyra.cli._build_plan(config, generate_instance(3, 4, 8.0, 1), config["hp"]["buffer"])  # the plan takes it

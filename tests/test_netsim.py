@@ -233,6 +233,27 @@ class TestRunExperiment:
         assert type(event.at_iteration) is type(plan.iters) is type(plan.record_every) is int
         assert run_experiment(plan).ks.tolist() == [2, 4, 6, 8, 10]
 
+    @pytest.mark.parametrize(
+        "buffer, zero",
+        [
+            (BufferSchedule.constant(0.5), False),
+            (BufferSchedule.decaying(5.0), False),
+            (BufferSchedule.sequence([1.0, 0.0]), False),
+            (BufferSchedule.constant(0.0), True),
+            (BufferSchedule.constant(-0.0), True),
+            (BufferSchedule.sequence([0.0, -0.0]), True),
+        ],
+        ids=["constant", "decaying", "sequence", "zero", "negative-zero", "zero-sequence"],
+    )
+    def test_equality_plan_takes_only_a_zero_floor(self, small_instance, base_hp, buffer, zero):
+        hp = dataclasses.replace(base_hp(), buffer=buffer)
+        ExperimentPlan(instance=small_instance, hp=hp, iters=5)  # inequality mode reads any floor
+        if zero:
+            assert ExperimentPlan(instance=small_instance, hp=hp, iters=5, mode=EQUALITY).start.delta is None
+        else:
+            with pytest.raises(ConfigError, match="hp.buffer must be zero in equality mode, which has no queue, got"):
+                ExperimentPlan(instance=small_instance, hp=hp, iters=5, mode=EQUALITY)
+
     def test_equality_mode_residual_contracts(self, base_hp):
         inst = generate_instance(101, 10, 20.0, 6)
         hp = HyperParams(

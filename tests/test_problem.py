@@ -117,6 +117,10 @@ class TestCosts:
         )
         assert inst.cost([[1.0, 2.0]])[0] == 5.0
         assert np.array_equal(inst.gradient([[1.0, 2.0]]), [[2.0, 4.0]])
+        # generic costs have no Hessian stack and no JSON form
+        assert inst.hessian_stack is None
+        with pytest.raises(InvalidInstanceError, match="only quadratic-cost instances are serializable"):
+            instance_to_json(inst)
 
     def test_asymmetric_p_rejected(self):
         with pytest.raises(InvalidInstanceError):
@@ -162,6 +166,8 @@ STACK_DEFECTS = [
     "P, Q and costs",
     "no cost",
     "P without Q",
+    "empty A",
+    "costs count",
 ]
 
 
@@ -199,6 +205,11 @@ def defective_stacks(defect, i):
         del s["P"], s["Q"]
     elif defect == "P without Q":
         del s["Q"]
+    elif defect == "empty A":
+        s["A"] = s["A"][:, :0]
+    elif defect == "costs count":
+        del s["P"], s["Q"]
+        s["costs"] = square_norm_costs([2] * 3)
     return {**s, "topology": inst.topology}
 
 
@@ -291,6 +302,8 @@ class TestGenerateInstance:
             generate_instance(1, 14.5, 70.0, 0)
         with pytest.raises(InvalidInstanceError, match="extra_edges must be a whole number, got 2.5"):
             generate_instance(1, 14, 70.0, 2.5)
+        with pytest.raises(InvalidInstanceError, match="extra_edges must be nonnegative, got -1"):
+            generate_instance(1, 14, 70.0, -1)
         for seed, message in ((1.5, "seed must be a whole number"), (True, "seed must be a whole number"),
                               (-1, "seed must be >= 0")):
             with pytest.raises(InvalidInstanceError, match=message):
@@ -407,6 +420,19 @@ class TestSpectralConstants:
         SpectralConstants(**fields)
         with pytest.raises(InvalidInstanceError, match=f"{name} must be a finite number, got {bad!r}"):
             SpectralConstants(**{**fields, name: bad})
+
+    @pytest.mark.parametrize(
+        "swap, message",
+        [
+            ({"ell": 0.5}, r"need ell >= mu > 0, got ell=0.5, mu=1.0"),
+            ({"sigma_A_max": 0.5}, "coupling singular values must satisfy max >= min > 0"),
+        ],
+        ids=["ell-below-mu", "sigma-A-max-below-min"],
+    )
+    def test_bounds_must_be_ordered(self, swap, message):
+        fields = dict(ell=2.0, mu=1.0, sigma_A_max=2.0, sigma_A_min=1.0, sigma_L_max=2.0, sigma_L_min=0.5)
+        with pytest.raises(InvalidInstanceError, match=message):
+            SpectralConstants(**{**fields, **swap})
 
 
 def check(report, name: str):

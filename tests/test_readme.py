@@ -1,11 +1,14 @@
-"""README.md's Python examples and its config run as written, and the package exports exactly the documented names."""
+"""README.md's Python examples and its config run as written, its CLI section names exactly the options of
+``danyra run``, and the package exports exactly the documented names."""
 
 import re
 import types
 from pathlib import Path
 
+import pytest
+
 import danyra
-from danyra.cli import parse_config, run
+from danyra.cli import main, parse_config, run
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -60,6 +63,17 @@ def test_json_config_block_runs(tmp_path):
     config = parse_config(str(path), overrides={"iters": 600, "out": str(tmp_path / "out")})
     assert run(config) == 0
     assert (tmp_path / "out" / "trace.csv").exists()
+
+
+def test_cli_section_documents_exactly_the_run_options(capsys):
+    text = README.read_text(encoding="utf-8")
+    section = re.search(r"^## CLI\n(.*?)^## ", text, re.M | re.S).group(1)
+    documented = set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", section))
+    with pytest.raises(SystemExit):
+        main(["run", "--help"])
+    options = set(re.findall(r"^ +(?:-\w, )?(--[a-z][a-z-]*)", capsys.readouterr().out, re.M)) - {"--help"}
+    assert {"--config", "--preset"} <= options
+    assert documented == options
 
 
 def test_public_names():

@@ -146,6 +146,8 @@ def test_large_instance_iterates_without_dense_matrices():
         (3, [(0, 1), (1, 2.5)], [0.2, 0.3], "integers"),
         (2.9, [(0, 1)], [0.5], "n must be a whole number, got 2.9"),
         ("2", [(0, 1)], [0.5], "n must be a whole number, got '2'"),
+        (3, [(0, 1, 2)], [0.2], r"edges must be \(i, j\) pairs, got shape \(1, 3\)"),
+        (3, [0, 1], [0.2], r"edges must be \(i, j\) pairs, got shape \(2,\)"),
     ],
 )
 def test_edge_validation_rejects(n, edges, weights, message):
@@ -173,6 +175,21 @@ def test_metropolis_weights_rejects_entries_other_than_zero_one(entry):
     adj[0, 1] = adj[1, 0] = entry
     with pytest.raises(TopologyError, match="0/1 or booleans"):
         metropolis_weights(adj.tolist())
+
+
+@pytest.mark.parametrize(
+    "adj, message",
+    [
+        ([[0, 1, 1], [1, 0, 1]], r"adjacency must be square, got shape \(2, 3\)"),
+        ([0, 1], r"adjacency must be square, got shape \(2,\)"),
+        ([[0, 1, 0], [1, 0, 1], [1, 1, 0]], "adjacency must be symmetric"),
+        ([[1, 1], [1, 0]], "adjacency must have an empty diagonal"),
+    ],
+    ids=["not-square", "one-dimensional", "asymmetric", "self-loop"],
+)
+def test_metropolis_weights_rejects_malformed_adjacency(adj, message):
+    with pytest.raises(TopologyError, match=message):
+        metropolis_weights(adj)
 
 
 @pytest.mark.parametrize("adj", [[[0, 1], [1, 0]], [[0.0, 1.0], [1.0, 0.0]], [[False, True], [True, False]]])
