@@ -64,8 +64,8 @@ PRESETS: dict[str, dict] = {
         "mode": INEQUALITY,
         "iters": 20000,
         "record_every": 1,
-        "disturbances": [],
-        "init": {"mode": "at_demand", "offset": [50.0, 50.0]},
+        "disturbances": [{"at_iteration": 0, "additive": [50.0, 50.0]}],
+        "init": {"mode": "at_demand"},
         "out": "runs/buffer-sweep",
     },
     "equality": {
@@ -128,7 +128,7 @@ _CONFIG = _Object(
         "iters": int,
         "record_every": int,
         "disturbances": [_Object({"at_iteration": int, "additive": [float]}, ("at_iteration", "additive"))],
-        "init": _Object({"mode": str, "offset": _OrNull([float])}),
+        "init": _Object({"mode": str}),
         "out": str,
     },
     ("instance", "hp", "mode", "iters", "out"),
@@ -262,7 +262,6 @@ def _build_instance(config: dict):
 
 
 def _build_plan(config: dict, instance, buffer: dict) -> ExperimentPlan:
-    init = config["init"]
     return ExperimentPlan(
         instance=instance,
         hp=_hyperparams(config["hp"], buffer),
@@ -270,8 +269,7 @@ def _build_plan(config: dict, instance, buffer: dict) -> ExperimentPlan:
         mode=config["mode"],
         disturbances=tuple(DisturbanceEvent(**d) for d in config["disturbances"]),
         record_every=config["record_every"],
-        init_mode=init.get("mode", "at_demand"),
-        x0_offset=init.get("offset"),
+        init_mode=config["init"].get("mode", "at_demand"),
     )
 
 
@@ -301,7 +299,7 @@ def run(config: dict) -> int:
     """Build the instance and every run's plan (bad inputs fail here), then solve, run and emit files.
 
     A single run writes its files to ``out``; a sweep writes each member's to ``out/<label>`` and an
-    aggregate ``report.json`` to ``out``.
+    aggregate ``report.json`` to ``out``.  Every run finishes before any file is written.
     """
     instance = _build_instance(config)
     sweep = config["sweep"]
@@ -321,10 +319,16 @@ def run(config: dict) -> int:
     # the conditions do not read the buffer, so every member shares one report
     report = validate_hyperparams(plans[0].hp, sc, config["mode"])
 
+    traces = []
+    for plan, label in zip(plans, labels or [None]):
+        try:
+            traces.append(run_experiment(plan, oracle))
+        except DivergenceError as exc:  # a sweep member's message starts with its label
+            raise DivergenceError(f"{label}: {exc}" if label else str(exc), k=exc.k, agents=exc.agents) from exc
+
     summaries = []
-    for plan, buffer, out_dir in zip(plans, buffers, dirs):
+    for plan, trace, buffer, out_dir in zip(plans, traces, buffers, dirs):
         initial_violation = violation_l1(instance, plan.start)
-        trace = run_experiment(plan, oracle)
         out_dir.mkdir(parents=True, exist_ok=True)
         trace.to_csv(out_dir / "trace.csv")
         C_vio, C_vio_k = largest_violation(initial_violation, trace)

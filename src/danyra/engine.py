@@ -156,25 +156,22 @@ class SwarmState:
         if not (isinstance(data, dict) and {"k", *names} <= data.keys()):
             raise InvalidInstanceError(f"a state document is an object with the keys k, {', '.join(names)}")
         iterates = {
-            name: _real_vector(data[name], name, None, InvalidInstanceError)
+            name: _real_vector(data[name], name, InvalidInstanceError)
             for name in names
             if data[name] is not None or name != "delta"  # a null delta: an equality-mode state
         }
         return cls.build(instance, k=data["k"], **{"delta": None, **iterates})
 
 
-def _real_vector(value, name: str, shape: tuple | None = None, error: type[Exception] = ConfigError) -> np.ndarray:
-    """``value`` as a new float array of real numbers (not booleans), finite and of ``shape`` if given.
-
-    Anything else raises ``error``: ``{name} must be numbers`` for an
-    entry that is not a real number (text, a boolean, a ragged list), and
-    ``{name} must be finite [with shape ...]`` otherwise.
+def _real_vector(value, name: str, error: type[Exception] = ConfigError) -> np.ndarray:
+    """``value`` as a new float array of real numbers (not booleans), all finite; anything else raises ``error``:
+    ``{name} must be numbers`` for an entry that is not one (text, a boolean, a ragged list), else ``must be finite``.
     """
     for item in np.asarray(value, dtype=object).flat:
         _real(item, f"{name} must be numbers", error)
     arr = np.array(value, dtype=float)
-    if not (np.all(np.isfinite(arr)) and (shape is None or arr.shape == shape)):
-        raise error(f"{name} must be finite" + ("" if shape is None else f" with shape {shape}"))
+    if not np.all(np.isfinite(arr)):
+        raise error(f"{name} must be finite")
     return arr
 
 
@@ -184,7 +181,6 @@ def init_state(
     init_mode: str = "at_demand",
     *,
     mode: str = INEQUALITY,
-    x0_offset: np.ndarray | None = None,
 ) -> SwarmState:
     """Build the iteration-0 state; the one place the start inputs are checked.
 
@@ -192,12 +188,10 @@ def init_state(
     starts it at ``delta = omega_0 * 1``, so its floor holds from the start,
     and equality mode has none.  ``at_demand`` places each
     decision at its demand vector when p == m and at the least-norm preimage
-    ``projector @ d`` otherwise; ``zero`` starts at the origin; ``x0_offset``
-    (shape (p,)) is added to every agent's start.  A bad start input is a
-    ``ConfigError``: an unknown mode or init mode, or an ``x0_offset`` that
-    is not real numbers, not finite or not of shape (p,), checked as a
-    disturbance's ``additive`` is.  An ``hp`` that is not a ``HyperParams``
-    is an ``InvalidInstanceError``.
+    ``projector @ d`` otherwise; ``zero`` starts at the origin (a shifted
+    start is a ``netsim.DisturbanceEvent`` at iteration 0).  An unknown mode or
+    init mode is a ``ConfigError``, and an ``hp`` that is not a ``HyperParams``
+    an ``InvalidInstanceError``.
     """
     if not isinstance(hp, HyperParams):
         raise InvalidInstanceError(f"hp must be a HyperParams, got {hp!r}")
@@ -206,7 +200,6 @@ def init_state(
     if init_mode not in ("at_demand", "zero"):
         raise ConfigError(f"unknown init mode {init_mode!r}")
     n, p, m = instance.n, instance.p, instance.m
-    offset = None if x0_offset is None else _real_vector(x0_offset, "x0_offset", (p,))
 
     if init_mode == "zero":
         x = np.zeros((n, p))
@@ -214,8 +207,6 @@ def init_state(
         x = instance.d
     else:
         x = np.einsum("npm,nm->np", instance.projector_stack, instance.d)
-    if offset is not None:
-        x = x + offset
 
     delta = np.full((n, m), hp.buffer.value(0)) if mode == INEQUALITY else None
 
@@ -280,17 +271,13 @@ def iterate(state: SwarmState, instance: ProblemInstance, hp: HyperParams) -> Sw
     Ax_next = np.einsum("nmp,np->nm", A, x_next)
 
     # a non-finite entry of any returned field at agent i reaches x_next[i] or
-    # lam_next[i]: x'_next and z_next directly, y_bar_next and delta_next
-    # through pull and b, y_next through y_bar_next's l_ii y_i (l_ii > 0 for
-    # n >= 2; 0 * inf is NaN at n = 1).
-    # Only if a sum is not finite are the fields searched (a finite sum can
-    # also overflow, and then nothing is found)
+    # lam_next[i] (x'_next and z_next directly, y_bar_next and delta_next through
+    # pull and b, y_next through y_bar_next's l_ii y_i: l_ii > 0 for n >= 2, and
+    # 0 * inf is NaN at n = 1), so only those two are searched, and only if a sum
+    # is not finite (a finite sum can also overflow, and then nothing is found)
     lam_sum = float(lam_next.sum())
     if not math.isfinite(float(x_next.sum()) + lam_sum):
-        fields = {"x": x_next, "x_prime": x_prime_next, "y": y_next, "lambda": lam_next}
-        if inequality:
-            fields["delta"] = delta_next
-        for name, arr in fields.items():
+        for name, arr in (("x", x_next), ("lambda", lam_next)):
             rows = np.nonzero(~np.isfinite(arr))[0]
             if rows.size:
                 bad = sorted(set(rows.tolist()))

@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .engine import SwarmState, _real_vector, init_state, iterate
-from .errors import ConfigError
+from .errors import ConfigError, DivergenceError
 from .metrics import optimality_gap, slack_sum, violation_l1
 from .oracle import OracleSolution
 from .problem import EQUALITY, INEQUALITY, HyperParams, ProblemInstance, _whole_number
@@ -21,7 +21,8 @@ class DisturbanceEvent:
     ``additive`` (shape (p,)) is added to each agent's decision ``x_i`` and
     virtual decision ``x'_i``, so the interference genuinely stresses
     recovery instead of being pulled back by the still-clean projection
-    target.  Queues and duals are never touched.
+    target.  Queues and duals are never touched.  An event at iteration 0
+    shifts the start state, which the first step consumes.
     """
 
     at_iteration: int
@@ -30,8 +31,8 @@ class DisturbanceEvent:
     def __post_init__(self):
         additive = _real_vector(self.additive, "disturbance vector")
         at_iteration = _whole_number(self.at_iteration, "at_iteration", ConfigError)
-        if at_iteration < 1:
-            raise ConfigError(f"at_iteration must be >= 1, got {at_iteration}")
+        if at_iteration < 0:
+            raise ConfigError(f"at_iteration must be >= 0, got {at_iteration}")
         additive.setflags(write=False)
         object.__setattr__(self, "at_iteration", at_iteration)
         object.__setattr__(self, "additive", additive)
@@ -53,11 +54,10 @@ def apply_disturbance(state: SwarmState, instance: ProblemInstance, event: Distu
 class ExperimentPlan:
     """Everything needed for one deterministic run, checked against the instance before it starts.
 
-    ``start`` is the iteration-0 state that ``init_state`` builds from the start
-    inputs when the plan is constructed, so a bad one rejects the plan; it is
-    derived (not a constructor parameter) and read-only.  Equality mode has
-    no queue, so its ``hp.buffer`` must be zero (``hp.buffer.value(0) == 0``);
-    any other floor is a ``ConfigError``.
+    ``start``, the state the first step consumes, is ``init_state``'s with the disturbances at
+    iteration 0 applied in order; built with the plan (a bad start input rejects it), it is derived
+    and read-only.  Equality mode has no queue, so its ``hp.buffer`` must be zero
+    (``hp.buffer.value(0) == 0``); any other floor is a ``ConfigError``.
     """
 
     instance: ProblemInstance
@@ -67,7 +67,6 @@ class ExperimentPlan:
     disturbances: tuple[DisturbanceEvent, ...] = ()
     record_every: int = 1
     init_mode: str = "at_demand"
-    x0_offset: np.ndarray | None = None
     start: SwarmState = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -80,8 +79,7 @@ class ExperimentPlan:
         if events is None or not all(isinstance(ev, DisturbanceEvent) for ev in events):
             raise ConfigError(f"disturbances must be a sequence of DisturbanceEvent, got {self.disturbances!r}")
         object.__setattr__(self, "disturbances", events)
-        start = init_state(self.instance, self.hp, self.init_mode, mode=self.mode, x0_offset=self.x0_offset)
-        object.__setattr__(self, "start", start)
+        start = init_state(self.instance, self.hp, self.init_mode, mode=self.mode)
         if self.mode == EQUALITY and self.hp.buffer.value(0) > 0:  # a schedule's first floor is its largest
             raise ConfigError(f"hp.buffer must be zero in equality mode, which has no queue, got {self.hp.buffer}")
         for ev in events:
@@ -91,6 +89,9 @@ class ExperimentPlan:
                     f"{self.iters}-iteration run"
                 )
             _check_fits(ev, self.instance.p)
+            if ev.at_iteration == 0:
+                start = apply_disturbance(start, self.instance, ev)
+        object.__setattr__(self, "start", start)
 
 
 # Rows of trace.csv formatted and written at once: large enough that the
@@ -157,13 +158,14 @@ class Trace:
 def run_experiment(plan: ExperimentPlan, oracle_solution: OracleSolution | None = None) -> Trace:
     """Run the plan from ``plan.start`` and record metrics after each full iteration (post-projection).
 
-    Disturbances scheduled at iteration k are applied right before the
-    iteration consuming the k-state, matching an interference that lands after
-    the k-state was produced.  Rows are recorded at every ``record_every``-th
-    iteration and always at the final one; the gap column is present only when
-    an oracle solution is supplied.  The recorded ks are known before the run,
-    so each row is written into columns allocated up front: 8 * (m + 3) bytes
-    per row, with no per-row Python objects kept.
+    A disturbance at iteration k >= 1 is applied once, right after the k-state
+    is produced and recorded; those at iteration 0 are in ``plan.start``.  Rows
+    are recorded at every ``record_every``-th iteration and always at the final
+    one; the gap column is present only when an oracle solution is supplied.
+    The recorded ks are known before the run, so each row is written into
+    columns allocated up front: 8 * (m + 3) bytes per row, with no per-row
+    Python objects kept.  A non-finite recorded value (which can overflow on
+    finite iterates) is a ``DivergenceError``, as a non-finite iterate is.
     """
     instance, hp, state = plan.instance, plan.hp, plan.start
     events: dict[int, list[DisturbanceEvent]] = {}
@@ -182,8 +184,6 @@ def run_experiment(plan: ExperimentPlan, oracle_solution: OracleSolution | None 
     row, next_k = 0, int(ks[0])
     start = time.perf_counter()
     for _ in range(iters):
-        for ev in events.get(state.k, ()):
-            state = apply_disturbance(state, instance, ev)
         state = iterate(state, instance, hp)
         if state.k == next_k:
             viols[row] = violation_l1(instance, state)
@@ -192,7 +192,15 @@ def run_experiment(plan: ExperimentPlan, oracle_solution: OracleSolution | None 
                 gaps[row] = optimality_gap(state.x, oracle_solution)
             row += 1
             next_k = int(ks[row]) if row < rows else None
+        for ev in events.get(state.k, ()):
+            state = apply_disturbance(state, instance, ev)
     elapsed = time.perf_counter() - start
+    finite = np.isfinite(viols) & np.isfinite(slacks).all(axis=1) & np.isfinite(viols if gaps is None else gaps)
+    if not finite.all():
+        row = int(np.argmin(finite))
+        columns = {"gap": gaps, "violation_l1": viols, "slack": slacks}
+        name = next(name for name, col in columns.items() if col is not None and not np.isfinite(col[row]).all())
+        raise DivergenceError(f"non-finite {name} recorded at k = {ks[row]}", k=int(ks[row]))
 
     return Trace(
         ks=ks,

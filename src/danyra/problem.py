@@ -670,23 +670,22 @@ def instance_to_json(instance: ProblemInstance) -> str:
     return json.dumps(doc)
 
 
-def _json_floats(value, where: str) -> np.ndarray:
-    """A rectangular list of JSON numbers as a float array; anything else is an ``InvalidInstanceError``."""
-    arr = np.array(value)
-    if arr.dtype.kind not in "iuf":
-        raise InvalidInstanceError(
-            f"malformed instance document: {where} must be numbers, got {arr.dtype} entries"
-        )
-    return arr.astype(float)
+def _json_numbers(value, where: str, dtype=float) -> np.ndarray:
+    """A rectangular list of JSON numbers as an array; anything else (a boolean too) is an ``InvalidInstanceError``."""
+    kinds = sorted(kind.__name__ for kind in set(map(type, np.array(value, dtype=object).flat)) - {int, float})
+    if kinds:
+        names = ", ".join(kinds)
+        raise InvalidInstanceError(f"malformed instance document: {where} must be numbers, got {names} entries")
+    return np.array(value, dtype=dtype)
 
 
 def instance_from_json(text: str) -> ProblemInstance:
     """Load an instance from its JSON document, re-validating all invariants.
 
-    Invalid JSON, a wrong structure, agents of different shapes, a number
-    written as a string (or as a boolean or null), an ``n``, ``p`` or ``m``
-    that is not an integer or disagrees with the agents all raise
-    ``InvalidInstanceError``.  The topology goes to the ``Topology``
+    Invalid JSON, a wrong structure, agents of different shapes, an entry of
+    ``P``, ``Q``, ``A``, ``d``, the weights or the edges written as a string,
+    a boolean or null, an ``n``, ``p`` or ``m`` that is not an integer or
+    disagrees with the agents all raise ``InvalidInstanceError``.  The topology goes to the ``Topology``
     constructor as stored, so edges not sorted with ``i < j``, a weight count
     other than one per edge (a dense weight matrix included), and any other
     invalid graph raise its ``TopologyError``.
@@ -697,10 +696,11 @@ def instance_from_json(text: str) -> ProblemInstance:
         raise InvalidInstanceError(f"instance document is not valid JSON: {exc}") from exc
     try:
         agents = doc["agents"]
-        P, Q, A, d = (_json_floats([agent[key] for agent in agents], f"agents' {key}") for key in "PQAd")
+        P, Q, A, d = (_json_numbers([agent[key] for agent in agents], f"agents' {key}") for key in "PQAd")
         sizes = tuple(_whole_number(doc[key], key, ValueError) for key in ("n", "p", "m"))
-        weights = _json_floats(doc["topology"]["weights"], "topology weights")
-        topology = Topology(n=sizes[0], edges=doc["topology"]["edges"], weights=weights)
+        weights = _json_numbers(doc["topology"]["weights"], "topology weights")
+        edges = _json_numbers(doc["topology"]["edges"], "topology edges", dtype=None)
+        topology = Topology(n=sizes[0], edges=edges, weights=weights)
     except KeyError as exc:
         raise InvalidInstanceError(f"instance document is missing key {exc}") from exc
     except (TypeError, ValueError) as exc:

@@ -39,6 +39,7 @@ from reference_step import state_difference
 
 GAMMA = 0.2
 OFFSET = np.array([50.0, 50.0])
+START_SHIFT = DisturbanceEvent(at_iteration=0, additive=OFFSET)  # the buffer-sweep preset's shifted start
 
 
 def hp_with(buffer):
@@ -75,7 +76,7 @@ def decaying_trace(benchmark_instance, benchmark_oracle):
         hp=hp_with(BufferSchedule.decaying(5.0)),
         iters=20000,
         init_mode="at_demand",
-        x0_offset=OFFSET,
+        disturbances=(START_SHIFT,),
     )
     return run_experiment(plan, benchmark_oracle)
 
@@ -85,9 +86,8 @@ def sweep_runs(benchmark_instance, benchmark_oracle):
     runs = {}
     for omega in (0.01, 0.1, 1.0):
         hp = hp_with(BufferSchedule.constant(omega))
-        initial = init_state(benchmark_instance, hp, "at_demand", x0_offset=OFFSET)
         plan = ExperimentPlan(
-            instance=benchmark_instance, hp=hp, iters=8000, init_mode="at_demand", x0_offset=OFFSET
+            instance=benchmark_instance, hp=hp, iters=8000, init_mode="at_demand", disturbances=(START_SHIFT,)
         )
         start = time.perf_counter()
         trace = run_experiment(plan, benchmark_oracle)
@@ -95,7 +95,7 @@ def sweep_runs(benchmark_instance, benchmark_oracle):
         runs[omega] = {
             "trace": trace,
             "elapsed": elapsed,
-            "C0": violation_l1(benchmark_instance, initial),
+            "C0": violation_l1(benchmark_instance, plan.start),
             "hp": hp,
         }
     return runs

@@ -46,8 +46,8 @@ BUFFER_SWEEP_EXPANDED = {
     "mode": "inequality",
     "iters": 20000,
     "record_every": 1,
-    "disturbances": [],
-    "init": {"mode": "at_demand", "offset": [50.0, 50.0]},
+    "disturbances": [{"at_iteration": 0, "additive": [50.0, 50.0]}],  # every member starts 50 above its demand
+    "init": {"mode": "at_demand"},
     "out": "runs/buffer-sweep",
 }
 
@@ -95,7 +95,7 @@ class TestPresets:
         fig2["init"]["mode"] = "zero"
         sweep = parse_config(preset="buffer-sweep")
         sweep["sweep"][0]["omega"] = 9.0
-        sweep["init"]["offset"].append(1.0)
+        sweep["disturbances"][0]["additive"].append(1.0)
         assert parse_config(preset="fig2") == FIG2_EXPANDED
         assert parse_config(preset="buffer-sweep") == BUFFER_SWEEP_EXPANDED
 
@@ -320,6 +320,21 @@ class TestRun:
                 "topology weights must be numbers",
                 id="weights-text",
             ),
+            # numpy would read a boolean among numbers as 1 or 0
+            pytest.param(
+                lambda doc: {**doc, "agents": [{**doc["agents"][0], "Q": [True, 0.5]}] + doc["agents"][1:]},
+                1,
+                "malformed instance document: agents' Q must be numbers, got bool entries",
+                id="Q-boolean",
+            ),
+            pytest.param(
+                lambda doc: {
+                    **doc, "topology": {**doc["topology"], "edges": [[0, True], *doc["topology"]["edges"][1:]]}
+                },
+                1,
+                "malformed instance document: topology edges must be numbers, got bool entries",
+                id="edge-boolean",
+            ),
             pytest.param(lambda doc: {**doc, "p": 3}, 1, r"\(n, p, m\) = \(4, 3, 2\)", id="wrong-p"),
             pytest.param(lambda doc: {**doc, "m": 1}, 1, r"\(n, p, m\) = \(4, 2, 1\)", id="wrong-m"),
             pytest.param(
@@ -362,8 +377,9 @@ class TestRun:
             pytest.param({"init": {"mode": "custom"}}, id="custom-without-x0"),
             pytest.param({"init": {"mode": "custom", "x0": [[0.0, 0.0]] * 3}}, id="x0-shape"),
             pytest.param({"init": {"mode": "custom", "x0": [[0.0, 0.0], [1.0]] * 2}}, id="x0-ragged"),
-            pytest.param({"init": {"offset": [1.0, 2.0, 3.0]}}, id="offset-length"),
-            pytest.param({"init": {"offset": [float("nan"), 0.0]}}, id="offset-nan"),
+            # a start shift is a disturbance at iteration 0, checked as any other
+            pytest.param({"disturbances": [{"at_iteration": 0, "additive": [1.0, 2.0, 3.0]}]}, id="offset-length"),
+            pytest.param({"disturbances": [{"at_iteration": 0, "additive": [float("nan"), 0.0]}]}, id="offset-nan"),
             pytest.param({"disturbances": [{"at_iteration": 20, "additive": [5.0]}]}, id="additive-length"),
             pytest.param({"disturbances": [{"at_iteration": 20, "additive": [1.0, "x"]}]}, id="additive-text"),
             pytest.param({"iters": "ten"}, id="iters-text"),
@@ -433,6 +449,17 @@ class TestRun:
                 id="perturb-x-prime-key",
             ),
             pytest.param({"init": {"mode": "at_demand", "x0": None}}, r"unknown key\(s\) \['x0'\] in init", id="x0-key"),
+            # a shifted start is a disturbance at iteration 0, and the init offset is gone
+            pytest.param(
+                {"init": {"mode": "at_demand", "offset": [50.0, 50.0]}},
+                r"unknown key\(s\) \['offset'\] in init",
+                id="init-offset-key",
+            ),
+            pytest.param(
+                {"disturbances": [{**DIST, "at_iteration": -1}]},
+                "at_iteration must be >= 0, got -1",
+                id="at-iteration-negative",
+            ),
             pytest.param({"init": {"mode": "custom"}}, "unknown init mode 'custom'", id="init-mode-custom"),
             pytest.param(
                 {"hp": HP, "sweep": [{"kind": "constant", "omega": 0.1}, {"kind": "decaying"}]},
@@ -555,9 +582,9 @@ class TestRun:
             "omega-5-over-k",
         }
 
-    def _sweep_config(self, tmp_path, sweep) -> str:
+    def _sweep_config(self, tmp_path, sweep, iters=25) -> str:
         path = tmp_path / "sweep.json"
-        cfg = {"preset": "buffer-sweep", "sweep": sweep, "iters": 25, "out": str(tmp_path / "sweep")}
+        cfg = {"preset": "buffer-sweep", "sweep": sweep, "iters": iters, "out": str(tmp_path / "sweep")}
         path.write_text(json.dumps(cfg), encoding="utf-8")
         return str(path)
 
@@ -568,6 +595,22 @@ class TestRun:
         labels = {"omega-seq-1-0.5", "omega-seq-0.2"}
         assert {path.name for path in root.iterdir() if path.is_dir()} == labels
         assert set(json.loads((root / "report.json").read_text())["members"]) == labels
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the member overflows before a value is non-finite
+    @pytest.mark.parametrize(
+        "omega, message",
+        [
+            pytest.param(1e308, r"omega-1e\+308: non-finite x at iteration 53 \(agents \[0, 1, ", id="x"),
+            # the iterates stay finite, but the gap overflows from the first row on
+            pytest.param(1e300, r"omega-1e\+300: non-finite gap recorded at k = 1$", id="gap"),
+        ],
+    )
+    def test_diverging_sweep_member_is_named_and_nothing_is_written(self, tmp_path, capsys, omega, message):
+        # the first member runs clean; every member runs before any file is written
+        sweep = [{"kind": "constant", "omega": 0.01}, {"kind": "constant", "omega": omega}]
+        assert main(["run", "--config", self._sweep_config(tmp_path, sweep, iters=200)]) == 3
+        assert re.match("divergence: " + message, capsys.readouterr().err)
+        assert not (tmp_path / "sweep").exists()
 
     def test_repeated_sweep_member_rejected(self, tmp_path, capsys):
         sweep = [{"kind": "constant", "omega": 0.1}, {"kind": "constant", "omega": 0.1}]

@@ -6,7 +6,9 @@ from danyra import (
     BufferSchedule,
     CallableCost,
     ConfigError,
+    DisturbanceEvent,
     DivergenceError,
+    ExperimentPlan,
     HyperParams,
     InvalidInstanceError,
     ProblemInstance,
@@ -94,29 +96,15 @@ class TestInitState:
         assert np.allclose(st.x @ np.array([1.0, 1.0]), 4.0)
 
     @pytest.mark.parametrize(
-        "init_mode, inputs, message",
+        "init_mode, message",
         [
-            pytest.param("warm", {}, "unknown init mode 'warm'", id="unknown-init-mode"),
-            pytest.param("custom", {}, "unknown init mode 'custom'", id="custom-without-x0"),
-            pytest.param(
-                "at_demand", {"x0_offset": np.ones(3)}, r"x0_offset must be finite with shape \(2,\)", id="offset-shape"
-            ),
-            pytest.param(
-                "zero", {"x0_offset": [np.inf, 0.0]}, r"x0_offset must be finite with shape \(2,\)", id="offset-inf"
-            ),
-            # the offset's entries are checked as a disturbance's are: booleans and text are not numbers
-            pytest.param(
-                "at_demand", {"x0_offset": [True, True]}, "x0_offset must be numbers, got True", id="offset-boolean"
-            ),
-            pytest.param("zero", {"x0_offset": ["1", "2"]}, "x0_offset must be numbers, got '1'", id="offset-text"),
-            pytest.param(
-                "zero", {"x0_offset": [[1.0], [1.0, 2.0]]}, r"x0_offset must be numbers, got \[1.0\]", id="offset-ragged"
-            ),
+            pytest.param("warm", "unknown init mode 'warm'", id="unknown-init-mode"),
+            pytest.param("custom", "unknown init mode 'custom'", id="custom-without-x0"),
         ],
     )
-    def test_bad_start_inputs_are_config_errors(self, small_instance, base_hp, init_mode, inputs, message):
+    def test_bad_start_inputs_are_config_errors(self, small_instance, base_hp, init_mode, message):
         with pytest.raises(ConfigError, match=message):
-            init_state(small_instance, base_hp(), init_mode, **inputs)
+            init_state(small_instance, base_hp(), init_mode)
 
     @pytest.mark.parametrize("hp", [None, {"alpha": 0.01}], ids=["none", "dict"])
     def test_hp_must_be_hyperparams(self, small_instance, hp):
@@ -128,7 +116,10 @@ class TestInitState:
             init_state(small_instance, base_hp(), "at_demand", mode="both")
 
     def test_offset_shifts_the_start(self, small_instance, base_hp):
-        st = init_state(small_instance, base_hp(), "at_demand", x0_offset=np.array([50.0, 50.0]))
+        # a shifted start is a disturbance at iteration 0, applied to init_state's state by the plan
+        shift = DisturbanceEvent(at_iteration=0, additive=[50.0, 50.0])
+        st = ExperimentPlan(instance=small_instance, hp=base_hp(), iters=1, disturbances=(shift,)).start
+        assert st.k == 0
         assert np.allclose(st.x - small_instance.d, 50.0)
         assert np.array_equal(st.x_prime, st.x)
 

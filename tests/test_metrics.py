@@ -108,11 +108,11 @@ class TestRecoveryIteration:
     ):
         # without a buffer floor the violation only contracts by 1-gamma per
         # step, so it never becomes exactly zero on a finite horizon
-        from danyra import ExperimentPlan, run_experiment
+        from danyra import DisturbanceEvent, ExperimentPlan, run_experiment
 
         plan = ExperimentPlan(
             instance=benchmark_instance, hp=base_hp(omega=0.0), iters=150,
-            init_mode="at_demand", x0_offset=np.array([50.0, 50.0]),
+            init_mode="at_demand", disturbances=(DisturbanceEvent(at_iteration=0, additive=np.array([50.0, 50.0])),),
         )
         trace = run_experiment(plan, benchmark_oracle)
         v = trace.violation_l1
@@ -185,11 +185,11 @@ class TestBoundsReport:
 
 class TestAgainstLiveRun:
     def test_gap_and_violation_consistency(self, benchmark_instance, benchmark_oracle, base_hp):
-        from danyra import ExperimentPlan, run_experiment
+        from danyra import DisturbanceEvent, ExperimentPlan, run_experiment
 
         plan = ExperimentPlan(
             instance=benchmark_instance, hp=base_hp(omega=0.1), iters=50,
-            init_mode="at_demand", x0_offset=np.array([5.0, 5.0]),
+            init_mode="at_demand", disturbances=(DisturbanceEvent(at_iteration=0, additive=np.array([5.0, 5.0])),),
         )
         trace = run_experiment(plan, benchmark_oracle)
         state = trace.final_state

@@ -10,12 +10,14 @@ from danyra import (
     BufferSchedule,
     ConfigError,
     DisturbanceEvent,
+    DivergenceError,
     ExperimentPlan,
     HyperParams,
     InvalidInstanceError,
     apply_disturbance,
     generate_instance,
     init_state,
+    iterate,
     recovery_iteration,
     run_experiment,
     slack_sum,
@@ -62,8 +64,9 @@ class TestDisturbance:
             apply_disturbance(st, small_instance, DisturbanceEvent(at_iteration=1, additive=additive))
 
     def test_event_validation(self):
-        with pytest.raises(ConfigError):
-            DisturbanceEvent(at_iteration=0, additive=np.ones(2))
+        with pytest.raises(ConfigError, match="at_iteration must be >= 0, got -1"):
+            DisturbanceEvent(at_iteration=-1, additive=np.ones(2))
+        assert DisturbanceEvent(at_iteration=0, additive=np.ones(2)).at_iteration == 0  # a shifted start
         with pytest.raises(ConfigError):
             DisturbanceEvent(at_iteration=5, additive=np.array([np.inf, 0.0]))
         event = DisturbanceEvent(at_iteration=5, additive=[1, 2])
@@ -140,7 +143,7 @@ class TestRunExperiment:
         oracle = solve_active_set(small_instance)
         plan = ExperimentPlan(
             instance=small_instance, hp=base_hp(omega=0.05), iters=40, init_mode="at_demand",
-            x0_offset=np.array([3.0, 3.0]),
+            disturbances=(DisturbanceEvent(at_iteration=0, additive=np.array([3.0, 3.0])),),
         )
         a = run_experiment(plan, oracle).csv_text()
         b = run_experiment(plan, oracle).csv_text()
@@ -150,7 +153,7 @@ class TestRunExperiment:
         trace = run_experiment(
             ExperimentPlan(
                 instance=small_instance, hp=base_hp(omega=0.05), iters=2, init_mode="at_demand",
-                x0_offset=np.array([1.0, 1.0]),
+                disturbances=(DisturbanceEvent(at_iteration=0, additive=np.array([1.0, 1.0])),),
             ),
             solve_active_set(small_instance),
         )
@@ -163,11 +166,15 @@ class TestRunExperiment:
         assert parsed[2] == trace.slack[0][0] and parsed[3] == trace.slack[0][1]
 
     def test_plan_builds_its_start_state(self, small_instance, base_hp):
-        hp, offset = base_hp(omega=0.05), np.array([3.0, -1.0])
+        hp = base_hp(omega=0.05)
+        shifts = [DisturbanceEvent(at_iteration=0, additive=v) for v in ([3.0, -1.0], [0.25, 2.0])]
         event = DisturbanceEvent(at_iteration=5, additive=np.ones(2))
-        plan = ExperimentPlan(instance=small_instance, hp=hp, iters=20, x0_offset=offset, disturbances=(event,))
-        direct = init_state(small_instance, hp, "at_demand", x0_offset=offset)
-        assert plan.start.k == direct.k
+        plan = ExperimentPlan(instance=small_instance, hp=hp, iters=20, disturbances=(shifts[0], event, shifts[1]))
+        # the start carries every iteration-0 event, applied in order
+        direct = init_state(small_instance, hp, "at_demand")
+        for shift in shifts:
+            direct = apply_disturbance(direct, small_instance, shift)
+        assert plan.start.k == direct.k == 0
         for name in ("x", "x_prime", "y", "lam", "delta", "Ax", "z"):
             assert getattr(plan.start, name).tobytes() == getattr(direct, name).tobytes(), name
             assert not getattr(plan.start, name).flags.writeable, name
@@ -181,6 +188,24 @@ class TestRunExperiment:
         assert first.csv_text() == second.csv_text()
         assert first.final_state.x.tobytes() == second.final_state.x.tobytes()
         assert plan.start.x.tobytes() == direct.x.tobytes()
+        # a run applies each event once: the iteration-0 ones only through the start
+        state = plan.start
+        for _ in range(plan.iters):
+            state = iterate(state, small_instance, hp)
+            if state.k == event.at_iteration:
+                state = apply_disturbance(state, small_instance, event)
+        for name in ("x", "x_prime", "y", "lam", "delta"):
+            assert getattr(first.final_state, name).tobytes() == getattr(state, name).tobytes(), name
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the gap overflows
+    def test_non_finite_recorded_value_is_a_divergence(self, benchmark_instance, benchmark_oracle, base_hp):
+        # a floor of 1e300 keeps the iterates finite, but the gap overflows to inf from the first row on
+        shift = DisturbanceEvent(at_iteration=0, additive=np.array([50.0, 50.0]))
+        plan = ExperimentPlan(instance=benchmark_instance, hp=base_hp(omega=1e300), iters=4, disturbances=(shift,))
+        with pytest.raises(DivergenceError, match="^non-finite gap recorded at k = 1$") as exc:
+            run_experiment(plan, benchmark_oracle)
+        assert exc.value.k == 1
+        assert np.all(np.isfinite(run_experiment(plan).violation_l1))  # without the gap column, nothing overflows
 
     def test_disturbance_beyond_horizon_rejected(self, small_instance, base_hp):
         with pytest.raises(ConfigError):

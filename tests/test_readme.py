@@ -1,5 +1,6 @@
 """README.md's Python examples and its config run as written, its CLI section names exactly the options of
-``danyra run``, and the package exports exactly the documented names."""
+``danyra run``, its config rules name exactly the list and nullable keys of the config schema, and the package
+exports exactly the documented names."""
 
 import re
 import types
@@ -8,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import danyra
-from danyra.cli import main, parse_config, run
+from danyra.cli import _BUFFER_KINDS, _CONFIG, _Object, _OrNull, main, parse_config, run
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -74,6 +75,36 @@ def test_cli_section_documents_exactly_the_run_options(capsys):
     options = set(re.findall(r"^ +(?:-\w, )?(--[a-z][a-z-]*)", capsys.readouterr().out, re.M)) - {"--help"}
     assert {"--config", "--preset"} <= options
     assert documented == options
+
+
+def schema_keys(kind):
+    """(key, kind) for every key of the config schema ``kind``, at any depth, buffer level keys included."""
+    if isinstance(kind, _OrNull):
+        yield from schema_keys(kind.kind)
+    elif isinstance(kind, list):
+        yield from schema_keys(kind[0])
+    elif kind is _BUFFER_KINDS:
+        for buffer in _BUFFER_KINDS.values():
+            yield buffer.key, buffer.level
+    elif isinstance(kind, _Object):
+        for key, item in kind.keys.items():
+            yield key, item
+            yield from schema_keys(item)
+
+
+def documented_keys(rule: str) -> set[str]:
+    """The backquoted names in README's sentence that ``rule`` matches (its group 1)."""
+    text = " ".join(README.read_text(encoding="utf-8").split())
+    return set(re.findall(r"`(\w+)`", re.search(rule, text).group(1)))
+
+
+def test_config_rules_name_exactly_the_list_and_null_keys():
+    keys = list(schema_keys(_CONFIG))
+    lists = {key for key, kind in keys if isinstance(kind.kind if isinstance(kind, _OrNull) else kind, list)}
+    nullable = {key for key, kind in keys if isinstance(kind, _OrNull)}
+    assert {"disturbances", "sweep", "additive", "values"} <= lists and {"preset", "sweep"} <= nullable
+    assert documented_keys(r"\.\s+([^.]*) are lists\.") == lists
+    assert documented_keys(r"`null` is allowed only where it is the default: ([^.]*)\.") == nullable
 
 
 def test_public_names():
