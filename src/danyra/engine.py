@@ -46,7 +46,7 @@ import math
 import numpy as np
 
 from .errors import ConfigError, DivergenceError, InvalidInstanceError
-from .problem import EQUALITY, INEQUALITY, HyperParams, ProblemInstance, _real, _whole_number, agent_sum
+from .problem import EQUALITY, INEQUALITY, HyperParams, ProblemInstance, _real_array, _whole_number, agent_sum
 
 
 @dataclasses.dataclass(frozen=True)
@@ -111,24 +111,21 @@ class SwarmState:
     ) -> "SwarmState":
         """A state from Fortran-ordered copies of the given iterates, with ``Ax`` and ``z`` of them.
 
-        ``delta=None`` builds an equality-mode state.  A ``k`` not a whole number >= 0, or an array not of its
-        (n, p) or (n, m) shape, is an ``InvalidInstanceError``; non-finite values are kept for ``iterate`` to report.
+        ``delta=None`` builds an equality-mode state.  A ``k`` not a whole number >= 0, or an iterate with an entry
+        that is not a number or not of its (n, p) or (n, m) shape, is an ``InvalidInstanceError``; non-finite values
+        are kept for ``iterate`` to report.
         """
         k = _whole_number(k, "k", InvalidInstanceError)
         if k < 0:
             raise InvalidInstanceError(f"k must be >= 0, got {k}")
         n, m, p = instance.A.shape
-        arrays = {}
-        for name, value, shape in (
-            ("x", x, (n, p)),
-            ("x_prime", x_prime, (n, p)),
-            ("y", y, (n, m)),
-            ("lam", lam, (n, m)),
-            ("delta", delta, (n, m)),
-        ):
-            arr = arrays[name] = None if value is None else np.array(value, dtype=float, order="F")
-            if arr is not None and arr.shape != shape:
-                raise InvalidInstanceError(f"{name} must have shape {shape}, got {arr.shape}")
+        arrays = {"delta": None}
+        for name, value in {"x": x, "x_prime": x_prime, "y": y, "lam": lam, "delta": delta}.items():
+            shape = (n, p) if name in ("x", "x_prime") else (n, m)
+            if value is not None or name != "delta":  # a null delta: an equality-mode state
+                arr = arrays[name] = _real_array(value, name, InvalidInstanceError)
+                if arr.shape != shape:
+                    raise InvalidInstanceError(f"{name} must have shape {shape}, got {arr.shape}")
         z = np.einsum("nmp,np->nm", instance.A, arrays["x_prime"]) + instance.topology.mix(arrays["y"])
         if delta is not None:
             z = z + arrays["delta"]
@@ -149,30 +146,17 @@ class SwarmState:
     def from_dict(cls, data: dict, instance: ProblemInstance) -> "SwarmState":
         """Rebuild a state of ``instance`` from ``to_dict``'s document through :meth:`build`.
 
-        A missing key, a ``k`` that is not a whole number >= 0, or an iterate that is not real numbers,
-        finite and of its shape (``delta`` may be null) raises ``InvalidInstanceError``.
+        A missing key, or anything :meth:`build` rejects, raises ``InvalidInstanceError``, and so does a
+        non-finite iterate (``delta`` may be null).
         """
         names = ("x", "x_prime", "y", "lam", "delta")
         if not (isinstance(data, dict) and {"k", *names} <= data.keys()):
             raise InvalidInstanceError(f"a state document is an object with the keys k, {', '.join(names)}")
-        iterates = {
-            name: _real_vector(data[name], name, InvalidInstanceError)
-            for name in names
-            if data[name] is not None or name != "delta"  # a null delta: an equality-mode state
-        }
-        return cls.build(instance, k=data["k"], **{"delta": None, **iterates})
-
-
-def _real_vector(value, name: str, error: type[Exception] = ConfigError) -> np.ndarray:
-    """``value`` as a new float array of real numbers (not booleans), all finite; anything else raises ``error``:
-    ``{name} must be numbers`` for an entry that is not one (text, a boolean, a ragged list), else ``must be finite``.
-    """
-    for item in np.asarray(value, dtype=object).flat:
-        _real(item, f"{name} must be numbers", error)
-    arr = np.array(value, dtype=float)
-    if not np.all(np.isfinite(arr)):
-        raise error(f"{name} must be finite")
-    return arr
+        state = cls.build(instance, k=data["k"], **{name: data[name] for name in names})
+        for name in names:
+            if getattr(state, name) is not None and not np.isfinite(getattr(state, name)).all():
+                raise InvalidInstanceError(f"{name} must be finite")
+        return state
 
 
 def init_state(

@@ -7,11 +7,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .engine import SwarmState, _real_vector, init_state, iterate
+from .engine import SwarmState, init_state, iterate
 from .errors import ConfigError, DivergenceError
 from .metrics import optimality_gap, slack_sum, violation_l1
 from .oracle import OracleSolution
-from .problem import EQUALITY, INEQUALITY, HyperParams, ProblemInstance, _whole_number
+from .problem import EQUALITY, INEQUALITY, HyperParams, ProblemInstance, _real_array, _whole_number
 
 
 @dataclass(frozen=True)
@@ -29,13 +29,14 @@ class DisturbanceEvent:
     additive: np.ndarray
 
     def __post_init__(self):
-        additive = _real_vector(self.additive, "disturbance vector")
+        additive = _real_array(self.additive, "disturbance vector", ConfigError)
+        if not np.isfinite(additive).all():
+            raise ConfigError("disturbance vector must be finite")
         at_iteration = _whole_number(self.at_iteration, "at_iteration", ConfigError)
         if at_iteration < 0:
             raise ConfigError(f"at_iteration must be >= 0, got {at_iteration}")
         additive.setflags(write=False)
-        object.__setattr__(self, "at_iteration", at_iteration)
-        object.__setattr__(self, "additive", additive)
+        vars(self).update(at_iteration=at_iteration, additive=additive)
 
 
 def _check_fits(event: DisturbanceEvent, p: int) -> None:
@@ -155,6 +156,18 @@ class Trace:
                 fh.write(self.csv_text(start, start + CSV_BLOCK_ROWS))
 
 
+def _check_recorded(ks, viols, slacks, gaps, start: int, stop: int) -> None:
+    """Raise ``DivergenceError`` at the first of the recorded rows ``start:stop`` with a non-finite value."""
+    rows = slice(start, stop)
+    finite = np.isfinite(viols[rows]) & np.isfinite(slacks[rows]).all(axis=1)
+    finite &= np.isfinite((viols if gaps is None else gaps)[rows])
+    if not finite.all():
+        row = start + int(np.argmin(finite))
+        columns = {"gap": gaps, "violation_l1": viols, "slack": slacks}
+        name = next(name for name, col in columns.items() if col is not None and not np.isfinite(col[row]).all())
+        raise DivergenceError(f"non-finite {name} recorded at k = {ks[row]}", k=int(ks[row]))
+
+
 def run_experiment(plan: ExperimentPlan, oracle_solution: OracleSolution | None = None) -> Trace:
     """Run the plan from ``plan.start`` and record metrics after each full iteration (post-projection).
 
@@ -165,7 +178,8 @@ def run_experiment(plan: ExperimentPlan, oracle_solution: OracleSolution | None 
     The recorded ks are known before the run, so each row is written into
     columns allocated up front: 8 * (m + 3) bytes per row, with no per-row
     Python objects kept.  A non-finite recorded value (which can overflow on
-    finite iterates) is a ``DivergenceError``, as a non-finite iterate is.
+    finite iterates) is a ``DivergenceError``, as a non-finite iterate is,
+    raised within ``CSV_BLOCK_ROWS`` rows of it and with no ``RuntimeWarning``.
     """
     instance, hp, state = plan.instance, plan.hp, plan.start
     events: dict[int, list[DisturbanceEvent]] = {}
@@ -183,24 +197,22 @@ def run_experiment(plan: ExperimentPlan, oracle_solution: OracleSolution | None 
 
     row, next_k = 0, int(ks[0])
     start = time.perf_counter()
-    for _ in range(iters):
-        state = iterate(state, instance, hp)
-        if state.k == next_k:
-            viols[row] = violation_l1(instance, state)
-            slacks[row] = slack_sum(instance, state)
-            if gaps is not None:
-                gaps[row] = optimality_gap(state.x, oracle_solution)
-            row += 1
-            next_k = int(ks[row]) if row < rows else None
-        for ev in events.get(state.k, ()):
-            state = apply_disturbance(state, instance, ev)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is reported as the divergence it is
+        for _ in range(iters):
+            state = iterate(state, instance, hp)
+            if state.k == next_k:
+                viols[row] = violation_l1(instance, state)
+                slacks[row] = slack_sum(instance, state)
+                if gaps is not None:
+                    gaps[row] = optimality_gap(state.x, oracle_solution)
+                row += 1
+                next_k = int(ks[row]) if row < rows else None
+                if row % CSV_BLOCK_ROWS == 0:
+                    _check_recorded(ks, viols, slacks, gaps, row - CSV_BLOCK_ROWS, row)
+            for ev in events.get(state.k, ()):
+                state = apply_disturbance(state, instance, ev)
     elapsed = time.perf_counter() - start
-    finite = np.isfinite(viols) & np.isfinite(slacks).all(axis=1) & np.isfinite(viols if gaps is None else gaps)
-    if not finite.all():
-        row = int(np.argmin(finite))
-        columns = {"gap": gaps, "violation_l1": viols, "slack": slacks}
-        name = next(name for name, col in columns.items() if col is not None and not np.isfinite(col[row]).all())
-        raise DivergenceError(f"non-finite {name} recorded at k = {ks[row]}", k=int(ks[row]))
+    _check_recorded(ks, viols, slacks, gaps, row - row % CSV_BLOCK_ROWS, row)
 
     return Trace(
         ks=ks,

@@ -105,7 +105,7 @@ class Topology:
         if n < 1:
             raise TopologyError(f"a topology needs at least one node, got n={n}")
         edges = _edge_array(self.edges, n)
-        weights = np.array(self.weights, dtype=float)
+        weights = _real_array(self.weights, "weights", TopologyError)
         _validate_edges(n, edges, weights)
         rows = np.concatenate([edges[:, 0], edges[:, 1]])
         cols = np.concatenate([edges[:, 1], edges[:, 0]])
@@ -115,16 +115,10 @@ class Topology:
         np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
         edges.setflags(write=False)
         weights.setflags(write=False)
-        for name, value in (
-            ("n", n),
-            ("edges", edges),
-            ("weights", weights),
-            ("_indptr", indptr),
-            ("_cols", cols),
-            ("_csr_weights", csr_weights),
-            ("_laplacian_diag", np.bincount(rows, weights=csr_weights, minlength=n)[:, None]),
-        ):
-            object.__setattr__(self, name, value)
+        vars(self).update(
+            n=n, edges=edges, weights=weights, _indptr=indptr, _cols=cols, _csr_weights=csr_weights,
+            _laplacian_diag=np.bincount(rows, weights=csr_weights, minlength=n)[:, None],
+        )
         heavy = np.flatnonzero(self._laplacian_diag[:, 0] > 1.0 + SYMMETRY_TOL)
         if heavy.size:
             i, total = int(heavy[0]), float(self._laplacian_diag[heavy[0], 0])
@@ -182,18 +176,39 @@ def _real(value, rule: str, error: type[Exception]) -> float:
     raise error(f"{rule}, got {value!r}")
 
 
+def _real_array(value, name: str, error: type[Exception], integer: bool = False) -> np.ndarray:
+    """``value`` as a new float64 (int64 if ``integer``) array in Fortran order; any other entry raises ``error``.
+
+    A numpy array of a real (integer) dtype is copied as it is.  Anything else is read as objects whose set of entry
+    types is checked at once: text, a boolean, None or a list left by a ragged shape (or a float where integers are
+    wanted) raise ``{name} must be numbers, got str entries``.
+    """
+    dtype, wanted, noun = (np.int64, numbers.Integral, "integers") if integer else (float, numbers.Real, "numbers")
+    if isinstance(value, np.ndarray) and value.dtype.kind in ("iu" if integer else "iuf"):
+        return np.array(value, dtype=dtype, order="F")
+    try:
+        entries = np.array(value, dtype=object)
+        kinds = set(map(type, entries.flat))
+        bad = {kind.__name__ for kind in kinds if issubclass(kind, bool) or not issubclass(kind, wanted)}
+        if not bad:
+            return entries.astype(dtype, order="F")
+    except ValueError:  # a ragged nesting of arrays, which numpy cannot hold even as objects
+        bad = {"ragged"}
+    except OverflowError:  # an integer beyond float64 (int64)
+        bad = {"out-of-range int"}
+    raise error(f"{name} must be {noun}, got {', '.join(sorted(bad))} entries")
+
+
 def _edge_array(edges, n: int) -> np.ndarray:
     """Edges as a new (E, 2) int64 array, every endpoint in ``range(n)``."""
-    pairs = np.array(edges)
+    pairs = _real_array(edges, "edges", TopologyError, integer=True)
     if pairs.size == 0:
-        pairs = pairs.reshape(0, 2).astype(np.int64)
-    if pairs.dtype.kind not in "iu":
-        raise TopologyError(f"edge endpoints must be integers, got {pairs.dtype}")
+        pairs = pairs.reshape(0, 2)
     if pairs.ndim != 2 or pairs.shape[1] != 2:
         raise TopologyError(f"edges must be (i, j) pairs, got shape {pairs.shape}")
     if pairs.size and (pairs.min() < 0 or pairs.max() >= n):
         raise TopologyError(f"edge endpoint out of range for n={n}")
-    return pairs.astype(np.int64, copy=False)
+    return pairs
 
 
 def _validate_edges(n: int, pairs: np.ndarray, weights: np.ndarray) -> None:
@@ -290,7 +305,7 @@ class ProblemInstance:
 
     def __post_init__(self):
         n = self.topology.n
-        A = np.array(self.A, dtype=float, order="F")
+        A = _real_array(self.A, "A", InvalidInstanceError)
         if A.ndim != 3 or 0 in A.shape:
             raise InvalidInstanceError(f"A must be a nonempty (n, m, p) stack, got shape {A.shape}")
         if len(A) != n:
@@ -306,7 +321,7 @@ class ProblemInstance:
             shapes.update(P=(n, p, p), Q=(n, p))
         stacks = {"A": A}
         for name, shape in shapes.items():
-            stacks[name] = np.array(getattr(self, name), dtype=float, order="F")
+            stacks[name] = _real_array(getattr(self, name), name, InvalidInstanceError)
             if stacks[name].shape != shape:
                 raise InvalidInstanceError(f"{name} must have shape {shape}, got {stacks[name].shape}")
         for name, value in stacks.items():
@@ -670,25 +685,15 @@ def instance_to_json(instance: ProblemInstance) -> str:
     return json.dumps(doc)
 
 
-def _json_numbers(value, where: str, dtype=float) -> np.ndarray:
-    """A rectangular list of JSON numbers as an array; anything else (a boolean too) is an ``InvalidInstanceError``."""
-    kinds = sorted(kind.__name__ for kind in set(map(type, np.array(value, dtype=object).flat)) - {int, float})
-    if kinds:
-        names = ", ".join(kinds)
-        raise InvalidInstanceError(f"malformed instance document: {where} must be numbers, got {names} entries")
-    return np.array(value, dtype=dtype)
-
-
 def instance_from_json(text: str) -> ProblemInstance:
     """Load an instance from its JSON document, re-validating all invariants.
 
-    Invalid JSON, a wrong structure, agents of different shapes, an entry of
-    ``P``, ``Q``, ``A``, ``d``, the weights or the edges written as a string,
-    a boolean or null, an ``n``, ``p`` or ``m`` that is not an integer or
-    disagrees with the agents all raise ``InvalidInstanceError``.  The topology goes to the ``Topology``
-    constructor as stored, so edges not sorted with ``i < j``, a weight count
-    other than one per edge (a dense weight matrix included), and any other
-    invalid graph raise its ``TopologyError``.
+    Invalid JSON, a wrong structure, and an ``n``, ``p`` or ``m`` that is not
+    an integer or disagrees with the agents raise ``InvalidInstanceError``.
+    The lists go to the constructors as stored, so what ``ProblemInstance``
+    or ``Topology`` rejects (agents of different shapes, an entry that is not
+    a number, unsorted edges, a weight count other than one per edge) raises
+    its ``InvalidInstanceError`` or ``TopologyError``.
     """
     try:
         doc = json.loads(text)
@@ -696,11 +701,9 @@ def instance_from_json(text: str) -> ProblemInstance:
         raise InvalidInstanceError(f"instance document is not valid JSON: {exc}") from exc
     try:
         agents = doc["agents"]
-        P, Q, A, d = (_json_numbers([agent[key] for agent in agents], f"agents' {key}") for key in "PQAd")
+        P, Q, A, d = ([agent[key] for agent in agents] for key in "PQAd")
         sizes = tuple(_whole_number(doc[key], key, ValueError) for key in ("n", "p", "m"))
-        weights = _json_numbers(doc["topology"]["weights"], "topology weights")
-        edges = _json_numbers(doc["topology"]["edges"], "topology edges", dtype=None)
-        topology = Topology(n=sizes[0], edges=edges, weights=weights)
+        topology = Topology(n=sizes[0], edges=doc["topology"]["edges"], weights=doc["topology"]["weights"])
     except KeyError as exc:
         raise InvalidInstanceError(f"instance document is missing key {exc}") from exc
     except (TypeError, ValueError) as exc:

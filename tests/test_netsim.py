@@ -73,15 +73,15 @@ class TestDisturbance:
         assert event.additive.dtype == np.float64 and not event.additive.flags.writeable
 
     @pytest.mark.parametrize(
-        "kwargs, message",
+        "kwargs, kind",
         [
-            pytest.param({"additive": ["1", "2"]}, "must be numbers", id="additive-text"),
-            pytest.param({"additive": [True, 2.0]}, "must be numbers", id="additive-boolean"),
-            pytest.param({"additive": [[1.0], [1.0, 2.0]]}, "must be numbers", id="additive-ragged"),
+            pytest.param({"additive": ["1", "2"]}, "str", id="additive-text"),
+            pytest.param({"additive": [True, 2.0]}, "bool", id="additive-boolean"),
+            pytest.param({"additive": [[1.0], [1.0, 2.0]]}, "list", id="additive-ragged"),
         ],
     )
-    def test_event_rejects_what_is_not_a_number(self, kwargs, message):
-        with pytest.raises(ConfigError, match=message):
+    def test_event_rejects_what_is_not_a_number(self, kwargs, kind):
+        with pytest.raises(ConfigError, match=f"^disturbance vector must be numbers, got {kind} entries$"):
             DisturbanceEvent(**{"at_iteration": 5, "additive": [1.0, 2.0], **kwargs})
 
 
@@ -197,7 +197,6 @@ class TestRunExperiment:
         for name in ("x", "x_prime", "y", "lam", "delta"):
             assert getattr(first.final_state, name).tobytes() == getattr(state, name).tobytes(), name
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the gap overflows
     def test_non_finite_recorded_value_is_a_divergence(self, benchmark_instance, benchmark_oracle, base_hp):
         # a floor of 1e300 keeps the iterates finite, but the gap overflows to inf from the first row on
         shift = DisturbanceEvent(at_iteration=0, additive=np.array([50.0, 50.0]))
@@ -206,6 +205,21 @@ class TestRunExperiment:
             run_experiment(plan, benchmark_oracle)
         assert exc.value.k == 1
         assert np.all(np.isfinite(run_experiment(plan).violation_l1))  # without the gap column, nothing overflows
+
+    @pytest.mark.parametrize("record_every", [1, 3])
+    def test_a_lost_run_stops_within_one_block_of_rows(
+        self, benchmark_instance, benchmark_oracle, base_hp, monkeypatch, record_every
+    ):
+        # the same run over 20000 iterations: its recorded values are checked once every CSV_BLOCK_ROWS rows
+        calls = []
+        monkeypatch.setattr(netsim, "iterate", lambda *args: calls.append(None) or iterate(*args))
+        shift = DisturbanceEvent(at_iteration=0, additive=np.array([50.0, 50.0]))
+        hp = base_hp(omega=1e300)
+        plan = ExperimentPlan(benchmark_instance, hp, 20000, disturbances=(shift,), record_every=record_every)
+        with pytest.raises(DivergenceError, match=f"^non-finite gap recorded at k = {record_every}$") as exc:
+            run_experiment(plan, benchmark_oracle)
+        assert exc.value.k == record_every
+        assert 0 < len(calls) <= netsim.CSV_BLOCK_ROWS * record_every
 
     def test_disturbance_beyond_horizon_rejected(self, small_instance, base_hp):
         with pytest.raises(ConfigError):

@@ -8,10 +8,12 @@ from danyra import (
     BufferSchedule,
     CallableCost,
     ConfigError,
+    DisturbanceEvent,
     HyperParams,
     InvalidInstanceError,
     ProblemInstance,
     SpectralConstants,
+    SwarmState,
     Topology,
     TopologyError,
     compute_projector,
@@ -227,6 +229,59 @@ def test_stacks_are_read_only():
     for stack in (inst.A, inst.d, inst.P, inst.Q, inst.projector_stack, inst.demand_total):
         with pytest.raises(ValueError):
             stack[0] = 0.0
+
+
+# Each constructor that stores an array from outside: the error it raises for an entry that is not a
+# number, a call with ``row`` as one row of an input it checks ([1, 2] is a good row), and that input as stored.
+_TWO = Topology(n=2, edges=[(0, 1)], weights=[0.5])
+
+
+def _two_agents(row):
+    zeros = np.zeros((2, 2))
+    return ProblemInstance(A=[[row, [0.0, 1.0]]] * 2, d=zeros, P=[np.eye(2)] * 2, Q=zeros, topology=_TWO)
+
+
+def _two_agent_state(row):
+    zeros = np.zeros((2, 2))
+    return SwarmState.build(_two_agents([1, 2]), k=0, x=[row, [0, 0]], x_prime=zeros, y=zeros, lam=zeros, delta=None)
+
+
+_STORES = {
+    "Topology": (TopologyError, lambda row: Topology(n=3, edges=[[0, 1], row], weights=[0.3, 0.3]), lambda t: t.edges),
+    "ProblemInstance": (InvalidInstanceError, _two_agents, lambda instance: instance.A),
+    "SwarmState.build": (InvalidInstanceError, _two_agent_state, lambda state: state.x),
+    "DisturbanceEvent": (ConfigError, lambda row: DisturbanceEvent(1, row), lambda event: event.additive),
+}
+# a bad row, and the type its bad entry is named by
+_BAD_ROWS = {
+    "text": (["1", 2], "str"),
+    "boolean": ([True, 2], "bool"),
+    "None": ([None, 2], "NoneType"),
+    "ragged": ([[1], 2], "list"),
+}
+
+
+@pytest.mark.parametrize("bad", _BAD_ROWS)
+@pytest.mark.parametrize("store", _STORES)
+def test_constructors_reject_entries_that_are_not_numbers(store, bad):
+    # numpy would read text as a number, a boolean as 1 or 0, and None as NaN
+    error, make, _ = _STORES[store]
+    row, kind = _BAD_ROWS[bad]
+    noun = "integers" if store == "Topology" else "numbers"
+    with pytest.raises(error, match=rf"^[\w ]+ must be {noun}, got {kind} entries$"):
+        make(row)
+
+
+@pytest.mark.parametrize("store", _STORES)
+def test_constructors_accept_numpy_numbers(store):
+    _, make, stored = _STORES[store]
+    rows = [[np.int64(1), np.uint8(2)], np.array([1, 2], dtype=np.int32)]
+    if store == "Topology":  # its row is an edge, of integers; the weights are floats
+        assert Topology(n=2, edges=[(0, 1)], weights=np.array([0.5], dtype=np.float32)).weights.tolist() == [0.5]
+    else:
+        rows += [[np.float32(1.0), np.float64(2.0)], np.array([1.0, 2.0], dtype=np.float32)]
+    for row in rows:
+        assert stored(make(row)).tolist() == stored(make([1, 2])).tolist()
 
 
 class TestTopology:

@@ -310,10 +310,12 @@ class TestNoStaleProducts:
             pytest.param({"k": True}, "k must be a whole number, got True", id="k-boolean"),
             pytest.param({"k": 2.5}, "k must be a whole number, got 2.5", id="k-fraction"),
             pytest.param({"k": -1}, "k must be >= 0, got -1", id="k-negative"),
-            pytest.param({"x": "x"}, "x must be numbers, got 'x'", id="x-text"),
-            pytest.param({"y": [["0", 0.0]] * 5}, "y must be numbers, got '0'", id="y-text-entry"),
-            pytest.param({"lam": None}, "lam must be numbers, got None", id="lam-null"),
-            pytest.param({"x_prime": [[0.0, 0.0], [1.0]] * 2}, "x_prime must be numbers", id="x-prime-ragged"),
+            pytest.param({"x": "x"}, "x must be numbers, got str entries", id="x-text"),
+            pytest.param({"y": [["0", 0.0]] * 5}, "y must be numbers, got str entries", id="y-text-entry"),
+            pytest.param({"lam": None}, "lam must be numbers, got NoneType entries", id="lam-null"),
+            pytest.param(
+                {"x_prime": [[0.0, 0.0], [1.0]] * 2}, "x_prime must be numbers, got list entries", id="x-prime-ragged"
+            ),
             pytest.param({"delta": [[float("nan"), 0.0]] * 5}, "delta must be finite", id="delta-nan"),
             pytest.param({"x": [[float("inf"), 0.0]] * 5}, "x must be finite", id="x-inf"),
             pytest.param({"y": [[0.0, 0.0]] * 3}, r"y must have shape \(5, 2\), got \(3, 2\)", id="y-shape"),
