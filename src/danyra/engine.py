@@ -46,7 +46,7 @@ import math
 import numpy as np
 
 from .errors import ConfigError, DivergenceError, InvalidInstanceError
-from .problem import EQUALITY, INEQUALITY, HyperParams, ProblemInstance, _real_array, _whole_number, agent_sum
+from .problem import EQUALITY, INEQUALITY, HyperParams, ProblemInstance, _real_shaped, _whole_number, agent_sum
 
 
 @dataclasses.dataclass(frozen=True)
@@ -121,11 +121,8 @@ class SwarmState:
         n, m, p = instance.A.shape
         arrays = {"delta": None}
         for name, value in {"x": x, "x_prime": x_prime, "y": y, "lam": lam, "delta": delta}.items():
-            shape = (n, p) if name in ("x", "x_prime") else (n, m)
             if value is not None or name != "delta":  # a null delta: an equality-mode state
-                arr = arrays[name] = _real_array(value, name, InvalidInstanceError)
-                if arr.shape != shape:
-                    raise InvalidInstanceError(f"{name} must have shape {shape}, got {arr.shape}")
+                arrays[name] = _real_shaped(value, name, (n, p) if name in ("x", "x_prime") else (n, m))
         z = np.einsum("nmp,np->nm", instance.A, arrays["x_prime"]) + instance.topology.mix(arrays["y"])
         if delta is not None:
             z = z + arrays["delta"]
@@ -219,6 +216,8 @@ def iterate(state: SwarmState, instance: ProblemInstance, hp: HyperParams) -> Sw
     and ``hp`` are the objects it was marked under and the floor is equal; so
     the two exchanges per iteration hold only for steps that are computed.
     """
+    if not (isinstance(state, SwarmState) and isinstance(hp, HyperParams)):
+        raise InvalidInstanceError(f"need a SwarmState and a HyperParams, got {type(state).__name__}, {type(hp).__name__}")
     inequality = state.delta is not None
     floor = hp.buffer.value(state.k) if inequality else None
     mark = state.__dict__.get("_fixed_under")
@@ -229,7 +228,7 @@ def iterate(state: SwarmState, instance: ProblemInstance, hp: HyperParams) -> Sw
     A, d, mix = instance.A, instance.d, instance.topology.mix
     alpha, beta, eta, gamma = hp.alpha, hp.beta, hp.eta, hp.gamma
     x_prime, y, lam, delta, Ax, z = state.x_prime, state.y, state.lam, state.delta, state.Ax, state.z
-    grad = instance.gradient(x_prime)
+    grad = instance._gradient(x_prime)  # the state's own array: only a generic cost's result needs a check
 
     # sub-round 1: z is the k-snapshot's, carried from the last iteration's
     # second exchange; sub-round 2: mix z + lam as one message; primal,

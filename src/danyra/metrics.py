@@ -6,7 +6,7 @@ import numpy as np
 
 from .engine import SwarmState
 from .oracle import OracleSolution
-from .problem import ProblemInstance, agent_sum
+from .problem import ProblemInstance, _real_shaped, agent_sum
 
 
 def violation_l1(instance: ProblemInstance, state: SwarmState) -> float:
@@ -17,8 +17,11 @@ def violation_l1(instance: ProblemInstance, state: SwarmState) -> float:
 
 
 def optimality_gap(x: np.ndarray, oracle: OracleSolution) -> float:
-    """Squared Euclidean distance of the stacked decision from the optimum."""
-    diff = np.asarray(x, dtype=float).reshape(-1) - oracle.stacked
+    """Squared Euclidean distance of the stacked decision from the optimum.
+
+    An ``x`` not of the optimum's (n, p) shape, or with an entry that is not a number, raises ``InvalidInstanceError``.
+    """
+    diff = _real_shaped(x, "x", oracle.x_star.shape).reshape(-1) - oracle.stacked
     return float(diff @ diff)
 
 

@@ -47,10 +47,11 @@ EQUALITY = "equality"
 class CallableCost:
     """Generic convex cost given as a value/gradient oracle pair.
 
-    Spectral constants cannot be derived from an oracle pair, so runs using
-    these costs must supply the smoothness/convexity constants explicitly.
-    ``gradient_fn`` must be a pure function: ``iterate`` does not call it on a
-    step that reuses a fixed state (see ``danyra.engine``).
+    Spectral constants cannot be derived from an oracle pair, so runs using these costs must supply the
+    smoothness/convexity constants explicitly.  ``gradient_fn`` must be a pure function: ``iterate`` does not call
+    it on a step that reuses a fixed state (see ``danyra.engine``).  A result with an entry that is not a number
+    (``gradient must be numbers, got str entries``), or a value that is not one number, raises
+    ``InvalidInstanceError``; numpy scalars and 0-d arrays are numbers.
     """
 
     value_fn: Callable[[np.ndarray], float]
@@ -58,10 +59,10 @@ class CallableCost:
     p: int
 
     def value(self, x: np.ndarray) -> float:
-        return float(self.value_fn(x))
+        return float(_real_shaped(self.value_fn(x), "value", ()))
 
     def gradient(self, x: np.ndarray) -> np.ndarray:
-        return np.asarray(self.gradient_fn(x), dtype=float)
+        return _real_array(self.gradient_fn(x), "gradient", InvalidInstanceError)
 
 
 # At or below this many agents ``Topology.mix`` is the dense ``L @ v`` and
@@ -199,6 +200,14 @@ def _real_array(value, name: str, error: type[Exception], integer: bool = False)
     raise error(f"{name} must be {noun}, got {', '.join(sorted(bad))} entries")
 
 
+def _real_shaped(value, name: str, shape: tuple[int, ...]) -> np.ndarray:
+    """``value`` read by ``_real_array`` and required to have ``shape``; either failure is an ``InvalidInstanceError``."""
+    out = _real_array(value, name, InvalidInstanceError)
+    if out.shape != shape:
+        raise InvalidInstanceError(f"{name} must have shape {shape}, got {out.shape}")
+    return out
+
+
 def _edge_array(edges, n: int) -> np.ndarray:
     """Edges as a new (E, 2) int64 array, every endpoint in ``range(n)``."""
     pairs = _real_array(edges, "edges", TopologyError, integer=True)
@@ -321,9 +330,7 @@ class ProblemInstance:
             shapes.update(P=(n, p, p), Q=(n, p))
         stacks = {"A": A}
         for name, shape in shapes.items():
-            stacks[name] = _real_array(getattr(self, name), name, InvalidInstanceError)
-            if stacks[name].shape != shape:
-                raise InvalidInstanceError(f"{name} must have shape {shape}, got {stacks[name].shape}")
+            stacks[name] = _real_shaped(getattr(self, name), name, shape)
         for name, value in stacks.items():
             _check_agents(~np.isfinite(value), f"{name} contains non-finite entries")
             value.setflags(write=False)
@@ -387,15 +394,9 @@ class ProblemInstance:
         out.setflags(write=False)
         return out
 
-    def _rows(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        if x.shape != (self.n, self.p):
-            raise InvalidInstanceError(f"x must have shape ({self.n}, {self.p}), got {x.shape}")
-        return x
-
     def cost(self, x) -> np.ndarray:
-        """Every agent's cost ``f_i(x_i)`` at the rows of ``x`` (n, p), as an (n,) array."""
-        x = self._rows(x)
+        """The (n,) array of every agent's cost ``f_i(x_i)`` at the rows of ``x``, checked as by :meth:`gradient`."""
+        x = _real_shaped(x, "x", (self.n, self.p))
         if self.costs is None:
             return np.einsum("ni,nij,nj->n", x, self.P, x) - np.einsum("ni,ni->n", self.Q, x)
         return np.array([f.value(xi) for f, xi in zip(self.costs, x)])
@@ -403,9 +404,13 @@ class ProblemInstance:
     def gradient(self, x) -> np.ndarray:
         """Every agent's cost gradient at the rows of ``x`` (``2 P_i x_i - Q_i`` for quadratics).
 
-        A generic cost whose gradient is not of shape (p,) raises ``InvalidInstanceError`` naming its agent.
+        An ``x`` not of shape (n, p) or with an entry that is not a number (``x must be numbers, got str entries``),
+        or a generic cost's gradient not of shape (p,) (naming its agent), raises ``InvalidInstanceError``.
         """
-        x = self._rows(x)
+        return self._gradient(_real_shaped(x, "x", (self.n, self.p)))
+
+    def _gradient(self, x: np.ndarray) -> np.ndarray:
+        """:meth:`gradient` at an (n, p) float array, unchecked; ``iterate`` calls it on its own ``x'``."""
         if self.costs is None:
             return np.einsum("nij,nj->ni", self.hessian_stack, x) - self.Q
         grads = [f.gradient(xi) for f, xi in zip(self.costs, x)]

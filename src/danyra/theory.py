@@ -19,7 +19,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .errors import ConfigError, InvalidInstanceError
-from .problem import EQUALITY, INEQUALITY, HyperParams, SpectralConstants
+from .problem import EQUALITY, INEQUALITY, HyperParams, SpectralConstants, _real, _whole_number
 
 ZERO_VIOLATION_TOL = 1e-12
 
@@ -117,7 +117,8 @@ def validate_hyperparams(
 
 
 def recovery_iteration(trace, from_k: int = 0) -> int | None:
-    """First recorded k >= from_k whose violation is zero (at most 1e-12) and stays zero afterwards."""
+    """First recorded k >= from_k (a whole number) whose violation is zero (at most 1e-12) and stays zero afterwards."""
+    from_k = _whole_number(from_k, "from_k", InvalidInstanceError)
     ks = np.asarray(trace.ks)
     violated = np.flatnonzero(np.asarray(trace.violation_l1) > ZERO_VIOLATION_TOL)
     after = violated[-1] + 1 if violated.size else 0
@@ -143,7 +144,11 @@ class BoundsReport:
 
 
 def bounds_report(sc: SpectralConstants, hp: HyperParams, n: int, C_vio: float) -> BoundsReport:
-    """Evaluate the guarantee formulas for a buffer level and measured violation."""
+    """Evaluate the guarantee formulas for a buffer level and measured violation (a whole n >= 1, a finite C_vio >= 0)."""
+    n = _whole_number(n, "n", InvalidInstanceError)
+    C_vio = _real(C_vio, "C_vio must be a finite number", InvalidInstanceError)
+    if n < 1 or not math.isfinite(C_vio):
+        raise InvalidInstanceError(f"need a whole n >= 1 and a finite C_vio, got n={n}, C_vio={C_vio}")
     if C_vio < 0:
         raise InvalidInstanceError(f"C_vio must be nonnegative, got {C_vio}")
     omega = hp.buffer.limit

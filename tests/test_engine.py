@@ -318,6 +318,36 @@ class TestProjection:
 
 
 class TestIterate:
+    def test_argument_types_are_checked(self, small_instance, base_hp):
+        hp = base_hp(omega=0.05)
+        st = init_state(small_instance, hp, "at_demand")
+        message = "^need a SwarmState and a HyperParams, got "
+        with pytest.raises(InvalidInstanceError, match=message + "SwarmState, dict$"):
+            iterate(st, small_instance, {"alpha": 0.01, "beta": 0.02, "eta": 0.1, "gamma": 0.2})
+        with pytest.raises(InvalidInstanceError, match=message + "dict, HyperParams$"):
+            iterate(st.to_dict(), small_instance, hp)
+        with pytest.raises(InvalidInstanceError, match=message + "NoneType, NoneType$"):
+            iterate(None, small_instance, None)
+
+    def test_step_reads_its_own_x_prime_unchecked(self, small_instance, base_hp, monkeypatch):
+        # the public gradient copies and checks its x; the step's x' is the state's own array
+        hp = base_hp(omega=0.05)
+        st = randomize_state(small_instance, init_state(small_instance, hp, "at_demand"), seed=3)
+        expected = iterate(st, small_instance, hp)
+        monkeypatch.setattr(ProblemInstance, "gradient", lambda self, x: pytest.fail("iterate called gradient"))
+        nxt = iterate(st, small_instance, hp)
+        for name in ("x", "x_prime", "y", "lam", "delta", "Ax", "z"):
+            assert getattr(nxt, name).tobytes() == getattr(expected, name).tobytes()
+
+    @pytest.mark.parametrize("entry, kind", [("1", "str"), (True, "bool")])
+    def test_step_checks_a_generic_gradient(self, base_hp, entry, kind):
+        quadratic = pair_instance()
+        cost = CallableCost(value_fn=lambda x: float(x @ x), gradient_fn=lambda x: [entry, 0.0], p=2)
+        generic = ProblemInstance(A=quadratic.A, d=quadratic.d, topology=quadratic.topology, costs=(cost, cost))
+        hp = base_hp(omega=0.05)
+        with pytest.raises(InvalidInstanceError, match=rf"^gradient must be numbers, got {kind} entries$"):
+            iterate(init_state(generic, hp, "at_demand"), generic, hp)
+
     def test_matches_per_agent_composition(self, small_instance, base_hp):
         hp = base_hp(omega=0.05)
         st = randomize_state(small_instance, init_state(small_instance, hp, "at_demand"), seed=1)

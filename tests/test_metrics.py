@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -64,6 +65,19 @@ class TestPointMetrics:
         bumped[0, 0] += 1.0
         assert optimality_gap(bumped, benchmark_oracle) == pytest.approx(1.0)
 
+    @pytest.mark.parametrize(
+        "reshape, shape",
+        [
+            pytest.param(lambda x: x.T, r"\(2, 14\)", id="transposed"),
+            pytest.param(lambda x: x.reshape(-1), r"\(28,\)", id="flat"),
+            pytest.param(lambda x: x[:-1], r"\(13, 2\)", id="one-agent-short"),
+        ],
+    )
+    def test_gap_needs_the_optimum_shape(self, benchmark_oracle, reshape, shape):
+        # a transposed or flat decision has the optimum's entry count, and once read as its stack
+        with pytest.raises(InvalidInstanceError, match=rf"^x must have shape \(14, 2\), got {shape}$"):
+            optimality_gap(reshape(benchmark_oracle.x_star), benchmark_oracle)
+
     def test_slack_sum_cases(self):
         inst = free_instance()
         x = np.zeros((2, 2))
@@ -96,6 +110,11 @@ class TestRecoveryIteration:
     def test_never_recovered(self):
         tr = trace_with([1.0, 0.5, 0.25])
         assert recovery_iteration(tr) is None
+
+    @pytest.mark.parametrize("from_k", ["3", True, 1.5, None])
+    def test_from_k_must_be_a_whole_number(self, from_k):
+        with pytest.raises(InvalidInstanceError, match=r"^from_k must be a whole number, got "):
+            recovery_iteration(trace_with([0, 0, 0, 0]), from_k=from_k)
 
     def test_respects_zero_tolerance(self):
         tr = trace_with([1.0, 5e-13, 5e-13])
@@ -167,6 +186,28 @@ class TestBoundsReport:
     def test_negative_violation_rejected(self):
         with pytest.raises(InvalidInstanceError, match="C_vio must be nonnegative, got -1.0"):
             bounds_report(self.sc(), self.hp(0.1), n=14, C_vio=-1.0)
+
+    @pytest.mark.parametrize(
+        "n, C_vio, message",
+        [
+            pytest.param(14, math.nan, "need a whole n >= 1 and a finite C_vio, got n=14, C_vio=nan", id="C_vio-nan"),
+            pytest.param(14, math.inf, "need a whole n >= 1 and a finite C_vio, got n=14, C_vio=inf", id="C_vio-inf"),
+            pytest.param(14, "3", "C_vio must be a finite number, got '3'", id="C_vio-text"),
+            pytest.param(14, True, "C_vio must be a finite number, got True", id="C_vio-boolean"),
+            pytest.param(0, 1.0, "need a whole n >= 1 and a finite C_vio, got n=0, C_vio=1.0", id="n-zero"),
+            pytest.param(2.5, 1.0, "n must be a whole number, got 2.5", id="n-fraction"),
+            pytest.param("14", 1.0, "n must be a whole number, got '14'", id="n-text"),
+            pytest.param(True, 1.0, "n must be a whole number, got True", id="n-boolean"),
+        ],
+    )
+    def test_scalars_are_checked(self, n, C_vio, message):
+        with pytest.raises(InvalidInstanceError, match=f"^{re.escape(message)}$"):
+            bounds_report(self.sc(), self.hp(0.1), n=n, C_vio=C_vio)
+
+    def test_scalars_accept_numpy_numbers(self):
+        report = bounds_report(self.sc(), self.hp(0.1), n=14, C_vio=14.0)
+        assert bounds_report(self.sc(), self.hp(0.1), n=np.int64(14), C_vio=np.float32(14.0)) == report
+        assert bounds_report(self.sc(), self.hp(0.1), n=14.0, C_vio=14) == report
 
     def test_tradeoff_monotonicity_in_buffer(self):
         sc = self.sc()

@@ -11,6 +11,7 @@ from danyra import (
     DisturbanceEvent,
     HyperParams,
     InvalidInstanceError,
+    OracleSolution,
     ProblemInstance,
     SpectralConstants,
     SwarmState,
@@ -21,6 +22,7 @@ from danyra import (
     instance_from_json,
     instance_to_json,
     metropolis_weights,
+    optimality_gap,
     spectral_constants,
     validate_hyperparams,
 )
@@ -231,8 +233,9 @@ def test_stacks_are_read_only():
             stack[0] = 0.0
 
 
-# Each constructor that stores an array from outside: the error it raises for an entry that is not a
-# number, a call with ``row`` as one row of an input it checks ([1, 2] is a good row), and that input as stored.
+# Each constructor that stores an array from outside, and each public function that reads a caller's array (or a
+# generic cost's result): the error it raises for an entry that is not a number, a call with ``row`` as one row of
+# an input it checks ([1, 2] is a good row), and that input as stored (or the call's result).
 _TWO = Topology(n=2, edges=[(0, 1)], weights=[0.5])
 
 
@@ -246,11 +249,22 @@ def _two_agent_state(row):
     return SwarmState.build(_two_agents([1, 2]), k=0, x=[row, [0, 0]], x_prime=zeros, y=zeros, lam=zeros, delta=None)
 
 
+def _generic_gradient(row):
+    cost = CallableCost(value_fn=lambda x: 0.0, gradient_fn=lambda x: row, p=2)
+    generic = ProblemInstance(A=[np.eye(2)] * 2, d=np.zeros((2, 2)), costs=[cost] * 2, topology=_TWO)
+    return generic.gradient(np.zeros((2, 2)))
+
+
+_ORIGIN = OracleSolution(x_star=np.zeros((2, 2)), lambda_star=np.zeros(2), f_star=0.0, active_set=())
 _STORES = {
     "Topology": (TopologyError, lambda row: Topology(n=3, edges=[[0, 1], row], weights=[0.3, 0.3]), lambda t: t.edges),
     "ProblemInstance": (InvalidInstanceError, _two_agents, lambda instance: instance.A),
     "SwarmState.build": (InvalidInstanceError, _two_agent_state, lambda state: state.x),
     "DisturbanceEvent": (ConfigError, lambda row: DisturbanceEvent(1, row), lambda event: event.additive),
+    "gradient": (InvalidInstanceError, lambda row: _two_agents([1, 2]).gradient([row, [0, 0]]), np.asarray),
+    "cost": (InvalidInstanceError, lambda row: _two_agents([1, 2]).cost([row, [0, 0]]), np.asarray),
+    "optimality_gap": (InvalidInstanceError, lambda row: optimality_gap([row, [0, 0]], _ORIGIN), np.float64),
+    "CallableCost.gradient": (InvalidInstanceError, _generic_gradient, np.asarray),
 }
 # a bad row, and the type its bad entry is named by
 _BAD_ROWS = {
@@ -282,6 +296,27 @@ def test_constructors_accept_numpy_numbers(store):
         rows += [[np.float32(1.0), np.float64(2.0)], np.array([1.0, 2.0], dtype=np.float32)]
     for row in rows:
         assert stored(make(row)).tolist() == stored(make([1, 2])).tolist()
+
+
+@pytest.mark.parametrize(
+    "result, message",
+    [
+        pytest.param("1", "value must be numbers, got str entries", id="text"),
+        pytest.param(True, "value must be numbers, got bool entries", id="boolean"),
+        pytest.param(None, "value must be numbers, got NoneType entries", id="None"),
+        pytest.param([1.0, 2.0], r"value must have shape \(\), got \(2,\)", id="two-numbers"),
+    ],
+)
+def test_callable_cost_value_must_be_one_number(result, message):
+    cost = CallableCost(value_fn=lambda x: result, gradient_fn=lambda x: 2 * x, p=2)
+    with pytest.raises(InvalidInstanceError, match=rf"^{message}$"):
+        cost.value(np.zeros(2))
+
+
+def test_callable_cost_value_accepts_numpy_numbers():
+    for result in (np.float64(3.0), np.float32(3.0), np.int64(3), np.array(3.0), 3):
+        value = CallableCost(value_fn=lambda x: result, gradient_fn=lambda x: 2 * x, p=2).value(np.zeros(2))
+        assert type(value) is float and value == 3.0
 
 
 class TestTopology:
