@@ -1,8 +1,8 @@
 """One synchronous iteration of the anytime-feasible allocation algorithm.
 
 Each computed iteration (not a reused fixed point, below) runs two neighbor
-exchanges and five local updates, in this order: mix z + lambda (one message:
-L z + L lambda = L (z + lambda)); update the virtual decision x', the
+exchanges and five local updates, in this order: mix v = z - d + lambda (each
+agent sends v_i = z_i - d_i + lambda_i); update the virtual decision x', the
 auxiliary y, and (inequality mode) the queue delta; mix the new y; update the
 dual lambda with the new z; project x' onto the per-agent affine target set.
 The projection is closed-form (``x = x' + A'(AA')^{-1}(b - Ax')``), never an
@@ -203,10 +203,10 @@ def iterate(state: SwarmState, instance: ProblemInstance, hp: HyperParams) -> Sw
     simulated network) by ``Topology.mix``, which is ``L @ v``: the dense
     product for small swarms, and above ``DENSE_MIX_MAX_N`` agents a sum over
     the edges at each agent only, O(|E|) per exchange.  There are two
-    exchanges per iteration: ``z + lam`` and the new ``y``.  Each local update
-    is one array expression over all agents' rows, and row ``i`` reads only
-    agent ``i``'s iterates and mixed messages, as in the distributed
-    algorithm.
+    exchanges per iteration: each agent sends ``v_i = z_i - d_i + lam_i``,
+    then its new ``y_i``.  Each local update is one array expression over all
+    agents' rows, and row ``i`` reads only agent ``i``'s iterates and mixed
+    messages, as in the distributed algorithm.
 
     ``A_i x_i`` and ``z`` are read from the state, and the returned state
     carries the new ones, so each is computed once per iteration.
@@ -231,11 +231,11 @@ def iterate(state: SwarmState, instance: ProblemInstance, hp: HyperParams) -> Sw
     grad = instance._gradient(x_prime)  # the state's own array: only a generic cost's result needs a check
 
     # sub-round 1: z is the k-snapshot's, carried from the last iteration's
-    # second exchange; sub-round 2: mix z + lam as one message; primal,
-    # auxiliary and queue updates
+    # second exchange; sub-round 2: mix v = z - d + lam; primal, auxiliary
+    # and queue updates
     v = z - d + lam
     x_prime_next = x_prime - alpha * (np.einsum("nmp,nm->np", A, v) + grad)
-    y_next = y - alpha * mix(z + lam)
+    y_next = y - alpha * mix(v)
     delta_next = np.maximum(delta - alpha * v, floor) if inequality else None
 
     # sub-round 3: mix the new auxiliaries; dual update and projection

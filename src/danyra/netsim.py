@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .engine import SwarmState, init_state, iterate
-from .errors import ConfigError, DivergenceError
+from .errors import ConfigError, DivergenceError, InvalidInstanceError
 from .metrics import optimality_gap, slack_sum, violation_l1
 from .oracle import OracleSolution
 from .problem import EQUALITY, INEQUALITY, HyperParams, ProblemInstance, _real_array, _whole_number
@@ -129,13 +129,15 @@ class Trace:
         return float(self.violation_l1[-1])
 
     def csv_text(self, start: int = 0, stop: int | None = None) -> str:
-        """Rows ``start:stop`` (as in a slice) as CSV, after the header line when ``start`` is 0.
+        """Rows ``start:stop`` (whole numbers, as in a slice) as CSV, after the header line when ``start`` is 0.
 
         With no arguments this is the whole file.  Floats are written in
         ``.17g`` (round-trip exact), each column formatted from Python floats
         (``tolist``); ``to_csv`` asks for one ``CSV_BLOCK_ROWS``-row block at a
         time, so the formatted strings of only one block are alive at once.
         """
+        start = _whole_number(start, "start", InvalidInstanceError)
+        stop = None if stop is None else _whole_number(stop, "stop", InvalidInstanceError)
         ks, slack = np.asarray(self.ks), np.asarray(self.slack)
         rows = slice(start, stop)
         floats = [] if self.gap is None else [np.asarray(self.gap)]

@@ -51,12 +51,15 @@ class CallableCost:
     smoothness/convexity constants explicitly.  ``gradient_fn`` must be a pure function: ``iterate`` does not call
     it on a step that reuses a fixed state (see ``danyra.engine``).  A result with an entry that is not a number
     (``gradient must be numbers, got str entries``), or a value that is not one number, raises
-    ``InvalidInstanceError``; numpy scalars and 0-d arrays are numbers.
+    ``InvalidInstanceError``; numpy scalars and 0-d arrays are numbers.  A ``p`` must be a whole number.
     """
 
     value_fn: Callable[[np.ndarray], float]
     gradient_fn: Callable[[np.ndarray], np.ndarray]
     p: int
+
+    def __post_init__(self):
+        object.__setattr__(self, "p", _whole_number(self.p, "p", InvalidInstanceError))
 
     def value(self, x: np.ndarray) -> float:
         return float(_real_shaped(self.value_fn(x), "value", ()))
@@ -139,7 +142,8 @@ class Topology:
         it up to the order of the floating-point sums.  The terms are gathered
         with ``np.take`` into a (columns, 2E) array, so each agent's neighbor
         terms are contiguous in memory when they are summed.  Both branches
-        return the agents innermost (Fortran order).
+        return the agents innermost (Fortran order).  ``v`` is not checked:
+        this is the exchange kernel, which ``iterate`` calls on its own arrays.
         """
         if self.n <= DENSE_MIX_MAX_N:
             return np.matmul(self.L, v, out=np.empty(v.shape, order="F"))
@@ -260,7 +264,10 @@ def metropolis_weights(adjacency) -> Topology:
     this is symmetric and doubly stochastic on any graph.  The Laplacian uses
     ``l_ii = sum_{j != i} w_ij`` and ``l_ij = -w_ij``.
     """
-    adj = np.asarray(adjacency)
+    try:
+        adj = np.asarray(adjacency)
+    except ValueError as exc:  # a ragged nesting, which numpy cannot hold as one array
+        raise TopologyError("adjacency entries must be 0/1 or booleans, got a ragged nesting") from exc
     if adj.dtype.kind not in "biuf" or np.any((adj != 0) & (adj != 1)):
         raise TopologyError("adjacency entries must be 0/1 or booleans")
     if adj.ndim != 2 or adj.shape[0] != adj.shape[1]:
@@ -418,8 +425,11 @@ class ProblemInstance:
         return np.stack(grads)
 
 
-def compute_projector(A: np.ndarray) -> np.ndarray:
-    """Return ``A'(AA')^{-1}`` (p, m) for a full-row-rank ``A`` (m, p), or for each matrix of a stack."""
+def compute_projector(A) -> np.ndarray:
+    """Return ``A'(AA')^{-1}`` (p, m) for a full-row-rank, finite ``A`` (m, p), or for each matrix of a stack."""
+    A = _real_array(A, "A", InvalidInstanceError)
+    if A.ndim < 2 or not np.isfinite(A).all():
+        raise InvalidInstanceError(f"A must be an (m, p) matrix or a stack of them, all finite; got shape {A.shape}")
     At = np.swapaxes(A, -1, -2)
     return np.swapaxes(np.linalg.solve(A @ At, A), -1, -2)
 
@@ -527,8 +537,10 @@ class SpectralConstants:
 
     def __post_init__(self):
         for name, value in asdict(self).items():
-            if not math.isfinite(_real(value, f"{name} must be a finite number", InvalidInstanceError)):
+            number = _real(value, f"{name} must be a finite number", InvalidInstanceError)
+            if not math.isfinite(number):
                 raise InvalidInstanceError(f"{name} must be a finite number, got {value!r}")
+            object.__setattr__(self, name, number)
         if self.mu <= 0 or self.ell < self.mu:
             raise InvalidInstanceError(f"need ell >= mu > 0, got ell={self.ell}, mu={self.mu}")
         if self.sigma_A_min <= 0 or self.sigma_A_max < self.sigma_A_min:
@@ -544,8 +556,8 @@ def spectral_constants(
 ) -> SpectralConstants:
     """Compute spectral constants of an instance.
 
-    For quadratic costs ``ell = 2 max_i lambda_max(P_i)`` and
-    ``mu = 2 min_i lambda_min(P_i)``; generic costs require both supplied.
+    For quadratic costs ``ell = 2 max_i lambda_max(P_i)`` and ``mu = 2 min_i lambda_min(P_i)`` unless supplied;
+    generic costs require both.  A supplied one is checked by ``SpectralConstants``: a finite number.
 
     Up to ``DENSE_MIX_MAX_N`` agents, ``sigma_L_min`` is the smallest nonzero
     eigenvalue of the Laplacian (the Fiedler value ``lambda_2``: the graph is
@@ -578,12 +590,12 @@ def spectral_constants(
         sigma_L_min = 2.0 * topology.weights.min() / (topology.n * topology._eccentricity)
         sigma_L_max = 2.0 * topology._laplacian_diag.max()
     return SpectralConstants(
-        ell=float(ell),
-        mu=float(mu),
-        sigma_A_max=float(singular_values.max()),
-        sigma_A_min=float(singular_values.min()),
-        sigma_L_max=float(sigma_L_max),
-        sigma_L_min=float(sigma_L_min),
+        ell=ell,
+        mu=mu,
+        sigma_A_max=singular_values.max(),
+        sigma_A_min=singular_values.min(),
+        sigma_L_max=sigma_L_max,
+        sigma_L_min=sigma_L_min,
     )
 
 
@@ -633,6 +645,7 @@ class BufferSchedule:
         return cls(levels=values)
 
     def value(self, k: int) -> float:
+        """The floor at step ``k``, which is not checked: ``iterate`` calls this with a state's own ``k``."""
         return self.levels[min(k, len(self.levels) - 1)] + self.coefficient / (k + 1)
 
     @property

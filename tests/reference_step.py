@@ -3,7 +3,7 @@
 Each function is one agent's local update, written from the paper's update
 rules with that agent's own vectors and matrices (``AgentData``, one row of the
 instance's stacks); ``exchange_primary`` is the paper's first two
-communication sub-rounds (mix lambda and y, then z) over the whole swarm.  ``danyra.iterate``
+communication sub-rounds (mix lambda and y, then z, and the demands d) over the whole swarm.  ``danyra.iterate``
 computes the same step batched over all agents, and the tests require the two
 to agree to rounding; ``state_difference`` measures how far apart two states
 are.
@@ -12,7 +12,7 @@ are.
 products ``A x`` and ``z``: it reads the mixed auxiliaries ``y_bar = L y``
 from a ``ReferenceState`` (``reference_copy`` mixes a ``SwarmState``'s ``y``
 itself and never reads its ``z``), forms ``z = A x' + y_bar (+ delta)``,
-mixes ``z + lam`` as one message and the new ``y`` as the other, and returns a
+mixes ``v = z - d + lam`` as one message and the new ``y`` as the other, and returns a
 ``ReferenceState`` with the new ``y_bar``.  What sets it apart from
 ``danyra.iterate`` is that it recomputes ``A x`` and ``A x'`` each iteration
 and forms ``z`` from them instead of reading the carried products;
@@ -24,10 +24,11 @@ and the in-place disturbance of the same version.  The tests require
 reproduce them bit for bit.
 
 ``reference_iterate_four_exchanges`` is the step before the mixed ``y`` was
-carried: it mixes ``lam``, ``y``, ``z`` and the new ``y``, so it rounds
+carried: it mixes ``lam``, ``y``, ``z - d`` and the new ``y``, so it rounds
 differently, and the tests require the two forms to agree within the
 artifact check's tolerances over long runs.  ``exchange_primary`` and the
-per-agent updates keep the paper's separate ``lambda_bar`` and ``z_bar``.
+per-agent updates keep the paper's separate ``lambda_bar``, ``z_bar`` and
+``d_bar``.
 """
 
 from __future__ import annotations
@@ -86,6 +87,7 @@ class AgentMessages:
     y_bar: np.ndarray
     z: np.ndarray
     z_bar: np.ndarray
+    d_bar: np.ndarray
     y_bar_next: np.ndarray | None = None
 
 
@@ -97,6 +99,7 @@ class RoundMessages:
     y_bar: np.ndarray
     z: np.ndarray
     z_bar: np.ndarray
+    d_bar: np.ndarray
     y_bar_next: np.ndarray | None = None
 
     def agent(self, i: int) -> AgentMessages:
@@ -105,6 +108,7 @@ class RoundMessages:
             y_bar=self.y_bar[i],
             z=self.z[i],
             z_bar=self.z_bar[i],
+            d_bar=self.d_bar[i],
             y_bar_next=None if self.y_bar_next is None else self.y_bar_next[i],
         )
 
@@ -122,7 +126,7 @@ def agent_state(state: SwarmState, instance: ProblemInstance, i: int) -> AgentSt
 
 
 def exchange_primary(state: SwarmState, instance: ProblemInstance) -> RoundMessages:
-    """First two communication sub-rounds: mix {lambda, y}, form z, mix z.
+    """First two communication sub-rounds: mix {lambda, y}, form z, mix z and the demands d.
 
     All reads are from the iteration-k snapshot; row sums of the mixed
     quantities vanish because the Laplacian columns sum to zero.
@@ -134,7 +138,7 @@ def exchange_primary(state: SwarmState, instance: ProblemInstance) -> RoundMessa
     if state.delta is not None:
         z = z + state.delta
     z_bar = L @ z
-    return RoundMessages(lambda_bar=lambda_bar, y_bar=y_bar, z=z, z_bar=z_bar)
+    return RoundMessages(lambda_bar=lambda_bar, y_bar=y_bar, z=z, z_bar=z_bar, d_bar=L @ instance.d)
 
 
 def step_virtual_decision(
@@ -150,8 +154,8 @@ def step_virtual_decision(
 
 
 def step_auxiliary(agent: AgentState, msgs: AgentMessages, hp: HyperParams) -> np.ndarray:
-    """``y <- y - alpha * (z_bar + lambda_bar)``; the swarm-wide sum of y is conserved."""
-    out = agent.y - hp.alpha * (msgs.z_bar + msgs.lambda_bar)
+    """``y <- y - alpha * (z_bar + lambda_bar - d_bar)``; the swarm-wide sum of y is conserved."""
+    out = agent.y - hp.alpha * (msgs.z_bar + msgs.lambda_bar - msgs.d_bar)
     if not np.all(np.isfinite(out)):
         raise DivergenceError("auxiliary update produced non-finite values")
     return out
@@ -278,7 +282,7 @@ def reference_z(instance: ProblemInstance, state: ReferenceState) -> np.ndarray:
 def reference_iterate(state: ReferenceState, instance: ProblemInstance, hp: HyperParams) -> ReferenceState:
     """The batched two-exchange step, recomputing the coupling products.
 
-    It reads ``y_bar`` from the ``ReferenceState`` and mixes ``z + lam`` as one message.
+    It reads ``y_bar`` from the ``ReferenceState`` and mixes ``v = z - d + lam`` as one message.
     """
     return _reference_step(state, instance, hp, four_exchanges=False)
 
@@ -286,7 +290,7 @@ def reference_iterate(state: ReferenceState, instance: ProblemInstance, hp: Hype
 def reference_iterate_four_exchanges(
     state: ReferenceState, instance: ProblemInstance, hp: HyperParams
 ) -> ReferenceState:
-    """The batched step before the mixed ``y`` was carried: it mixes ``lam``, ``y``, ``z`` and the new ``y``.
+    """The batched step before the mixed ``y`` was carried: it mixes ``lam``, ``y``, ``z - d`` and the new ``y``.
 
     It ignores the state's ``y_bar`` and returns the mix of the new ``y`` as one.
     """
@@ -322,14 +326,14 @@ def _reference_step(
     else:
         grad = instance.gradient(x_prime)
 
-    # sub-round 2: mix z and add lambda_bar (four exchanges), or mix z + lam
-    # (two); primal, auxiliary and queue updates
+    # sub-round 2: mix z - d and add lambda_bar (four exchanges), or mix
+    # v = z - d + lam (two); primal, auxiliary and queue updates
     v = z - d + lam
     x_prime_next = x_prime - alpha * (grad + np.einsum("nmp,nm->np", A, v))
     if four_exchanges:
-        y_next = y - alpha * (mix(z) + lambda_bar)
+        y_next = y - alpha * (mix(z - d) + lambda_bar)
     else:
-        y_next = y - alpha * mix(z + lam)
+        y_next = y - alpha * mix(v)
     delta_next = np.maximum(delta - alpha * v, hp.buffer.value(state.k)) if inequality else None
 
     # sub-round 3: mix the new auxiliaries; dual update and projection

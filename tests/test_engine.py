@@ -62,13 +62,14 @@ def agent_view(x=None, x_prime=None, y=None, lam=None, delta=None, projector=Non
     )
 
 
-def messages(z=None, z_bar=None, lambda_bar=None, y_bar=None, y_bar_next=None):
+def messages(z=None, z_bar=None, lambda_bar=None, y_bar=None, y_bar_next=None, d_bar=None):
     z2 = np.zeros(2)
     return AgentMessages(
         lambda_bar=z2 if lambda_bar is None else np.asarray(lambda_bar, dtype=float),
         y_bar=z2 if y_bar is None else np.asarray(y_bar, dtype=float),
         z=z2 if z is None else np.asarray(z, dtype=float),
         z_bar=z2 if z_bar is None else np.asarray(z_bar, dtype=float),
+        d_bar=z2 if d_bar is None else np.asarray(d_bar, dtype=float),
         y_bar_next=y_bar_next if y_bar_next is None else np.asarray(y_bar_next, dtype=float),
     )
 
@@ -219,6 +220,8 @@ class TestLocalSteps:
         assert np.array_equal(step_auxiliary(ag, messages(), hp), [0.0, 0.0])
         out = step_auxiliary(ag, messages(z_bar=[0.5, 0.5], lambda_bar=[0.5, 0.5]), hp)
         assert np.allclose(out, [-0.01, -0.01])
+        out = step_auxiliary(ag, messages(z_bar=[0.5, 0.5], lambda_bar=[0.5, 0.5], d_bar=[1.0, 0.0]), hp)
+        assert np.allclose(out, [0.0, -0.01])  # the mixed message is z + lambda - d
 
     def test_queue_floor_binds_per_component(self):
         hp = HyperParams(alpha=1.0, beta=0.02, eta=0.1, gamma=0.2)

@@ -1,14 +1,14 @@
-"""Two neighbor exchanges per computed iteration: ``z + lam``, then the new ``y``.
+"""Two neighbor exchanges per computed iteration: ``v = z - d + lam``, then the new ``y``.
 
 ``iterate`` reads the message ``z = A x' + L y (+ delta)`` from the state
-(formed with the previous iteration's second exchange) and mixes ``z + lam``
-as one message, since ``L z + L lam = L (z + lam)``.  The first tests count the calls to
+(formed with the previous iteration's second exchange) and mixes
+``v = z - d + lam`` as one message.  The first tests count the calls to
 ``Topology.mix``: two per computed ``iterate`` and one per
 ``SwarmState.build``, on both mix branches and in both modes.  A step that
 reuses a fixed state (see ``danyra.engine``) makes none; ``test_fixed_point``
 counts those.  The others run ``run_experiment`` beside
 ``reference_step.reference_iterate_four_exchanges`` (the step that mixed
-``lam``, ``y``, ``z`` and the new ``y``) for 3000 iterations, on the fig2
+``lam``, ``y``, ``z - d`` and the new ``y``) for 3000 iterations, on the fig2
 instance with its k=500 disturbance and on a 601-agent instance: every
 recorded column must agree within the artifact check's tolerances
 (``perfbench/check.py``), and the recovery iteration must be the same.

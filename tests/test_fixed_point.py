@@ -4,7 +4,7 @@ In floating point the iteration's linear rate ends in a state whose step
 returns its own bits.  ``iterate`` marks such a state and, called again with
 the same ``instance`` and ``hp`` objects and an equal floor, returns it at
 ``k + 1`` without arithmetic or exchanges.  On a 4-agent instance that gets
-there within about 3500 steps in both modes (the inequality run's floor then
+there within about 3900 steps in both modes (the inequality run's floor then
 steps down from 0.1 to 0.05 at ``FLOOR_DROP_K``), these tests require:
 
 - every state of the run to equal, bit for bit, a chain with no reuse, whose
@@ -47,12 +47,12 @@ from danyra import (
 
 from conftest import count_mix, rebuild
 
-# From the zero start, the first step that returns its input's bits is the one from k = 1782 in equality
-# mode and from k = 3483 in inequality mode; every later step reuses its state until the floor drops.
-GENERATE = {"seed": 1, "n": 4, "r_max": 10.0, "extra_edges": 2}
+# From the zero start, the first step that returns its input's bits is the one from k = 2031 in equality
+# mode and from k = 3885 in inequality mode; every later step reuses its state until the floor drops.
+GENERATE = {"seed": 4, "n": 4, "r_max": 10.0, "extra_edges": 2}
 STEP_SIZES = {"alpha": 0.02974, "beta": 0.27, "eta": 0.07, "gamma": 0.8922}  # the equality preset's
-FLOOR_DROP_K = 3600
-ITERS = {EQUALITY: 1900, INEQUALITY: 3650}
+FLOOR_DROP_K = 4000
+ITERS = {EQUALITY: 2150, INEQUALITY: 4050}
 FIELDS = ("x", "x_prime", "y", "lam", "delta", "Ax", "z", "Ax_sum")
 STEP_READS = ("x_prime", "y", "lam", "delta", "Ax", "z")
 

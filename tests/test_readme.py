@@ -113,7 +113,7 @@ def test_public_names():
         for name, value in vars(danyra).items()
         if not name.startswith("_") and not isinstance(value, types.ModuleType)
     }
-    assert exported == set(PUBLIC_NAMES)
+    assert exported == set(PUBLIC_NAMES) == set(danyra.__all__)
     for name, module in PUBLIC_NAMES.items():
         value = getattr(danyra, name)
         if isinstance(value, (type, types.FunctionType)):  # the constants carry no module
