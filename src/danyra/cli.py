@@ -192,11 +192,6 @@ def _validate_config(cfg: dict) -> dict:
         raise ConfigError("sweep is not allowed in equality mode: with no queue, every member would run alike")
     if sweep is None:  # a sweep runs its members' buffers and never reads hp.buffer
         hp = {"buffer": {"kind": "constant", "omega": 0.0}, **hp}
-    for buffer in sweep or [hp["buffer"]]:  # the range checks of the steps and of every buffer, before any run
-        _hyperparams(hp, buffer)
-    labels = [_buffer_label(buffer) for buffer in sweep or []]
-    if len(set(labels)) < len(labels):
-        raise ConfigError(f"sweep members must have distinct labels, got {labels}")
     return {
         "preset": None,
         "sweep": None,
@@ -261,10 +256,10 @@ def _build_instance(config: dict):
     return instance_from_json(text)
 
 
-def _build_plan(config: dict, instance, buffer: dict) -> ExperimentPlan:
+def _build_plan(config: dict, instance, hp: HyperParams) -> ExperimentPlan:
     return ExperimentPlan(
         instance=instance,
-        hp=_hyperparams(config["hp"], buffer),
+        hp=hp,
         iters=config["iters"],
         mode=config["mode"],
         disturbances=tuple(DisturbanceEvent(**d) for d in config["disturbances"]),
@@ -296,17 +291,20 @@ def _write_json(path: Path, payload: dict) -> None:
 
 
 def run(config: dict) -> int:
-    """Build the instance and every run's plan (bad inputs fail here), then solve, run and emit files.
+    """Build each member's step parameters, the instance and each plan (bad inputs fail here), then solve, run, emit.
 
     A single run writes its files to ``out``; a sweep writes each member's to ``out/<label>`` and an
     aggregate ``report.json`` to ``out``.  Every run finishes before any file is written.
     """
-    instance = _build_instance(config)
     sweep = config["sweep"]
     buffers = sweep or [config["hp"]["buffer"]]
-    plans = [_build_plan(config, instance, buffer) for buffer in buffers]
-    out_root = Path(config["out"])
+    hps = [_hyperparams(config["hp"], buffer) for buffer in buffers]  # the range checks, before the instance build
     labels = [_buffer_label(buffer) for buffer in sweep or []]
+    if len(set(labels)) < len(labels):
+        raise ConfigError(f"sweep members must have distinct labels, got {labels}")
+    instance = _build_instance(config)
+    plans = [_build_plan(config, instance, hp) for hp in hps]
+    out_root = Path(config["out"])
     dirs = [out_root / label for label in labels] or [out_root]
     # every file a run writes, checked before any work: none may be a directory, nor lie under a non-directory
     for path in [out_root / "report.json", *(d / f for d in dirs for f in ("trace.csv", "bounds.json", "report.json"))]:

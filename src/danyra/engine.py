@@ -14,10 +14,10 @@ is computed once: ``iterate`` forms them for the state it returns (the z its
 dual update reads is the next step's z) and reads them from the state it is
 given, and the recorded violation and slack share one sum of ``Ax`` over the
 agents (``SwarmState.Ax_sum``, computed on first use).  A state's arrays are
-read-only and its fields cannot be reassigned, so a product cannot go stale;
-a state with other values is built with :meth:`SwarmState.build`, which
-recomputes them (a state made by the constructor or ``dataclasses.replace``
-has no products at all).
+read-only and its fields cannot be reassigned, so a product cannot go stale:
+states come only from :meth:`SwarmState.build` (which ``init_state``,
+``from_dict`` and ``apply_disturbance`` call), which computes them, and from
+``iterate`` (calling the class or ``dataclasses.replace`` raises).
 
 A state is in inequality mode exactly when it carries the virtual queue
 ``delta``: ``init_state`` is the one place where a mode name becomes a queue
@@ -49,20 +49,16 @@ from .errors import ConfigError, DivergenceError, InvalidInstanceError
 from .problem import EQUALITY, INEQUALITY, HyperParams, ProblemInstance, _real_shaped, _whole_number, agent_sum
 
 
-@dataclasses.dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True, init=False)
 class SwarmState:
     """All agents' iterates at step ``k`` (a row per agent), with two products of them, ``Ax`` and ``z``.
 
     ``Ax[i] = A_i x_i`` and ``z[i] = A_i x'_i + (L y)_i (+ delta_i in
     inequality mode)``, with ``L y = Topology.mix(y)``, both stored agents
-    innermost.  The constructor does not take these products: only
-    :meth:`build` (used by ``init_state``, ``from_dict`` and
-    ``apply_disturbance``), which computes them from copies of the iterates,
-    and ``iterate``, which has just computed them, set them, and both make
-    every array read-only.  So an in-place ``state.x += ...`` raises, and a
-    state made by the constructor or ``dataclasses.replace`` has no products:
-    reading ``Ax`` raises ``AttributeError`` instead of returning products of
-    other decisions.
+    innermost.  Only :meth:`build`, which computes the products from copies
+    of the iterates, and ``iterate``, which has just computed them, make a
+    state, and both make every array read-only (``state.x += 1`` raises);
+    calling the class or ``dataclasses.replace`` raises ``InvalidInstanceError``.
     """
 
     k: int
@@ -71,19 +67,30 @@ class SwarmState:
     y: np.ndarray        # (n, m)
     lam: np.ndarray      # (n, m)
     delta: np.ndarray | None  # (n, m) in inequality mode, None in equality mode
-    Ax: np.ndarray = dataclasses.field(init=False, repr=False)  # (n, m)
-    z: np.ndarray = dataclasses.field(init=False, repr=False)   # (n, m)
+    Ax: np.ndarray = dataclasses.field(repr=False)  # (n, m)
+    z: np.ndarray = dataclasses.field(repr=False)   # (n, m)
+
+    def __init__(self, *args, **kwargs):
+        raise InvalidInstanceError("a SwarmState is made by SwarmState.build, init_state or iterate")
+
+    @classmethod
+    def _make(cls, shared=(), **fields) -> "SwarmState":
+        state = object.__new__(cls)  # the one place a state is created: shared's attributes (a state's), then fields
+        vars(state).update(shared, **fields)
+        return state
 
     @classmethod
     def _with_products(cls, k, x, x_prime, y, lam, delta, Ax, z) -> "SwarmState":
         # the arrays must be owned by the new state: they are made read-only here
-        state = cls(k=k, x=x, x_prime=x_prime, y=y, lam=lam, delta=delta)
-        object.__setattr__(state, "Ax", Ax)
-        object.__setattr__(state, "z", z)
         for arr in (x, x_prime, y, lam, delta, Ax, z):
             if arr is not None:
                 arr.setflags(write=False)
-        return state
+        return cls._make(k=k, x=x, x_prime=x_prime, y=y, lam=lam, delta=delta, Ax=Ax, z=z)
+
+    def _check_sizes(self, instance: ProblemInstance) -> None:
+        sizes = (*self.z.shape, self.x.shape[1])
+        if sizes != instance.A.shape:  # rows of another instance: a typed error, not a broadcast or a wrong sum
+            raise InvalidInstanceError(f"a state of (n, m, p) = {sizes} used with an instance of {instance.A.shape}")
 
     def __reduce__(self):
         # copies and pickles are rebuilt through _with_products: their arrays are read-only, and unmarked
@@ -209,7 +216,8 @@ def iterate(state: SwarmState, instance: ProblemInstance, hp: HyperParams) -> Sw
     messages, as in the distributed algorithm.
 
     ``A_i x_i`` and ``z`` are read from the state, and the returned state
-    carries the new ones, so each is computed once per iteration.
+    carries the new ones, so each is computed once per iteration.  A state
+    not of ``instance``'s sizes raises ``InvalidInstanceError``.
 
     A state marked fixed (see the module docstring) is returned at ``k + 1``
     with its arrays shared, without arithmetic or exchanges, when ``instance``
@@ -222,9 +230,8 @@ def iterate(state: SwarmState, instance: ProblemInstance, hp: HyperParams) -> Sw
     floor = hp.buffer.value(state.k) if inequality else None
     mark = state.__dict__.get("_fixed_under")
     if mark is not None and mark[0] is instance and mark[1] is hp and mark[2] == floor:
-        fixed = object.__new__(SwarmState)  # shares the arrays, the cached Ax_sum and the mark
-        fixed.__dict__.update(state.__dict__, k=state.k + 1)
-        return fixed
+        return SwarmState._make(state.__dict__, k=state.k + 1)  # shares the arrays, the cached Ax_sum and the mark
+    state._check_sizes(instance)
     A, d, mix = instance.A, instance.d, instance.topology.mix
     alpha, beta, eta, gamma = hp.alpha, hp.beta, hp.eta, hp.gamma
     x_prime, y, lam, delta, Ax, z = state.x_prime, state.y, state.lam, state.delta, state.Ax, state.z
@@ -270,16 +277,7 @@ def iterate(state: SwarmState, instance: ProblemInstance, hp: HyperParams) -> Sw
                     agents=bad,
                 )
 
-    out = SwarmState._with_products(
-        k=state.k + 1,
-        x=x_next,
-        x_prime=x_prime_next,
-        y=y_next,
-        lam=lam_next,
-        delta=delta_next,
-        Ax=Ax_next,
-        z=z_next,
-    )
+    out = SwarmState._with_products(state.k + 1, x_next, x_prime_next, y_next, lam_next, delta_next, Ax_next, z_next)
     # equal sums of lam, then equal bits in the six arrays a step reads (x enters only through Ax)
     object.__setattr__(out, "_lam_sum", lam_sum)
     if lam_sum == state.__dict__.get("_lam_sum") and all(

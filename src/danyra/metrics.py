@@ -10,7 +10,8 @@ from .problem import ProblemInstance, _real_shaped, agent_sum
 
 
 def violation_l1(instance: ProblemInstance, state: SwarmState) -> float:
-    """1-norm of the positive part of ``sum_i (A_i x_i - d_i)``, from the state's ``Ax_sum``."""
+    """1-norm of the positive part of ``sum_i (A_i x_i - d_i)`` from ``Ax_sum``; a state of other sizes raises."""
+    state._check_sizes(instance)
     total = state.Ax_sum - instance.demand_total
     np.maximum(total, 0.0, out=total)
     return float(total.sum())
@@ -27,6 +28,7 @@ def optimality_gap(x: np.ndarray, oracle: OracleSolution) -> float:
 
 def slack_sum(instance: ProblemInstance, state: SwarmState) -> np.ndarray:
     """``sum_i (A_i x_i + delta_i - d_i)`` from the state's ``Ax_sum``; contracts by (1 - gamma) each iteration."""
+    state._check_sizes(instance)
     total = state.Ax_sum - instance.demand_total
     if state.delta is not None:
         total += agent_sum(state.delta)

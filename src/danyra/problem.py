@@ -38,6 +38,7 @@ from .errors import InvalidInstanceError, TopologyError
 
 SYMMETRY_TOL = 1e-12
 RANK_TOL = 1e-10
+_NOT_FULL_ROW_RANK = f"A is not full row rank (smallest singular value <= {RANK_TOL:g})"
 
 INEQUALITY = "inequality"
 EQUALITY = "equality"
@@ -355,9 +356,7 @@ class ProblemInstance:
             dims = np.array([cost.p for cost in self.costs])
             _check_agents(dims != p, f"cost dimension differs from the {p} coupling columns")
         singular_values = np.linalg.svd(A, compute_uv=False)
-        _check_agents(
-            singular_values[:, -1] <= RANK_TOL, "A is not full row rank (smallest singular value <= 1e-10)"
-        )
+        _check_agents(singular_values[:, -1] <= RANK_TOL, _NOT_FULL_ROW_RANK)
         # the extremes spectral_constants reads
         object.__setattr__(self, "_P_eigenvalues", eigenvalues)
         object.__setattr__(self, "_A_singular_values", singular_values)
@@ -381,7 +380,7 @@ class ProblemInstance:
     @cached_property
     def projector_stack(self) -> np.ndarray:
         """Per-agent ``A'(AA')^{-1}``, the closed-form affine projection kernels, as (n, p, m)."""
-        out = np.asfortranarray(compute_projector(self.A))
+        out = np.asfortranarray(_projector(self.A))
         out.setflags(write=False)
         return out
 
@@ -426,12 +425,21 @@ class ProblemInstance:
 
 
 def compute_projector(A) -> np.ndarray:
-    """Return ``A'(AA')^{-1}`` (p, m) for a full-row-rank, finite ``A`` (m, p), or for each matrix of a stack."""
+    """Return ``A'(AA')^{-1}`` (p, m) for a finite ``A`` (m, p), or for each matrix of a stack; an ``A`` not of full
+    row rank (``ProblemInstance``'s rule), or whose ``AA'`` is singular in rounding, raises ``InvalidInstanceError``."""
     A = _real_array(A, "A", InvalidInstanceError)
     if A.ndim < 2 or not np.isfinite(A).all():
         raise InvalidInstanceError(f"A must be an (m, p) matrix or a stack of them, all finite; got shape {A.shape}")
-    At = np.swapaxes(A, -1, -2)
-    return np.swapaxes(np.linalg.solve(A @ At, A), -1, -2)
+    if A.shape[-2] > A.shape[-1] or (np.linalg.svd(A, compute_uv=False) <= RANK_TOL).any():
+        raise InvalidInstanceError(_NOT_FULL_ROW_RANK)
+    return _projector(A)
+
+
+def _projector(A: np.ndarray) -> np.ndarray:  # compute_projector of a checked stack: projector_stack's, no second SVD
+    try:
+        return np.swapaxes(np.linalg.solve(A @ np.swapaxes(A, -1, -2), A), -1, -2)
+    except np.linalg.LinAlgError:  # a rank above RANK_TOL that AA' loses to rounding, as [[1, 2], [1, 2 + 1e-8]]
+        raise InvalidInstanceError("AA' is singular in floating point") from None
 
 
 def _ring_with_chords(n: int, extra_edges: int, rng: np.random.Generator) -> np.ndarray:

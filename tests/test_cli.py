@@ -617,6 +617,16 @@ class TestRun:
         assert "sweep members must have distinct labels" in capsys.readouterr().err
         assert not (tmp_path / "sweep").exists()
 
+    def test_member_errors_come_before_the_instance_build(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(danyra.cli, "generate_instance", lambda **kw: pytest.fail("the instance was built"))
+        sweep = [{"kind": "constant", "omega": 0.1}, {"kind": "constant", "omega": 0.1}]
+        assert main(["run", "--config", self._sweep_config(tmp_path, sweep)]) == 2
+        assert "sweep members must have distinct labels" in capsys.readouterr().err
+        sweep = [{"kind": "constant", "omega": 0.1}, {"kind": "constant", "omega": -1.0}]
+        assert main(["run", "--config", self._sweep_config(tmp_path, sweep)]) == 1
+        assert "buffer levels must be finite and >= 0" in capsys.readouterr().err
+        assert not (tmp_path / "sweep").exists()
+
     def test_exit_codes(self, tmp_path, capsys):
         assert main(["run", "--preset", "nope"]) == 2
         # disturbance scheduled past the horizon is a config error
@@ -803,4 +813,5 @@ class TestBufferConfig:
         path.write_text(json.dumps(cfg), encoding="utf-8")
         config = parse_config(str(path))
         assert config["mode"] == "equality"
-        danyra.cli._build_plan(config, generate_instance(3, 4, 8.0, 1), config["hp"]["buffer"])  # the plan takes it
+        hp = danyra.cli._hyperparams(config["hp"], config["hp"]["buffer"])
+        danyra.cli._build_plan(config, generate_instance(3, 4, 8.0, 1), hp)  # the plan takes it

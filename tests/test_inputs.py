@@ -146,8 +146,8 @@ RECORD = "an output record, filled by the package from its own numbers"
 ERROR = "an error type, filled by the package from its own numbers"
 
 TABLE: dict[str, str | tuple[Call, ...]] = {
-    # The dataclass constructor takes no products and checks nothing; a state from a caller's numbers is made by
-    # build or from_dict (SwarmState's docstring).
+    # The class cannot be called (it raises InvalidInstanceError naming SwarmState.build), nor can
+    # dataclasses.replace; a state from a caller's numbers is made by build or from_dict (SwarmState's docstring).
     "SwarmState": (
         Call(
             "SwarmState.build",

@@ -111,11 +111,6 @@ class TestRecoveryIteration:
         tr = trace_with([1.0, 0.5, 0.25])
         assert recovery_iteration(tr) is None
 
-    @pytest.mark.parametrize("from_k", ["3", True, 1.5, None])
-    def test_from_k_must_be_a_whole_number(self, from_k):
-        with pytest.raises(InvalidInstanceError, match=r"^from_k must be a whole number, got "):
-            recovery_iteration(trace_with([0, 0, 0, 0]), from_k=from_k)
-
     def test_respects_zero_tolerance(self):
         tr = trace_with([1.0, 5e-13, 5e-13])
         assert recovery_iteration(tr) == 2

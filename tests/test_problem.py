@@ -1,4 +1,6 @@
+import dataclasses
 import json
+import re
 
 import numpy as np
 import pytest
@@ -419,6 +421,28 @@ class TestGenerateInstance:
         proj = compute_projector(wide)
         assert np.max(np.abs(wide @ proj - np.eye(1))) <= 1e-10
 
+    @pytest.mark.parametrize(
+        "A, message",
+        [
+            ([[1.0, 2.0], [2.0, 4.0]], "A is not full row rank (smallest singular value <= 1e-10)"),
+            ([[[1.0, 0.0], [0.0, 1.0]], [[1.0, 2.0], [2.0, 4.0]]], "A is not full row rank"),
+            ([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]], "A is not full row rank"),  # more rows than columns
+            # full rank by ProblemInstance's rule (smallest singular value 3.2e-9), but AA' is singular in rounding
+            ([[1.0, 2.0], [1.0, 2.0 + 1e-8]], "AA' is singular in floating point"),
+        ],
+        ids=["rank-1", "stack", "tall", "rounding"],
+    )
+    def test_projector_needs_full_row_rank(self, A, message):
+        with pytest.raises(InvalidInstanceError, match=re.escape(message)):
+            compute_projector(A)
+
+    def test_projector_stack_lost_to_rounding_is_a_typed_error(self):
+        # the instance accepts this A (its rule reads A's singular values), so the error comes at the first use
+        inst = generate_instance(1, 2, 8.0, 0)
+        near = dataclasses.replace(inst, A=np.array([[[1.0, 2.0], [1.0, 2.0 + 1e-8]], inst.A[1]]))
+        with pytest.raises(InvalidInstanceError, match="^AA' is singular in floating point$"):
+            near.projector_stack
+
 
 class TestSpectralConstants:
     def test_identity_costs(self):
@@ -693,13 +717,6 @@ class TestBufferSchedule:
             assert sched.limit.hex() == limit.hex(), name
             for k in range(100_001):
                 assert sched.value(k).hex() == value(k).hex(), (name, k)
-
-    @pytest.mark.parametrize("name", ["alpha", "beta", "eta", "gamma"])
-    @pytest.mark.parametrize("bad", [True, "0.1", None], ids=["boolean", "text", "null"])
-    def test_hyperparams_must_be_real_numbers(self, name, bad):
-        steps = {"alpha": 0.01, "beta": 0.02, "eta": 0.1, "gamma": 0.2}
-        with pytest.raises(InvalidInstanceError, match=f"{name} must be finite and strictly positive, got {bad!r}"):
-            HyperParams(**{**steps, name: bad})
 
     def test_hyperparams_stored_as_floats(self):
         hp = HyperParams(alpha=np.float64(0.01), beta=0.02, eta=0.1, gamma=np.float32(0.5))

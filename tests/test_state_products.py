@@ -230,28 +230,40 @@ class TestNoStaleProducts:
         with pytest.raises(dataclasses.FrozenInstanceError):
             state.x = state.x + 1.0
 
-    def test_replace_and_constructor_give_no_products(self, small_instance, base_hp):
+    def test_only_build_and_iterate_make_a_state(self, small_instance, base_hp):
         hp = base_hp(omega=0.1)
         state = iterate(init_state(small_instance, hp, "at_demand"), small_instance, hp)
-        shifted = dataclasses.replace(state, x=state.x + 100.0)
-        assert same_bits(shifted.x, state.x + 100.0)
-        with pytest.raises(AttributeError, match="Ax"):
-            shifted.Ax
-        with pytest.raises(AttributeError, match="Ax"):
-            violation_l1(small_instance, shifted)
-        with pytest.raises(AttributeError, match="Ax"):
-            iterate(shifted, small_instance, hp)
-        with pytest.raises(ValueError, match="init=False"):
-            dataclasses.replace(state, Ax=state.Ax)
-
         x = np.ones((small_instance.n, small_instance.p))
         zeros = np.zeros((small_instance.n, small_instance.m))
-        built = SwarmState(k=0, x=x, x_prime=x, y=zeros, lam=zeros, delta=None)
+        fields = {"k": 0, "x": x, "x_prime": x, "y": zeros, "lam": zeros, "delta": None}
+        for make in (
+            lambda: SwarmState(**fields),
+            lambda: SwarmState(**fields, Ax=zeros, z=zeros),
+            lambda: SwarmState(*fields.values(), zeros, zeros),
+            lambda: SwarmState(),
+            lambda: dataclasses.replace(state, x=x),
+            lambda: dataclasses.replace(state, Ax=zeros),
+            lambda: dataclasses.replace(state),
+        ):
+            with pytest.raises(InvalidInstanceError, match=r"^a SwarmState is made by SwarmState\.build, "):
+                make()
         assert x.flags.writeable and zeros.flags.writeable  # the caller's arrays are left alone
-        with pytest.raises(AttributeError, match="'z'"):
-            built.z
-        with pytest.raises(TypeError):
-            SwarmState(k=0, x=x, x_prime=x, y=zeros, lam=zeros, delta=None, Ax=zeros)
+        assert state.x.flags.writeable is False and state.k == 1
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            pytest.param(lambda instance, state, hp: violation_l1(instance, state), id="violation_l1"),
+            pytest.param(lambda instance, state, hp: slack_sum(instance, state), id="slack_sum"),
+            pytest.param(lambda instance, state, hp: iterate(state, instance, hp), id="iterate"),
+        ],
+    )
+    def test_a_state_of_other_sizes_is_rejected(self, base_hp, call):
+        # both sums over the agents are of shape (m,), so a state of 4 agents once measured an instance of 5
+        hp = base_hp(omega=0.1)
+        state = init_state(generate_instance(1, 4, 8.0, 1), hp)
+        with pytest.raises(InvalidInstanceError, match=r"^a state of \(n, m, p\) = \(4, 2, 2\) used with an instance of \(5, "):
+            call(generate_instance(1, 5, 8.0, 1), state, hp)
 
     def test_products_match_the_decisions(self, small_instance, base_hp):
         for origin, state in handed_out_states(small_instance, base_hp(omega=0.1)).items():
