@@ -7,7 +7,7 @@ from .netsim import DisturbanceEvent, ExperimentPlan, Trace, apply_disturbance, 
 from .oracle import OracleSolution, solve_active_set, solve_equality
 from .problem import (
     EQUALITY, INEQUALITY, BufferSchedule, CallableCost, HyperParams, ProblemInstance, SpectralConstants, Topology,
-    compute_projector, generate_instance, instance_from_json, instance_to_json, metropolis_weights, spectral_constants,
+    generate_instance, instance_from_json, instance_to_json, metropolis_weights, spectral_constants,
 )
 from .theory import BoundsReport, ConditionCheck, ConditionReport, bounds_report, recovery_iteration, validate_hyperparams
 
@@ -19,8 +19,8 @@ __all__ = [
     "DisturbanceEvent", "ExperimentPlan", "Trace", "apply_disturbance", "run_experiment",
     "OracleSolution", "solve_active_set", "solve_equality",
     "EQUALITY", "INEQUALITY", "BufferSchedule", "CallableCost", "HyperParams", "ProblemInstance", "SpectralConstants",
-    "Topology", "compute_projector", "generate_instance", "instance_from_json", "instance_to_json",
-    "metropolis_weights", "spectral_constants",
+    "Topology", "generate_instance", "instance_from_json", "instance_to_json", "metropolis_weights",
+    "spectral_constants",
     "BoundsReport", "ConditionCheck", "ConditionReport", "bounds_report", "recovery_iteration", "validate_hyperparams",
 ]
 

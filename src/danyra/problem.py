@@ -90,15 +90,15 @@ class Topology:
     ``edges`` is the read-only (E, 2) int64 array of the ``(i, j)`` pairs with
     ``i < j`` in lexicographic order, and ``weights[e] = w_ij > 0`` is the
     weight of edge ``e``; the self-weight is ``w_ii = 1 - sum_j w_ij``, so
-    each node's edge weights may sum to at most 1.  The dense Laplacian ``L``
-    (``l_ij = -w_ij``, ``l_ii = sum_{j != i} w_ij``) is built on first access.
-    Above ``DENSE_MIX_MAX_N`` agents, construction, validation and
-    :meth:`mix` take O(n + |E|) time and memory and never read it; nor does
-    :func:`spectral_constants`, whose two Laplacian constants there are
-    certified bounds, not eigenvalues: Gershgorin's from the degrees, and
-    Mohar's from node 0's eccentricity, which construction's connectivity
-    search records.  An advisory check may fail on them that the eigenvalues
-    would pass.
+    each node's edge weights may sum to at most 1.  The Laplacian's rows
+    (``l_ij = -w_ij``, ``l_ii = sum_{j != i} w_ij``) sum to zero by
+    construction.  Construction and validation take O(n + |E|) time and
+    memory; up to ``DENSE_MIX_MAX_N`` agents the first :meth:`mix` or
+    :func:`spectral_constants` builds the dense ``L``.  Above, neither reads
+    it, and the two Laplacian constants are certified bounds, not
+    eigenvalues: Gershgorin's from the degrees, and Mohar's from node 0's
+    eccentricity, which construction's connectivity search records.  An
+    advisory check may fail on them that the eigenvalues would pass.
     """
 
     n: int
@@ -132,8 +132,6 @@ class Topology:
         if eccentricity is None:
             raise TopologyError("graph is disconnected")
         object.__setattr__(self, "_eccentricity", eccentricity)
-        if np.max(np.abs(self.mix(np.ones((n, 1))))) > SYMMETRY_TOL:
-            raise TopologyError("Laplacian rows do not sum to zero within 1e-12")
 
     def mix(self, v: np.ndarray) -> np.ndarray:
         """Return ``L @ v``: row ``i`` is ``sum_j w_ij (v_i - v_j)`` over the edges ``(i, j)``.
@@ -308,9 +306,10 @@ class ProblemInstance:
     ``f_i(x) = x'P[i]x - Q[i]'x`` with ``P[i]`` symmetric positive definite, or
     the generic ``costs[i]``.  Exactly one of ``P``/``Q`` and ``costs`` is
     given.  The constructor checks every invariant with one array operation
-    over the whole stack and names the first agent that breaks it; the stored
-    stacks are read-only copies in Fortran order (agents innermost), and so
-    are ``projector_stack`` and ``hessian_stack``.
+    over the whole stack, last building ``projector_stack`` (an ``AA'`` that
+    is singular in floating point is invalid too), and names the first agent
+    that breaks one; the stored stacks are read-only copies in Fortran order
+    (agents innermost), and so are ``projector_stack`` and ``hessian_stack``.
     """
 
     A: np.ndarray  # (n, m, p)
@@ -357,6 +356,7 @@ class ProblemInstance:
             _check_agents(dims != p, f"cost dimension differs from the {p} coupling columns")
         singular_values = np.linalg.svd(A, compute_uv=False)
         _check_agents(singular_values[:, -1] <= RANK_TOL, _NOT_FULL_ROW_RANK)
+        self.projector_stack  # solves every agent's AA' once, here, where a singular one can fail
         # the extremes spectral_constants reads
         object.__setattr__(self, "_P_eigenvalues", eigenvalues)
         object.__setattr__(self, "_A_singular_values", singular_values)
@@ -424,21 +424,19 @@ class ProblemInstance:
         return np.stack(grads)
 
 
-def compute_projector(A) -> np.ndarray:
-    """Return ``A'(AA')^{-1}`` (p, m) for a finite ``A`` (m, p), or for each matrix of a stack; an ``A`` not of full
-    row rank (``ProblemInstance``'s rule), or whose ``AA'`` is singular in rounding, raises ``InvalidInstanceError``."""
-    A = _real_array(A, "A", InvalidInstanceError)
-    if A.ndim < 2 or not np.isfinite(A).all():
-        raise InvalidInstanceError(f"A must be an (m, p) matrix or a stack of them, all finite; got shape {A.shape}")
-    if A.shape[-2] > A.shape[-1] or (np.linalg.svd(A, compute_uv=False) <= RANK_TOL).any():
-        raise InvalidInstanceError(_NOT_FULL_ROW_RANK)
-    return _projector(A)
-
-
-def _projector(A: np.ndarray) -> np.ndarray:  # compute_projector of a checked stack: projector_stack's, no second SVD
+def _projector(A: np.ndarray) -> np.ndarray:
+    """``A'(AA')^{-1}`` (n, p, m) of a full-row-rank (n, m, p) stack, by one batched solve; where rounding makes an
+    ``AA'`` singular (as for ``[[1, 2], [1, 2 + 1e-8]]``), the solves are repeated one agent at a time to name it."""
+    gram = A @ np.swapaxes(A, -1, -2)
     try:
-        return np.swapaxes(np.linalg.solve(A @ np.swapaxes(A, -1, -2), A), -1, -2)
-    except np.linalg.LinAlgError:  # a rank above RANK_TOL that AA' loses to rounding, as [[1, 2], [1, 2 + 1e-8]]
+        return np.swapaxes(np.linalg.solve(gram, A), -1, -2)
+    except np.linalg.LinAlgError:
+        for i in range(len(A)):
+            try:
+                np.linalg.solve(gram[i], A[i])
+            except np.linalg.LinAlgError:
+                raise InvalidInstanceError(f"agent {i}: AA' is singular in floating point") from None
+        # not reached: the batched solve fails only where one agent's solve fails
         raise InvalidInstanceError("AA' is singular in floating point") from None
 
 

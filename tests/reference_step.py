@@ -45,7 +45,6 @@ from danyra import (
     HyperParams,
     ProblemInstance,
     SwarmState,
-    compute_projector,
 )
 
 
@@ -197,9 +196,9 @@ def step_dual(
 def project_affine(
     x_prime: np.ndarray, A: np.ndarray, b: np.ndarray, projector: np.ndarray | None = None
 ) -> np.ndarray:
-    """Euclidean projection of ``x_prime`` onto ``{x : Ax = b}`` in closed form."""
+    """Euclidean projection of ``x_prime`` onto ``{x : Ax = b}`` in closed form, ``projector = A'(AA')^{-1}``."""
     if projector is None:
-        projector = compute_projector(A)
+        projector = A.T @ np.linalg.inv(A @ A.T)
     return x_prime + projector @ (b - A @ x_prime)
 
 

@@ -487,6 +487,23 @@ class TestRun:
         assert "additive must have shape (2,)" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    def test_singular_projector_fails_before_the_oracle_solve(self, tmp_path, capsys, monkeypatch):
+        def no_solve(instance):
+            raise AssertionError("the oracle was solved for an instance whose AA' is singular")
+
+        monkeypatch.setattr(danyra.cli, "solve_active_set", no_solve)
+        # fig2's instance with agent 0's A of full row rank by the rank rule (smallest singular value 3.2e-9),
+        # whose AA' is singular in floating point
+        doc = json.loads(instance_to_json(generate_instance(**PRESETS["fig2"]["instance"]["generate"])))
+        doc["agents"][0]["A"] = [[1.0, 2.0], [1.0, 2.0 + 1e-8]]
+        inst_path = tmp_path / "instance.json"
+        inst_path.write_text(json.dumps(doc), encoding="utf-8")
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(self.small_cfg(tmp_path, instance={"file": str(inst_path)})), encoding="utf-8")
+        assert main(["run", "--config", str(path)]) == 1
+        assert capsys.readouterr().err == "error: agent 0: AA' is singular in floating point\n"
+        assert sorted(entry.name for entry in tmp_path.iterdir()) == ["c.json", "instance.json"]
+
     @pytest.mark.parametrize(
         "out, sweep, taken",  # ``taken`` is made a file, or a directory when it ends in "/"
         [

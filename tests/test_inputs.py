@@ -46,7 +46,6 @@ from danyra import (
     Topology,
     TopologyError,
     bounds_report,
-    compute_projector,
     generate_instance,
     init_state,
     instance_from_json,
@@ -307,14 +306,6 @@ TABLE: dict[str, str | tuple[Call, ...]] = {
             Topology,
             TopologyError,
             {"n": whole(3), "edges": integers([[0, 1], [1, 2]]), "weights": numbers([0.3, 0.3])},
-        ),
-    ),
-    "compute_projector": (
-        Call(
-            "compute_projector",
-            compute_projector,
-            InvalidInstanceError,
-            {"A": numbers([[1.0, 2.0, 0.5], [0.0, 1.0, 1.0]])},
         ),
     ),
     "generate_instance": (

@@ -19,7 +19,6 @@ from danyra import (
     SwarmState,
     Topology,
     TopologyError,
-    compute_projector,
     generate_instance,
     instance_from_json,
     instance_to_json,
@@ -36,12 +35,25 @@ def path_topology(n):
 
 
 def star_topology(n):
-    return Topology(n=n, edges=[(0, j) for j in range(1, n)], weights=np.full(n - 1, 1 / n))
+    """A star with hub 0 and its Metropolis weights ``1 / n``."""
+    edges = np.stack([np.zeros(n - 1, dtype=int), np.arange(1, n)], axis=1)
+    return Topology(n=n, edges=edges, weights=np.full(n - 1, 1 / n))
 
 
 def complete_topology(n):
     i, j = np.triu_indices(n, 1)
     return Topology(n=n, edges=np.stack([i, j], axis=1), weights=np.full(len(i), 1 / n))
+
+
+NOT_FULL_ROW_RANK = "A is not full row rank (smallest singular value <= 1e-10)"
+
+
+def coupled(A):
+    """An instance on a path whose couplings are the (n, m, p) stack ``A``, with ``P = I`` and zero ``d`` and ``Q``."""
+    n, m, p = np.shape(A)
+    return ProblemInstance(
+        A=A, d=np.zeros((n, m)), P=np.tile(np.eye(p), (n, 1, 1)), Q=np.zeros((n, p)), topology=path_topology(n)
+    )
 
 
 def identity_instance(topology):
@@ -325,6 +337,7 @@ class TestTopology:
     def test_path_weights(self):
         adj = np.array([[0, 1, 0], [1, 0, 1], [0, 1, 0]], dtype=bool)
         top = metropolis_weights(adj)
+        assert "L" not in vars(top)  # the dense Laplacian is built on first use, not by the constructor
         assert np.array_equal(top.edges, [[0, 1], [1, 2]])
         assert top.edges.dtype == np.int64 and not top.edges.flags.writeable
         assert np.allclose(top.weights, [1 / 3, 1 / 3])
@@ -352,6 +365,12 @@ class TestTopology:
             assert np.array_equal(top.L, top.L.T)
             assert np.all(np.diag(top.L) < 1.0)  # positive self-weights
             assert np.linalg.eigvalsh(top.L)[1] > 0
+
+    @pytest.mark.parametrize("n", [40000, 100000])
+    def test_large_metropolis_star(self, n):
+        # the rows sum to zero by construction; mix's rounding of the hub's row grows with its degree n - 1
+        star = star_topology(n)
+        assert np.max(np.abs(star.mix(np.ones((n, 1))))) <= 2 * (n - 1) * np.finfo(float).eps
 
     def test_laplacian_support_is_the_edge_set(self):
         top = generate_instance(3, 8, 10.0, 4).topology
@@ -417,31 +436,31 @@ class TestGenerateInstance:
         inst = generate_instance(4, 6, 12.0, 2)
         for A, proj in zip(inst.A, inst.projector_stack):
             assert np.max(np.abs(A @ proj - np.eye(inst.m))) <= 1e-10
-        wide = np.array([[1.0, 2.0, 0.5]])
-        proj = compute_projector(wide)
-        assert np.max(np.abs(wide @ proj - np.eye(1))) <= 1e-10
+        wide = np.array([[[1.0, 2.0, 0.5]]])  # one agent, p > m
+        proj = coupled(wide).projector_stack
+        assert proj.shape == (1, 3, 1)
+        assert np.max(np.abs(wide[0] @ proj[0] - np.eye(1))) <= 1e-10
 
     @pytest.mark.parametrize(
         "A, message",
         [
-            ([[1.0, 2.0], [2.0, 4.0]], "A is not full row rank (smallest singular value <= 1e-10)"),
-            ([[[1.0, 0.0], [0.0, 1.0]], [[1.0, 2.0], [2.0, 4.0]]], "A is not full row rank"),
-            ([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]], "A is not full row rank"),  # more rows than columns
-            # full rank by ProblemInstance's rule (smallest singular value 3.2e-9), but AA' is singular in rounding
-            ([[1.0, 2.0], [1.0, 2.0 + 1e-8]], "AA' is singular in floating point"),
+            ([[[1.0, 2.0], [2.0, 4.0]]], f"agent 0: {NOT_FULL_ROW_RANK}"),
+            ([np.eye(2), [[1.0, 2.0], [2.0, 4.0]]], f"agent 1: {NOT_FULL_ROW_RANK}"),
+            ([[[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]], "A must have p >= m, got (m, p) = (3, 2)"),  # tall: m > p
+            # full rank by the rank rule (smallest singular value 3.2e-9), but AA' is singular in rounding
+            ([np.eye(2), [[1.0, 2.0], [1.0, 2.0 + 1e-8]]], "agent 1: AA' is singular in floating point"),
         ],
         ids=["rank-1", "stack", "tall", "rounding"],
     )
     def test_projector_needs_full_row_rank(self, A, message):
-        with pytest.raises(InvalidInstanceError, match=re.escape(message)):
-            compute_projector(A)
+        with pytest.raises(InvalidInstanceError, match=f"^{re.escape(message)}$"):
+            coupled(np.array(A))
 
     def test_projector_stack_lost_to_rounding_is_a_typed_error(self):
-        # the instance accepts this A (its rule reads A's singular values), so the error comes at the first use
+        # the rank rule reads A's singular values and passes this A; the constructor's solve of AA' rejects it
         inst = generate_instance(1, 2, 8.0, 0)
-        near = dataclasses.replace(inst, A=np.array([[[1.0, 2.0], [1.0, 2.0 + 1e-8]], inst.A[1]]))
-        with pytest.raises(InvalidInstanceError, match="^AA' is singular in floating point$"):
-            near.projector_stack
+        with pytest.raises(InvalidInstanceError, match="^agent 0: AA' is singular in floating point$"):
+            dataclasses.replace(inst, A=np.array([[[1.0, 2.0], [1.0, 2.0 + 1e-8]], inst.A[1]]))
 
 
 class TestSpectralConstants:

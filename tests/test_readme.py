@@ -31,8 +31,8 @@ PUBLIC_NAMES = {
     **dict.fromkeys(
         [
             "EQUALITY", "INEQUALITY", "BufferSchedule", "CallableCost", "HyperParams", "ProblemInstance",
-            "SpectralConstants", "Topology", "compute_projector", "generate_instance", "instance_from_json",
-            "instance_to_json", "metropolis_weights", "spectral_constants",
+            "SpectralConstants", "Topology", "generate_instance", "instance_from_json", "instance_to_json",
+            "metropolis_weights", "spectral_constants",
         ],
         "danyra.problem",
     ),
