@@ -291,10 +291,10 @@ def _write_json(path: Path, payload: dict) -> None:
 
 
 def run(config: dict) -> int:
-    """Build each member's step parameters, the instance and each plan (bad inputs fail here), then solve, run, emit.
+    """Check every input, then solve the oracle, run each member and write its files.
 
-    A single run writes its files to ``out``; a sweep writes each member's to ``out/<label>`` and an
-    aggregate ``report.json`` to ``out``.  Every run finishes before any file is written.
+    Every rejection comes before the oracle solve and writes nothing.  A single run writes to ``out``; a sweep writes
+    each member's files to ``out/<label>`` and an aggregate ``report.json`` to ``out``, after every run has finished.
     """
     sweep = config["sweep"]
     buffers = sweep or [config["hp"]["buffer"]]
@@ -312,10 +312,9 @@ def run(config: dict) -> int:
         if existing.is_dir() == (existing == path):
             what = "a directory" if existing == path else "not a directory"
             raise ConfigError(f"out {str(out_root)!r} cannot hold {str(path)!r}: {str(existing)!r} is {what}")
-    oracle = solve_equality(instance) if config["mode"] == EQUALITY else solve_active_set(instance)
     sc = spectral_constants(instance)
-    # the conditions do not read the buffer, so every member shares one report
-    report = validate_hyperparams(plans[0].hp, sc, config["mode"])
+    report = validate_hyperparams(plans[0].hp, sc, config["mode"])  # every member's: the conditions read no buffer
+    oracle = solve_equality(instance) if config["mode"] == EQUALITY else solve_active_set(instance)
 
     traces = []
     for plan, label in zip(plans, labels or [None]):

@@ -49,7 +49,7 @@ from .errors import ConfigError, DivergenceError, InvalidInstanceError
 from .problem import EQUALITY, INEQUALITY, HyperParams, ProblemInstance, _real_shaped, _whole_number, agent_sum
 
 
-@dataclasses.dataclass(frozen=True, init=False)
+@dataclasses.dataclass(frozen=True, init=False, eq=False)
 class SwarmState:
     """All agents' iterates at step ``k`` (a row per agent), with two products of them, ``Ax`` and ``z``.
 

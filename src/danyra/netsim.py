@@ -14,7 +14,7 @@ from .oracle import OracleSolution
 from .problem import EQUALITY, INEQUALITY, HyperParams, ProblemInstance, _real_array, _whole_number
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DisturbanceEvent:
     """Additive interference on every agent's decisions at one iteration.
 
@@ -51,7 +51,7 @@ def apply_disturbance(state: SwarmState, instance: ProblemInstance, event: Distu
     return SwarmState.build(instance, k=state.k, x=x, x_prime=x_prime, y=state.y, lam=state.lam, delta=state.delta)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ExperimentPlan:
     """Everything needed for one deterministic run, checked against the instance before it starts.
 
@@ -68,7 +68,7 @@ class ExperimentPlan:
     disturbances: tuple[DisturbanceEvent, ...] = ()
     record_every: int = 1
     init_mode: str = "at_demand"
-    start: SwarmState = field(init=False, repr=False, compare=False)
+    start: SwarmState = field(init=False, repr=False)
 
     def __post_init__(self):
         for name in ("iters", "record_every"):
@@ -101,7 +101,7 @@ class ExperimentPlan:
 CSV_BLOCK_ROWS = 1000
 
 
-@dataclass
+@dataclass(eq=False)
 class Trace:
     """Recorded per-iteration metrics, plus the run's timing and last state.
 

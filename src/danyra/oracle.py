@@ -19,7 +19,7 @@ from .problem import ProblemInstance
 ACTIVE_SET_TOL = 1e-9
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class OracleSolution:
     """Optimal point, consensus multiplier, value, and the active constraint rows."""
 

@@ -34,7 +34,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import InvalidInstanceError, TopologyError
+from .errors import ConfigError, InvalidInstanceError, TopologyError
 
 SYMMETRY_TOL = 1e-12
 RANK_TOL = 1e-10
@@ -83,7 +83,7 @@ class CallableCost:
 DENSE_MIX_MAX_N = 600
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Topology:
     """Connected undirected graph with symmetric doubly stochastic weights, stored by edge.
 
@@ -297,7 +297,7 @@ def agent_sum(values: np.ndarray) -> np.ndarray:
     return np.add.accumulate(values, axis=0)[-1] + 0.0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ProblemInstance:
     """A full resource allocation instance: every agent's data stacked by row, plus the topology.
 
@@ -615,6 +615,7 @@ class BufferSchedule:
     (``sum_k (c/(k+1))^2 = c^2 pi^2 / 6``).  Levels are finite, nonnegative
     and nonincreasing (the queue floor carried from one step to the next
     relies on it), and stored ``+ 0.0``; the coefficient is finite and >= 0.
+    A bad level or coefficient is a run setting's ``ConfigError``.
     """
 
     levels: tuple[float, ...]
@@ -623,16 +624,16 @@ class BufferSchedule:
     def __post_init__(self):
         rule = "buffer levels must be finite and >= 0"
         if not np.iterable(self.levels):
-            raise InvalidInstanceError(f"{rule}, got {self.levels!r}")
-        levels = tuple(_real(v, rule, InvalidInstanceError) + 0.0 for v in self.levels)
+            raise ConfigError(f"{rule}, got {self.levels!r}")
+        levels = tuple(_real(v, rule, ConfigError) + 0.0 for v in self.levels)
         if not levels or not all(math.isfinite(v) and v >= 0 for v in levels):
-            raise InvalidInstanceError(f"{rule}, got {self.levels!r}")
+            raise ConfigError(f"{rule}, got {self.levels!r}")
         if any(b > a for a, b in zip(levels, levels[1:])):
-            raise InvalidInstanceError("buffer levels must be nonincreasing")
+            raise ConfigError("buffer levels must be nonincreasing")
         rule = "buffer coefficient must be finite and >= 0"
-        coefficient = _real(self.coefficient, rule, InvalidInstanceError)
+        coefficient = _real(self.coefficient, rule, ConfigError)
         if not (math.isfinite(coefficient) and coefficient >= 0):
-            raise InvalidInstanceError(f"{rule}, got {coefficient!r}")
+            raise ConfigError(f"{rule}, got {coefficient!r}")
         vars(self).update(levels=levels, coefficient=coefficient)
 
     @classmethod
@@ -642,8 +643,8 @@ class BufferSchedule:
     @classmethod
     def decaying(cls, coefficient: float) -> "BufferSchedule":
         rule = "decaying buffer needs a finite positive coefficient"
-        if not _real(coefficient, rule, InvalidInstanceError) > 0:
-            raise InvalidInstanceError(f"{rule}, got {coefficient!r}")
+        if not _real(coefficient, rule, ConfigError) > 0:
+            raise ConfigError(f"{rule}, got {coefficient!r}")
         return cls(levels=(0.0,), coefficient=coefficient)
 
     @classmethod
@@ -662,7 +663,7 @@ class BufferSchedule:
 
 @dataclass(frozen=True)
 class HyperParams:
-    """Step parameters; ``buffer`` is the queue floor schedule."""
+    """Step parameters; ``buffer`` is the queue floor schedule.  A bad one is a run setting's ``ConfigError``."""
 
     alpha: float
     beta: float
@@ -673,14 +674,14 @@ class HyperParams:
     def __post_init__(self):
         for name in ("alpha", "beta", "eta", "gamma"):
             rule = f"{name} must be finite and strictly positive"
-            value = _real(getattr(self, name), rule, InvalidInstanceError)
+            value = _real(getattr(self, name), rule, ConfigError)
             if not (math.isfinite(value) and value > 0):
-                raise InvalidInstanceError(f"{rule}, got {value}")
+                raise ConfigError(f"{rule}, got {value}")
             object.__setattr__(self, name, value)
         if self.gamma >= 1:
-            raise InvalidInstanceError(f"gamma must be < 1, got {self.gamma}")
+            raise ConfigError(f"gamma must be < 1, got {self.gamma}")
         if not isinstance(self.buffer, BufferSchedule):
-            raise InvalidInstanceError(f"buffer must be a BufferSchedule, got {self.buffer!r}")
+            raise ConfigError(f"buffer must be a BufferSchedule, got {self.buffer!r}")
 
 
 def instance_to_json(instance: ProblemInstance) -> str:

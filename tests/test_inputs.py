@@ -217,7 +217,7 @@ TABLE: dict[str, str | tuple[Call, ...]] = {
         Call(
             "BufferSchedule",
             BufferSchedule,
-            InvalidInstanceError,
+            ConfigError,
             {
                 "levels": real((0.1, 0.05), LEVELS),
                 "coefficient": real(0.0, "buffer coefficient must be finite and >= 0"),
@@ -226,19 +226,19 @@ TABLE: dict[str, str | tuple[Call, ...]] = {
         Call(
             "BufferSchedule.constant",
             BufferSchedule.constant,
-            InvalidInstanceError,
+            ConfigError,
             {"omega": real(0.1, LEVELS, "levels")},  # a constant schedule's one level
         ),
         Call(
             "BufferSchedule.decaying",
             BufferSchedule.decaying,
-            InvalidInstanceError,
+            ConfigError,
             {"coefficient": real(5.0, "decaying buffer needs a finite positive coefficient")},
         ),
         Call(
             "BufferSchedule.sequence",
             BufferSchedule.sequence,
-            InvalidInstanceError,
+            ConfigError,
             {"values": real([0.1, 0.05], LEVELS, "levels")},
         ),
     ),
@@ -267,7 +267,7 @@ TABLE: dict[str, str | tuple[Call, ...]] = {
         Call(
             "HyperParams",
             HyperParams,
-            InvalidInstanceError,
+            ConfigError,
             {name: real(value, f"{name} must be finite and strictly positive") for name, value in STEPS.items()},
         ),
     ),

@@ -6,6 +6,7 @@ import pytest
 
 from danyra import (
     BufferSchedule,
+    ConfigError,
     HyperParams,
     InvalidInstanceError,
     ProblemInstance,
@@ -174,7 +175,7 @@ class TestBoundsReport:
         # the bounds divide by 1 - gamma and take log(1 - gamma); HyperParams is
         # what keeps every gamma that reaches bounds_report inside (0, 1)
         for gamma in (0.0, -0.2, 1.0, 1.5):
-            with pytest.raises(InvalidInstanceError, match="gamma"):
+            with pytest.raises(ConfigError, match="gamma"):
                 self.hp(0.1, gamma=gamma)
         assert bounds_report(self.sc(), self.hp(0.1, gamma=0.999), n=14, C_vio=1e3).recovery_bound_t > 0
 

@@ -366,3 +366,19 @@ class TestTraceStorage:
         assert trace.final_state.k == iters
         assert trace.violation_l1.shape == (len(ks),) and trace.slack.shape == (len(ks), small_instance.m)
         assert trace.slack[-1].tobytes() == slack_sum(small_instance, trace.final_state).tobytes()
+
+
+def test_records_that_hold_arrays_compare_by_identity():
+    # compared field by field, two records of equal arrays raise numpy's "truth value ... is ambiguous"
+    def records():
+        instance = generate_instance(1, 4, 8.0, 1)
+        event = DisturbanceEvent(1, [1.0, 2.0])
+        plan = ExperimentPlan(instance=instance, hp=HyperParams(0.01, 0.02, 0.1, 0.2), iters=3, disturbances=(event,))
+        oracle = solve_active_set(instance)
+        trace = run_experiment(plan, oracle)
+        return [instance, instance.topology, event, plan, plan.start, oracle, trace]
+
+    first, second = records(), records()
+    for record, twin in zip(first, second):
+        assert record == record and record != twin, type(record).__name__
+    assert len(set(first + second)) == 2 * len(first)

@@ -683,29 +683,29 @@ class TestBufferSchedule:
         assert sched.value(2) == 0.25 and sched.value(10) == 0.25
 
     def test_validation(self):
-        with pytest.raises(InvalidInstanceError):
+        with pytest.raises(ConfigError):
             BufferSchedule.constant(-0.1)
-        with pytest.raises(InvalidInstanceError):
+        with pytest.raises(ConfigError):
             BufferSchedule.sequence([0.1, -0.2])
-        with pytest.raises(InvalidInstanceError, match="buffer levels must be nonincreasing"):
+        with pytest.raises(ConfigError, match="buffer levels must be nonincreasing"):
             BufferSchedule.sequence([0.1, 1.0, 5.0])
-        with pytest.raises(InvalidInstanceError, match="finite"):
+        with pytest.raises(ConfigError, match="finite"):
             BufferSchedule.sequence([])
         for bad in (5, 0.1, None):  # not a sequence at all
-            with pytest.raises(InvalidInstanceError, match=f"buffer levels must be finite and >= 0, got {bad!r}"):
+            with pytest.raises(ConfigError, match=f"buffer levels must be finite and >= 0, got {bad!r}"):
                 BufferSchedule.sequence(bad)
-        with pytest.raises(InvalidInstanceError, match="coefficient must be finite and >= 0"):
+        with pytest.raises(ConfigError, match="coefficient must be finite and >= 0"):
             BufferSchedule(levels=(0.1,), coefficient=-1.0)
-        with pytest.raises(InvalidInstanceError, match="positive coefficient"):
+        with pytest.raises(ConfigError, match="positive coefficient"):
             BufferSchedule.decaying(0.0)
         for bad in (np.nan, np.inf):
-            with pytest.raises(InvalidInstanceError, match="finite"):
+            with pytest.raises(ConfigError, match="finite"):
                 BufferSchedule.constant(bad)
-            with pytest.raises(InvalidInstanceError, match="finite"):
+            with pytest.raises(ConfigError, match="finite"):
                 BufferSchedule.decaying(bad)
-            with pytest.raises(InvalidInstanceError, match="finite"):
+            with pytest.raises(ConfigError, match="finite"):
                 BufferSchedule.sequence([bad, 0.1])
-            with pytest.raises(InvalidInstanceError, match="finite"):
+            with pytest.raises(ConfigError, match="finite"):
                 BufferSchedule.sequence([0.2, bad])
 
     def test_levels_stored_as_floats(self):
@@ -742,20 +742,20 @@ class TestBufferSchedule:
         assert type(hp.alpha) is float and hp.gamma == 0.5
 
     def test_hyperparams_validation(self):
-        with pytest.raises(InvalidInstanceError):
+        with pytest.raises(ConfigError):
             HyperParams(alpha=0.01, beta=0.02, eta=0.1, gamma=1.0)
-        with pytest.raises(InvalidInstanceError):
+        with pytest.raises(ConfigError):
             HyperParams(alpha=-0.01, beta=0.02, eta=0.1, gamma=0.2)
         steps = {"alpha": 0.01, "beta": 0.02, "eta": 0.1, "gamma": 0.2}
         for name in steps:
             for bad in (np.nan, np.inf):
-                with pytest.raises(InvalidInstanceError, match=f"{name} must be finite"):
+                with pytest.raises(ConfigError, match=f"{name} must be finite"):
                     HyperParams(**{**steps, name: bad})
 
     @pytest.mark.parametrize("bad", ["x", 0.1, None, {"kind": "constant", "omega": 0.1}])
     def test_hyperparams_buffer_must_be_a_schedule(self, bad):
         steps = {"alpha": 0.01, "beta": 0.02, "eta": 0.1, "gamma": 0.2}
-        with pytest.raises(InvalidInstanceError, match="buffer must be a BufferSchedule, got"):
+        with pytest.raises(ConfigError, match="buffer must be a BufferSchedule, got"):
             HyperParams(**steps, buffer=bad)
 
 
