@@ -15,7 +15,6 @@ import math
 import sys
 from collections import namedtuple
 from pathlib import Path
-from typing import NamedTuple
 
 from .errors import ConfigError, DanyraError, DivergenceError, OracleFailureError
 from .metrics import violation_l1
@@ -26,6 +25,9 @@ from .problem import (
     INEQUALITY,
     BufferSchedule,
     HyperParams,
+    _Object,
+    _OrNull,
+    _checked,
     generate_instance,
     instance_from_json,
     spectral_constants,
@@ -81,19 +83,6 @@ PRESETS: dict[str, dict] = {
 }
 
 
-class _Object(NamedTuple):
-    """An object section: the kind of each key it may have, and the keys it must have."""
-
-    keys: dict
-    required: tuple = ()
-
-
-class _OrNull(NamedTuple):
-    """``null`` or a value of ``kind``."""
-
-    kind: object
-
-
 # Each buffer kind of a config: its level key and that level's kind, its schedule, and its sweep-member label.
 _BufferKind = namedtuple("_BufferKind", "key level make label")
 _BUFFER_KINDS = {
@@ -104,10 +93,7 @@ _BUFFER_KINDS = {
     ),
 }
 
-# The config document.  A kind is an ``_Object`` section, ``_OrNull``, a one-item list ``[kind]`` (a
-# list of that kind), ``_BUFFER_KINDS`` (a buffer section: ``kind`` and exactly that kind's level key),
-# or one of the JSON scalars below, named by the Python type it parses to.
-_SCALARS = {int: "an integer", float: "a number", str: "a string", bool: "a boolean"}
+# The config document, in ``problem._checked``'s kinds; ``_BUFFER_KINDS`` is a buffer section's tagged kinds.
 _CONFIG = _Object(
     {
         "preset": _OrNull(str),
@@ -135,40 +121,6 @@ _CONFIG = _Object(
 )
 
 
-def _checked(value, kind, path: str = ""):
-    """A copy of the JSON ``value`` checked against ``kind``, integers as ``int``; a mismatch names its path."""
-    if isinstance(kind, _OrNull):
-        return None if value is None else _checked(value, kind.kind, path)
-    if kind is _BUFFER_KINDS:  # the kind first: it picks the one level key the section may have
-        if not (isinstance(value, dict) and "kind" in value):
-            raise ConfigError(f"{path} must be an object with a 'kind', got {value!r}")
-        tag = _checked(value["kind"], str, f"{path}.kind")
-        if tag not in _BUFFER_KINDS:
-            raise ConfigError(f"{path}.kind must be one of {sorted(_BUFFER_KINDS)}, got {tag!r}")
-        key, level, *_ = _BUFFER_KINDS[tag]
-        kind = _Object({"kind": str, key: level}, ("kind", key))
-    if isinstance(kind, _Object):
-        where = path or "config"
-        if not isinstance(value, dict):
-            raise ConfigError(f"{where} must be an object, got {value!r}")
-        unknown = sorted(set(value) - set(kind.keys))
-        if unknown:
-            raise ConfigError(f"unknown key(s) {unknown} in {where}")
-        for key in kind.required:
-            if key not in value:
-                raise ConfigError(f"missing required key {key!r} in {where}")
-        return {key: _checked(item, kind.keys[key], f"{path}.{key}" if path else key) for key, item in value.items()}
-    if isinstance(kind, list):
-        if not isinstance(value, list):
-            raise ConfigError(f"{path} must be a list, got {value!r}")
-        return [_checked(item, kind[0], f"{path}[{idx}]") for idx, item in enumerate(value)]
-    if kind is int and isinstance(value, float) and value.is_integer():
-        return int(value)
-    if isinstance(value, bool) == (kind is bool) and isinstance(value, (int, float) if kind is float else kind):
-        return value
-    raise ConfigError(f"{path} must be {_SCALARS[kind]}, got {value!r}")
-
-
 def _hyperparams(hp: dict, buffer: dict) -> HyperParams:
     """The step parameters of a checked config with the queue floor ``buffer``."""
     steps = {key: hp[key] for key in ("alpha", "beta", "eta", "gamma")}
@@ -178,7 +130,7 @@ def _hyperparams(hp: dict, buffer: dict) -> HyperParams:
 
 def _validate_config(cfg: dict) -> dict:
     """Check a merged config and return a copy of it expanded: every top-level key present, defaults filled in."""
-    cfg = _checked(cfg, _CONFIG)
+    cfg = _checked(cfg, _CONFIG, ConfigError, "config")
     if len(cfg["instance"]) != 1:
         raise ConfigError("instance must be exactly one of {'generate': {...}} or {'file': path}")
     if cfg["mode"] not in (INEQUALITY, EQUALITY):

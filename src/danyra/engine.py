@@ -46,7 +46,13 @@ import math
 import numpy as np
 
 from .errors import ConfigError, DivergenceError, InvalidInstanceError
-from .problem import EQUALITY, INEQUALITY, HyperParams, ProblemInstance, _real_shaped, _whole_number, agent_sum
+from .problem import (
+    EQUALITY, INEQUALITY, HyperParams, ProblemInstance, _checked, _Object, _real_shaped, _whole_number, agent_sum
+)
+
+# A state document, ``SwarmState.to_dict``'s: its six keys, each value left to ``SwarmState.build``.
+_STATE_KEYS = ("k", "x", "x_prime", "y", "lam", "delta")
+_STATE_DOCUMENT = _Object(dict.fromkeys(_STATE_KEYS, object), _STATE_KEYS)
 
 
 @dataclasses.dataclass(frozen=True, init=False, eq=False)
@@ -150,14 +156,11 @@ class SwarmState:
     def from_dict(cls, data: dict, instance: ProblemInstance) -> "SwarmState":
         """Rebuild a state of ``instance`` from ``to_dict``'s document through :meth:`build`.
 
-        A missing key, or anything :meth:`build` rejects, raises ``InvalidInstanceError``, and so does a
-        non-finite iterate (``delta`` may be null).
+        A document that is not an object with exactly ``to_dict``'s six keys (the message names the key), anything
+        :meth:`build` rejects, and a non-finite iterate raise ``InvalidInstanceError``; ``delta`` may be null.
         """
-        names = ("x", "x_prime", "y", "lam", "delta")
-        if not (isinstance(data, dict) and {"k", *names} <= data.keys()):
-            raise InvalidInstanceError(f"a state document is an object with the keys k, {', '.join(names)}")
-        state = cls.build(instance, k=data["k"], **{name: data[name] for name in names})
-        for name in names:
+        state = cls.build(instance, **_checked(data, _STATE_DOCUMENT, InvalidInstanceError, "state document"))
+        for name in _STATE_KEYS[1:]:
             if getattr(state, name) is not None and not np.isfinite(getattr(state, name)).all():
                 raise InvalidInstanceError(f"{name} must be finite")
         return state

@@ -28,6 +28,7 @@ from __future__ import annotations
 import json
 import math
 import numbers
+from collections import namedtuple
 from dataclasses import asdict, dataclass, field
 from functools import cached_property
 from typing import Callable, Sequence
@@ -209,6 +210,53 @@ def _real_shaped(value, name: str, shape: tuple[int, ...]) -> np.ndarray:
     if out.shape != shape:
         raise InvalidInstanceError(f"{name} must have shape {shape}, got {out.shape}")
     return out
+
+
+# The kinds of a JSON document's schema.  A kind is an ``_Object`` section (the kind of each key it may have, and the
+# keys it must have), ``_OrNull`` (``null`` or a value of its kind), a one-item list ``[kind]`` (a list of that kind),
+# a dict of tagged sections (an object whose ``kind`` names one of the dict's entries; that entry's first two items
+# are the section's one other key and its kind), ``object`` (a section key's value of any kind, left to the
+# constructor that checks it), or one of the JSON scalars below, named by the Python type it parses to.
+_Object = namedtuple("_Object", "keys required", defaults=((),))
+_OrNull = namedtuple("_OrNull", "kind")
+_SCALARS = {int: "an integer", float: "a number", str: "a string", bool: "a boolean"}
+
+
+def _checked(value, kind, error: type[Exception], root: str, path: str = ""):
+    """``value`` checked by ``kind``, its checked parts copied (whole floats as ``int``); ``error`` names a path."""
+    if isinstance(kind, _Object):
+        where = path or root
+        if not isinstance(value, dict):
+            raise error(f"{where} must be an object, got {value!r}")
+        if value.keys() != kind.keys.keys():  # not exactly the section's keys: name an unknown or a missing one
+            unknown = sorted(value.keys() - kind.keys)
+            if unknown:
+                raise error(f"unknown key(s) {unknown} in {where}")
+            for key in kind.required:
+                if key not in value:
+                    raise error(f"missing required key {key!r} in {where}")
+        dot, kinds = f"{path}." if path else "", kind.keys
+        checked = {k: _checked(v, kinds[k], error, root, dot + k) for k, v in value.items() if kinds[k] is not object}
+        return {**value, **checked} if checked else value  # a section of unchecked values is not copied
+    if isinstance(kind, _OrNull):
+        return None if value is None else _checked(value, kind.kind, error, root, path)
+    if isinstance(kind, dict):  # the tag first: it picks the one other key the section may have
+        if not (isinstance(value, dict) and "kind" in value):
+            raise error(f"{path} must be an object with a 'kind', got {value!r}")
+        tag = _checked(value["kind"], str, error, root, f"{path}.kind")
+        if tag not in kind:
+            raise error(f"{path}.kind must be one of {sorted(kind)}, got {tag!r}")
+        key, level, *_ = kind[tag]
+        return _checked(value, _Object({"kind": str, key: level}, ("kind", key)), error, root, path)
+    if isinstance(kind, list):
+        if not isinstance(value, list):
+            raise error(f"{path} must be a list, got {value!r}")
+        return [_checked(item, kind[0], error, root, f"{path}[{idx}]") for idx, item in enumerate(value)]
+    if kind is int and isinstance(value, float) and value.is_integer():
+        return int(value)
+    if isinstance(value, bool) == (kind is bool) and isinstance(value, (int, float) if kind is float else kind):
+        return value
+    raise error(f"{path} must be {_SCALARS[kind]}, got {value!r}")
 
 
 def _edge_array(edges, n: int) -> np.ndarray:
@@ -696,44 +744,40 @@ def instance_to_json(instance: ProblemInstance) -> str:
     """
     if not instance.quadratic:
         raise InvalidInstanceError("only quadratic-cost instances are serializable")
-    stacks = (instance.P.tolist(), instance.Q.tolist(), instance.A.tolist(), instance.d.tolist())
-    doc = {
-        "n": instance.n,
-        "p": instance.p,
-        "m": instance.m,
-        "agents": [{"P": P, "Q": Q, "A": A, "d": d} for P, Q, A, d in zip(*stacks)],
-        "topology": {
-            "edges": instance.topology.edges.tolist(),
-            "weights": instance.topology.weights.tolist(),
-        },
-    }
-    return json.dumps(doc)
+    agents = [dict(zip("PQAd", agent)) for agent in zip(*(getattr(instance, key).tolist() for key in "PQAd"))]
+    topology = {"edges": instance.topology.edges.tolist(), "weights": instance.topology.weights.tolist()}
+    return json.dumps({"n": instance.n, "p": instance.p, "m": instance.m, "agents": agents, "topology": topology})
+
+
+# The instance document ``instance_to_json`` writes; its arrays are left to the constructors that read them.
+_AGENT = _Object(dict.fromkeys("PQAd", object), tuple("PQAd"))
+_TOPOLOGY = _Object({"edges": object, "weights": object}, ("edges", "weights"))
+_INSTANCE_DOCUMENT = _Object(
+    {"n": int, "p": int, "m": int, "agents": [_AGENT], "topology": _TOPOLOGY}, ("n", "p", "m", "agents", "topology")
+)
 
 
 def instance_from_json(text: str) -> ProblemInstance:
     """Load an instance from its JSON document, re-validating all invariants.
 
-    Invalid JSON, a wrong structure, and an ``n``, ``p`` or ``m`` that is not
-    an integer or disagrees with the agents raise ``InvalidInstanceError``.
-    The lists go to the constructors as stored, so what ``ProblemInstance``
-    or ``Topology`` rejects (agents of different shapes, an entry that is not
-    a number, unsorted edges, a weight count other than one per edge) raises
-    its ``InvalidInstanceError`` or ``TopologyError``.
+    Invalid JSON, a document that is not ``instance_to_json``'s (a missing or
+    unknown key, or a value of the wrong JSON kind, such as an ``n`` that is
+    not an integer: the message names its path), and an ``(n, p, m)`` that
+    disagrees with the agents raise ``InvalidInstanceError``.  The arrays go
+    to the constructors as stored, so what ``ProblemInstance`` or ``Topology``
+    rejects (agents of different shapes, an entry that is not a number,
+    unsorted edges, a weight count other than one per edge) raises its
+    ``InvalidInstanceError`` or ``TopologyError``.
     """
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise InvalidInstanceError(f"instance document is not valid JSON: {exc}") from exc
-    try:
-        agents = doc["agents"]
-        P, Q, A, d = ([agent[key] for agent in agents] for key in "PQAd")
-        sizes = tuple(_whole_number(doc[key], key, ValueError) for key in ("n", "p", "m"))
-        topology = Topology(n=sizes[0], edges=doc["topology"]["edges"], weights=doc["topology"]["weights"])
-    except KeyError as exc:
-        raise InvalidInstanceError(f"instance document is missing key {exc}") from exc
-    except (TypeError, ValueError) as exc:
-        raise InvalidInstanceError(f"malformed instance document: {exc}") from exc
+    doc = _checked(doc, _INSTANCE_DOCUMENT, InvalidInstanceError, "instance document")
+    P, Q, A, d = ([agent[key] for agent in doc["agents"]] for key in "PQAd")
+    topology = Topology(n=doc["n"], **doc["topology"])
     instance = ProblemInstance(A=A, d=d, P=P, Q=Q, topology=topology)
+    sizes = (doc["n"], doc["p"], doc["m"])
     if sizes != (instance.n, instance.p, instance.m):
         raise InvalidInstanceError(
             f"document says (n, p, m) = {sizes}, but its agents have {(instance.n, instance.p, instance.m)}"

@@ -9,7 +9,8 @@ from pathlib import Path
 import pytest
 
 import danyra
-from danyra.cli import _BUFFER_KINDS, _CONFIG, _Object, _OrNull, main, parse_config, run
+from danyra.cli import _BUFFER_KINDS, _CONFIG, main, parse_config, run
+from danyra.problem import _Object, _OrNull
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
