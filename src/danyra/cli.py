@@ -172,7 +172,7 @@ def parse_config(
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config file {config_path} is not valid JSON: {exc}") from exc
         if not isinstance(file_cfg, dict):
-            raise ConfigError("config document must be a JSON object")
+            raise ConfigError(f"config must be an object, got {file_cfg!r}")
         cfg.update(file_cfg)
         preset = preset or cfg.get("preset")
 

@@ -6,7 +6,9 @@ agent sends v_i = z_i - d_i + lambda_i); update the virtual decision x', the
 auxiliary y, and (inequality mode) the queue delta; mix the new y; update the
 dual lambda with the new z; project x' onto the per-agent affine target set.
 The projection is closed-form (``x = x' + A'(AA')^{-1}(b - Ax')``), never an
-iterative QP solve.
+iterative QP solve.  The equations are written only in ``_step``, over plain
+arrays: ``iterate`` wraps one call of it in checks, reuse and the state, and
+``tests/test_exact_step.py`` runs it over ``Fraction``s.
 
 A state carries the coupling product ``A_i x_i`` and the message
 ``z_i = A_i x'_i + sum_j l_ij y_j (+ delta_i)`` next to the iterates, so each
@@ -21,7 +23,7 @@ states come only from :meth:`SwarmState.build` (which ``init_state``,
 
 A state is in inequality mode exactly when it carries the virtual queue
 ``delta``: ``init_state`` is the one place where a mode name becomes a queue
-or none, and ``iterate`` branches on ``delta is not None``.  The queue's
+or none, and ``_step`` branches on ``delta is not None``.  The queue's
 floor at step k is ``hp.buffer.value(k)``.
 
 Fixed points: a computed step whose output has its input's bits in the six
@@ -229,39 +231,16 @@ def iterate(state: SwarmState, instance: ProblemInstance, hp: HyperParams) -> Sw
     """
     if not (isinstance(state, SwarmState) and isinstance(hp, HyperParams)):
         raise InvalidInstanceError(f"need a SwarmState and a HyperParams, got {type(state).__name__}, {type(hp).__name__}")
-    inequality = state.delta is not None
-    floor = hp.buffer.value(state.k) if inequality else None
+    floor = None if state.delta is None else hp.buffer.value(state.k)
     mark = state.__dict__.get("_fixed_under")
     if mark is not None and mark[0] is instance and mark[1] is hp and mark[2] == floor:
         return SwarmState._make(state.__dict__, k=state.k + 1)  # shares the arrays, the cached Ax_sum and the mark
     state._check_sizes(instance)
-    A, d, mix = instance.A, instance.d, instance.topology.mix
-    alpha, beta, eta, gamma = hp.alpha, hp.beta, hp.eta, hp.gamma
-    x_prime, y, lam, delta, Ax, z = state.x_prime, state.y, state.lam, state.delta, state.Ax, state.z
-    grad = instance._gradient(x_prime)  # the state's own array: only a generic cost's result needs a check
-
-    # sub-round 1: z is the k-snapshot's, carried from the last iteration's
-    # second exchange; sub-round 2: mix v = z - d + lam; primal, auxiliary
-    # and queue updates
-    v = z - d + lam
-    x_prime_next = x_prime - alpha * (np.einsum("nmp,nm->np", A, v) + grad)
-    y_next = y - alpha * mix(v)
-    delta_next = np.maximum(delta - alpha * v, floor) if inequality else None
-
-    # sub-round 3: mix the new auxiliaries; dual update and projection
-    y_bar_next = mix(y_next)
-    Ax_prime_next = np.einsum("nmp,np->nm", A, x_prime_next)
-    z_next = Ax_prime_next + y_bar_next
-    pull = Ax + y_bar_next
-    if inequality:
-        z_next = z_next + delta_next
-        pull = pull + delta_next
-    lam_next = lam + beta * (z_next - d - eta * np.einsum("nmp,np->nm", A, np.einsum("nmp,nm->np", A, lam) + grad))
-    b = Ax - gamma * (pull - d)
-    if inequality:
-        b = b + (1.0 - gamma) * (delta - delta_next)
-    x_next = np.einsum("npm,nm->np", instance.projector_stack, b - Ax_prime_next) + x_prime_next
-    Ax_next = np.einsum("nmp,np->nm", A, x_next)
+    x_next, x_prime_next, y_next, lam_next, delta_next, Ax_next, z_next = _step(
+        state.x_prime, state.y, state.lam, state.delta, state.Ax, state.z, instance.A, instance.d,
+        instance.projector_stack, instance._gradient(state.x_prime), instance.topology.mix,
+        hp.alpha, hp.beta, hp.eta, hp.gamma, floor,
+    )  # the gradient is of the state's own x': only a generic cost's result needs a check
 
     # a non-finite entry of any returned field at agent i reaches x_next[i] or
     # lam_next[i] (x'_next and z_next directly, y_bar_next and delta_next through
@@ -289,3 +268,31 @@ def iterate(state: SwarmState, instance: ProblemInstance, hp: HyperParams) -> Sw
     ):
         object.__setattr__(out, "_fixed_under", (instance, hp, floor))
     return out
+
+
+def _step(x_prime, y, lam, delta, Ax, z, A, d, projector_stack, grad, mix, alpha, beta, eta, gamma, floor):
+    """The update equations, written only here: one computed step's next ``(x, x', y, lam, delta, Ax, z)``.  Nothing
+    is checked and no dtype or memory order is fixed, so ``Fraction`` arrays stay exact; ``delta=None``: equality mode.
+    """
+    # sub-round 1: z is the k-snapshot's, carried from the last iteration's
+    # second exchange; sub-round 2: mix v = z - d + lam; primal, auxiliary
+    # and queue updates
+    v = z - d + lam
+    x_prime_next = x_prime - alpha * (np.einsum("nmp,nm->np", A, v) + grad)
+    y_next = y - alpha * mix(v)
+    delta_next = None if delta is None else np.maximum(delta - alpha * v, floor)
+
+    # sub-round 3: mix the new auxiliaries; dual update and projection
+    y_bar_next = mix(y_next)
+    Ax_prime_next = np.einsum("nmp,np->nm", A, x_prime_next)
+    z_next = Ax_prime_next + y_bar_next
+    pull = Ax + y_bar_next
+    if delta is not None:
+        z_next = z_next + delta_next
+        pull = pull + delta_next
+    lam_next = lam + beta * (z_next - d - eta * np.einsum("nmp,np->nm", A, np.einsum("nmp,nm->np", A, lam) + grad))
+    b = Ax - gamma * (pull - d)
+    if delta is not None:
+        b = b + (1 - gamma) * (delta - delta_next)
+    x_next = np.einsum("npm,nm->np", projector_stack, b - Ax_prime_next) + x_prime_next
+    return x_next, x_prime_next, y_next, lam_next, delta_next, np.einsum("nmp,np->nm", A, x_next), z_next

@@ -216,10 +216,11 @@ def _real_shaped(value, name: str, shape: tuple[int, ...]) -> np.ndarray:
 # keys it must have), ``_OrNull`` (``null`` or a value of its kind), a one-item list ``[kind]`` (a list of that kind),
 # a dict of tagged sections (an object whose ``kind`` names one of the dict's entries; that entry's first two items
 # are the section's one other key and its kind), ``object`` (a section key's value of any kind, left to the
-# constructor that checks it), or one of the JSON scalars below, named by the Python type it parses to.
+# constructor that checks it), ``int`` (a whole number, read by ``_whole_number``), or one of the JSON scalars below,
+# named by the Python type it parses to.
 _Object = namedtuple("_Object", "keys required", defaults=((),))
 _OrNull = namedtuple("_OrNull", "kind")
-_SCALARS = {int: "an integer", float: "a number", str: "a string", bool: "a boolean"}
+_SCALARS = {float: "a number", str: "a string", bool: "a boolean"}
 
 
 def _checked(value, kind, error: type[Exception], root: str, path: str = ""):
@@ -252,8 +253,8 @@ def _checked(value, kind, error: type[Exception], root: str, path: str = ""):
         if not isinstance(value, list):
             raise error(f"{path} must be a list, got {value!r}")
         return [_checked(item, kind[0], error, root, f"{path}[{idx}]") for idx, item in enumerate(value)]
-    if kind is int and isinstance(value, float) and value.is_integer():
-        return int(value)
+    if kind is int:
+        return _whole_number(value, path, error)
     if isinstance(value, bool) == (kind is bool) and isinstance(value, (int, float) if kind is float else kind):
         return value
     raise error(f"{path} must be {_SCALARS[kind]}, got {value!r}")
@@ -762,7 +763,7 @@ def instance_from_json(text: str) -> ProblemInstance:
 
     Invalid JSON, a document that is not ``instance_to_json``'s (a missing or
     unknown key, or a value of the wrong JSON kind, such as an ``n`` that is
-    not an integer: the message names its path), and an ``(n, p, m)`` that
+    not a whole number: the message names its path), and an ``(n, p, m)`` that
     disagrees with the agents raise ``InvalidInstanceError``.  The arrays go
     to the constructors as stored, so what ``ProblemInstance`` or ``Topology``
     rejects (agents of different shapes, an entry that is not a number,

@@ -10,8 +10,8 @@ of a number, or of an array's first entry (a ragged array has its last row cut s
 parameter.  For every value but NaN, whose rejection is a finiteness check, the message is exactly the checker's own:
 
 - ``numbers`` and ``integers`` (``problem._real_array``): ``x must be numbers, got str entries``;
-- ``whole`` (``problem._whole_number``): ``k must be a whole number, got '1'``;
-- ``integer`` (a document schema's, ``problem._checked``): ``n must be an integer, got '1'``;
+- ``whole`` (``problem._whole_number``, which a document schema's integers go through too): ``k must be a whole
+  number, got '1'``;
 - any other rule (``problem._real``): the rule, then ``, got '1'``;
 - ``None``: a message of the callable's own.
 
@@ -79,15 +79,11 @@ class Number:
     exempt: dict[str, str] = field(default_factory=dict)  # bad kind -> the documented reason it is accepted
 
     def kinds(self) -> list[str]:
-        return [kind for kind in BAD if kind != "fraction" or self.rule in ("whole", "integer", "integers")]
+        return [kind for kind in BAD if kind != "fraction" or self.rule in ("whole", "integers")]
 
 
 def numbers(valid, label=None, **exempt) -> Number:
     return Number(valid, "numbers", label, exempt)
-
-
-def integer(valid) -> Number:
-    return Number(valid, "integer")
 
 
 def integers(valid) -> Number:
@@ -330,7 +326,7 @@ TABLE: dict[str, str | tuple[Call, ...]] = {
             "instance_from_json",
             from_json,
             InvalidInstanceError,
-            {**{key: integer(DOC[key]) for key in SIZES}, **{key: numbers(DOC["agents"][0][key]) for key in AGENT}},
+            {**{key: whole(DOC[key]) for key in SIZES}, **{key: numbers(DOC["agents"][0][key]) for key in AGENT}},
         ),
         Call(
             "instance_from_json.topology",
@@ -409,8 +405,8 @@ def expected_message(name: str, number: Number, kind: str, entry) -> str | None:
         return None
     if number.rule in ("numbers", "integers"):
         return f"{label} must be {number.rule}, got {ENTRY_TYPE[kind]} entries"
-    if number.rule in ("whole", "integer"):
-        return f"{label} must be {'a whole number' if number.rule == 'whole' else 'an integer'}, got {entry!r}"
+    if number.rule == "whole":
+        return f"{label} must be a whole number, got {entry!r}"
     return f"{number.rule}, got {entry!r}"
 
 
