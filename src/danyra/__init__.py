@@ -2,8 +2,9 @@
 
 from .engine import SwarmState, init_state, iterate
 from .errors import ConfigError, DanyraError, DivergenceError, InvalidInstanceError, OracleFailureError, TopologyError
-from .metrics import optimality_gap, slack_sum, violation_l1
-from .netsim import DisturbanceEvent, ExperimentPlan, Trace, apply_disturbance, run_experiment
+from .netsim import (
+    DisturbanceEvent, ExperimentPlan, Trace, apply_disturbance, optimality_gap, run_experiment, slack_sum, violation_l1,
+)
 from .oracle import OracleSolution, solve_active_set, solve_equality
 from .problem import (
     EQUALITY, INEQUALITY, BufferSchedule, CallableCost, HyperParams, ProblemInstance, SpectralConstants, Topology,

@@ -17,8 +17,7 @@ from collections import namedtuple
 from pathlib import Path
 
 from .errors import ConfigError, DanyraError, DivergenceError, OracleFailureError
-from .metrics import violation_l1
-from .netsim import DisturbanceEvent, ExperimentPlan, run_experiment
+from .netsim import DisturbanceEvent, ExperimentPlan, run_experiment, violation_l1
 from .oracle import solve_active_set, solve_equality
 from .problem import (
     EQUALITY,

@@ -1,4 +1,4 @@
-"""Synchronous experiment driver: runs iterations, injects disturbances, records traces."""
+"""Synchronous experiment driver: runs iterations, injects disturbances, and measures, checks and writes trace rows."""
 
 from __future__ import annotations
 
@@ -9,9 +9,10 @@ import numpy as np
 
 from .engine import SwarmState, init_state, iterate
 from .errors import ConfigError, DivergenceError, InvalidInstanceError
-from .metrics import optimality_gap, slack_sum, violation_l1
 from .oracle import OracleSolution
-from .problem import EQUALITY, INEQUALITY, HyperParams, ProblemInstance, _real_array, _whole_number
+from .problem import (
+    EQUALITY, INEQUALITY, HyperParams, ProblemInstance, _real_array, _real_shaped, _whole_number, agent_sum,
+)
 
 
 @dataclass(frozen=True, eq=False)
@@ -95,6 +96,32 @@ class ExperimentPlan:
         object.__setattr__(self, "start", start)
 
 
+def violation_l1(instance: ProblemInstance, state: SwarmState) -> float:
+    """1-norm of the positive part of ``sum_i (A_i x_i - d_i)`` from ``Ax_sum``; a state of other sizes raises."""
+    state._check_sizes(instance)
+    total = state.Ax_sum - instance.demand_total
+    np.maximum(total, 0.0, out=total)
+    return float(total.sum())
+
+
+def optimality_gap(x: np.ndarray, oracle: OracleSolution) -> float:
+    """Squared Euclidean distance of the stacked decision from the optimum.
+
+    An ``x`` not of the optimum's (n, p) shape, or with an entry that is not a number, raises ``InvalidInstanceError``.
+    """
+    diff = _real_shaped(x, "x", oracle.x_star.shape).reshape(-1) - oracle.stacked
+    return float(diff @ diff)
+
+
+def slack_sum(instance: ProblemInstance, state: SwarmState) -> np.ndarray:
+    """``sum_i (A_i x_i + delta_i - d_i)`` from the state's ``Ax_sum``; contracts by (1 - gamma) each iteration."""
+    state._check_sizes(instance)
+    total = state.Ax_sum - instance.demand_total
+    if state.delta is not None:
+        total += agent_sum(state.delta)
+    return total
+
+
 # Rows of trace.csv formatted and written at once: large enough that the
 # per-block overhead vanishes, small enough that the block's strings stay near
 # 100 kB.
@@ -131,10 +158,11 @@ class Trace:
     def csv_text(self, start: int = 0, stop: int | None = None) -> str:
         """Rows ``start:stop`` (whole numbers, as in a slice) as CSV, after the header line when ``start`` is 0.
 
-        With no arguments this is the whole file.  Floats are written in
-        ``.17g`` (round-trip exact), each column formatted from Python floats
-        (``tolist``); ``to_csv`` asks for one ``CSV_BLOCK_ROWS``-row block at a
-        time, so the formatted strings of only one block are alive at once.
+        With no arguments this is the whole file.  Each line is one ``%``
+        format of the row's Python numbers (``tolist``): ``%d`` for k, then
+        ``%.17g`` (round-trip exact) per float column.  ``to_csv`` asks for one
+        ``CSV_BLOCK_ROWS``-row block at a time, so the formatted strings of only
+        one block are alive at once.
         """
         start = _whole_number(start, "start", InvalidInstanceError)
         stop = None if stop is None else _whole_number(stop, "stop", InvalidInstanceError)
@@ -147,9 +175,8 @@ class Trace:
             names = ["k"] + (["gap"] if self.gap is not None else [])
             names += ["violation_l1"] + [f"slack_{j}" for j in range(slack.shape[1])]
             header = ",".join(names) + "\n"
-        columns = [[str(int(k)) for k in ks[rows].tolist()]]
-        columns += [[f"{v:.17g}" for v in col[rows].tolist()] for col in floats]
-        return header + "".join(",".join(row) + "\n" for row in zip(*columns))
+        line = "%d" + ",%.17g" * len(floats) + "\n"
+        return header + "".join([line % row for row in zip(ks[rows].tolist(), *(col[rows].tolist() for col in floats))])
 
     def to_csv(self, path) -> None:
         """Write ``csv_text()`` to ``path`` one ``CSV_BLOCK_ROWS``-row block at a time (the header with the first)."""

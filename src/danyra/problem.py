@@ -25,6 +25,7 @@ the dense Laplacian ``L``.
 
 from __future__ import annotations
 
+import gc
 import json
 import math
 import numbers
@@ -770,10 +771,15 @@ def instance_from_json(text: str) -> ProblemInstance:
     unsorted edges, a weight count other than one per edge) raises its
     ``InvalidInstanceError`` or ``TopologyError``.
     """
+    enabled = gc.isenabled()
+    gc.disable()  # a parsed document is many small containers and no cycles: collection passes over it find nothing
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise InvalidInstanceError(f"instance document is not valid JSON: {exc}") from exc
+    finally:
+        if enabled:
+            gc.enable()
     doc = _checked(doc, _INSTANCE_DOCUMENT, InvalidInstanceError, "instance document")
     P, Q, A, d = ([agent[key] for agent in doc["agents"]] for key in "PQAd")
     topology = Topology(n=doc["n"], **doc["topology"])

@@ -14,7 +14,8 @@ from a preset's generated instance and start state:
 Summing the projection over the agents, and with ``sum_i (L y)_i = 0``, the slack
 ``s_k = sum_i (A_i x_i + delta_i - d_i)`` (no ``delta`` in equality mode) obeys ``s_{k+1} = (1 - gamma) s_k``.  A
 start with ``s_0 <= 0`` and a zero floor then keeps ``sum_i (A_i x_i - d_i) = s_k - sum_i delta_i <= 0``: the run is
-feasible at every step, with a violation of exactly 0.
+feasible at every step, with a violation of exactly 0.  The recursion holds as well with a positive floor ``omega``,
+which every queue entry then stays at or above, and from a start that violates the constraint.
 """
 
 from __future__ import annotations
@@ -24,9 +25,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-import danyra.cli
-from danyra import generate_instance, init_state
-from danyra.cli import parse_config
+from danyra import generate_instance
+from danyra.cli import _build_plan, _hyperparams, parse_config
 from danyra.engine import _step
 
 # numpy's einsum takes object arrays from 1.25 on, and the project allows numpy 1.24
@@ -58,16 +58,17 @@ def exact_laplacian(topology) -> np.ndarray:
     return L
 
 
-def exact_run(preset: str, steps: int):
+def exact_run(preset: str, steps: int, member: int | None = None):
     """``(gamma, d, states)``: the preset's start and ``steps`` steps of ``_step`` on it, all in Fractions.
 
-    Each state is the tuple ``(x, x', y, lam, delta, Ax, z)`` that ``_step`` returns; ``Ax`` and ``z`` of the start
-    are its products as ``SwarmState`` defines them.
+    ``member`` picks a sweep member's buffer.  The start is the run's ``ExperimentPlan.start``, so a disturbance at
+    iteration 0 is in it.  Each state is the tuple ``(x, x', y, lam, delta, Ax, z)`` that ``_step`` returns; ``Ax``
+    and ``z`` of the start are its products as ``SwarmState`` defines them.
     """
     config = parse_config(preset=preset)
     instance = generate_instance(**config["instance"]["generate"])
-    hp = danyra.cli._hyperparams(config["hp"], config["hp"]["buffer"])
-    start = init_state(instance, hp, config["init"]["mode"], mode=config["mode"])
+    hp = _hyperparams(config["hp"], config["hp"]["buffer"] if member is None else config["sweep"][member])
+    start = _build_plan(config, instance, hp).start
     A, d, hessian, Q = (exact(a) for a in (instance.A, instance.d, instance.hessian_stack, instance.Q))
     projector = np.stack([solve(a @ a.T, a).T for a in A])
     L = exact_laplacian(instance.topology)
@@ -94,6 +95,11 @@ def slack(state, d) -> list:
     return list((Ax - d if delta is None else Ax + delta - d).sum(axis=0))
 
 
+def violation(state, d) -> Fraction:
+    """``sum_j max(sum_i (A_i x_i - d_i)_j, 0)`` of a state tuple, from its ``Ax``."""
+    return sum(max(total, 0) for total in (state[5] - d).sum(axis=0))
+
+
 def test_equality_slack_contracts_by_exactly_one_minus_gamma():
     gamma, d, states = exact_run("equality", 25)  # from x = 0
     assert all(s != 0 for s in slack(states[0], d))  # each step's identity is not 0 == 0
@@ -108,5 +114,17 @@ def test_fig2_is_feasible_at_every_step_exactly():
     assert any((states[-1][4] != 0).flat)  # the queue moved, so the recursion's (1 - gamma) delta term is exercised
     for k, (state, after) in enumerate(zip(states, states[1:])):
         assert all(type(entry) is Fraction for array in after for entry in array.flat), k  # no float leaked in
-        assert sum(max(total, 0) for total in (after[5] - d).sum(axis=0)) == 0, k  # the violation, from Ax
+        assert violation(after, d) == 0, k
         assert slack(after, d) == [(1 - gamma) * s for s in slack(state, d)], k
+
+
+def test_a_floored_run_from_a_violated_start_keeps_the_recursion_exactly():
+    # buffer-sweep's omega = 0.1 member: an active floor, from at_demand shifted by +50 at iteration 0
+    gamma, d, states = exact_run("buffer-sweep", 12, member=1)
+    omega = Fraction(0.1)
+    assert violation(states[0], d) > 0
+    for k, (state, after) in enumerate(zip(states, states[1:])):
+        assert all(type(entry) is Fraction for array in after for entry in array.flat), k
+        assert all(entry >= omega for entry in after[4].flat), k
+        assert slack(after, d) == [(1 - gamma) * s for s in slack(state, d)], k
+    assert violation(states[-1], d) < violation(states[0], d)

@@ -1,4 +1,5 @@
 import dataclasses
+import gc
 import json
 import re
 
@@ -286,11 +287,13 @@ _BAD_ROWS = {
     "boolean": ([True, 2], "bool"),
     "None": ([None, 2], "NoneType"),
     "ragged": ([[1], 2], "list"),
+    "out-of-range": ([10**400, 2], "out-of-range int"),  # beyond float64 and int64
 }
 
 
+# tests/test_inputs.py feeds ``optimality_gap`` the same bad entries and pins the same lines
 @pytest.mark.parametrize("bad", _BAD_ROWS)
-@pytest.mark.parametrize("store", _STORES)
+@pytest.mark.parametrize("store", [store for store in _STORES if store != "optimality_gap"])
 def test_constructors_reject_entries_that_are_not_numbers(store, bad):
     # numpy would read text as a number, a boolean as 1 or 0, and None as NaN
     error, make, _ = _STORES[store]
@@ -298,6 +301,13 @@ def test_constructors_reject_entries_that_are_not_numbers(store, bad):
     noun = "integers" if store == "Topology" else "numbers"
     with pytest.raises(error, match=rf"^[\w ]+ must be {noun}, got {kind} entries$"):
         make(row)
+
+
+def test_a_ragged_nesting_of_arrays_is_named():
+    # numpy cannot hold arrays of unequal shapes even as objects, so there is no entry type to name
+    zeros = np.zeros((2, 2))
+    with pytest.raises(InvalidInstanceError, match=r"^d must be numbers, got ragged entries$"):
+        ProblemInstance(A=[np.eye(2)] * 2, d=[zeros, np.zeros((2, 3))], P=[np.eye(2)] * 2, Q=zeros, topology=_TWO)
 
 
 @pytest.mark.parametrize("store", _STORES)
@@ -797,3 +807,19 @@ class TestSerialization:
         del doc["agents"]
         with pytest.raises(InvalidInstanceError):
             instance_from_json(json.dumps(doc))
+
+    @pytest.mark.parametrize("enabled", [True, False], ids=["gc-on", "gc-off"])
+    def test_loading_keeps_the_callers_gc_setting(self, enabled):
+        # cyclic GC is paused while the document is parsed, and the caller's setting comes back on every path
+        good = instance_to_json(generate_instance(11, 4, 9.0, 1))
+        was = gc.isenabled()
+        try:
+            (gc.enable if enabled else gc.disable)()
+            instance_from_json(good)
+            assert gc.isenabled() is enabled
+            for bad in (good[:-1], good.replace('"n"', '"N"')):  # not JSON; JSON, but not an instance document
+                with pytest.raises(InvalidInstanceError):
+                    instance_from_json(bad)
+                assert gc.isenabled() is enabled
+        finally:
+            (gc.enable if was else gc.disable)()

@@ -24,9 +24,12 @@ PUBLIC_NAMES = {
         ],
         "danyra.errors",
     ),
-    **dict.fromkeys(["optimality_gap", "slack_sum", "violation_l1"], "danyra.metrics"),
     **dict.fromkeys(
-        ["DisturbanceEvent", "ExperimentPlan", "Trace", "apply_disturbance", "run_experiment"], "danyra.netsim"
+        [
+            "DisturbanceEvent", "ExperimentPlan", "Trace", "apply_disturbance", "optimality_gap", "run_experiment",
+            "slack_sum", "violation_l1",
+        ],
+        "danyra.netsim",
     ),
     **dict.fromkeys(["OracleSolution", "solve_active_set", "solve_equality"], "danyra.oracle"),
     **dict.fromkeys(

@@ -42,6 +42,7 @@ from danyra import (
     violation_l1,
 )
 from danyra.engine import SwarmState
+from danyra.netsim import CSV_BLOCK_ROWS
 from danyra.problem import agent_sum
 
 from conftest import randomize_state
@@ -171,22 +172,29 @@ class TestBitIdenticalToFrozenKernel:
         run_both(benchmark_instance, hyperparams(), INEQUALITY, seed=6, events=events)
 
     def test_recorded_rows(self, benchmark_instance, benchmark_oracle):
-        """``run_experiment`` records what the frozen kernel's loop recorded."""
+        """``run_experiment`` records what the frozen kernel's loop recorded, the gap as ``d @ d`` per row.
+
+        50 rows, not a multiple of ``CSV_BLOCK_ROWS``, so a block-wise gap sum is checked on a partial block.
+        """
         hp = hyperparams()
         event = DisturbanceEvent(at_iteration=25, additive=[50.0, 50.0])
         plan = ExperimentPlan(instance=benchmark_instance, hp=hp, iters=STEPS, disturbances=(event,))
         trace = run_experiment(plan, benchmark_oracle)
         ref = reference_copy(init_state(benchmark_instance, hp, "at_demand"), benchmark_instance)
-        viols, slacks = [], []
+        viols, slacks, gaps = [], [], []
         for _ in range(STEPS):
             if ref.k == event.at_iteration:
                 ref = reference_disturb(ref, event)
             ref = reference_iterate(ref, benchmark_instance, hp)
             viols.append(reference_violation_l1(benchmark_instance, ref.x))
             slacks.append(reference_slack_sum(benchmark_instance, ref.x, ref.delta))
+            d = np.ravel(ref.x) - benchmark_oracle.stacked
+            gaps.append(d @ d)
         assert list(trace.ks) == list(range(1, STEPS + 1))
+        assert STEPS % CSV_BLOCK_ROWS != 0
         assert same_bits(trace.violation_l1, viols)
         assert same_bits(trace.slack, np.stack(slacks))
+        assert same_bits(trace.gap, gaps)
         assert same_bits(trace.final_state.x, ref.x)
 
 
