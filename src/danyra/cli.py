@@ -207,21 +207,29 @@ def _build_instance(config: dict):
     return instance_from_json(text)
 
 
-def _build_plan(config: dict, instance, hp: HyperParams) -> ExperimentPlan:
-    return ExperimentPlan(
-        instance=instance,
-        hp=hp,
-        iters=config["iters"],
-        mode=config["mode"],
-        disturbances=tuple(DisturbanceEvent(**d) for d in config["disturbances"]),
-        record_every=config["record_every"],
-        init_mode=config["init"].get("mode", "at_demand"),
-    )
-
-
 def _buffer_label(buffer: dict) -> str:
     kind = _BUFFER_KINDS[buffer["kind"]]
     return kind.label(buffer[kind.key])
+
+
+def _plans(config: dict) -> tuple:
+    """``(instance, plans, labels)`` of a checked config: one ``ExperimentPlan`` per member, in order, and its labels.
+
+    A single run is one member with no label.  Step sizes and labels are checked before the instance is built.
+    """
+    hps = [_hyperparams(config["hp"], buffer) for buffer in config["sweep"] or [config["hp"]["buffer"]]]
+    labels = [_buffer_label(buffer) for buffer in config["sweep"] or []]
+    if len(set(labels)) < len(labels):
+        raise ConfigError(f"sweep members must have distinct labels, got {labels}")
+    instance = _build_instance(config)
+    shared = {
+        "iters": config["iters"],
+        "mode": config["mode"],
+        "disturbances": tuple(DisturbanceEvent(**d) for d in config["disturbances"]),
+        "record_every": config["record_every"],
+        "init_mode": config["init"].get("mode", "at_demand"),
+    }
+    return instance, [ExperimentPlan(instance=instance, hp=hp, **shared) for hp in hps], labels
 
 
 def _strict(value):
@@ -247,14 +255,7 @@ def run(config: dict) -> int:
     Every rejection comes before the oracle solve and writes nothing.  A single run writes to ``out``; a sweep writes
     each member's files to ``out/<label>`` and an aggregate ``report.json`` to ``out``, after every run has finished.
     """
-    sweep = config["sweep"]
-    buffers = sweep or [config["hp"]["buffer"]]
-    hps = [_hyperparams(config["hp"], buffer) for buffer in buffers]  # the range checks, before the instance build
-    labels = [_buffer_label(buffer) for buffer in sweep or []]
-    if len(set(labels)) < len(labels):
-        raise ConfigError(f"sweep members must have distinct labels, got {labels}")
-    instance = _build_instance(config)
-    plans = [_build_plan(config, instance, hp) for hp in hps]
+    instance, plans, labels = _plans(config)
     out_root = Path(config["out"])
     dirs = [out_root / label for label in labels] or [out_root]
     # every file a run writes, checked before any work: none may be a directory, nor lie under a non-directory
@@ -275,7 +276,7 @@ def run(config: dict) -> int:
             raise DivergenceError(f"{label}: {exc}" if label else str(exc), k=exc.k, agents=exc.agents) from exc
 
     summaries = []
-    for plan, trace, buffer, out_dir in zip(plans, traces, buffers, dirs):
+    for plan, trace, buffer, out_dir in zip(plans, traces, config["sweep"] or [config["hp"]["buffer"]], dirs):
         initial_violation = violation_l1(instance, plan.start)
         out_dir.mkdir(parents=True, exist_ok=True)
         trace.to_csv(out_dir / "trace.csv")
@@ -298,7 +299,7 @@ def run(config: dict) -> int:
         }
         _write_json(out_dir / "report.json", summary)
         summaries.append(summary)
-    if sweep is not None:
+    if config["sweep"] is not None:
         keys = ("final_gap", "final_violation", "recovery_iteration")
         members = {label: {key: s[key] for key in keys} for label, s in zip(labels, summaries)}
         _write_json(out_root / "report.json", {"preset": config["preset"], "members": members})

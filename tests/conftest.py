@@ -10,12 +10,17 @@ from danyra import (
     solve_active_set,
     spectral_constants,
 )
-from danyra.cli import BENCHMARK_SEED
+from danyra.cli import PRESETS, _plans, _validate_config
+
+
+def preset_plans(name: str, **edits) -> tuple:
+    """``(instance, plans, labels)`` of preset ``name`` with top-level keys replaced, as ``danyra run`` builds them."""
+    return _plans(_validate_config({**PRESETS[name], **edits}))
 
 
 @pytest.fixture(scope="session")
 def benchmark_instance():
-    return generate_instance(BENCHMARK_SEED, 14, 70.0, 16)
+    return preset_plans("fig2")[0]
 
 
 @pytest.fixture(scope="session")

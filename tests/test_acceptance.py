@@ -2,8 +2,10 @@
 
 Each test prints one line summarizing the measured quantity against its
 threshold; run with ``pytest tests/test_acceptance.py -v -s`` to see them.
-Long runs are shared through module-scoped fixtures, on the fig2 instance,
-its oracle and its spectral constants from ``conftest.py``'s session fixtures.
+Long runs are shared through module-scoped fixtures.  Each runs a preset's
+plan as ``danyra run`` builds it (``conftest.preset_plans``), with the edits
+its fixture names, against the oracle and spectral constants of
+``conftest.py``'s session fixtures.
 """
 
 import math
@@ -14,10 +16,6 @@ import pytest
 
 from danyra import (
     EQUALITY,
-    BufferSchedule,
-    DisturbanceEvent,
-    ExperimentPlan,
-    HyperParams,
     bounds_report,
     generate_instance,
     init_state,
@@ -31,105 +29,74 @@ from danyra import (
     validate_hyperparams,
     violation_l1,
 )
-from danyra.cli import PRESETS, main, parse_config
+from danyra.cli import main
+from danyra.theory import largest_violation
 
-from conftest import rebuild
+from conftest import preset_plans, rebuild
 from reference_oracle import kkt_residuals, reference_projected_gradient
 from reference_step import state_difference
 
-GAMMA = 0.2
-OFFSET = np.array([50.0, 50.0])
-START_SHIFT = DisturbanceEvent(at_iteration=0, additive=OFFSET)  # the buffer-sweep preset's shifted start
-
-
-def hp_with(buffer):
-    return HyperParams(alpha=0.01, beta=0.02, eta=0.1, gamma=GAMMA, buffer=buffer)
-
 
 @pytest.fixture(scope="module")
-def feasible_run(benchmark_instance, benchmark_oracle):
-    plan = ExperimentPlan(
-        instance=benchmark_instance, hp=hp_with(BufferSchedule.constant(0.0)), iters=2000,
-        init_mode="at_demand",
-    )
+def feasible_run(benchmark_oracle):
+    """``(plan, trace, seconds)``: fig2 from its feasible start, with no disturbance, for 2000 iterations."""
+    _, (plan,), _ = preset_plans("fig2", iters=2000, disturbances=[])
     start = time.perf_counter()
     trace = run_experiment(plan, benchmark_oracle)
-    return trace, time.perf_counter() - start
+    return plan, trace, time.perf_counter() - start
 
 
 @pytest.fixture(scope="module")
-def fig2_trace(benchmark_instance, benchmark_oracle):
-    plan = ExperimentPlan(
-        instance=benchmark_instance,
-        hp=hp_with(BufferSchedule.constant(0.0)),
-        iters=20000,
-        init_mode="at_demand",
-        disturbances=(DisturbanceEvent(at_iteration=500, additive=OFFSET),),
-    )
-    return run_experiment(plan, benchmark_oracle)
+def fig2_run(benchmark_oracle):
+    """``(plan, trace)`` of the fig2 preset."""
+    _, (plan,), _ = preset_plans("fig2")
+    return plan, run_experiment(plan, benchmark_oracle)
 
 
 @pytest.fixture(scope="module")
-def decaying_trace(benchmark_instance, benchmark_oracle):
-    plan = ExperimentPlan(
-        instance=benchmark_instance,
-        hp=hp_with(BufferSchedule.decaying(5.0)),
-        iters=20000,
-        init_mode="at_demand",
-        disturbances=(START_SHIFT,),
-    )
-    return run_experiment(plan, benchmark_oracle)
+def decaying_run(benchmark_oracle):
+    """``(plan, trace)`` of buffer-sweep's decaying member, its last."""
+    _, plans, _ = preset_plans("buffer-sweep")
+    return plans[-1], run_experiment(plans[-1], benchmark_oracle)
 
 
 @pytest.fixture(scope="module")
-def sweep_runs(benchmark_instance, benchmark_oracle):
+def sweep_runs(benchmark_oracle, benchmark_constants):
+    """buffer-sweep's constant members at 8000 iterations, by omega, each with the bounds ``danyra run`` writes."""
+    instance, plans, _ = preset_plans("buffer-sweep", iters=8000)
     runs = {}
-    for omega in (0.01, 0.1, 1.0):
-        hp = hp_with(BufferSchedule.constant(omega))
-        plan = ExperimentPlan(
-            instance=benchmark_instance, hp=hp, iters=8000, init_mode="at_demand", disturbances=(START_SHIFT,)
-        )
+    for plan in plans[:3]:
         start = time.perf_counter()
         trace = run_experiment(plan, benchmark_oracle)
         elapsed = time.perf_counter() - start
-        runs[omega] = {
-            "trace": trace,
-            "elapsed": elapsed,
-            "C0": violation_l1(benchmark_instance, plan.start),
-            "hp": hp,
-        }
+        C_vio, _ = largest_violation(violation_l1(instance, plan.start), trace)
+        bounds = bounds_report(benchmark_constants, plan.hp, instance.n, C_vio)
+        runs[plan.hp.buffer.limit] = {"plan": plan, "trace": trace, "elapsed": elapsed, "bounds": bounds}
     return runs
 
 
 @pytest.fixture(scope="module")
 def equality_setup():
-    gen = PRESETS["equality"]["instance"]["generate"]
-    inst = generate_instance(gen["seed"], gen["n"], gen["r_max"], gen["extra_edges"])
-    hp_keys = PRESETS["equality"]["hp"]
-    hp = HyperParams(
-        alpha=hp_keys["alpha"], beta=hp_keys["beta"], eta=hp_keys["eta"], gamma=hp_keys["gamma"],
-        buffer=BufferSchedule.constant(0.0),
-    )
-    sol = solve_equality(inst)
-    plan = ExperimentPlan(instance=inst, hp=hp, iters=50000, mode=EQUALITY, init_mode="zero")
-    trace = run_experiment(plan, sol)
-    return inst, hp, sol, trace
+    """``(plan, trace)`` of the equality preset with every row recorded (it records every 5th), for c09's pairs."""
+    instance, (plan,), _ = preset_plans("equality", record_every=1)
+    return plan, run_experiment(plan, solve_equality(instance))
 
 
-def pair_recursion_defect(trace, gamma, skip_ks=()):
-    """Worst relative defect of s_{k+1} = (1-gamma) s_k over consecutive rows."""
+def pair_recursion_defect(plan, trace):
+    """Worst relative defect of s_{k+1} = (1-gamma) s_k over consecutive rows, bar each disturbance's jump.
+
+    A trace with no such pair of rows fails.
+    """
     s, ks = trace.slack, trace.ks
-    worst = 0.0
-    for idx in range(len(ks) - 1):
-        if ks[idx + 1] != ks[idx] + 1 or ks[idx + 1] in skip_ks:
-            continue
-        defect = np.max(np.abs(s[idx + 1] - (1 - gamma) * s[idx]))
-        worst = max(worst, defect / (1 + np.max(np.abs(s[idx]))))
-    return worst
+    jumps = [event.at_iteration + 1 for event in plan.disturbances]
+    pairs = (ks[1:] == ks[:-1] + 1) & ~np.isin(ks[1:], jumps)
+    assert pairs.any(), "no two consecutive rows to compare"
+    defects = np.abs(s[1:] - (1 - plan.hp.gamma) * s[:-1]).max(axis=1) / (1 + np.abs(s[:-1]).max(axis=1))
+    return float(defects[pairs].max())
 
 
 def test_c01_anytime_feasibility(feasible_run):
-    trace, elapsed = feasible_run
+    _, trace, elapsed = feasible_run
     worst = float(trace.violation_l1.max())
     assert len(trace.ks) == 2000
     assert worst <= 1e-12
@@ -138,20 +105,18 @@ def test_c01_anytime_feasibility(feasible_run):
           f"({elapsed:.2f}s < 5s)")
 
 
-def test_c02_geometric_slack_recursion(feasible_run, fig2_trace, decaying_trace, sweep_runs):
-    defects = {
-        "feasible": pair_recursion_defect(feasible_run[0], GAMMA),
-        "fig2": pair_recursion_defect(fig2_trace, GAMMA, skip_ks={501}),  # injection pair exempt
-        "decaying": pair_recursion_defect(decaying_trace, GAMMA),
-        "omega=0.1": pair_recursion_defect(sweep_runs[0.1]["trace"], GAMMA),
-    }
+def test_c02_geometric_slack_recursion(feasible_run, fig2_run, decaying_run, sweep_runs):
+    runs = {"feasible": feasible_run[:2], "fig2": fig2_run, "decaying": decaying_run}
+    runs["omega=0.1"] = sweep_runs[0.1]["plan"], sweep_runs[0.1]["trace"]
+    defects = {name: pair_recursion_defect(*run) for name, run in runs.items()}
     worst = max(defects.values())
     assert worst <= 1e-9
     print(f"criterion 2 PASS: worst slack-recursion defect {worst:.2e} <= 1e-9 "
           f"across {len(defects)} runs")
 
 
-def test_c03_exact_convergence(fig2_trace, decaying_trace):
+def test_c03_exact_convergence(fig2_run, decaying_run):
+    fig2_trace, decaying_trace = fig2_run[1], decaying_run[1]
     fig2_gap = float(fig2_trace.gap.min())
     fig2_first = int(fig2_trace.ks[np.flatnonzero(fig2_trace.gap <= 1e-6)][0])
     decay_gap = float(decaying_trace.gap[-1])
@@ -161,47 +126,46 @@ def test_c03_exact_convergence(fig2_trace, decaying_trace):
           f"decaying-buffer gap {decay_gap:.2e} <= 1e-6 within 20000 iterations")
 
 
-def test_c04_finite_time_recovery_bound(benchmark_instance, sweep_runs):
+def test_c04_finite_time_recovery_bound(sweep_runs):
     total = 0.0
     lines = []
     for omega, data in sweep_runs.items():
-        C0, n = data["C0"], benchmark_instance.n
-        bound = math.ceil(math.log(n * omega / C0) / math.log(1 - GAMMA))
+        bound = data["bounds"].recovery_bound_t  # bounds.json's, at the largest violation the run faced
         measured = recovery_iteration(data["trace"])
         total += data["elapsed"]
         assert measured is not None and measured <= bound
-        lines.append(f"w={omega}: {measured}<={bound}")
+        lines.append(f"w={omega}: {measured}<={bound:g}")
     assert total < 10.0
     print(f"criterion 4 PASS: recovery within bound ({'; '.join(lines)}); "
           f"runtime {total:.2f}s < 10s")
 
 
-def test_c05_one_step_absorption(benchmark_instance):
-    omega = 0.1
-    hp = hp_with(BufferSchedule.constant(omega))
-    state = init_state(benchmark_instance, hp, "at_demand")
-    target = 0.9 * benchmark_instance.n * omega / (1 - GAMMA)
-    bump = np.linalg.solve(benchmark_instance.A[0], target - slack_sum(benchmark_instance, state))
+def test_c05_one_step_absorption():
+    instance, plans, labels = preset_plans("buffer-sweep")
+    hp = plans[labels.index("omega-0.1")].hp
+    state = init_state(instance, hp, "at_demand")
+    target = 0.9 * instance.n * hp.buffer.limit / (1 - hp.gamma)
+    bump = np.linalg.solve(instance.A[0], target - slack_sum(instance, state))
     x, x_prime = state.x.copy(), state.x_prime.copy()
     x[0] += bump
     x_prime[0] += bump
-    state = rebuild(benchmark_instance, state, x=x, x_prime=x_prime)
-    assert np.allclose(slack_sum(benchmark_instance, state), target)
-    before = violation_l1(benchmark_instance, state)
+    state = rebuild(instance, state, x=x, x_prime=x_prime)
+    assert np.allclose(slack_sum(instance, state), target)
+    before = violation_l1(instance, state)
     assert before > 0  # genuinely violated before the absorbing step
     worst = 0.0
     for _ in range(501):
-        state = iterate(state, benchmark_instance, hp)
-        worst = max(worst, violation_l1(benchmark_instance, state))
+        state = iterate(state, instance, hp)
+        worst = max(worst, violation_l1(instance, state))
     assert worst <= 1e-12
     print(f"criterion 5 PASS: violation {before:.3f} at slack 0.9*n*w/(1-gamma) absorbed in "
           f"one iteration and stayed <= {worst:.2e} for 500 more")
 
 
-def test_c06_steady_state_accuracy_bound(benchmark_instance, benchmark_constants, sweep_runs):
+def test_c06_steady_state_accuracy_bound(sweep_runs):
     lines = []
     for omega, data in sweep_runs.items():
-        bound = bounds_report(benchmark_constants, data["hp"], benchmark_instance.n, data["C0"]).accuracy_bound
+        bound = data["bounds"].accuracy_bound
         final_norm = math.sqrt(data["trace"].gap[-1])
         assert final_norm <= bound * 1.05
         squared_ok = data["trace"].gap[-1] <= bound  # squared-form variant, informational
@@ -220,8 +184,8 @@ def test_c07_tradeoff_monotonicity(sweep_runs):
 
 
 def test_c08_equality_linear_rate(equality_setup):
-    inst, hp, _, trace = equality_setup
-    report = validate_hyperparams(hp, spectral_constants(inst), EQUALITY)
+    plan, trace = equality_setup
+    report = validate_hyperparams(plan.hp, spectral_constants(plan.instance), EQUALITY)
     assert report.all_passed and report.theta_prime < 1
 
     gap, ks = trace.gap, trace.ks
@@ -248,8 +212,8 @@ def test_c08_equality_linear_rate(equality_setup):
 
 
 def test_c09_equality_feasibility_invariance(equality_setup):
-    inst, hp, _, trace = equality_setup
-    defect = pair_recursion_defect(trace, hp.gamma)
+    plan, trace = equality_setup
+    defect = pair_recursion_defect(plan, trace)
     assert defect <= 1e-9
     resid = np.abs(trace.slack).max(axis=1)
     first_zero = int(np.flatnonzero(resid <= 1e-9)[0])
@@ -277,22 +241,24 @@ def test_c10_oracle_cross_validation():
           f"KKT residuals {worst_kkt:.2e} <= 1e-8 on 20 instances")
 
 
-def test_c11_fixed_point_stationarity(benchmark_instance, fig2_trace):
-    state = fig2_trace.final_state
-    moved = iterate(state, benchmark_instance, hp_with(BufferSchedule.constant(0.0)))
+def test_c11_fixed_point_stationarity(fig2_run):
+    plan, trace = fig2_run
+    state = trace.final_state
+    moved = iterate(state, plan.instance, plan.hp)
     movement = state_difference(moved, state)
     assert movement <= 1e-9
     print(f"criterion 11 PASS: one extra iteration after convergence moves fields by "
           f"{movement:.2e} <= 1e-9")
 
 
-def test_c12_determinism(tmp_path, fig2_trace):
+def test_c12_determinism(tmp_path, fig2_run):
+    trace = fig2_run[1]
     outs = []
     for name in ("a", "b"):
         out = tmp_path / name
         assert main(["run", "--preset", "fig2", "--iters", "700", "--out", str(out)]) == 0
         outs.append((out / "trace.csv").read_bytes())
-    assert outs[0] == outs[1]
-    wallclock = fig2_trace.wallclock_per_iteration
-    print(f"criterion 12 PASS: byte-identical traces across reruns; "
+    assert outs[0] == outs[1] == trace.csv_text(0, 700).encode()  # the CLI's run is the one c02, c03 and c11 check
+    wallclock = trace.wallclock_per_iteration
+    print(f"criterion 12 PASS: byte-identical traces across reruns and to the fig2 run's first 700 rows; "
           f"informational wall-clock {wallclock * 1e6:.1f}us/iteration")

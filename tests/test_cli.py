@@ -744,8 +744,7 @@ class TestBufferConfig:
     def test_equality_mode_accepts_the_zero_buffer(self, tmp_path, hp):
         config = parse_config(write_config(tmp_path, mode="equality", hp=hp))
         assert config["mode"] == "equality"
-        hp = danyra.cli._hyperparams(config["hp"], config["hp"]["buffer"])
-        danyra.cli._build_plan(config, generate_instance(3, 4, 8.0, 1), hp)  # the plan takes it
+        danyra.cli._plans(config)  # the plan takes it
 
 
 def _attach_rejection_tests() -> None:

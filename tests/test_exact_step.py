@@ -25,9 +25,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from danyra import generate_instance
-from danyra.cli import _build_plan, _hyperparams, parse_config
 from danyra.engine import _step
+
+from conftest import preset_plans
 
 # numpy's einsum takes object arrays from 1.25 on, and the project allows numpy 1.24
 pytestmark = pytest.mark.skipif(np.lib.NumpyVersion(np.__version__) < "1.25.0", reason="einsum of objects: numpy>=1.25")
@@ -58,17 +58,15 @@ def exact_laplacian(topology) -> np.ndarray:
     return L
 
 
-def exact_run(preset: str, steps: int, member: int | None = None):
+def exact_run(preset: str, steps: int, member: int = 0):
     """``(gamma, d, states)``: the preset's start and ``steps`` steps of ``_step`` on it, all in Fractions.
 
-    ``member`` picks a sweep member's buffer.  The start is the run's ``ExperimentPlan.start``, so a disturbance at
-    iteration 0 is in it.  Each state is the tuple ``(x, x', y, lam, delta, Ax, z)`` that ``_step`` returns; ``Ax``
-    and ``z`` of the start are its products as ``SwarmState`` defines them.
+    ``member`` picks a sweep member (a single run is member 0).  The start is the run's ``ExperimentPlan.start``, so
+    a disturbance at iteration 0 is in it.  Each state is the tuple ``(x, x', y, lam, delta, Ax, z)`` that ``_step``
+    returns; ``Ax`` and ``z`` of the start are its products as ``SwarmState`` defines them.
     """
-    config = parse_config(preset=preset)
-    instance = generate_instance(**config["instance"]["generate"])
-    hp = _hyperparams(config["hp"], config["hp"]["buffer"] if member is None else config["sweep"][member])
-    start = _build_plan(config, instance, hp).start
+    instance, plans, _ = preset_plans(preset)
+    hp, start = plans[member].hp, plans[member].start
     A, d, hessian, Q = (exact(a) for a in (instance.A, instance.d, instance.hessian_stack, instance.Q))
     projector = np.stack([solve(a @ a.T, a).T for a in A])
     L = exact_laplacian(instance.topology)

@@ -9,7 +9,7 @@ reuses a fixed state (see ``danyra.engine``) makes none; ``test_fixed_point``
 counts those.  The others run ``run_experiment`` beside
 ``reference_step.reference_iterate_four_exchanges`` (the step that mixed
 ``lam``, ``y``, ``z - d`` and the new ``y``) for 3000 iterations, on the fig2
-instance with its k=500 disturbance and on a 601-agent instance: every
+preset's plan with its k=500 disturbance and on a 601-agent instance: every
 recorded column must agree within the artifact check's tolerances
 (``perfbench/check.py``), and the recovery iteration must be the same.
 """
@@ -41,6 +41,7 @@ from danyra import (
 )
 from danyra.netsim import Trace
 
+from conftest import preset_plans
 from reference_step import (
     reference_copy,
     reference_disturb,
@@ -53,7 +54,6 @@ sys.path.append(str(Path(__file__).resolve().parents[1] / "perfbench"))
 import check  # noqa: E402  (perfbench/check.py: the artifact check's tolerances)
 
 ITERS = 3000
-DISTURBANCE_K = 500
 
 
 @pytest.fixture(scope="module", params=[14, 601], ids=["dense-mix-14", "segment-sum-601"])
@@ -103,9 +103,9 @@ def columns(trace: Trace) -> dict[str, np.ndarray]:
     return out
 
 
-def assert_close_to_four_exchanges(instance, hp, mode, disturbances=()):
-    plan = ExperimentPlan(instance=instance, hp=hp, iters=ITERS, mode=mode, disturbances=disturbances)
-    oracle = solve_active_set(instance) if mode == INEQUALITY else solve_equality(instance)
+def assert_close_to_four_exchanges(plan: ExperimentPlan):
+    instance = plan.instance
+    oracle = solve_active_set(instance) if plan.mode == INEQUALITY else solve_equality(instance)
     new = run_experiment(plan, oracle)
     old = four_exchange_trace(plan, oracle)
     assert list(new.ks) == list(old.ks)
@@ -123,12 +123,10 @@ def assert_close_to_four_exchanges(instance, hp, mode, disturbances=()):
 
 
 @pytest.mark.parametrize("mode", [INEQUALITY, EQUALITY])
-def test_fig2_instance_agrees_with_four_exchanges(benchmark_instance, mode):
-    # the fig2 preset's instance, step sizes and disturbance
-    hp = HyperParams(alpha=0.01, beta=0.02, eta=0.1, gamma=0.2, buffer=BufferSchedule.constant(0.0))
-    event = DisturbanceEvent(at_iteration=DISTURBANCE_K, additive=[50.0, 50.0])
-    recovery = assert_close_to_four_exchanges(benchmark_instance, hp, mode, (event,))
-    assert recovery is not None and recovery > DISTURBANCE_K
+def test_fig2_instance_agrees_with_four_exchanges(mode):
+    _, (plan,), _ = preset_plans("fig2", iters=ITERS, mode=mode)
+    recovery = assert_close_to_four_exchanges(plan)
+    assert recovery is not None and recovery > plan.disturbances[0].at_iteration
 
 
 @pytest.mark.parametrize("mode", [INEQUALITY, EQUALITY])
@@ -136,4 +134,5 @@ def test_segment_sum_instance_agrees_with_four_exchanges(mode):
     instance = generate_instance(1534, 601, 70.0, 1202)
     floor = 0.1 if mode == INEQUALITY else 0.0  # an equality plan takes only the zero floor, which its step never reads
     hp = HyperParams(alpha=0.01, beta=0.02, eta=0.1, gamma=0.2, buffer=BufferSchedule.constant(floor))
-    assert assert_close_to_four_exchanges(instance, hp, mode) is not None
+    plan = ExperimentPlan(instance=instance, hp=hp, iters=ITERS, mode=mode)
+    assert assert_close_to_four_exchanges(plan) is not None

@@ -35,7 +35,6 @@ from danyra import (
     BufferSchedule,
     CallableCost,
     DisturbanceEvent,
-    HyperParams,
     ProblemInstance,
     SwarmState,
     Topology,
@@ -45,12 +44,11 @@ from danyra import (
     iterate,
 )
 
-from conftest import count_mix, rebuild
+from conftest import count_mix, preset_plans, rebuild
 
 # From the zero start, the first step that returns its input's bits is the one from k = 2031 in equality
 # mode and from k = 3885 in inequality mode; every later step reuses its state until the floor drops.
 GENERATE = {"seed": 4, "n": 4, "r_max": 10.0, "extra_edges": 2}
-STEP_SIZES = {"alpha": 0.02974, "beta": 0.27, "eta": 0.07, "gamma": 0.8922}  # the equality preset's
 FLOOR_DROP_K = 4000
 ITERS = {EQUALITY: 2150, INEQUALITY: 4050}
 FIELDS = ("x", "x_prime", "y", "lam", "delta", "Ax", "z", "Ax_sum")
@@ -58,8 +56,10 @@ STEP_READS = ("x_prime", "y", "lam", "delta", "Ax", "z")
 
 
 def make_hp(mode):
+    """The equality preset's step sizes; in inequality mode the floor is 0.1 until ``FLOOR_DROP_K``, then 0.05."""
     levels = [0.1] * FLOOR_DROP_K + [0.05] if mode == INEQUALITY else [0.0]
-    return HyperParams(**STEP_SIZES, buffer=BufferSchedule.sequence(levels))
+    _, (plan,), _ = preset_plans("equality")
+    return dataclasses.replace(plan.hp, buffer=BufferSchedule.sequence(levels))
 
 
 def assert_same_bits(got: SwarmState, want: SwarmState) -> None:

@@ -12,17 +12,16 @@ from danyra import (
     ProblemInstance,
     SpectralConstants,
     bounds_report,
-    generate_instance,
     metropolis_weights,
     optimality_gap,
     recovery_iteration,
+    run_experiment,
     slack_sum,
-    solve_active_set,
     violation_l1,
 )
 from danyra.netsim import Trace
 
-from conftest import state_at
+from conftest import preset_plans, state_at
 
 
 def free_instance(n=2):
@@ -118,24 +117,17 @@ class TestRecoveryIteration:
         # above the 1e-12 rounding level a violation still counts
         assert recovery_iteration(trace_with([1.0, 2e-12, 5e-13])) == 3
 
-    def test_zero_buffer_decays_geometrically_without_recovering(
-        self, benchmark_instance, benchmark_oracle, base_hp
-    ):
+    def test_zero_buffer_decays_geometrically_without_recovering(self, benchmark_oracle):
         # without a buffer floor the violation only contracts by 1-gamma per
         # step, so it never becomes exactly zero on a finite horizon
-        from danyra import DisturbanceEvent, ExperimentPlan, run_experiment
-
-        plan = ExperimentPlan(
-            instance=benchmark_instance, hp=base_hp(omega=0.0), iters=150,
-            init_mode="at_demand", disturbances=(DisturbanceEvent(at_iteration=0, additive=np.array([50.0, 50.0])),),
-        )
+        _, (plan,), _ = preset_plans("buffer-sweep", iters=150, sweep=[{"kind": "constant", "omega": 0.0}])
         trace = run_experiment(plan, benchmark_oracle)
         v = trace.violation_l1
         assert v[-1] > 0.0
         ratios = v[1:] / v[:-1]
         clean = v[:-1] > 1e-3  # queues re-engage once the violation is tiny
         assert clean.sum() > 50
-        assert np.max(np.abs(ratios[clean] - 0.8)) <= 1e-9
+        assert np.max(np.abs(ratios[clean] - (1 - plan.hp.gamma))) <= 1e-9
 
 
 class TestBoundsReport:

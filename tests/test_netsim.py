@@ -22,7 +22,6 @@ from danyra import (
     run_experiment,
     slack_sum,
     solve_active_set,
-    solve_equality,
 )
 from danyra import netsim
 from danyra.engine import SwarmState
@@ -280,22 +279,6 @@ class TestRunExperiment:
         else:
             with pytest.raises(ConfigError, match="hp.buffer must be zero in equality mode, which has no queue, got"):
                 ExperimentPlan(instance=small_instance, hp=hp, iters=5, mode=EQUALITY)
-
-    def test_equality_mode_residual_contracts(self, base_hp):
-        inst = generate_instance(101, 10, 20.0, 6)
-        hp = HyperParams(
-            alpha=0.02974, beta=0.27, eta=0.07, gamma=0.8922,
-            buffer=BufferSchedule.constant(0.0),
-        )
-        trace = run_experiment(
-            ExperimentPlan(instance=inst, hp=hp, iters=60, mode=EQUALITY, init_mode="zero"),
-            solve_equality(inst),
-        )
-        s = trace.slack
-        rel = np.abs(s[1:] - (1 - hp.gamma) * s[:-1]).max(axis=1) / (
-            1 + np.abs(s[:-1]).max(axis=1)
-        )
-        assert rel.max() <= 1e-9
 
     def test_wallclock_recorded(self, small_instance, base_hp):
         trace = run_experiment(
